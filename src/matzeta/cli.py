@@ -6,9 +6,10 @@ Matroids are given by a compound spec string:
     term  := tr( expr ) | ext( expr ) | atom
     expr  := term { + term }
 
-Prefix operators bind tighter than the infix sum.  Exit codes: 0 success,
-2 usage/parse error, 3 domain error (loops where disallowed, caps, bad
-construction), 4 theorem-check failure, 5 conjecture counterexample.
+Prefix operators bind tighter than the infix sum, and nest at most
+MAX_NESTING deep.  Exit codes: 0 success, 2 usage/parse error, 3 domain error
+(loops where disallowed, caps, bad construction), 4 theorem-check failure or
+a ``--verify`` disagreement between algorithms, 5 conjecture counterexample.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .checks import (
 )
 from .files import FileFormatError, load_bases, load_graphic_matroid
 from .lattice import FlagCapExceeded, LoopsError, lattice_of
-from .matroid import Matroid, iter_bits, uniform
+from .matroid import MAX_GROUND_SIZE, Matroid, iter_bits, uniform
 from .zeta import compute_upsilon, compute_zeta
 
 EXIT_OK = 0
@@ -38,6 +39,10 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_THEOREM_FAILURE = 4
 EXIT_COUNTEREXAMPLE = 5
+
+# No legal spec nests deeper: each tr(...) uses up one unit of rank and each
+# ext(...) adds one element, and both are bounded by the ground size.
+MAX_NESTING = 2 * MAX_GROUND_SIZE
 
 
 class SpecParseError(ValueError):
@@ -57,6 +62,7 @@ class _SpecParser:
     def __init__(self, text: str) -> None:
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def _skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -84,8 +90,12 @@ class _SpecParser:
         prefix = _PREFIX_RE.match(self.text, self.pos)
         if prefix:
             op = prefix.group(1)
+            if self.depth == MAX_NESTING:
+                raise SpecParseError(f"tr(/ext( nested deeper than {MAX_NESTING}", self.pos)
             self.pos = prefix.end()
+            self.depth += 1
             inner = self._expr()
+            self.depth -= 1
             self._skip_ws()
             if self.pos >= len(self.text) or self.text[self.pos] != ")":
                 raise SpecParseError(f"missing ')' after {op}(...", self.pos)
@@ -135,7 +145,7 @@ def _cmd_zeta(args) -> int:
         by_rec = compute_zeta(m, "recurrence")
         if by_flags.zeta != by_rec.zeta:
             print("verification failed: flag sum and recurrence disagree", file=sys.stderr)
-            return 1
+            return EXIT_THEOREM_FAILURE
         result = by_rec
     else:
         result = compute_zeta(m, args.algorithm, max_flags=args.max_flags)
@@ -149,15 +159,16 @@ def _cmd_zeta(args) -> int:
 def _cmd_upsilon(args) -> int:
     m = parse_matroid_spec(args.spec)
     if args.verify:
+        # flags first: it is the only route with a cap, so a capped run fails fast
         values = [
+            compute_upsilon(m, "flags", max_flags=args.max_flags),
             compute_upsilon(m, "mobius"),
             compute_upsilon(m, "recurrence"),
-            compute_upsilon(m, "flags", max_flags=args.max_flags),
         ]
         if len({v.upsilon for v in values}) != 1:
             print("verification failed: upsilon algorithms disagree", file=sys.stderr)
-            return 1
-        result = values[1]
+            return EXIT_THEOREM_FAILURE
+        result = values[2]
     else:
         result = compute_upsilon(m, args.algorithm, max_flags=args.max_flags)
     if args.format == "json":
@@ -262,6 +273,13 @@ def _check_exit_code(reports: list[CheckReport], witness_dir: str | None = None)
 # Parser assembly
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matzeta",
@@ -279,7 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
                 action="store_true",
                 help="compute by every algorithm and require exact agreement",
             )
-            p.add_argument("--max-flags", type=int, default=None, dest="max_flags")
+            p.add_argument(
+                "--max-flags", type=_non_negative_int, default=None, dest="max_flags"
+            )
 
     p_zeta = sub.add_parser("zeta", help="topological zeta function")
     add_common(p_zeta, algorithms=("flags", "recurrence", "auto"))

@@ -45,7 +45,7 @@ class Matroid:
     """A matroid given by its ground-set size and the set of bases.
 
     Bases are bitmasks of equal cardinality (the rank).  Construction
-    validates the basis-exchange axiom unless ``validate=False`` is passed
+    validates the matroid axioms unless ``validate=False`` is passed
     for generated-and-trusted inputs.
     """
 
@@ -76,22 +76,24 @@ class Matroid:
     # -- construction checks ---------------------------------------------
 
     def _validate(self) -> None:
-        ranks = {b.bit_count() for b in self.bases}
-        if len(ranks) != 1:
+        """Require the local rank axiom: r(X+e) = r(X+f) = r(X) => r(X+e+f) = r(X)
+        (Oxley, *Matroid Theory*, 1.3), i.e. cl(X) lies in cl(X+e) for e in cl(X) - X.
+
+        Exact: ``_ranks`` (|S| on subsets of given sets, else the max over single
+        deletions) starts at 0 and grows by 0 or 1 per element for any family, so
+        it is a matroid rank function iff the axiom holds, with the subsets of the
+        given sets as its independent sets and so the given family as its bases.
+        """
+        if len({b.bit_count() for b in self.bases}) != 1:
             raise ValueError("bases have mixed cardinalities")
-        for b1 in self.bases:
-            for b2 in self.bases:
-                if b1 == b2:
-                    continue
-                for x in iter_bits(b1 & ~b2):
-                    removed = b1 ^ (1 << x)
-                    if not any(
-                        (removed | (1 << y)) in self.bases for y in iter_bits(b2 & ~b1)
-                    ):
-                        raise ValueError(
-                            f"basis exchange fails for {sorted(iter_bits(b1))} / "
-                            f"{sorted(iter_bits(b2))} at element {x}"
-                        )
+        closures = [self.closure_of(x) for x in range(1 << self.size)]
+        for x, cl in enumerate(closures):
+            for e in _low_bits(cl & ~x):
+                if bad := cl & ~closures[x | e]:
+                    raise ValueError(
+                        f"basis exchange fails: {sorted(iter_bits(x))} keeps its rank with "
+                        f"{e.bit_length() - 1} or {(bad & -bad).bit_length() - 1}, not both"
+                    )
 
     # -- core queries ------------------------------------------------------
 
@@ -125,9 +127,7 @@ class Matroid:
         """Rank of every subset: |S| if independent, else max over deletions."""
         indep = self._independent
         table = [0] * (1 << self.size)
-        for m in sorted(range(1 << self.size), key=int.bit_count):
-            if m == 0:
-                continue
+        for m in range(1, 1 << self.size):  # every deletion of m is a smaller mask
             if indep[m]:
                 table[m] = m.bit_count()
             else:
@@ -350,8 +350,8 @@ class Flag:
 
 def uniform(r: int, n: int) -> Matroid:
     """The uniform matroid: every r-subset of an n-set is a basis."""
-    if not 0 <= r <= n:
-        raise ValueError(f"uniform matroid needs 0 <= r <= n, got r={r}, n={n}")
+    if not 0 <= r <= n <= MAX_GROUND_SIZE:  # before enumerating C(n, r) subsets
+        raise ValueError(f"uniform matroid needs 0 <= r <= n <= {MAX_GROUND_SIZE}: r={r}, n={n}")
     bases = [mask_of(c) for c in itertools.combinations(range(n), r)]
     return Matroid(n, bases, validate=False)
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -5,7 +6,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import matzeta.zeta as zeta
 from matzeta.algebra import Polynomial, RationalFunction
 from matzeta.checks import CheckReport
 from matzeta.cli import (
@@ -14,6 +18,7 @@ from matzeta.cli import (
     EXIT_OK,
     EXIT_THEOREM_FAILURE,
     EXIT_USAGE,
+    MAX_NESTING,
     SpecParseError,
     _check_exit_code,
     main,
@@ -69,6 +74,19 @@ def test_parse_errors_carry_position(text, pos):
         parse_matroid_spec(text)
     assert err.value.pos == pos
     assert f"position {pos}" in str(err.value)
+
+
+def test_nesting_depth_is_bounded(capsys):
+    def nested(depth):
+        return "ext(" * depth + "u:0,0" + ")" * depth
+
+    # MAX_NESTING levels parse; the 17th extension then exceeds the ground bound
+    code, _, err = run_cli(capsys, "zeta", nested(MAX_NESTING))
+    assert code == EXIT_DOMAIN and "ground-size bound" in err
+    code, _, err = run_cli(capsys, "zeta", nested(MAX_NESTING + 1))
+    assert code == EXIT_USAGE and "nested deeper" in err
+    code, out, err = run_cli(capsys, "zeta", "tr(" * 2000 + "u:1,1" + ")" * 2000)
+    assert code == EXIT_USAGE and out == "" and "Traceback" not in err
 
 
 def test_parse_file_atoms(tmp_path):
@@ -127,6 +145,40 @@ def test_zeta_verify(capsys):
     code, out, _ = run_cli(capsys, "zeta", "u:2,4", "--verify")
     assert code == EXIT_OK
     assert "Z(s)" in out
+
+
+def test_upsilon_verify_checks_flag_cap_first(capsys, monkeypatch):
+    def never(m):
+        raise AssertionError("upsilon_by_mobius ran although the flag cap is exceeded")
+
+    monkeypatch.setattr(zeta, "upsilon_by_mobius", never)
+    code, out, err = run_cli(capsys, "upsilon", "u:2,3", "--verify", "--max-flags", "1")
+    assert code == EXIT_DOMAIN and out == ""
+    assert "flags exceed" in err
+
+
+@pytest.mark.parametrize("command, route", [
+    ("zeta", "zeta_by_recurrence"),
+    ("upsilon", "upsilon_by_mobius"),
+    ("upsilon", "upsilon_by_recurrence"),
+    ("upsilon", "upsilon_by_flags"),
+])
+def test_verify_disagreement_is_a_theorem_failure(capsys, monkeypatch, command, route):
+    original = getattr(zeta, route)
+    monkeypatch.setattr(
+        zeta, route, lambda m, **kw: original(m, **kw) + RationalFunction.one()
+    )
+    code, out, err = run_cli(capsys, command, "u:2,3", "--verify")
+    assert code == EXIT_THEOREM_FAILURE
+    assert out == "" and "verification failed" in err
+
+
+def test_max_flags_must_be_non_negative(capsys):
+    code, out, err = run_cli(capsys, "zeta", "u:2,3", "--max-flags", "-1")
+    assert code == EXIT_USAGE and out == ""
+    assert "at least 0" in err and "Traceback" not in err
+    code, _, _ = run_cli(capsys, "zeta", "u:2,3", "--algorithm", "flags", "--max-flags", "0")
+    assert code == EXIT_DOMAIN
 
 
 def test_zeta_flag_cap(capsys):
@@ -194,6 +246,8 @@ def test_usage_errors(capsys):
     assert code == EXIT_USAGE
     code, _, err = run_cli(capsys, "zeta", "u:4,2")
     assert code == EXIT_DOMAIN  # parses, fails validation
+    code, _, err = run_cli(capsys, "zeta", "u:3,100000")
+    assert code == EXIT_DOMAIN  # rejected before its subsets are enumerated
 
 
 def test_check_command(capsys, tmp_path):
@@ -306,3 +360,92 @@ def test_cli_deterministic_subprocess():
     assert runs[0] == runs[1]
     payload = json.loads(runs[0])
     assert len(payload["flats"]) == 1 + 4 + 1
+
+
+# ---------------------------------------------------------------------------
+# Exit-code contract under random input
+
+# Digits 2 and 3 only: a legal uniform atom then has at most 3 elements, and
+# six tokens make at most three of them, which keeps every example cheap.
+_SPEC_TOKENS = [
+    "u:", "2", "3", ",", "(", ")", "+", " ", "tr(", "ext(", "u:2,3", "x", ":",
+    "bases:", "graph:",
+]
+_uniform_atoms = st.builds("u:{},{}".format, st.integers(0, 7), st.integers(0, 6))
+_specs = st.one_of(
+    st.lists(st.sampled_from(_SPEC_TOKENS), max_size=6).map("".join),
+    _uniform_atoms,
+    # nested within the parser's bound (cheap) or beyond it (rejected unbuilt)
+    st.builds(
+        lambda ops, atom, closed: "".join(ops) + atom + ")" * (len(ops) - (not closed)),
+        st.one_of(
+            st.lists(st.sampled_from(["tr(", "ext("]), max_size=3),
+            st.lists(st.sampled_from(["tr(", "ext("]), min_size=MAX_NESTING + 1,
+                     max_size=MAX_NESTING + 8),
+        ),
+        _uniform_atoms,
+        st.booleans(),
+    ),
+)
+_junk = st.sampled_from([""] * 10 + ["n 3\n", "b 0 9\n", "e 0 9\n", "b x\n", "q\n"])
+
+
+@st.composite
+def _bases_texts(draw):
+    """Files of r-sets, mostly well-formed."""
+    size = draw(st.integers(0, 6))
+    r = draw(st.integers(0, size))
+    row = st.sampled_from(list(itertools.combinations(range(size), r)))
+    rows = draw(st.lists(row, max_size=10))
+    return f"n {size}\n" + "".join(f"b {' '.join(map(str, x))}\n" for x in rows) + draw(_junk)
+
+
+@st.composite
+def _graph_texts(draw):
+    """Graphs, mostly well-formed."""
+    v = draw(st.integers(1, 5))
+    vertex = st.integers(0, v - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=7))
+    return f"v {v}\n" + "".join(f"e {u} {w}\n" for u, w in edges) + draw(_junk)
+
+
+@st.composite
+def _commands(draw, spec):
+    command = draw(st.sampled_from(["zeta", "upsilon", "taylor", "girth", "lattice"]))
+    argv = [command, spec, "--format", draw(st.sampled_from(["text", "json"]))]
+    if command in ("zeta", "upsilon"):
+        argv += ["--max-flags", str(draw(st.integers(-1, 200)))]
+        argv += ["--verify"] if draw(st.booleans()) else []
+    elif command == "taylor":
+        argv += ["-k", str(draw(st.integers(-1, 3)))]
+    return argv
+
+
+def _assert_contract(capsys, argv) -> None:
+    code, _, err = run_cli(capsys, *argv)
+    assert code in {EXIT_OK, EXIT_USAGE, EXIT_DOMAIN, EXIT_THEOREM_FAILURE, EXIT_COUNTEREXAMPLE}
+    assert "Traceback" not in err
+
+
+_fuzz = settings(
+    max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@_fuzz
+@given(data=st.data())
+def test_exit_code_contract_on_random_specs(capsys, data):
+    _assert_contract(capsys, data.draw(_commands(data.draw(_specs))))
+
+
+@_fuzz
+@given(data=st.data())
+def test_exit_code_contract_on_random_files(capsys, tmp_path, data):
+    kind, text = data.draw(st.one_of(
+        st.tuples(st.just("bases"), _bases_texts()),
+        st.tuples(st.just("graph"), _graph_texts()),
+    ))
+    path = tmp_path / f"input.{kind}"
+    path.write_text(text, encoding="utf-8")
+    wrap = data.draw(st.sampled_from(["{}", "tr({})", "{} + u:1,1", "ext({})"]))
+    _assert_contract(capsys, data.draw(_commands(wrap.format(f"{kind}:{path}"))))

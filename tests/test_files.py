@@ -1,4 +1,5 @@
 import io
+import itertools
 
 import pytest
 
@@ -10,7 +11,7 @@ from matzeta.files import (
     load_graph,
     load_graphic_matroid,
 )
-from matzeta.matroid import graphic, uniform
+from matzeta.matroid import MAX_GROUND_SIZE, graphic, mask_of, uniform
 
 TRIANGLE_TEXT = """\
 # the 3-cycle
@@ -39,6 +40,23 @@ def test_bases_parsing_details():
     assert load_bases(io.StringIO(text)) == uniform(2, 3)
     trivial = load_bases(io.StringIO("n 0\nb\n"))
     assert trivial == uniform(0, 0)
+
+
+def test_bases_at_the_ground_size_bound():
+    n = MAX_GROUND_SIZE
+    m = uniform(n // 2, n)
+    assert load_bases(io.StringIO(dump_bases(m))) == m
+    # without S+a and S+b for a 7-set S, exchange fails from S+x towards
+    # S-z+a+b: taking x out leaves S, and both S+a and S+b are gone
+    core = mask_of(range(n // 2 - 1))
+    gone = {core | 1 << (n // 2 - 1), core | 1 << (n // 2)}
+    lines = [f"n {n}"] + [
+        "b " + " ".join(map(str, c))
+        for c in itertools.combinations(range(n), n // 2)
+        if mask_of(c) not in gone
+    ]
+    with pytest.raises(FileFormatError, match="not a matroid"):
+        load_bases(io.StringIO("\n".join(lines)))
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,9 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matzeta.matroid import (
     MAX_GROUND_SIZE,
@@ -76,6 +79,56 @@ def test_validation_rejects_non_matroid():
         Matroid(2, [])
     with pytest.raises(ValueError):
         Matroid(2, [0b100])
+
+
+def _exchange_oracle(bases: frozenset[int]) -> bool:
+    """Basis exchange checked pair by pair: for bases B1 != B2 and x in B1 - B2
+    some y in B2 - B1 makes B1 - x + y a basis.  O(B^2 r^2); tests only."""
+    for b1 in bases:
+        for b2 in bases:
+            for x in iter_bits(b1 & ~b2):
+                removed = b1 ^ (1 << x)
+                if not any((removed | (1 << y)) in bases for y in iter_bits(b2 & ~b1)):
+                    return False
+    return True
+
+
+@st.composite
+def equal_size_families(draw):
+    """(size, bases) on at most 6 elements: a uniform or graphic matroid's
+    bases or an arbitrary family of r-sets, less up to two of its sets."""
+    kind = draw(st.sampled_from(["uniform", "graphic", "arbitrary"]))
+    if kind == "graphic":
+        v = draw(st.integers(1, 4))
+        vertex = st.integers(0, v - 1)
+        edges = draw(st.lists(st.tuples(vertex, vertex), max_size=6))
+        size, bases = len(edges), sorted(graphic(edges, v).bases)
+    else:
+        size = draw(st.integers(2, 6))
+        r = draw(st.integers(1, size - 1))
+        bases = [mask_of(c) for c in itertools.combinations(range(size), r)]
+    if kind == "arbitrary":
+        keep = draw(st.lists(st.booleans(), min_size=len(bases), max_size=len(bases)))
+        bases = [b for b, k in zip(bases, keep) if k] or bases[:1]
+    for _ in range(draw(st.integers(0, 2))):
+        if len(bases) > 1:
+            bases.remove(draw(st.sampled_from(bases)))
+    return size, bases
+
+
+@settings(max_examples=400)
+@given(equal_size_families())
+def test_validation_matches_exchange_oracle(family):
+    size, bases = family
+    try:
+        m = Matroid(size, bases, validate=True)
+    except ValueError as exc:
+        assert "basis exchange fails" in str(exc)
+        accepted = False
+    else:
+        assert m.bases == frozenset(bases)
+        accepted = True
+    assert accepted == _exchange_oracle(frozenset(bases))
 
 
 def test_rank_of_uniform_oracle():
@@ -334,18 +387,8 @@ def test_closure_is_a_closure_operator(catalog4):
 
 
 def test_base_exchange_holds_on_catalog(catalog4):
-    rng = random.Random(99)
     for entry in catalog4:
-        bases = sorted(entry.matroid.bases)
-        for _ in range(20):
-            b1, b2 = rng.choice(bases), rng.choice(bases)
-            if b1 == b2:
-                continue
-            for x in iter_bits(b1 & ~b2):
-                assert any(
-                    (b1 ^ (1 << x)) | (1 << y) in entry.matroid.bases
-                    for y in iter_bits(b2 & ~b1)
-                ), entry.name
+        assert _exchange_oracle(entry.matroid.bases), entry.name
 
 
 def test_mask_helpers():
