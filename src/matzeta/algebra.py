@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
 
-Rational = Fraction
 Scalar = Union[int, Fraction]
 
 

@@ -32,7 +32,7 @@ from .checks import (
 from .files import FileFormatError, load_bases, load_graphic_matroid
 from .lattice import FlagCapExceeded, LoopsError, lattice_of
 from .matroid import MAX_GROUND_SIZE, Matroid, iter_bits, uniform
-from .zeta import compute_upsilon, compute_zeta
+from .zeta import UPSILON_ALGORITHMS, ZETA_ALGORITHMS, compute_upsilon, compute_zeta
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -273,11 +273,20 @@ def _check_exit_code(reports: list[CheckReport], witness_dir: str | None = None)
 # Parser assembly
 
 
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be at least 0, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type for integers no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid int value" error
+    return parse
+
+
+_non_negative_int = _int_at_least(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,16 +311,16 @@ def build_parser() -> argparse.ArgumentParser:
             )
 
     p_zeta = sub.add_parser("zeta", help="topological zeta function")
-    add_common(p_zeta, algorithms=("flags", "recurrence", "auto"))
+    add_common(p_zeta, algorithms=ZETA_ALGORITHMS)
     p_zeta.set_defaults(fn=_cmd_zeta)
 
     p_ups = sub.add_parser("upsilon", help="Mobius inversion of the zeta function")
-    add_common(p_ups, algorithms=("mobius", "recurrence", "flags", "auto"))
+    add_common(p_ups, algorithms=UPSILON_ALGORITHMS)
     p_ups.set_defaults(fn=_cmd_upsilon)
 
     p_taylor = sub.add_parser("taylor", help="expansion coefficients of zeta at 0")
     add_common(p_taylor)
-    p_taylor.add_argument("-k", "--order", type=int, default=4)
+    p_taylor.add_argument("-k", "--order", type=_non_negative_int, default=4)
     p_taylor.set_defaults(fn=_cmd_taylor)
 
     p_girth = sub.add_parser("girth", help="smallest circuit size")
@@ -324,12 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run the verification suites on the catalog")
     p_check.add_argument("suite", choices=("theorems", "conjectures", "all"))
-    p_check.add_argument("--max-ground", type=int, default=7, dest="max_ground")
-    p_check.add_argument("--kmax", type=int, default=4)
+    p_check.add_argument("--max-ground", type=_non_negative_int, default=7, dest="max_ground")
+    p_check.add_argument("--kmax", type=_non_negative_int, default=4)
     p_check.add_argument(
-        "--kderivative-kmax", type=int, default=3, dest="kderivative_kmax"
+        "--kderivative-kmax", type=_non_negative_int, default=3, dest="kderivative_kmax"
     )
-    p_check.add_argument("--jobs", type=int, default=1)
+    p_check.add_argument("--jobs", type=_int_at_least(1), default=1)
     p_check.add_argument("--format", choices=("text", "json"), default="text")
     p_check.add_argument("--out", default=None, help="directory for counterexample witnesses")
     p_check.set_defaults(fn=_cmd_check)

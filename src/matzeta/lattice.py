@@ -2,9 +2,13 @@
 
 Flats are generated bottom-up by closing single-element extensions of the
 previous rank stratum, so the work scales with the lattice rather than the
-powerset.  Mobius values are memoized per interval.  Flag enumeration is lazy
-and guarded by a hard cap, since chain counts grow like ordered set
-partitions.
+powerset.  Every walk over the lattice uses one comparability scan: the
+strict upper-interval index ``strict_supersets`` and its inversion, the
+lower-interval index ``strict_subsets``.  Mobius values are memoized per
+interval, and the characteristic polynomials of the minors restriction(G)/F
+per lattice (``minor_chi``, by one signed subset expansion).  Flag walks are
+guarded by one hard cap (``check_flag_cap``), since chain counts grow like
+ordered set partitions.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from functools import cached_property
 from typing import Iterator
 
 from .algebra import InexactDivisionError, Polynomial, poly_divide_exact
-from .matroid import Flag, Matroid, submasks
+from .matroid import Flag, Matroid
 
 DEFAULT_FLAG_CAP = 10_000_000
 
@@ -40,6 +44,7 @@ class LatticeOfFlats:
         self.top = matroid.full_mask
         self._flat_set = frozenset(self.flats)
         self._mobius_memo: dict[tuple[int, int], int] = {}
+        self._chi_memo: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def __len__(self) -> int:
         return len(self.flats)
@@ -73,8 +78,32 @@ class LatticeOfFlats:
             out[f] = tuple(g for g in self.flats if g != f and f & ~g == 0)
         return out
 
+    @cached_property
+    def _subsets(self) -> dict[int, tuple[int, ...]]:
+        """For each flat, the flats strictly inside it, in (rank, mask) order.
+
+        Built by inverting ``_supersets``, so no second comparability scan runs.
+        """
+        out: dict[int, list[int]] = {f: [] for f in self.flats}
+        for g in self.flats:
+            for f in self._supersets[g]:
+                out[f].append(g)
+        return {f: tuple(below) for f, below in out.items()}
+
     def strict_supersets(self, f: int) -> tuple[int, ...]:
         return self._supersets[f]
+
+    def strict_subsets(self, f: int) -> tuple[int, ...]:
+        return self._subsets[f]
+
+    def minor_chi(self, low: int, high: int) -> tuple[int, ...]:
+        """Integer coefficients of the characteristic polynomial of
+        restriction(high)/low (flats, low <= high), memoized per lattice."""
+        key = (low, high)
+        got = self._chi_memo.get(key)
+        if got is None:
+            got = self._chi_memo[key] = _minor_chi_ints(self.matroid, low, high)
+        return got
 
     # -- Mobius function ---------------------------------------------------
 
@@ -94,8 +123,8 @@ class LatticeOfFlats:
         if cached is not None:
             return cached
         total = 0
-        for h in self.flats:
-            if h != g and f & ~h == 0 and h & ~g == 0:
+        for h in self.strict_subsets(g):
+            if f & ~h == 0:
                 total += self._mobius(f, h)
         self._mobius_memo[key] = -total
         return -total
@@ -115,14 +144,19 @@ class LatticeOfFlats:
             count[f] = sum(count[g] for g in self.strict_supersets(f))
         return count[0]
 
-    def flags(self, max_flags: int | None = None) -> Iterator[Flag]:
-        """All flags (maximal-endpoint chains), depth-first in (rank, mask) order."""
+    def check_flag_cap(self, max_flags: int | None = None) -> None:
+        """Refuse a flag walk over more than ``max_flags`` flags (default
+        DEFAULT_FLAG_CAP); every flag enumeration or flag sum calls this first."""
         cap = DEFAULT_FLAG_CAP if max_flags is None else max_flags
         if self.flag_count > cap:
             raise FlagCapExceeded(
                 f"{self.flag_count} flags exceed the cap of {cap}; "
                 "raise the cap to enumerate anyway"
             )
+
+    def flags(self, max_flags: int | None = None) -> Iterator[Flag]:
+        """All flags (maximal-endpoint chains), depth-first in (rank, mask) order."""
+        self.check_flag_cap(max_flags)
         chain = [0]
 
         def descend() -> Iterator[Flag]:
@@ -164,17 +198,22 @@ def lattice_of(m: Matroid) -> LatticeOfFlats:
 # Characteristic polynomials
 
 
-def _minor_chi_ints(m: Matroid, low: int, high: int) -> list[int]:
+def _minor_chi_ints(m: Matroid, low: int, high: int) -> tuple[int, ...]:
     """Integer coefficients of the characteristic polynomial of
     restriction(high) contracted at low (both flats, low <= high)."""
     ranks = m._ranks
     r_high = ranks[high]
     coeffs = [0] * (r_high - ranks[low] + 1)
-    for s in submasks(high & ~low):
+    sub = high & ~low
+    s = sub
+    while True:
         coeffs[r_high - ranks[s | low]] += -1 if s.bit_count() & 1 else 1
+        if s == 0:
+            break
+        s = (s - 1) & sub
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
-    return coeffs
+    return tuple(coeffs)
 
 
 def characteristic_polynomial(m: Matroid, *, check: bool = False) -> Polynomial:
@@ -229,14 +268,12 @@ def verify_two_flats_identity(m: Matroid) -> bool:
     lat = lattice_of(m)
     memo: dict[tuple[int, int], Polynomial] = {}
     for f2 in lat.flats:
-        inner = [f for f in lat.flats if f & ~f2 == 0]
-        for f1 in inner:
-            if f1 & ~f2:
-                continue
+        below = lat.strict_subsets(f2)
+        for f1 in below + (f2,):
             lhs = q_analogue(lat.rank_of(f2) - lat.rank_of(f1))
             rhs = Polynomial.zero()
-            for f in inner:
-                if f1 & ~f == 0 and f != f2:
+            for f in below:
+                if f1 & ~f == 0:
                     term = memo.get((f, f2))
                     if term is None:
                         term = minor_reduced_chi(m, f, f2)

@@ -150,10 +150,6 @@ class Matroid:
         self._check_subset(s)
         return self._ranks[s]
 
-    def is_independent(self, s: int) -> bool:
-        self._check_subset(s)
-        return bool(self._independent[s])
-
     def closure_of(self, s: int) -> int:
         self._check_subset(s)
         r = self._ranks[s]
@@ -366,16 +362,18 @@ def graphic(edges: Sequence[tuple[int, int]], vertices: int | None = None) -> Ma
     v = seen if vertices is None else vertices
     if v < seen:
         raise ValueError("edge endpoint outside the declared vertex range")
-    forest_size = v - _component_count(v, edges)
+    forest_size = _union_count(v, edges)
     bases = [
         mask_of(combo)
         for combo in itertools.combinations(range(len(edges)), forest_size)
-        if _is_forest(v, [edges[i] for i in combo])
+        if _union_count(v, [edges[i] for i in combo]) == forest_size
     ]
     return Matroid(len(edges), bases, validate=False)
 
 
-def _component_count(v: int, edges: Sequence[tuple[int, int]]) -> int:
+def _union_count(v: int, edges: Sequence[tuple[int, int]]) -> int:
+    """Edges that join two different components when added in turn: v minus
+    the component count of the whole edge set, and len(edges) exactly for a forest."""
     parent = list(range(v))
 
     def find(x: int) -> int:
@@ -384,27 +382,10 @@ def _component_count(v: int, edges: Sequence[tuple[int, int]]) -> int:
             x = parent[x]
         return x
 
-    count = v
+    unions = 0
     for u, w in edges:
         ru, rw = find(u), find(w)
         if ru != rw:
             parent[ru] = rw
-            count -= 1
-    return count
-
-
-def _is_forest(v: int, edges: Sequence[tuple[int, int]]) -> bool:
-    parent = list(range(v))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, w in edges:
-        ru, rw = find(u), find(w)
-        if ru == rw:
-            return False
-        parent[ru] = rw
-    return True
+            unions += 1
+    return unions

@@ -4,6 +4,17 @@ Every quantity is computed by more than one independent algorithm (flag sums,
 proper-flat recurrences, Mobius sums, closed forms for uniform matroids) so
 the routes can be checked against each other exactly.
 
+The routes share their plumbing, never their math.  ``_flag_sum`` is the one
+flag walk: a depth-first fold over the flags 0 = F_0 < ... < F_k = E that
+keeps the denominator factors (|F_i| s + rk F_i) and hands each step to the
+route's own ``step``; ``zeta_by_flags`` steps by multiplying the minor
+characteristic polynomials chi_[F_{i-1}, F_i] and finishes with
+``_chi_div_eval``, ``upsilon_by_flags`` steps by -(|F_i| s + rk F_{i-1}).
+``_flat_table`` is the one lower-interval fold: for each flat F in ascending
+rank it sums the route's own ``term`` over the flats G < F and divides by
+(|F| s + rk F); ``_zeta_table`` weights by chi-bar_[G, F](1),
+``upsilon_by_recurrence`` by -(|F| s + rk G).
+
 Internally the big sums are accumulated as integer-coefficient polynomials
 over factored linear denominators, grouped by denominator profile, with a
 single canonicalization at the end; public results are always canonical
@@ -17,7 +28,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .algebra import (
     InexactDivisionError,
@@ -30,14 +41,7 @@ from .algebra import (
     _itrim,
 )
 from .combinat import generalized_binomial, multichoose
-from .lattice import (
-    DEFAULT_FLAG_CAP,
-    FlagCapExceeded,
-    LatticeOfFlats,
-    LoopsError,
-    _minor_chi_ints,
-    lattice_of,
-)
+from .lattice import LatticeOfFlats, LoopsError, _minor_chi_ints, lattice_of
 from .matroid import Matroid
 
 
@@ -172,6 +176,64 @@ def _factored_to_rf(f: _Fct) -> RationalFunction:
 
 
 # ---------------------------------------------------------------------------
+# The two folds over the lattice
+
+
+def _flag_sum(
+    lat: LatticeOfFlats,
+    max_flags: int | None,
+    step: Callable[[list[int], int, int], list[int]],
+    finish: Callable[[list[int], int], Sequence[int]],
+) -> RationalFunction:
+    """Sum over all flags 0 = F_0 < ... < F_k = E of
+    finish(x_k, k) / prod_{i >= 1} (|F_i| s + rk F_i),
+    where x_0 = [1] and x_i = step(x_{i-1}, F_{i-1}, F_i)."""
+    lat.check_flag_cap(max_flags)
+    top = lat.top
+    pairs = {f: _norm_factor(f.bit_count(), lat.rank_of(f)) for f in lat.flats[1:]}
+    acc = _Acc()
+    factors: list[tuple[int, int]] = []
+
+    def walk(f: int, x: list[int], scale: int, steps: int) -> None:
+        for g in lat.strict_supersets(f):
+            x2 = step(x, f, g)
+            c, pair = pairs[g]
+            factors.append(pair)
+            if g == top:
+                num = finish(x2, steps + 1)
+                if any(num):
+                    acc.add(num, scale * c, tuple(sorted(factors)))
+            else:
+                walk(g, x2, scale * c, steps + 1)
+            factors.pop()
+
+    walk(0, [1], 1, 0)
+    return _factored_to_rf(acc.total())
+
+
+def _flat_table(
+    lat: LatticeOfFlats, term: Callable[[tuple[int, ...], int, int], Sequence[int]]
+) -> dict[int, _Fct]:
+    """Fold over lower intervals in ascending rank, keyed by flat: T[0] = 1 and
+    T[F] = sum over flats G < F of term(num_G, G, F) / (scale_G * prod fct_G),
+    divided by (|F| s + rk F), where T[G] = (num_G, scale_G, fct_G)."""
+    tbl: dict[int, _Fct] = {0: _F_ONE}
+    for f in lat.flats[1:]:
+        acc = _Acc()
+        for g in lat.strict_subsets(f):
+            num, scale, fct = tbl[g]
+            num = term(num, g, f)
+            if num:
+                acc.add(num, scale, fct)
+        total = acc.total()
+        c, pair = _norm_factor(f.bit_count(), lat.rank_of(f))
+        tbl[f] = _reduce(
+            total[0], total[1] * c, tuple(sorted(total[2] + (pair,)))
+        )
+    return tbl
+
+
+# ---------------------------------------------------------------------------
 # Zeta: flag sum
 
 
@@ -209,95 +271,29 @@ def zeta_by_flags(m: Matroid, *, max_flags: int | None = None) -> RationalFuncti
     if not m.is_loopless():
         return RationalFunction.zero()
     lat = lattice_of(m)
-    cap = DEFAULT_FLAG_CAP if max_flags is None else max_flags
-    if lat.flag_count > cap:
-        raise FlagCapExceeded(f"{lat.flag_count} flags exceed the cap of {cap}")
-    top = lat.top
-    sizes = {f: f.bit_count() for f in lat.flats}
-    ranks = {f: lat.rank_of(f) for f in lat.flats}
-    chi_memo: dict[tuple[int, int], list[int]] = {}
-
-    def chi_step(f: int, g: int) -> list[int]:
-        got = chi_memo.get((f, g))
-        if got is None:
-            got = _minor_chi_ints(m, f, g)
-            chi_memo[(f, g)] = got
-        return got
-
-    acc = _Acc()
-    factors: list[tuple[int, int]] = []
-
-    def walk(f: int, chi: list[int], scale: int, steps: int) -> None:
-        for g in lat.strict_supersets(f):
-            chi2 = _imul(chi, chi_step(f, g))
-            c, pair = _norm_factor(sizes[g], ranks[g])
-            factors.append(pair)
-            if g == top:
-                val = _chi_div_eval(chi2, steps + 1)
-                if val:
-                    acc.add((val,), scale * c, tuple(sorted(factors)))
-            else:
-                walk(g, chi2, scale * c, steps + 1)
-            factors.pop()
-
-    walk(0, [1], 1, 0)
-    return _factored_to_rf(acc.total())
+    return _flag_sum(
+        lat,
+        max_flags,
+        lambda chi, f, g: _imul(chi, lat.minor_chi(f, g)),
+        lambda chi, length: (_chi_div_eval(chi, length),),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Zeta: proper-flat recurrence
 
 
-def _chibar1_maker(m: Matroid):
-    """chi-bar at 1 of the minor restriction(g)/f, memoized per computation.
+def _zeta_table(lat: LatticeOfFlats) -> dict[int, _Fct]:
+    """Zeta of every restriction-to-a-flat, keyed by flat mask, ascending rank:
+    Z_F = sum over G < F of chi-bar_[G, F](1) Z_G, over (|F| s + rk F)."""
 
-    Equals sum over S inside g-f of (-1)^|S| (rk g - rk(S | f)), the derivative
-    of the minor's characteristic polynomial at 1.
-    """
-    ranks = m._ranks
-    memo: dict[tuple[int, int], int] = {}
+    def term(num: tuple[int, ...], g: int, f: int) -> list[int]:
+        # chi-bar(1) = chi'(1), since chi = (q - 1) chi-bar; not memoized in
+        # lat.minor_chi, because the fold reads each pair (G, F) only once
+        w = sum(i * c for i, c in enumerate(_minor_chi_ints(lat.matroid, g, f)))
+        return [c * w for c in num] if w else []
 
-    def chibar1(f: int, g: int) -> int:
-        got = memo.get((f, g))
-        if got is not None:
-            return got
-        rg = ranks[g]
-        total = 0
-        sub = g & ~f
-        s = sub
-        while True:
-            v = rg - ranks[s | f]
-            total += -v if s.bit_count() & 1 else v
-            if s == 0:
-                break
-            s = (s - 1) & sub
-        memo[(f, g)] = total
-        return total
-
-    return chibar1
-
-
-def _zeta_table(m: Matroid, lat: LatticeOfFlats) -> dict[int, _Fct]:
-    """Zeta of every restriction-to-a-flat, keyed by flat mask, ascending rank."""
-    chibar1 = _chibar1_maker(m)
-    tbl: dict[int, _Fct] = {0: _F_ONE}
-    for f in lat.flats:
-        if f == 0:
-            continue
-        acc = _Acc()
-        for g in lat.flats:
-            if g != f and g & ~f == 0:
-                w = chibar1(g, f)
-                if w == 0:
-                    continue
-                num, scale, fct = tbl[g]
-                acc.add([c * w for c in num], scale, fct)
-        total = acc.total()
-        c, pair = _norm_factor(f.bit_count(), lat.rank_of(f))
-        tbl[f] = _reduce(
-            total[0], total[1] * c, tuple(sorted(total[2] + (pair,)))
-        )
-    return tbl
+    return _flat_table(lat, term)
 
 
 def zeta_by_recurrence(m: Matroid) -> RationalFunction:
@@ -307,7 +303,7 @@ def zeta_by_recurrence(m: Matroid) -> RationalFunction:
     if not m.is_loopless():
         return RationalFunction.zero()
     lat = lattice_of(m)
-    return _factored_to_rf(_zeta_table(m, lat)[lat.top])
+    return _factored_to_rf(_zeta_table(lat)[lat.top])
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +322,7 @@ def upsilon_by_mobius(m: Matroid) -> RationalFunction:
     if m.is_trivial:
         return RationalFunction.one()
     lat = lattice_of(m)
-    ztbl = _zeta_table(m, lat)
+    ztbl = _zeta_table(lat)
     acc = _Acc()
     for f in lat.flats:
         mu = lat.mobius_to_top(f)
@@ -338,27 +334,17 @@ def upsilon_by_mobius(m: Matroid) -> RationalFunction:
 
 
 def upsilon_by_recurrence(m: Matroid) -> RationalFunction:
-    """Mobius inversion by its own proper-flat recurrence (no zeta, no mu)."""
+    """Mobius inversion by its own proper-flat recurrence (no zeta, no mu):
+    Y_F = -sum over G < F of (|F| s + rk G) Y_G, over (|F| s + rk F)."""
     _require_upsilon_input(m)
     if m.is_trivial:
         return RationalFunction.one()
     lat = lattice_of(m)
-    tbl: dict[int, _Fct] = {0: _F_ONE}
-    for f in lat.flats:
-        if f == 0:
-            continue
-        sz = f.bit_count()
-        acc = _Acc()
-        for g in lat.flats:
-            if g != f and g & ~f == 0:
-                num, scale, fct = tbl[g]
-                stepped = _imul_linear([-c for c in num], sz, lat.rank_of(g))
-                acc.add(stepped, scale, fct)
-        total = acc.total()
-        c, pair = _norm_factor(sz, lat.rank_of(f))
-        tbl[f] = _reduce(
-            total[0], total[1] * c, tuple(sorted(total[2] + (pair,)))
-        )
+    ranks = m._ranks
+    tbl = _flat_table(
+        lat,
+        lambda num, g, f: _imul_linear([-c for c in num], f.bit_count(), ranks[g]),
+    )
     return _factored_to_rf(tbl[lat.top])
 
 
@@ -369,28 +355,13 @@ def upsilon_by_flags(m: Matroid, *, max_flags: int | None = None) -> RationalFun
     if m.is_trivial:
         return RationalFunction.one()
     lat = lattice_of(m)
-    cap = DEFAULT_FLAG_CAP if max_flags is None else max_flags
-    if lat.flag_count > cap:
-        raise FlagCapExceeded(f"{lat.flag_count} flags exceed the cap of {cap}")
-    top = lat.top
-    sizes = {f: f.bit_count() for f in lat.flats}
-    ranks = {f: lat.rank_of(f) for f in lat.flats}
-    acc = _Acc()
-    factors: list[tuple[int, int]] = []
-
-    def walk(f: int, num: list[int], scale: int) -> None:
-        for g in lat.strict_supersets(f):
-            stepped = _imul_linear([-c for c in num], sizes[g], ranks[f])
-            c, pair = _norm_factor(sizes[g], ranks[g])
-            factors.append(pair)
-            if g == top:
-                acc.add(stepped, scale * c, tuple(sorted(factors)))
-            else:
-                walk(g, stepped, scale * c)
-            factors.pop()
-
-    walk(0, [1], 1)
-    return _factored_to_rf(acc.total())
+    ranks = m._ranks
+    return _flag_sum(
+        lat,
+        max_flags,
+        lambda num, f, g: _imul_linear([-c for c in num], g.bit_count(), ranks[f]),
+        lambda num, length: num,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -173,12 +173,19 @@ def test_verify_disagreement_is_a_theorem_failure(capsys, monkeypatch, command, 
     assert out == "" and "verification failed" in err
 
 
-def test_max_flags_must_be_non_negative(capsys):
-    code, out, err = run_cli(capsys, "zeta", "u:2,3", "--max-flags", "-1")
+@pytest.mark.parametrize("argv", [
+    "zeta u:2,3 --max-flags -1",
+    "check all --max-ground 2 --jobs 0",
+    "check all --max-ground 2 --jobs -3",
+    "check all --max-ground -1",
+    "check all --max-ground 2 --kmax -2",
+    "check all --max-ground 2 --kderivative-kmax -1",
+    "taylor u:2,3 -k -1",
+])
+def test_counts_below_their_minimum_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
     assert code == EXIT_USAGE and out == ""
-    assert "at least 0" in err and "Traceback" not in err
-    code, _, _ = run_cli(capsys, "zeta", "u:2,3", "--algorithm", "flags", "--max-flags", "0")
-    assert code == EXIT_DOMAIN
+    assert "must be at least" in err and "Traceback" not in err
 
 
 def test_zeta_flag_cap(capsys):
@@ -187,6 +194,8 @@ def test_zeta_flag_cap(capsys):
     )
     assert code == EXIT_DOMAIN
     assert "flags exceed" in err
+    code, _, _ = run_cli(capsys, "zeta", "u:2,3", "--algorithm", "flags", "--max-flags", "0")
+    assert code == EXIT_DOMAIN
 
 
 def test_upsilon_command(capsys):
@@ -212,6 +221,8 @@ def test_taylor_command(capsys):
     assert json.loads(out) == {"taylor": ["1", "-3", "6"]}
     code, out, _ = run_cli(capsys, "taylor", "u:2,3", "-k", "1")
     assert out == "a_0 = 1\na_1 = -3\n"
+    code, out, _ = run_cli(capsys, "taylor", "u:2,3", "-k", "0")
+    assert code == EXIT_OK and out == "a_0 = 1\n"
 
 
 def test_girth_command(capsys, tmp_path):

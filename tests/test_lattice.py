@@ -212,6 +212,49 @@ def test_flag_cap():
     assert len(list(lat.flags(max_flags=13))) == 13
 
 
+def test_interval_indexes_match_containment(catalog5):
+    for entry in catalog5:
+        lat = lattice_of(entry.matroid)
+        for f in lat.flats:
+            below, above = lat.strict_subsets(f), lat.strict_supersets(f)
+            assert list(below) == sorted(below, key=lambda g: (lat.rank_of(g), g))
+            for g in lat.flats:
+                assert (g in below) == (g != f and g & ~f == 0), entry.name
+                assert (g in above) == (g != f and f & ~g == 0), entry.name
+
+
+def _chibar1_oracle(m, low, high):
+    """chi-bar(1) of restriction(high)/low as the signed rank-gap sum
+    sum over S inside high - low of (-1)^|S| (rk high - rk(S | low))."""
+    rest = high & ~low
+    return sum(
+        (-1) ** s.bit_count() * (m.rank_of(high) - m.rank_of(s | low))
+        for s in range(1 << m.size)
+        if s & ~rest == 0
+    )
+
+
+def _nested_pairs(lat):
+    return [(f, g) for g in lat.flats for f in lat.flats if f & ~g == 0]
+
+
+def test_minor_chi_weight_matches_rank_gap_sum(catalog4):
+    for entry in catalog4:
+        m = entry.matroid
+        lat = lattice_of(m)
+        for f, g in _nested_pairs(lat):
+            weight = sum(i * c for i, c in enumerate(lat.minor_chi(f, g)))
+            assert weight == _chibar1_oracle(m, f, g), entry.name
+
+
+def test_mobius_is_constant_term_of_minor_chi(catalog4):
+    # chi of the interval [f, g] at q = 0 is mu(f, g)
+    for entry in catalog4:
+        lat = lattice_of(entry.matroid)
+        for f, g in _nested_pairs(lat):
+            assert lat.mobius(f, g) == lat.minor_chi(f, g)[0], entry.name
+
+
 def test_two_flats_identity_worked_example():
     m = uniform(2, 3)
     lhs = q_analogue(2)

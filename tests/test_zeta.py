@@ -265,6 +265,19 @@ def test_flag_cap_enforced():
         upsilon_by_flags(uniform(3, 3), max_flags=5)
 
 
+@pytest.mark.parametrize("walk", [
+    lambda m, cap: list(lattice_of(m).flags(max_flags=cap)),
+    lambda m, cap: zeta_by_flags(m, max_flags=cap),
+    lambda m, cap: upsilon_by_flags(m, max_flags=cap),
+], ids=["flags", "zeta_by_flags", "upsilon_by_flags"])
+def test_flag_cap_is_one_check(walk):
+    m = uniform(3, 4)
+    count = lattice_of(m).flag_count
+    walk(m, count)
+    with pytest.raises(FlagCapExceeded, match=f"^{count} flags exceed the cap of {count - 1};"):
+        walk(m, count - 1)
+
+
 def test_compute_dispatch():
     m = uniform(2, 3)
     res = compute_zeta(m, "flags")
