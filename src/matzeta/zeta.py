@@ -18,8 +18,10 @@ rank it sums the route's own ``term`` over the flats G < F and divides by
 Internally the big sums are accumulated as integer-coefficient polynomials
 over factored linear denominators, grouped by denominator profile, with a
 single canonicalization at the end; public results are always canonical
-RationalFunction values.  Memo tables live inside one computation and are
-never shared across matroids.
+RationalFunction values.  ``_factored_derivative`` differentiates such a
+value through the log-derivative of its factored denominator, so the
+k-derivative check runs on the Z table with no polynomial gcd.  Memo tables
+live inside one computation and are never shared across matroids.
 """
 
 from __future__ import annotations
@@ -126,7 +128,10 @@ class _Acc:
 
 
 def _reduce(num: Sequence[int], scale: int, factors: tuple) -> _Fct:
-    """Strip integer content and linear denominator factors dividing num."""
+    """Strip integer content and linear denominator factors dividing num.
+
+    Dividing by a primitive factor leaves the content of num unchanged
+    (Gauss's lemma), so one content strip up front is enough."""
     num = _itrim(list(num))
     if not num:
         return _F_ZERO
@@ -138,33 +143,47 @@ def _reduce(num: Sequence[int], scale: int, factors: tuple) -> _Fct:
     for pair, mult in sorted(Counter(factors).items()):
         a, b = pair
         while mult > 0 and len(num) > 1:
-            quo, extra, rem = _div_linear(num, a, b)
-            if rem:
+            quo = _div_linear(num, a, b)
+            if quo is None:
                 break
             num = quo
-            scale *= extra
             mult -= 1
         kept.extend([pair] * mult)
-    g = math.gcd(scale, *num)
-    if g > 1:
-        num = [c // g for c in num]
-        scale //= g
     return (tuple(num), scale, tuple(kept))
 
 
-def _div_linear(num: Sequence[int], a: int, b: int) -> tuple[list[int], int, Fraction]:
-    """Divide num by (a s + b): (integer quotient, its clearing factor, remainder)."""
-    quo: list[Fraction] = [Fraction(0)] * (len(num) - 1)
-    carry = Fraction(0)
+def _div_linear(num: Sequence[int], a: int, b: int) -> list[int] | None:
+    """Quotient of num by the primitive a s + b, or None if it does not divide.
+
+    By Gauss's lemma an exact quotient by a primitive factor has integer
+    coefficients, so the first non-integral step already means a remainder."""
+    quo = [0] * (len(num) - 1)
+    carry = 0
     for i in range(len(num) - 1, 0, -1):
-        q = (num[i] + carry) / a
+        q, r = divmod(num[i] + carry, a)
+        if r:
+            return None
         quo[i - 1] = q
         carry = -b * q
-    rem = num[0] + carry
-    if rem:
-        return [], 1, rem
-    lcm = math.lcm(*(q.denominator for q in quo)) if quo else 1
-    return [int(q * lcm) for q in quo], lcm, Fraction(0)
+    return quo if num[0] + carry == 0 else None
+
+
+def _factored_derivative(f: _Fct) -> _Fct:
+    """d/ds of num / (scale * prod p_j^m_j) through the log-derivative of the
+    denominator: with Q the product of the distinct p_j = a_j s + b_j, it is
+    (num' Q - num * sum_j m_j a_j Q / p_j) / (scale * prod p_j^m_j * Q).
+    Integer throughout and no gcd; the result is left unreduced."""
+    num, scale, factors = f
+    mults = Counter(factors)
+    q = [1]
+    for a, b in mults:
+        q = _imul_linear(q, a, b)
+    dq: list[int] = []
+    for (a, b), mult in mults.items():
+        dq = _iadd(dq, [mult * a * c for c in _div_linear(q, a, b)])
+    dnum = [i * c for i, c in enumerate(num)][1:]
+    out = _iadd(_imul(dnum, q), [-c for c in _imul(num, dq)])
+    return (tuple(out), scale, tuple(sorted(factors + tuple(mults))))
 
 
 def _factored_to_rf(f: _Fct) -> RationalFunction:

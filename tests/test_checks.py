@@ -10,6 +10,8 @@ from matzeta.checks import (
     HOLDS,
     SKIPPED,
     THEOREM_CHECK_NAMES,
+    K_DERIVATIVE_CHECK,
+    CatalogEntry,
     CheckReport,
     build_catalog,
     check_conjecture_truncation,
@@ -21,7 +23,7 @@ from matzeta.checks import (
     summarize,
     witness_reverifies,
 )
-from matzeta.matroid import graphic
+from matzeta.matroid import graphic, uniform
 
 
 def entry_named(catalog, name):
@@ -129,6 +131,38 @@ def test_run_all_checks_parallel_matches_serial():
     assert parallel == serial
 
 
+@pytest.mark.parametrize("jobs, entries, cpus, workers", [
+    (1000, 3, 8, 3),
+    (1000, 10, 4, 4),
+    (3, 10, 8, 3),
+    (1000, 10, None, None),
+    (2, 1, 8, None),
+    (1, 10, 8, None),
+])
+def test_run_all_checks_bounds_workers(monkeypatch, catalog4, jobs, entries, cpus, workers):
+    pools = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(checks, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(checks.os, "cpu_count", lambda: cpus)
+    catalog = catalog4[:entries]
+    reports = run_all_checks(catalog, kderivative_kmax=1, jobs=jobs)
+    assert pools == ([] if workers is None else [workers])
+    assert reports == run_all_checks(catalog, kderivative_kmax=1)
+
+
 def _perturbing(original, victim, index, delta=Fraction(1)):
     def wrapper(m, k):
         prefix = original(m, k)
@@ -186,6 +220,33 @@ def test_mutated_flat_sum_yields_parseable_witness(monkeypatch, catalog4):
     assert report.status == FAILS
     assert isinstance(report.witness["lhs"], list)
     assert witness_reverifies(report)
+
+
+@pytest.mark.parametrize("entry", [
+    CatalogEntry("U(2,3)", uniform(2, 3), "uniform(2,3)"),
+    CatalogEntry(
+        "K4",
+        graphic([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 4),
+        "graphic(K4)",
+    ),
+], ids=lambda e: e.name)
+def test_mutated_weight_fails_k_derivative_check(monkeypatch, entry):
+    from matzeta.lattice import minor_reduced_chi
+
+    victim = {}
+
+    def skewed(m, low, high):
+        chi = minor_reduced_chi(m, low, high)
+        return chi + 1 if victim.setdefault(m, low) == low else chi
+
+    monkeypatch.setattr(checks, "minor_reduced_chi", skewed)
+    report = check_k_derivative_lemma(entry)
+    assert report.status == FAILS
+    assert isinstance(report.witness["lhs"], dict)
+    assert isinstance(report.witness["rhs"], dict)
+    assert witness_reverifies(report)
+    reports = run_all_checks([entry], suites=("theorems",))
+    assert any(r.check == K_DERIVATIVE_CHECK and r.status == FAILS for r in reports)
 
 
 def test_crashing_check_is_reported_not_raised(monkeypatch, catalog4):

@@ -1,16 +1,24 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from matzeta.algebra import (
     Polynomial,
     RationalFunction,
+    _itrim,
     poly_divide_exact,
     taylor_prefix,
 )
 from matzeta.lattice import FlagCapExceeded, LoopsError, lattice_of
 from matzeta.matroid import Matroid, graphic, uniform
 from matzeta.zeta import (
+    _div_linear,
+    _factored_derivative,
+    _factored_to_rf,
+    _zeta_table,
     compute_upsilon,
     compute_zeta,
     uniform_taylor_coefficients,
@@ -290,3 +298,62 @@ def test_compute_dispatch():
         compute_zeta(m, "magic")
     with pytest.raises(ValueError):
         compute_upsilon(m, "magic")
+
+
+# ---------------------------------------------------------------------------
+# The factored layer against the canonical Polynomial/RationalFunction oracle
+
+PRIMITIVE_PAIRS = [
+    (a, b) for a in range(1, 5) for b in range(-3, 5) if math.gcd(a, b) == 1
+]
+int_polys = st.lists(st.integers(-9, 9), max_size=5).map(lambda c: tuple(_itrim(c)))
+
+
+@given(int_polys, st.sampled_from(PRIMITIVE_PAIRS), st.integers(-3, 3))
+@example((1, 2), (2, 1), 0)
+@example((1, 2), (2, 1), 1)
+@example((3,), (1, 0), 0)
+def test_div_linear_matches_polynomial_divmod(quo, pair, rem):
+    a, b = pair
+    num = Polynomial(quo) * Polynomial.linear(a, b) + rem
+    if num.is_zero:
+        return
+    ints = [int(c) for c in num.coefficients]
+    expected_quo, expected_rem = divmod(num, Polynomial.linear(a, b))
+    got = _div_linear(ints, a, b)
+    if expected_rem.is_zero:
+        assert got is not None and all(isinstance(c, int) for c in got)
+        assert Polynomial(got) == expected_quo
+    else:
+        assert got is None
+
+
+factored_values = st.builds(
+    lambda num, scale, pairs: (num, scale, tuple(sorted(pairs))),
+    int_polys,
+    st.integers(1, 6),
+    st.lists(st.sampled_from(PRIMITIVE_PAIRS[:6]), max_size=5),
+)
+
+
+@given(factored_values)
+@example(((), 1, ()))
+@example(((5,), 2, ()))
+@example(((1, 1), 1, ((1, 1), (1, 1))))
+def test_factored_derivative_matches_quotient_rule(x):
+    for _ in range(3):
+        dx = _factored_derivative(x)
+        assert _factored_to_rf(dx) == _factored_to_rf(x).derivative()
+        x = dx
+
+
+def test_zeta_table_entries_are_restriction_zetas(catalog5):
+    for entry in catalog5:
+        m = entry.matroid
+        lat = lattice_of(m)
+        tbl = _zeta_table(lat)
+        for f in lat.flats:
+            assert _factored_to_rf(tbl[f]) == zeta_by_recurrence(m.restriction(f)), (
+                entry.name,
+                f,
+            )
