@@ -6,6 +6,10 @@ polynomial is the empty tuple.  Rational functions are kept in a canonical
 reduced form -- numerator and denominator coprime, denominator primitive with
 integer coefficients and positive leading coefficient -- so that equality of
 values is structural equality of representations.  No floating point anywhere.
+
+Polynomial arithmetic runs on the coefficient-list kernels at the end of the
+module, which the characteristic polynomials, the zeta tables and the checks
+call directly on integer lists.
 """
 
 from __future__ import annotations
@@ -113,13 +117,7 @@ class Polynomial:
         other = _as_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        a, b = self.coefficients, other.coefficients
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        return Polynomial(_iadd(self.coefficients, other.coefficients))
 
     __radd__ = __add__
 
@@ -136,22 +134,10 @@ class Polynomial:
         return -(self - other)
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            c = _frac(other)
-            if c == 0:
-                return Polynomial.zero()
-            return Polynomial(tuple(a * c for a in self.coefficients))
-        if not isinstance(other, Polynomial):
+        other = _as_poly(other)
+        if other is NotImplemented:
             return NotImplemented
-        a, b = self.coefficients, other.coefficients
-        if not a or not b:
-            return Polynomial.zero()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Polynomial(out)
+        return Polynomial(_imul(self.coefficients, other.coefficients))
 
     __rmul__ = __mul__
 
@@ -197,7 +183,7 @@ class Polynomial:
         return acc
 
     def derivative(self) -> "Polynomial":
-        return Polynomial(tuple(c * i for i, c in enumerate(self.coefficients) if i))
+        return Polynomial(_ideriv(self.coefficients))
 
     # -- normal forms ---------------------------------------------------
 
@@ -278,10 +264,7 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     Computed by a primitive polynomial remainder sequence (fraction-free), so
     intermediate coefficients stay integral.
     """
-    ia = _int_coeffs(a)
-    ib = _int_coeffs(b)
-    g = _igcd(ia, ib)
-    return Polynomial(g)
+    return Polynomial(_igcd(a.content_primitive()[1], b.content_primitive()[1]))
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +488,14 @@ def kth_derivative_at_zero(f: RationalFunction, k: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Integer-coefficient helpers (fraction-free inner loops).
+# Coefficient-list kernels.
 #
-# These act on plain lists/tuples of ints in ascending degree with no leading
-# zeros, mirroring the Polynomial layout.  They keep the gcd and the zeta
-# accumulators free of Fraction overhead.
+# These act on plain lists/tuples in ascending degree with no leading zeros,
+# mirroring the Polynomial layout.  Add, multiply and differentiate are exact
+# over int and Fraction alike: Polynomial arithmetic runs them over Fraction,
+# while the characteristic polynomials, the zeta accumulators and the checks
+# run them over int, free of Fraction overhead.  The linear division and the
+# gcd helpers are integer only.
 
 
 def _itrim(c: list[int]) -> list[int]:
@@ -518,7 +504,7 @@ def _itrim(c: list[int]) -> list[int]:
     return c
 
 
-def _iadd(a: Sequence[int], b: Sequence[int]) -> list[int]:
+def _iadd(a: Sequence[Scalar], b: Sequence[Scalar]) -> list[Scalar]:
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
@@ -527,7 +513,7 @@ def _iadd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return _itrim(out)
 
 
-def _imul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+def _imul(a: Sequence[Scalar], b: Sequence[Scalar]) -> list[Scalar]:
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -547,6 +533,27 @@ def _imul_linear(a: Sequence[int], lin1: int, lin0: int) -> list[int]:
         out[i] += c * lin0
         out[i + 1] += c * lin1
     return _itrim(out)
+
+
+def _div_linear(num: Sequence[int], a: int, b: int) -> list[int] | None:
+    """Quotient of num by the primitive a s + b, or None if it does not divide.
+
+    By Gauss's lemma an exact quotient by a primitive factor has integer
+    coefficients, so the first non-integral step already means a remainder."""
+    quo = [0] * (len(num) - 1)
+    carry = 0
+    for i in range(len(num) - 1, 0, -1):
+        q, r = divmod(num[i] + carry, a)
+        if r:
+            return None
+        quo[i - 1] = q
+        carry = -b * q
+    return quo if num[0] + carry == 0 else None
+
+
+def _ideriv(a: Sequence[Scalar]) -> list[Scalar]:
+    """Formal derivative."""
+    return [i * c for i, c in enumerate(a)][1:]
 
 
 def _icontent(a: Sequence[int]) -> int:
@@ -591,9 +598,3 @@ def _igcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
         r = _iprem(a, b)
         a, b = b, _iprimitive(_itrim(r))
     return _iprimitive(a)
-
-
-def _int_coeffs(p: Polynomial) -> list[int]:
-    """Clear denominators: the primitive integer profile of p (content dropped)."""
-    _, prim = p.content_primitive()
-    return list(prim)

@@ -141,18 +141,17 @@ def _cmd_zeta(args) -> int:
     if not m.is_loopless():
         print("note: matroid has loops; its zeta value is 0", file=sys.stderr)
     if args.verify:
-        by_flags = compute_zeta(m, "flags", max_flags=args.max_flags)
-        by_rec = compute_zeta(m, "recurrence")
-        if by_flags.zeta != by_rec.zeta:
+        by_flags, _ = compute_zeta(m, "flags", max_flags=args.max_flags)
+        zeta, algorithm = compute_zeta(m, "recurrence")
+        if by_flags != zeta:
             print("verification failed: flag sum and recurrence disagree", file=sys.stderr)
             return EXIT_THEOREM_FAILURE
-        result = by_rec
     else:
-        result = compute_zeta(m, args.algorithm, max_flags=args.max_flags)
+        zeta, algorithm = compute_zeta(m, args.algorithm, max_flags=args.max_flags)
     if args.format == "json":
-        _emit_json({"algorithm": result.algorithm, **result.zeta.to_json()})
+        _emit_json({"algorithm": algorithm, **zeta.to_json()})
     else:
-        print(f"Z(s) = {result.zeta.to_text('s')}")
+        print(f"Z(s) = {zeta.to_text('s')}")
     return EXIT_OK
 
 
@@ -165,22 +164,22 @@ def _cmd_upsilon(args) -> int:
             compute_upsilon(m, "mobius"),
             compute_upsilon(m, "recurrence"),
         ]
-        if len({v.upsilon for v in values}) != 1:
+        if len({value for value, _ in values}) != 1:
             print("verification failed: upsilon algorithms disagree", file=sys.stderr)
             return EXIT_THEOREM_FAILURE
-        result = values[2]
+        upsilon, algorithm = values[2]
     else:
-        result = compute_upsilon(m, args.algorithm, max_flags=args.max_flags)
+        upsilon, algorithm = compute_upsilon(m, args.algorithm, max_flags=args.max_flags)
     if args.format == "json":
-        _emit_json({"algorithm": result.algorithm, **result.upsilon.to_json()})
+        _emit_json({"algorithm": algorithm, **upsilon.to_json()})
     else:
-        print(f"Y(s) = {result.upsilon.to_text('s')}")
+        print(f"Y(s) = {upsilon.to_text('s')}")
     return EXIT_OK
 
 
 def _cmd_taylor(args) -> int:
     m = parse_matroid_spec(args.spec)
-    prefix = taylor_prefix(compute_zeta(m).zeta, args.order)
+    prefix = taylor_prefix(compute_zeta(m)[0], args.order)
     if args.format == "json":
         _emit_json({"taylor": prefix.to_strings()})
     else:

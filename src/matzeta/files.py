@@ -19,10 +19,13 @@ class FileFormatError(ValueError):
 
 
 def _lines(source) -> list[str]:
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as handle:
-            return handle.read().splitlines()
-    return source.read().splitlines()
+    try:
+        if isinstance(source, (str, os.PathLike)):
+            with open(source, "r", encoding="utf-8") as handle:
+                return handle.read().splitlines()
+        return source.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise FileFormatError(f"unreadable input: {exc}") from exc
 
 
 def _emit(target, text: str) -> None:
@@ -96,6 +99,8 @@ def load_graph(source) -> tuple[int, list[tuple[int, int]]]:
             if vertices is not None:
                 raise FileFormatError(f"line {lineno}: duplicate vertex line")
             vertices = _parse_int(lineno, rest, exactly=1)[0]
+            if vertices < 0:
+                raise FileFormatError(f"line {lineno}: negative vertex count {vertices}")
         elif tag == "e":
             if vertices is None:
                 raise FileFormatError(f"line {lineno}: edge before the vertex line")

@@ -9,6 +9,10 @@ interval, and the characteristic polynomials of the minors restriction(G)/F
 per lattice (``minor_chi``, by one signed subset expansion).  Flag walks are
 guarded by one hard cap (``check_flag_cap``), since chain counts grow like
 ordered set partitions.
+
+Characteristic polynomials are integer coefficient tuples: the reduced one,
+chi-bar = chi / (q - 1), is ``_minor_chibar_ints``, an exact integer
+division; the public ``Polynomial`` functions wrap these tuples.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterator
 
-from .algebra import InexactDivisionError, Polynomial, poly_divide_exact
+from .algebra import InexactDivisionError, Polynomial, _div_linear, _iadd
 from .matroid import Flag, Matroid
 
 DEFAULT_FLAG_CAP = 10_000_000
@@ -244,41 +248,50 @@ def characteristic_polynomial_via_flats(lat: LatticeOfFlats) -> Polynomial:
     return Polynomial(coeffs)
 
 
+def _minor_chibar_ints(m: Matroid, low: int, high: int) -> tuple[int, ...]:
+    """Integer coefficients of the reduced characteristic polynomial of
+    restriction(high) / low: chi divided exactly by (q - 1).  A zero chi
+    (the minor has loops) gives (); a remainder raises InexactDivisionError."""
+    chi = _minor_chi_ints(m, low, high)
+    quo = _div_linear(chi, 1, -1) if chi else []
+    if quo is None:
+        raise InexactDivisionError(
+            f"({Polynomial(chi)}) is not divisible by ({Polynomial.linear(1, -1)})"
+        )
+    return tuple(quo)
+
+
 def reduced_characteristic_polynomial(m: Matroid) -> Polynomial:
     """Characteristic polynomial divided exactly by (q - 1).
 
     Defined for loopless nontrivial matroids, where q = 1 is always a root;
-    anything else surfaces as an InexactDivisionError.
+    matroids with loops give the zero polynomial, and the trivial matroid
+    surfaces as an InexactDivisionError.
     """
-    return poly_divide_exact(characteristic_polynomial(m), Polynomial.linear(1, -1))
+    return Polynomial(_minor_chibar_ints(m, 0, m.full_mask))
 
 
 def minor_reduced_chi(m: Matroid, low: int, high: int) -> Polynomial:
     """Reduced characteristic polynomial of restriction(high) / low."""
-    chi = Polynomial(_minor_chi_ints(m, low, high))
-    return poly_divide_exact(chi, Polynomial.linear(1, -1))
+    return Polynomial(_minor_chibar_ints(m, low, high))
 
 
 def verify_two_flats_identity(m: Matroid) -> bool:
     """For every nested flat pair F1 <= F2, check that the q-analogue of the
     rank gap equals the sum of reduced characteristic polynomials of the
     minors restriction(F2) / F over flats F1 <= F < F2."""
-    from .combinat import q_analogue
-
     lat = lattice_of(m)
-    memo: dict[tuple[int, int], Polynomial] = {}
+    memo: dict[tuple[int, int], tuple[int, ...]] = {}
     for f2 in lat.flats:
         below = lat.strict_subsets(f2)
         for f1 in below + (f2,):
-            lhs = q_analogue(lat.rank_of(f2) - lat.rank_of(f1))
-            rhs = Polynomial.zero()
+            rhs: list[int] = []
             for f in below:
                 if f1 & ~f == 0:
                     term = memo.get((f, f2))
                     if term is None:
-                        term = minor_reduced_chi(m, f, f2)
-                        memo[(f, f2)] = term
-                    rhs = rhs + term
-            if lhs != rhs:
+                        term = memo[(f, f2)] = _minor_chibar_ints(m, f, f2)
+                    rhs = _iadd(rhs, term)
+            if rhs != [1] * (lat.rank_of(f2) - lat.rank_of(f1)):
                 return False
     return True

@@ -223,3 +223,57 @@ def test_taylor_of_polynomial_is_itself(p, k):
         p.coefficients[i] if i < len(p.coefficients) else Fraction(0) for i in range(k + 1)
     )
     assert prefix.coefficients == expected
+
+
+# ---------------------------------------------------------------------------
+# Canonicalisation against an independent computer algebra system
+
+small_int_polys = st.lists(st.integers(-4, 4), max_size=4)
+quadratics = st.lists(st.integers(-3, 3), min_size=3, max_size=3).filter(lambda c: c[-1])
+
+
+def _sympy_canonical(sympy, num, den):
+    """sympy.cancel(num / den), scaled to this module's canonical form: the
+    denominator primitive over the integers with a positive lead."""
+    x = sympy.Symbol("x")
+
+    def expr(coeffs):
+        return sum((c * x**i for i, c in enumerate(coeffs)), sympy.Integer(0))
+
+    p, q = (
+        sympy.Poly(e, x, domain="QQ")
+        for e in sympy.fraction(sympy.cancel(expr(num) / expr(den)))
+    )
+    if p.is_zero:
+        return (), (Fraction(1),)
+    _, qz = q.clear_denoms(convert=True)
+    _, qz = qz.primitive()
+    if qz.LC() < 0:
+        qz = -qz
+    scale = Fraction(str(qz.LC())) / Fraction(str(q.LC()))
+    return (
+        tuple(Fraction(str(c)) * scale for c in reversed(p.all_coeffs())),
+        tuple(Fraction(str(c)) for c in reversed(qz.all_coeffs())),
+    )
+
+
+def test_canonical_form_matches_sympy_cancel():
+    sympy = pytest.importorskip("sympy")
+
+    @given(
+        small_int_polys,
+        small_int_polys.filter(any),
+        st.lists(quadratics, max_size=2),
+        st.integers(-3, 3).filter(bool),
+    )
+    def check(num, den, shared, c):
+        common = Polynomial.constant(c)
+        for factor in shared:
+            common = common * Polynomial(factor)
+        num, den = Polynomial(num) * common, Polynomial(den) * common
+        f = RationalFunction(num, den)
+        assert (f.num.coefficients, f.den.coefficients) == _sympy_canonical(
+            sympy, num.coefficients, den.coefficients
+        )
+
+    check()

@@ -208,13 +208,17 @@ def test_mutation_is_detected_by_upsilon_check(monkeypatch, catalog4):
     assert witness_reverifies(report)
 
 
+def _skew_constant(chibar):
+    return (chibar[0] + 1,) + chibar[1:]
+
+
 def test_mutated_flat_sum_yields_parseable_witness(monkeypatch, catalog4):
-    from matzeta.lattice import minor_reduced_chi
+    from matzeta.lattice import _minor_chibar_ints
 
     def skewed(m, low, high):
-        return minor_reduced_chi(m, low, high) + 1
+        return _skew_constant(_minor_chibar_ints(m, low, high))
 
-    monkeypatch.setattr(checks, "minor_reduced_chi", skewed)
+    monkeypatch.setattr(checks, "_minor_chibar_ints", skewed)
     entry = entry_named(catalog4, "U(2,3)")
     report = check_counting_identities(entry)
     assert report.status == FAILS
@@ -231,15 +235,15 @@ def test_mutated_flat_sum_yields_parseable_witness(monkeypatch, catalog4):
     ),
 ], ids=lambda e: e.name)
 def test_mutated_weight_fails_k_derivative_check(monkeypatch, entry):
-    from matzeta.lattice import minor_reduced_chi
+    from matzeta.lattice import _minor_chibar_ints
 
     victim = {}
 
     def skewed(m, low, high):
-        chi = minor_reduced_chi(m, low, high)
-        return chi + 1 if victim.setdefault(m, low) == low else chi
+        chibar = _minor_chibar_ints(m, low, high)
+        return _skew_constant(chibar) if victim.setdefault(m, low) == low else chibar
 
-    monkeypatch.setattr(checks, "minor_reduced_chi", skewed)
+    monkeypatch.setattr(checks, "_minor_chibar_ints", skewed)
     report = check_k_derivative_lemma(entry)
     assert report.status == FAILS
     assert isinstance(report.witness["lhs"], dict)
@@ -247,6 +251,20 @@ def test_mutated_weight_fails_k_derivative_check(monkeypatch, entry):
     assert witness_reverifies(report)
     reports = run_all_checks([entry], suites=("theorems",))
     assert any(r.check == K_DERIVATIVE_CHECK and r.status == FAILS for r in reports)
+
+
+def test_integer_holds_paths_build_no_polynomial(monkeypatch, catalog5):
+    from matzeta.algebra import Polynomial
+
+    def refuse(self, coefficients=()):
+        raise AssertionError("a Polynomial was built")
+
+    monkeypatch.setattr(Polynomial, "__init__", refuse)
+    with pytest.raises(AssertionError, match="Polynomial was built"):
+        Polynomial((1,))
+    for entry in catalog5:
+        assert check_counting_identities(entry).status == HOLDS, entry.name
+        assert check_k_derivative_lemma(entry).status == HOLDS, entry.name
 
 
 def test_crashing_check_is_reported_not_raised(monkeypatch, catalog4):

@@ -261,6 +261,16 @@ def test_usage_errors(capsys):
     assert code == EXIT_DOMAIN  # rejected before its subsets are enumerated
 
 
+@pytest.mark.parametrize("kind", ["bases", "graph"])
+def test_unreadable_file_atoms_are_usage_errors(capsys, tmp_path, kind):
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff\n")
+    for path in (tmp_path, binary):
+        code, out, err = run_cli(capsys, "zeta", f"{kind}:{path}")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: unreadable input: ") and "Traceback" not in err
+
+
 def test_check_command(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys, "check", "all", "--max-ground", "3", "--out", str(tmp_path / "w")

@@ -101,8 +101,19 @@ def test_graphic_matroid_from_file():
         ("v 2\ne 0\n", "expected 2"),
         ("v 2\nq\n", "unknown directive"),
         ("", "missing vertex"),
+        ("v -1\n", "negative vertex count"),
     ],
 )
 def test_graph_errors(text, message):
     with pytest.raises(FileFormatError, match=message):
         load_graph(io.StringIO(text))
+
+
+@pytest.mark.parametrize("load", [load_bases, load_graph])
+def test_unreadable_sources_are_format_errors(tmp_path, load):
+    with pytest.raises(FileFormatError, match="unreadable input: .*directory"):
+        load(tmp_path)
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"n 2\nb 0 \xff\n")
+    with pytest.raises(FileFormatError, match="unreadable input: .*utf-8"):
+        load(binary)

@@ -2,11 +2,13 @@ import math
 
 import pytest
 
-from matzeta.algebra import InexactDivisionError, Polynomial
+from matzeta.algebra import InexactDivisionError, Polynomial, _imul, poly_divide_exact
 from matzeta.combinat import q_analogue
 from matzeta.lattice import (
     FlagCapExceeded,
     LoopsError,
+    _minor_chi_ints,
+    _minor_chibar_ints,
     characteristic_polynomial,
     characteristic_polynomial_via_flats,
     lattice_of,
@@ -154,6 +156,34 @@ def test_reduced_characteristic_polynomial():
     assert reduced_characteristic_polynomial(uniform(1, 4)) == Polynomial.one()
     with pytest.raises(InexactDivisionError):
         reduced_characteristic_polynomial(uniform(0, 0))
+
+
+def test_integer_chibar_matches_polynomial_division(catalog5):
+    # the Fraction route it replaced, kept here as the oracle
+    q_minus_1 = Polynomial.linear(1, -1)
+    for entry in catalog5:
+        m = entry.matroid
+        lat = lattice_of(m)
+        for g in lat.flats:
+            for f in lat.strict_subsets(g):
+                chi = _minor_chi_ints(m, f, g)
+                chibar = _minor_chibar_ints(m, f, g)
+                assert all(isinstance(c, int) for c in chibar)
+                assert tuple(_imul(chibar, (-1, 1))) == chi
+                assert Polynomial(chibar) == poly_divide_exact(Polynomial(chi), q_minus_1)
+
+
+def test_integer_chibar_refuses_a_remainder():
+    m = uniform(2, 3)
+    # the minor restriction(F)/F is trivial: chi = 1 is not divisible by q - 1
+    for f in lattice_of(m).flats:
+        with pytest.raises(InexactDivisionError, match="not divisible"):
+            _minor_chibar_ints(m, f, f)
+    with pytest.raises(InexactDivisionError, match="not divisible"):
+        minor_reduced_chi(m, 0b011, 0b011)
+    loopy = uniform(1, 2).direct_sum(uniform(0, 1))
+    assert _minor_chibar_ints(loopy, 0, loopy.full_mask) == ()
+    assert reduced_characteristic_polynomial(loopy) == Polynomial.zero()
 
 
 def test_truncation_characteristic_polynomial_lemma(catalog4):
