@@ -30,7 +30,7 @@ from .checks import (
     summarize,
 )
 from .files import FileFormatError, load_bases, load_graphic_matroid
-from .lattice import FlagCapExceeded, LoopsError, lattice_of
+from .lattice import FlagCapExceeded, LoopsError, _minor_chi_ints, lattice_of
 from .matroid import MAX_GROUND_SIZE, Matroid, iter_bits, uniform
 from .zeta import UPSILON_ALGORITHMS, ZETA_ALGORITHMS, compute_upsilon, compute_zeta
 
@@ -143,6 +143,11 @@ def _cmd_zeta(args) -> int:
     if args.verify:
         by_flags, _ = compute_zeta(m, "flags", max_flags=args.max_flags)
         zeta, algorithm = compute_zeta(m, "recurrence")
+        # both routes read chi from the Mobius sweep; the subset expansion checks it
+        lat = lattice_of(m) if m.is_loopless() else None
+        if lat is not None and lat.minor_chi(0, lat.top) != _minor_chi_ints(m, 0, lat.top):
+            print("verification failed: Mobius and subset-expansion chi disagree", file=sys.stderr)
+            return EXIT_THEOREM_FAILURE
         if by_flags != zeta:
             print("verification failed: flag sum and recurrence disagree", file=sys.stderr)
             return EXIT_THEOREM_FAILURE

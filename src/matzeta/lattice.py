@@ -2,13 +2,15 @@
 
 Flats are generated bottom-up by closing single-element extensions of the
 previous rank stratum, so the work scales with the lattice rather than the
-powerset.  Every walk over the lattice uses one comparability scan: the
-strict upper-interval index ``strict_supersets`` and its inversion, the
-lower-interval index ``strict_subsets``.  Mobius values are memoized per
-interval, and the characteristic polynomials of the minors restriction(G)/F
-per lattice (``minor_chi``, by one signed subset expansion).  Flag walks are
-guarded by one hard cap (``check_flag_cap``), since chain counts grow like
-ordered set partitions.
+powerset; the distinct closures cl(F + e) are the covers of F.  The interval
+indexes ``strict_supersets`` and ``strict_subsets`` are folded from the
+covers.  One interval-Mobius sweep (``_mobius_row``) gives, by Rota's
+chi_[G, F](q) = sum over H in [G, F] of mu(G, H) q^(rk F - rk H), the minor
+characteristic polynomials (``minor_chi``), the Mobius values and the
+Z-recurrence weights chi-bar_[G, F](1) (``chibar1_below``); the signed subset
+expansion ``_minor_chi_ints`` is kept as their oracle.  Flag walks are
+guarded by one hard cap (``check_flag_cap``), compared first with the maximal
+chains, which need only the covers.
 
 Characteristic polynomials are integer coefficient tuples: the reduced one,
 chi-bar = chi / (q - 1), is ``_minor_chibar_ints``, an exact integer
@@ -41,14 +43,21 @@ class FlagCapExceeded(RuntimeError):
 class LatticeOfFlats:
     """All flats of a loopless matroid, graded by rank."""
 
-    def __init__(self, matroid: Matroid, by_rank: tuple[tuple[int, ...], ...]) -> None:
+    def __init__(
+        self,
+        matroid: Matroid,
+        by_rank: tuple[tuple[int, ...], ...],
+        covers: dict[int, tuple[int, ...]],
+        maximal_chains: int,
+    ) -> None:
         self.matroid = matroid
         self.by_rank = by_rank
         self.flats: tuple[int, ...] = tuple(f for stratum in by_rank for f in stratum)
         self.top = matroid.full_mask
+        self.maximal_chains = maximal_chains
+        self._covers: dict[int, tuple[int, ...]] | None = covers
         self._flat_set = frozenset(self.flats)
-        self._mobius_memo: dict[tuple[int, int], int] = {}
-        self._chi_memo: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._chi_rows: dict[int, dict[int, tuple[int, ...]]] = {}
 
     def __len__(self) -> int:
         return len(self.flats)
@@ -62,12 +71,6 @@ class LatticeOfFlats:
     def flats_by_rank(self, r: int) -> tuple[int, ...]:
         return self.by_rank[r]
 
-    def proper_flats(self) -> Iterator[int]:
-        """All flats except the top."""
-        for f in self.flats:
-            if f != self.top:
-                yield f
-
     def reduced_flats(self) -> Iterator[int]:
         """All flats except the bottom and the top."""
         for f in self.flats:
@@ -76,17 +79,39 @@ class LatticeOfFlats:
 
     @cached_property
     def _supersets(self) -> dict[int, tuple[int, ...]]:
-        """For each flat, the flats strictly containing it, in (rank, mask) order."""
+        """For each flat, the flats strictly containing it, in (rank, mask) order.
+
+        Folded from the covers in descending rank, with the up-set of each
+        flat as a bitset over flat indices; the covers are dropped after."""
+        flats = self.flats
+        index = {f: i for i, f in enumerate(flats)}
+        covers, self._covers = self._covers, None
         out: dict[int, tuple[int, ...]] = {}
-        for f in self.flats:
-            out[f] = tuple(g for g in self.flats if g != f and f & ~g == 0)
+        up: dict[int, int] = {}  # the stratum above only
+        for stratum in reversed(self.by_rank):
+            up_here: dict[int, int] = {}
+            for f in stratum:
+                i = index[f]
+                bits = 1 << i
+                for c in covers.get(f, ()):
+                    bits |= up[c]
+                up_here[f] = bits
+                # digit j of the reversed binary string is flat i + 1 + j
+                digits = f"{bits >> i + 1:b}"[::-1]
+                above = []
+                j = digits.find("1")
+                while j >= 0:
+                    above.append(flats[i + 1 + j])
+                    j = digits.find("1", j + 1)
+                out[f] = tuple(above)
+            up = up_here
         return out
 
     @cached_property
     def _subsets(self) -> dict[int, tuple[int, ...]]:
         """For each flat, the flats strictly inside it, in (rank, mask) order.
 
-        Built by inverting ``_supersets``, so no second comparability scan runs.
+        Built by inverting ``_supersets``, so the covers are folded once.
         """
         out: dict[int, list[int]] = {f: [] for f in self.flats}
         for g in self.flats:
@@ -100,16 +125,56 @@ class LatticeOfFlats:
     def strict_subsets(self, f: int) -> tuple[int, ...]:
         return self._subsets[f]
 
+    # -- the interval-Mobius sweep -----------------------------------------
+
+    def _mobius_row(self, g: int) -> dict[int, list[int]]:
+        """For every flat F >= g, chi_[g, F] from q^(rk F - rk g) down to q^0,
+        whose last coefficient is mu(g, F): the one Mobius recurrence.  Each H of
+        the upper interval of g, in ascending rank, adds mu(g, H) to entry
+        rk H - rk g of every F > H, so F's entries are the sums over [g, F)
+        by rank when F is reached, and mu(g, F) is minus their total."""
+        ranks = self.matroid._ranks
+        sup = self._supersets
+        rg = ranks[g]
+        row = {g: [1]}
+        for f in sup[g]:
+            row[f] = [1] + [0] * (ranks[f] - rg)
+        for h in sup[g]:
+            vec = row[h]
+            mu = vec[-1] = -sum(vec)
+            k = len(vec) - 1
+            for f in sup[h]:
+                row[f][k] += mu
+        return row
+
+    @cached_property
+    def _weights(self) -> dict[int, list[int]]:
+        """For each flat F, chi-bar_[G, F](1) = chi_[G, F]'(1) for G in
+        strict_subsets(F), as an int list parallel to it."""
+        weights: dict[int, list[int]] = {f: [] for f in self.flats}
+        for g in self.flats:
+            row = self._mobius_row(g)  # dropped once read
+            for f in self._supersets[g]:
+                w = 0
+                for d, c in enumerate(reversed(row[f])):  # c is the coefficient of q^d
+                    w += d * c
+                weights[f].append(w)
+        return weights
+
+    def chibar1_below(self, f: int) -> list[int]:
+        """The Z-recurrence weights chi-bar_[G, f](1), for G in strict_subsets(f)."""
+        return self._weights[f]
+
     def minor_chi(self, low: int, high: int) -> tuple[int, ...]:
         """Integer coefficients of the characteristic polynomial of
-        restriction(high)/low (flats, low <= high), memoized per lattice."""
-        key = (low, high)
-        got = self._chi_memo.get(key)
-        if got is None:
-            got = self._chi_memo[key] = _minor_chi_ints(self.matroid, low, high)
-        return got
-
-    # -- Mobius function ---------------------------------------------------
+        restriction(high)/low (flats, low <= high); the sweep row of low is
+        kept per lattice."""
+        row = self._chi_rows.get(low)
+        if row is None:
+            row = self._chi_rows[low] = {
+                f: tuple(reversed(vec)) for f, vec in self._mobius_row(low).items()
+            }
+        return row[high]
 
     def mobius(self, f: int, g: int) -> int:
         """Mobius value of the interval [f, g] in the lattice."""
@@ -117,21 +182,7 @@ class LatticeOfFlats:
             raise ValueError("Mobius arguments must be flats")
         if f & ~g:
             raise ValueError("Mobius arguments must be nested")
-        return self._mobius(f, g)
-
-    def _mobius(self, f: int, g: int) -> int:
-        if f == g:
-            return 1
-        key = (f, g)
-        cached = self._mobius_memo.get(key)
-        if cached is not None:
-            return cached
-        total = 0
-        for h in self.strict_subsets(g):
-            if f & ~h == 0:
-                total += self._mobius(f, h)
-        self._mobius_memo[key] = -total
-        return -total
+        return self._mobius_row(f)[g][-1]
 
     def mobius_to_top(self, f: int) -> int:
         return self.mobius(f, self.top)
@@ -150,11 +201,16 @@ class LatticeOfFlats:
 
     def check_flag_cap(self, max_flags: int | None = None) -> None:
         """Refuse a flag walk over more than ``max_flags`` flags (default
-        DEFAULT_FLAG_CAP); every flag enumeration or flag sum calls this first."""
+        DEFAULT_FLAG_CAP); every flag enumeration or flag sum calls this first.
+        The maximal chains, counted on the covers, bound ``flag_count`` from
+        below without its pair-sized index, so they are compared first."""
         cap = DEFAULT_FLAG_CAP if max_flags is None else max_flags
-        if self.flag_count > cap:
+        count, bound = self.maximal_chains, "at least "
+        if count <= cap:
+            count, bound = self.flag_count, ""
+        if count > cap:
             raise FlagCapExceeded(
-                f"{self.flag_count} flags exceed the cap of {cap}; "
+                f"{bound}{count} flags exceed the cap of {cap}; "
                 "raise the cap to enumerate anyway"
             )
 
@@ -177,25 +233,34 @@ class LatticeOfFlats:
 
 
 def lattice_of(m: Matroid) -> LatticeOfFlats:
-    """Enumerate all flats of a loopless matroid, graded by rank."""
+    """Enumerate all flats of a loopless matroid, graded by rank, with their
+    covers and the number of maximal chains."""
     if not m.is_loopless():
         raise LoopsError(
             "matroid has loops; its lattice of flats is not built "
             "(zeta is 0 for matroids with loops)"
         )
     strata: list[tuple[int, ...]] = [(0,)]
+    covers: dict[int, tuple[int, ...]] = {}
+    chains = {0: 1}  # maximal chains from the bottom to each flat
     current = [0]
     for _ in range(m.rank):
         nxt = set()
         for f in current:
+            # the covers of f partition E - f, so each cover is closed once
+            above = []
             rest = m.full_mask & ~f
             while rest:
-                low = rest & -rest
-                nxt.add(m.closure_of(f | low))
-                rest ^= low
+                c = m.closure_of(f | rest & -rest)
+                above.append(c)
+                rest &= ~c
+            covers[f] = tuple(above)
+            nxt.update(above)
+            for c in above:
+                chains[c] = chains.get(c, 0) + chains[f]
         current = sorted(nxt)
         strata.append(tuple(current))
-    return LatticeOfFlats(m, tuple(strata))
+    return LatticeOfFlats(m, tuple(strata), covers, chains[m.full_mask])
 
 
 # ---------------------------------------------------------------------------
@@ -240,12 +305,9 @@ def characteristic_polynomial(m: Matroid, *, check: bool = False) -> Polynomial:
 
 
 def characteristic_polynomial_via_flats(lat: LatticeOfFlats) -> Polynomial:
-    """Mobius form: sum over flats of mu(0, F) q^(rk(M) - rk(F))."""
-    r = lat.matroid.rank
-    coeffs = [0] * (r + 1)
-    for f in lat.flats:
-        coeffs[r - lat.rank_of(f)] += lat.mobius(0, f)
-    return Polynomial(coeffs)
+    """Mobius form: sum over flats of mu(0, F) q^(rk(M) - rk(F)), the
+    interval-Mobius sweep of the bottom flat."""
+    return Polynomial(lat.minor_chi(0, lat.top))
 
 
 def _minor_chibar_ints(m: Matroid, low: int, high: int) -> tuple[int, ...]:

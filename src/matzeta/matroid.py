@@ -196,17 +196,6 @@ class Matroid:
                     best = c
         return best
 
-    def count_sets_by_rank_size(self, rank: int, size: int) -> int:
-        """Number of subsets with the given rank and cardinality (both >= 1)."""
-        if rank < 1 or size < 1:
-            raise ValueError("rank and size must be positive")
-        ranks = self._ranks
-        return sum(
-            1
-            for elems in itertools.combinations(range(self.size), size)
-            if ranks[mask_of(elems)] == rank
-        )
-
     # -- constructions -------------------------------------------------------
 
     def restriction(self, f: int) -> "Matroid":

@@ -12,8 +12,9 @@ characteristic polynomials chi_[F_{i-1}, F_i] and finishes with
 ``_chi_div_eval``, ``upsilon_by_flags`` steps by -(|F_i| s + rk F_{i-1}).
 ``_flat_table`` is the one lower-interval fold: for each flat F in ascending
 rank it sums the route's own ``term`` over the flats G < F and divides by
-(|F| s + rk F); ``_zeta_table`` weights by chi-bar_[G, F](1),
-``upsilon_by_recurrence`` by -(|F| s + rk G).
+(|F| s + rk F); ``_zeta_table`` weights by chi-bar_[G, F](1), which the
+lattice's interval-Mobius sweep gives as lists parallel to the lower
+intervals, ``upsilon_by_recurrence`` by -(|F| s + rk G).
 
 Internally the big sums are accumulated as integer-coefficient polynomials
 over factored linear denominators, grouped by denominator profile, with a
@@ -49,7 +50,7 @@ from .algebra import (
     _itrim,
 )
 from .combinat import generalized_binomial, multichoose
-from .lattice import LatticeOfFlats, LoopsError, _minor_chi_ints, lattice_of
+from .lattice import LatticeOfFlats, LoopsError, lattice_of
 from .matroid import Matroid
 
 
@@ -208,17 +209,20 @@ def _flag_sum(
 
 
 def _flat_table(
-    lat: LatticeOfFlats, term: Callable[[tuple[int, ...], int, int], Sequence[int]]
+    lat: LatticeOfFlats,
+    row: Callable[[int], Sequence[int]],
+    term: Callable[[tuple[int, ...], int, int], Sequence[int]],
 ) -> dict[int, _Fct]:
     """Fold over lower intervals in ascending rank, keyed by flat: T[0] = 1 and
-    T[F] = sum over flats G < F of term(num_G, G, F) / (scale_G * prod fct_G),
-    divided by (|F| s + rk F), where T[G] = (num_G, scale_G, fct_G)."""
+    T[F] = sum over flats G < F of term(num_G, x_G, F) / (scale_G * prod fct_G),
+    divided by (|F| s + rk F), where T[G] = (num_G, scale_G, fct_G) and x_G is
+    G's entry in row(F), a sequence parallel to lat.strict_subsets(F)."""
     tbl: dict[int, _Fct] = {0: _F_ONE}
     for f in lat.flats[1:]:
         acc = _Acc()
-        for g in lat.strict_subsets(f):
+        for g, x in zip(lat.strict_subsets(f), row(f)):
             num, scale, fct = tbl[g]
-            num = term(num, g, f)
+            num = term(num, x, f)
             if num:
                 acc.add(num, scale, fct)
         total = acc.total()
@@ -286,14 +290,10 @@ def zeta_by_flags(m: Matroid, *, max_flags: int | None = None) -> RationalFuncti
 def _zeta_table(lat: LatticeOfFlats) -> dict[int, _Fct]:
     """Zeta of every restriction-to-a-flat, keyed by flat mask, ascending rank:
     Z_F = sum over G < F of chi-bar_[G, F](1) Z_G, over (|F| s + rk F)."""
-
-    def term(num: tuple[int, ...], g: int, f: int) -> list[int]:
-        # chi-bar(1) = chi'(1), since chi = (q - 1) chi-bar; not memoized in
-        # lat.minor_chi, because the fold reads each pair (G, F) only once
-        w = sum(i * c for i, c in enumerate(_minor_chi_ints(lat.matroid, g, f)))
-        return [c * w for c in num] if w else []
-
-    return _flat_table(lat, term)
+    # the weights are lattice-sized: they come from the interval-Mobius sweep
+    return _flat_table(
+        lat, lat.chibar1_below, lambda num, w, f: [c * w for c in num] if w else []
+    )
 
 
 def zeta_by_recurrence(m: Matroid) -> RationalFunction:
@@ -343,6 +343,7 @@ def upsilon_by_recurrence(m: Matroid) -> RationalFunction:
     ranks = m._ranks
     tbl = _flat_table(
         lat,
+        lat.strict_subsets,
         lambda num, g, f: _imul_linear([-c for c in num], f.bit_count(), ranks[g]),
     )
     return _factored_to_rf(tbl[lat.top])

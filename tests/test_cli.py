@@ -25,6 +25,7 @@ from matzeta.cli import (
     parse_matroid_spec,
 )
 from matzeta.files import dump_bases, dump_graph
+from matzeta.lattice import LatticeOfFlats
 from matzeta.matroid import graphic, uniform
 from matzeta.zeta import zeta_by_recurrence
 
@@ -145,6 +146,33 @@ def test_zeta_verify(capsys):
     code, out, _ = run_cli(capsys, "zeta", "u:2,4", "--verify")
     assert code == EXIT_OK
     assert "Z(s)" in out
+
+
+def test_zeta_verify_checks_chi_against_the_subset_expansion(capsys, monkeypatch):
+    original = LatticeOfFlats._mobius_row
+
+    def skewed(self, g):
+        # add q - 1 to every chi_[g, F] with F > g; the flag products stay
+        # divisible by the powers of q - 1, so only the cross-check can fail
+        row = original(self, g)
+        for vec in row.values():
+            if len(vec) > 1:
+                vec[-2] += 1
+                vec[-1] -= 1
+        return row
+
+    monkeypatch.setattr(LatticeOfFlats, "_mobius_row", skewed)
+    code, out, err = run_cli(capsys, "zeta", "u:3,6", "--verify")
+    assert code == EXIT_THEOREM_FAILURE and out == ""
+    assert "verification failed: Mobius and subset-expansion chi disagree" in err
+
+
+@pytest.mark.parametrize("command", ["zeta", "upsilon"])
+def test_verify_over_the_cap_fails_fast(capsys, command):
+    # 12! maximal chains: refused on the covers, before any pair-sized index
+    code, out, err = run_cli(capsys, command, "u:12,12", "--verify")
+    assert code == EXIT_DOMAIN and out == ""
+    assert "at least 479001600 flags exceed the cap of 10000000" in err
 
 
 def test_upsilon_verify_checks_flag_cap_first(capsys, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 from matzeta.algebra import InexactDivisionError, Polynomial, _imul, poly_divide_exact
 from matzeta.combinat import q_analogue
 from matzeta.lattice import (
+    DEFAULT_FLAG_CAP,
     FlagCapExceeded,
     LoopsError,
     _minor_chi_ints,
@@ -16,7 +17,7 @@ from matzeta.lattice import (
     reduced_characteristic_polynomial,
     verify_two_flats_identity,
 )
-from matzeta.matroid import Flag, Matroid, uniform
+from matzeta.matroid import Flag, Matroid, graphic, uniform
 
 
 def brute_flats(m):
@@ -98,7 +99,9 @@ def test_mobius_interval_sums_vanish(catalog4):
     for entry in catalog4:
         lat = lattice_of(entry.matroid)
         assert lat.mobius_to_top(lat.top) == 1
-        for g in lat.proper_flats():
+        for g in lat.flats:
+            if g == lat.top:
+                continue
             total = sum(
                 lat.mobius_to_top(f)
                 for f in lat.flats
@@ -209,13 +212,12 @@ def test_truncation_characteristic_polynomial_lemma(catalog4):
     )
 
 
-def test_proper_and_reduced_flats():
-    lat = lattice_of(uniform(2, 3))
-    assert len(list(lat.proper_flats())) == 4
+def test_reduced_flats():
+    assert list(lattice_of(uniform(2, 3)).reduced_flats()) == [0b001, 0b010, 0b100]
     assert list(lattice_of(uniform(1, 3)).reduced_flats()) == []
     for n in range(1, 6):
         lat = lattice_of(uniform(n, n))
-        assert len(list(lat.proper_flats())) == 2**n - 1
+        assert len(list(lat.reduced_flats())) == 2**n - 2
 
 
 def test_flag_enumeration():
@@ -232,7 +234,19 @@ def test_flag_enumeration():
 
 def test_flag_count_is_ordered_set_partitions():
     for n in range(1, 8):
-        assert lattice_of(uniform(n, n)).flag_count == fubini(n)
+        lat = lattice_of(uniform(n, n))
+        assert lat.flag_count == fubini(n)
+        assert lat.maximal_chains == math.factorial(n)
+
+
+def test_flag_cap_is_checked_on_covers_first():
+    # 12! maximal chains exceed the default cap, so the pair-sized index
+    # behind flag_count (3^12 comparable pairs) is never built
+    lat = lattice_of(uniform(12, 12))
+    message = f"^at least {math.factorial(12)} flags exceed the cap of {DEFAULT_FLAG_CAP};"
+    with pytest.raises(FlagCapExceeded, match=message):
+        lat.check_flag_cap()
+    assert "_supersets" not in lat.__dict__
 
 
 def test_flag_cap():
@@ -242,15 +256,20 @@ def test_flag_cap():
     assert len(list(lat.flags(max_flags=13))) == 13
 
 
+K6 = graphic([(a, b) for a in range(6) for b in range(a + 1, 6)])
+
+
 def test_interval_indexes_match_containment(catalog5):
-    for entry in catalog5:
-        lat = lattice_of(entry.matroid)
+    named = [(e.name, e.matroid) for e in catalog5]
+    for name, m in named + [("U(4,16)", uniform(4, 16)), ("M(K6)", K6)]:
+        lat = lattice_of(m)
+        order = {g: i for i, g in enumerate(lat.flats)}
         for f in lat.flats:
             below, above = lat.strict_subsets(f), lat.strict_supersets(f)
-            assert list(below) == sorted(below, key=lambda g: (lat.rank_of(g), g))
-            for g in lat.flats:
-                assert (g in below) == (g != f and g & ~f == 0), entry.name
-                assert (g in above) == (g != f and f & ~g == 0), entry.name
+            assert list(below) == sorted(below, key=order.__getitem__), name
+            assert list(above) == sorted(above, key=order.__getitem__), name
+            assert set(below) == {g for g in lat.flats if g != f and g & ~f == 0}, name
+            assert set(above) == {g for g in lat.flats if g != f and f & ~g == 0}, name
 
 
 def _chibar1_oracle(m, low, high):
@@ -278,11 +297,47 @@ def test_minor_chi_weight_matches_rank_gap_sum(catalog4):
 
 
 def test_mobius_is_constant_term_of_minor_chi(catalog4):
-    # chi of the interval [f, g] at q = 0 is mu(f, g)
+    """chi of the interval [f, g] at q = 0 is mu(f, g).  Both now come from
+    the same interval-Mobius sweep, so this holds by construction; the guard
+    is test_sweep_matches_subset_expansion_and_recursion."""
     for entry in catalog4:
         lat = lattice_of(entry.matroid)
         for f, g in _nested_pairs(lat):
             assert lat.mobius(f, g) == lat.minor_chi(f, g)[0], entry.name
+
+
+def _mobius_oracle(lat):
+    """The lower-interval recursion the sweep replaced, over containment:
+    mu(f, g) = -sum of mu(f, h) over flats f <= h < g."""
+    memo = {}
+
+    def mu(f, g):
+        if f == g:
+            return 1
+        if (f, g) not in memo:
+            memo[f, g] = -sum(
+                mu(f, h) for h in lat.flats if h != g and f & ~h == 0 and h & ~g == 0
+            )
+        return memo[f, g]
+
+    return mu
+
+
+def test_sweep_matches_subset_expansion_and_recursion(catalog7):
+    for entry in catalog7:
+        m = entry.matroid
+        lat = lattice_of(m)
+        mu = _mobius_oracle(lat)
+        for f, g in _nested_pairs(lat):
+            chi = _minor_chi_ints(m, f, g)
+            assert lat.minor_chi(f, g) == chi, entry.name
+            assert lat.mobius(f, g) == mu(f, g), entry.name
+        for g in lat.flats:
+            weights = [
+                sum(i * c for i, c in enumerate(_minor_chi_ints(m, f, g)))
+                for f in lat.strict_subsets(g)
+            ]
+            assert lat.chibar1_below(g) == weights, entry.name
 
 
 def test_two_flats_identity_worked_example():

@@ -333,21 +333,37 @@ def test_degeneration_rank_additivity(catalog4):
             assert m.degeneration(flag).rank == m.rank, entry.name
 
 
-def test_count_sets_by_rank_size():
+def test_count_sets_by_rank_size(catalog4):
+    # the counts by (rank, size) that the counting check reads, against one
+    # combination at a time as the oracle
+    from collections import Counter
+
+    from matzeta.checks import _rank_size_counts
+
     m = uniform(2, 4)
-    assert m.count_sets_by_rank_size(2, 3) == 4
-    assert m.count_sets_by_rank_size(1, 2) == 0
-    with pytest.raises(ValueError):
-        m.count_sets_by_rank_size(0, 1)
+    counts = _rank_size_counts(m._ranks, m.full_mask)
+    assert counts[(2, 3)] == 4 and (1, 2) not in counts
+    for entry in catalog4:
+        m = entry.matroid
+        counts = _rank_size_counts(m._ranks, m.full_mask)
+        oracle = Counter(
+            (m.rank_of(mask_of(combo)), size)
+            for size in range(1, m.size + 1)
+            for combo in itertools.combinations(range(m.size), size)
+        )
+        assert counts == dict(oracle), entry.name
 
 
 def test_count_sets_partition_binomial(catalog4):
     import math
 
+    from matzeta.checks import _rank_size_counts
+
     for entry in catalog4:
         m = entry.matroid
+        counts = _rank_size_counts(m._ranks, m.full_mask)
         for s in range(1, m.size + 1):
-            total = sum(m.count_sets_by_rank_size(r, s) for r in range(1, s + 1))
+            total = sum(counts.get((r, s), 0) for r in range(1, s + 1))
             assert total == math.comb(m.size, s), entry.name
 
 
