@@ -6,138 +6,34 @@ truncation/free-extension transfer formulas, and a verification harness over
 a catalog of small matroids.  All arithmetic is exact.
 """
 
-from .algebra import (
-    InexactDivisionError,
-    Polynomial,
-    RationalFunction,
-    TaylorPrefix,
-    kth_derivative_at_zero,
-    poly_divide_exact,
-    poly_gcd,
-    taylor_prefix,
-)
-from .checks import (
-    CatalogEntry,
-    CheckReport,
-    build_catalog,
-    check_conjecture_truncation,
-    check_conjecture_upsilon,
-    check_girth_theorem,
-    check_k_derivative_lemma,
-    check_counting_identities,
-    run_all_checks,
-    summarize,
-    witness_reverifies,
-)
-from .combinat import (
-    falling_factorial,
-    generalized_binomial,
-    multichoose,
-    q_analogue,
-    rising_factorial,
-    stirling_first,
-    stirling_second,
-    verify_stirling_lemma,
-)
-from .files import (
-    FileFormatError,
-    dump_bases,
-    dump_graph,
-    load_bases,
-    load_graph,
-    load_graphic_matroid,
-)
-from .lattice import (
-    DEFAULT_FLAG_CAP,
-    FlagCapExceeded,
-    LatticeOfFlats,
-    LoopsError,
-    characteristic_polynomial,
-    characteristic_polynomial_via_flats,
-    lattice_of,
-    minor_reduced_chi,
-    reduced_characteristic_polynomial,
-    verify_two_flats_identity,
-)
-from .matroid import MAX_GROUND_SIZE, Flag, Matroid, graphic, iter_bits, mask_of, uniform
-from .zeta import (
-    compute_upsilon,
-    compute_zeta,
-    uniform_taylor_coefficients,
-    upsilon_by_flags,
-    upsilon_by_mobius,
-    upsilon_by_recurrence,
-    upsilon_uniform_closed,
-    zeta_by_flags,
-    zeta_by_recurrence,
-    zeta_of_free_extension_via_transfer,
-    zeta_of_truncation_via_transfer,
-    zeta_uniform_closed,
-)
+from .algebra import Polynomial, RationalFunction, taylor_prefix
+from .checks import build_catalog, run_all_checks
+from .files import FileFormatError, load_bases, load_graphic_matroid
+from .lattice import DEFAULT_FLAG_CAP, FlagCapExceeded, LoopsError, lattice_of
+from .matroid import MAX_GROUND_SIZE, Matroid, graphic, uniform
+from .zeta import compute_upsilon, compute_zeta, upsilon_by_recurrence, zeta_by_recurrence
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CatalogEntry",
-    "CheckReport",
     "DEFAULT_FLAG_CAP",
     "FileFormatError",
-    "Flag",
     "FlagCapExceeded",
-    "InexactDivisionError",
-    "LatticeOfFlats",
     "LoopsError",
     "MAX_GROUND_SIZE",
     "Matroid",
     "Polynomial",
     "RationalFunction",
-    "TaylorPrefix",
     "build_catalog",
-    "characteristic_polynomial",
-    "characteristic_polynomial_via_flats",
-    "check_conjecture_truncation",
-    "check_conjecture_upsilon",
-    "check_girth_theorem",
-    "check_k_derivative_lemma",
-    "check_counting_identities",
     "compute_upsilon",
     "compute_zeta",
-    "dump_bases",
-    "dump_graph",
-    "falling_factorial",
-    "generalized_binomial",
     "graphic",
-    "iter_bits",
-    "kth_derivative_at_zero",
     "lattice_of",
     "load_bases",
-    "load_graph",
     "load_graphic_matroid",
-    "mask_of",
-    "minor_reduced_chi",
-    "multichoose",
-    "poly_divide_exact",
-    "poly_gcd",
-    "q_analogue",
-    "reduced_characteristic_polynomial",
-    "rising_factorial",
     "run_all_checks",
-    "stirling_first",
-    "stirling_second",
-    "summarize",
     "taylor_prefix",
     "uniform",
-    "uniform_taylor_coefficients",
-    "upsilon_by_flags",
-    "upsilon_by_mobius",
     "upsilon_by_recurrence",
-    "upsilon_uniform_closed",
-    "verify_stirling_lemma",
-    "verify_two_flats_identity",
-    "witness_reverifies",
-    "zeta_by_flags",
     "zeta_by_recurrence",
-    "zeta_of_free_extension_via_transfer",
-    "zeta_of_truncation_via_transfer",
-    "zeta_uniform_closed",
 ]

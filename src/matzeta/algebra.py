@@ -9,7 +9,8 @@ values is structural equality of representations.  No floating point anywhere.
 
 Polynomial arithmetic runs on the coefficient-list kernels at the end of the
 module, which the characteristic polynomials, the zeta tables and the checks
-call directly on integer lists.
+call directly on integer lists.  Canonicalisation is integer too: the gcd and
+the exact division run on the primitive parts of numerator and denominator.
 """
 
 from __future__ import annotations
@@ -153,27 +154,6 @@ class Polynomial:
             k >>= 1
         return out
 
-    def __divmod__(self, other) -> tuple["Polynomial", "Polynomial"]:
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coefficients)
-        div = other.coefficients
-        dd = len(div) - 1
-        lead = div[-1]
-        quo = [Fraction(0)] * max(len(rem) - dd, 0)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if not c:
-                continue
-            q = c / lead
-            quo[i - dd] = q
-            for j, dc in enumerate(div):
-                rem[i - dd + j] -= q * dc
-        return Polynomial(quo), Polynomial(rem)
-
     def __call__(self, x: Scalar) -> Fraction:
         """Exact Horner evaluation."""
         x = _frac(x)
@@ -245,17 +225,6 @@ def _as_poly(x) -> Polynomial:
     if isinstance(x, (int, Fraction)):
         return Polynomial((x,))
     return NotImplemented
-
-
-def poly_divide_exact(p: Polynomial, d: Polynomial) -> Polynomial:
-    """Quotient p/d, requiring a zero remainder.
-
-    Raises InexactDivisionError when d does not divide p exactly.
-    """
-    q, r = divmod(p, d)
-    if not r.is_zero:
-        raise InexactDivisionError(f"({p}) is not divisible by ({d})")
-    return q
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -426,12 +395,13 @@ def _canonical(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial
         raise ZeroDivisionError("zero denominator")
     if num.is_zero:
         return Polynomial.zero(), Polynomial.one()
-    g = poly_gcd(num, den)
-    if g.degree >= 1:
-        num = poly_divide_exact(num, g)
-        den = poly_divide_exact(den, g)
-    content, prim = den.content_primitive()
-    return num * (1 / content), Polynomial(prim)
+    ncontent, nprim = num.content_primitive()
+    dcontent, dprim = den.content_primitive()
+    g = _igcd(nprim, dprim)
+    if len(g) > 1:  # primitive parts divide to primitive parts (Gauss's lemma)
+        nprim, dprim = _idiv_exact(nprim, g), _idiv_exact(dprim, g)
+    scale = ncontent / dcontent
+    return Polynomial([c * scale for c in nprim]), Polynomial(dprim)
 
 
 # ---------------------------------------------------------------------------
@@ -494,8 +464,8 @@ def kth_derivative_at_zero(f: RationalFunction, k: int) -> Fraction:
 # mirroring the Polynomial layout.  Add, multiply and differentiate are exact
 # over int and Fraction alike: Polynomial arithmetic runs them over Fraction,
 # while the characteristic polynomials, the zeta accumulators and the checks
-# run them over int, free of Fraction overhead.  The linear division and the
-# gcd helpers are integer only.
+# run them over int, free of Fraction overhead.  The divisions and the gcd
+# helpers are integer only.
 
 
 def _itrim(c: list[int]) -> list[int]:
@@ -549,6 +519,25 @@ def _div_linear(num: Sequence[int], a: int, b: int) -> list[int] | None:
         quo[i - 1] = q
         carry = -b * q
     return quo if num[0] + carry == 0 else None
+
+
+def _idiv_exact(num: Sequence[int], den: Sequence[int]) -> list[int] | None:
+    """Quotient of num by the nonzero den, or None unless it is an integer
+    polynomial with no remainder; for a primitive den the quotient of an exact
+    division is integral (Gauss's lemma), so None then means a remainder."""
+    rem = list(num)
+    d = len(den) - 1
+    lead = den[-1]
+    quo = [0] * max(len(rem) - d, 0)
+    for i in range(len(rem) - 1, d - 1, -1):
+        q, r = divmod(rem[i], lead)
+        if r:
+            return None
+        if q:
+            quo[i - d] = q
+            for j in range(d):  # the top term cancels exactly
+                rem[i - d + j] -= q * den[j]
+    return None if any(rem[:d]) else quo
 
 
 def _ideriv(a: Sequence[Scalar]) -> list[Scalar]:

@@ -6,11 +6,12 @@ powerset; the distinct closures cl(F + e) are the covers of F.  The interval
 indexes ``strict_supersets`` and ``strict_subsets`` are folded from the
 covers.  One interval-Mobius sweep (``_mobius_row``) gives, by Rota's
 chi_[G, F](q) = sum over H in [G, F] of mu(G, H) q^(rk F - rk H), the minor
-characteristic polynomials (``minor_chi``), the Mobius values and the
-Z-recurrence weights chi-bar_[G, F](1) (``chibar1_below``); the signed subset
-expansion ``_minor_chi_ints`` is kept as their oracle.  Flag walks are
-guarded by one hard cap (``check_flag_cap``), compared first with the maximal
-chains, which need only the covers.
+characteristic polynomials (``minor_chi``), the Mobius values and, in one
+pass over every row (``_sweep``), the Z-recurrence weights chi-bar_[G, F](1)
+(``chibar1_below``) together with mu(G, E) (``mobius_to_top``); the signed
+subset expansion ``_minor_chi_ints`` is kept as their oracle.  The flag walk
+of ``zeta`` is guarded by one hard cap (``check_flag_cap``), compared first
+with the maximal chains, which need only the covers.
 
 Characteristic polynomials are integer coefficient tuples: the reduced one,
 chi-bar = chi / (q - 1), is ``_minor_chibar_ints``, an exact integer
@@ -23,7 +24,7 @@ from functools import cached_property
 from typing import Iterator
 
 from .algebra import InexactDivisionError, Polynomial, _div_linear, _iadd
-from .matroid import Flag, Matroid
+from .matroid import Matroid
 
 DEFAULT_FLAG_CAP = 10_000_000
 
@@ -61,9 +62,6 @@ class LatticeOfFlats:
 
     def __len__(self) -> int:
         return len(self.flats)
-
-    def is_flat(self, f: int) -> bool:
-        return f in self._flat_set
 
     def rank_of(self, f: int) -> int:
         return self.matroid.rank_of(f)
@@ -148,22 +146,25 @@ class LatticeOfFlats:
         return row
 
     @cached_property
-    def _weights(self) -> dict[int, list[int]]:
-        """For each flat F, chi-bar_[G, F](1) = chi_[G, F]'(1) for G in
-        strict_subsets(F), as an int list parallel to it."""
+    def _sweep(self) -> tuple[dict[int, list[int]], dict[int, int]]:
+        """The sweep, one row per flat G, read into the Z-recurrence weights
+        chi-bar_[G, F](1) = chi_[G, F]'(1), for each F an int list parallel to
+        strict_subsets(F), and into mu(G, E), one int per G."""
         weights: dict[int, list[int]] = {f: [] for f in self.flats}
+        mu_top: dict[int, int] = {}
         for g in self.flats:
             row = self._mobius_row(g)  # dropped once read
+            mu_top[g] = row[self.top][-1]
             for f in self._supersets[g]:
                 w = 0
                 for d, c in enumerate(reversed(row[f])):  # c is the coefficient of q^d
                     w += d * c
                 weights[f].append(w)
-        return weights
+        return weights, mu_top
 
     def chibar1_below(self, f: int) -> list[int]:
         """The Z-recurrence weights chi-bar_[G, f](1), for G in strict_subsets(f)."""
-        return self._weights[f]
+        return self._sweep[0][f]
 
     def minor_chi(self, low: int, high: int) -> tuple[int, ...]:
         """Integer coefficients of the characteristic polynomial of
@@ -185,9 +186,10 @@ class LatticeOfFlats:
         return self._mobius_row(f)[g][-1]
 
     def mobius_to_top(self, f: int) -> int:
-        return self.mobius(f, self.top)
+        """mu(f, E), kept by the sweep behind ``chibar1_below``."""
+        return self._sweep[1][f]
 
-    # -- flags --------------------------------------------------------------
+    # -- the flag cap --------------------------------------------------------
 
     @cached_property
     def flag_count(self) -> int:
@@ -201,7 +203,7 @@ class LatticeOfFlats:
 
     def check_flag_cap(self, max_flags: int | None = None) -> None:
         """Refuse a flag walk over more than ``max_flags`` flags (default
-        DEFAULT_FLAG_CAP); every flag enumeration or flag sum calls this first.
+        DEFAULT_FLAG_CAP); every flag sum calls this first.
         The maximal chains, counted on the covers, bound ``flag_count`` from
         below without its pair-sized index, so they are compared first."""
         cap = DEFAULT_FLAG_CAP if max_flags is None else max_flags
@@ -213,24 +215,6 @@ class LatticeOfFlats:
                 f"{bound}{count} flags exceed the cap of {cap}; "
                 "raise the cap to enumerate anyway"
             )
-
-    def flags(self, max_flags: int | None = None) -> Iterator[Flag]:
-        """All flags (maximal-endpoint chains), depth-first in (rank, mask) order."""
-        self.check_flag_cap(max_flags)
-        chain = [0]
-
-        def descend() -> Iterator[Flag]:
-            here = chain[-1]
-            if here == self.top:
-                yield Flag(tuple(chain))
-                return
-            for g in self.strict_supersets(here):
-                chain.append(g)
-                yield from descend()
-                chain.pop()
-
-        yield from descend()
-
 
 def lattice_of(m: Matroid) -> LatticeOfFlats:
     """Enumerate all flats of a loopless matroid, graded by rank, with their

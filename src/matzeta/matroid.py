@@ -1,7 +1,7 @@
 """Matroids on small ground sets, stored by explicit bases bitmasks.
 
 Ground elements are 0..size-1 and every subset is an int bitmask, so the
-whole ground set fits one machine word (size <= 16 by default).  Rank and
+whole ground set fits one machine word (size <= MAX_GROUND_SIZE).  Rank and
 independence queries go through lazily built full-subset tables, which makes
 minors, closures and circuit searches direct loops over masks.
 """
@@ -9,7 +9,6 @@ minors, closures and circuit searches direct loops over masks.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -261,15 +260,6 @@ class Matroid:
             ]
         return Matroid(self.size + 1, bases, validate=False)
 
-    def degeneration(self, flag: "Flag") -> "Matroid":
-        """Direct sum of the step minors restriction(F_i) / F_{i-1} along a flag."""
-        flag.ensure_valid(self)
-        out = uniform(0, 0)
-        for prev, cur in zip(flag.flats, flag.flats[1:]):
-            step = self.restriction(cur).contraction(_compress(prev, cur))
-            out = out.direct_sum(step)
-        return out
-
     # -- identity ------------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -307,28 +297,6 @@ def _compress(sub: int, within: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
-class Flag:
-    """A strictly increasing chain of flats from the empty set to the ground set."""
-
-    flats: tuple[int, ...]
-
-    @property
-    def length(self) -> int:
-        """Number of strict steps."""
-        return len(self.flats) - 1
-
-    def ensure_valid(self, m: Matroid) -> None:
-        if not self.flats or self.flats[0] != 0 or self.flats[-1] != m.full_mask:
-            raise ValueError("a flag must run from the empty set to the full ground set")
-        for prev, cur in zip(self.flats, self.flats[1:]):
-            if prev & ~cur or prev == cur:
-                raise ValueError("flag members must strictly increase")
-        for f in self.flats:
-            if m.closure_of(f) != f:
-                raise ValueError(f"flag member {sorted(iter_bits(f))} is not a flat")
-
-
 # ---------------------------------------------------------------------------
 # Constructors
 
@@ -348,24 +316,26 @@ def graphic(edges: Sequence[tuple[int, int]], vertices: int | None = None) -> Ma
     if len(edges) > MAX_GROUND_SIZE:
         raise ValueError(f"more than {MAX_GROUND_SIZE} edges")
     seen = max((max(u, w) for u, w in edges), default=-1) + 1
-    v = seen if vertices is None else vertices
-    if v < seen:
+    if vertices is not None and vertices < seen:
         raise ValueError("edge endpoint outside the declared vertex range")
-    forest_size = _union_count(v, edges)
+    forest_size = _union_count(edges)
     bases = [
         mask_of(combo)
         for combo in itertools.combinations(range(len(edges)), forest_size)
-        if _union_count(v, [edges[i] for i in combo]) == forest_size
+        if _union_count([edges[i] for i in combo]) == forest_size
     ]
     return Matroid(len(edges), bases, validate=False)
 
 
-def _union_count(v: int, edges: Sequence[tuple[int, int]]) -> int:
-    """Edges that join two different components when added in turn: v minus
-    the component count of the whole edge set, and len(edges) exactly for a forest."""
-    parent = list(range(v))
+def _union_count(edges: Sequence[tuple[int, int]]) -> int:
+    """Edges that join two different components when added in turn: the
+    endpoints minus the component count of the edge set, and len(edges)
+    exactly for a forest.  Only the endpoints enter the union-find, so
+    isolated vertices cost nothing."""
+    parent: dict[int, int] = {}
 
     def find(x: int) -> int:
+        parent.setdefault(x, x)
         while parent[x] != x:
             parent[x] = parent[parent[x]]
             x = parent[x]

@@ -1,18 +1,21 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from matzeta.algebra import (
-    InexactDivisionError,
     Polynomial,
     RationalFunction,
+    _iadd,
+    _idiv_exact,
+    _imul,
+    _itrim,
     kth_derivative_at_zero,
-    poly_divide_exact,
     poly_gcd,
     taylor_prefix,
 )
+from oracles import poly_divmod
 
 S = Polynomial.variable()
 ONE = Polynomial.one()
@@ -48,23 +51,16 @@ def test_poly_eval_examples():
 
 
 def test_poly_divide_exact_examples():
-    assert poly_divide_exact(Polynomial([2, -3, 1]), Polynomial([-1, 1])) == Polynomial([-2, 1])
-    p = Polynomial([5, 7])
-    assert poly_divide_exact(p, ONE) == p
-    sq = Polynomial([-1, 1]) ** 2
-    assert poly_divide_exact(sq, Polynomial([-1, 1])) == Polynomial([-1, 1])
+    assert _idiv_exact([2, -3, 1], [-1, 1]) == [-2, 1]
+    assert _idiv_exact([5, 7], [1]) == [5, 7]
+    assert _idiv_exact([1, -2, 1], [-1, 1]) == [-1, 1]
+    assert _idiv_exact([6, 7, 2], [3, 2]) == [2, 1]  # (2s + 3)(s + 2)
+    assert _idiv_exact([], [3, 2]) == []
 
 
 def test_poly_divide_exact_rejects_remainder():
-    with pytest.raises(InexactDivisionError):
-        poly_divide_exact(Polynomial([1, 1]), Polynomial([0, 1]))
-
-
-def test_divmod_and_zero_division():
-    q, r = divmod(Polynomial([1, 0, 1]), Polynomial([1, 1]))
-    assert q * Polynomial([1, 1]) + r == Polynomial([1, 0, 1])
-    with pytest.raises(ZeroDivisionError):
-        divmod(ONE, Polynomial.zero())
+    assert _idiv_exact([1, 1], [0, 1]) is None  # remainder 1
+    assert _idiv_exact([1, 1], [2]) is None  # exact over Q, not over Z
 
 
 def test_poly_gcd_primitive():
@@ -85,6 +81,8 @@ def test_rational_function_canonical_form():
     # zero is 0/1
     z = rf([0], [5, 3])
     assert z.num.is_zero and z.den == ONE
+    with pytest.raises(ZeroDivisionError):
+        RationalFunction(ONE, Polynomial.zero())
 
 
 def test_rf_add_examples():
@@ -211,9 +209,26 @@ def test_canonical_idempotence(f):
     assert RationalFunction.from_json(f.to_json()) == f
 
 
-@given(polys, nonzero_polys)
+int_polys = st.lists(st.integers(-9, 9), max_size=5).map(_itrim)
+nonzero_int_polys = int_polys.filter(bool)
+
+
+@given(int_polys, nonzero_int_polys)
 def test_divide_exact_roundtrip(a, b):
-    assert poly_divide_exact(a * b, b) == a
+    assert _idiv_exact(_imul(a, b), b) == a
+
+
+@given(int_polys, nonzero_int_polys, st.integers(-3, 3))
+@example([1, 2], [3, 2], 0)
+@example([1, 2], [3, 2], 1)
+@example([1], [2, 4], 0)
+def test_exact_division_matches_fraction_long_division(quo, den, rem):
+    # non-monic and non-primitive divisors; None on a remainder or a
+    # quotient that is not integral
+    num = _iadd(_imul(quo, den), [rem])
+    q, r = poly_divmod(Polynomial(num), Polynomial(den))
+    integral = r.is_zero and all(c.denominator == 1 for c in q.coefficients)
+    assert _idiv_exact(num, den) == ([int(c) for c in q.coefficients] if integral else None)
 
 
 @given(polys, st.integers(min_value=0, max_value=8))

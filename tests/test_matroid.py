@@ -7,13 +7,13 @@ from hypothesis import strategies as st
 
 from matzeta.matroid import (
     MAX_GROUND_SIZE,
-    Flag,
     Matroid,
     graphic,
     iter_bits,
     mask_of,
     uniform,
 )
+from oracles import degeneration, flags
 
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
 C4 = [(0, 1), (1, 2), (2, 3), (0, 3)]
@@ -188,6 +188,13 @@ def test_graphic_matroids():
     assert m.loops() == 0b10
 
 
+def test_graphic_ignores_isolated_vertices():
+    # the union-find holds only the endpoints, so a huge vertex count is free
+    assert graphic(K4, 10**6) == graphic(K4)
+    with pytest.raises(ValueError, match="vertex range"):
+        graphic(K4, 3)
+
+
 def test_graphic_girth_against_bfs():
     cases = [
         ("triangle", 3, TRIANGLE),
@@ -312,16 +319,10 @@ def test_truncation_commutes_with_minors_at_low_flats(catalog4):
 
 def test_degeneration():
     m = uniform(2, 3)
-    whole = Flag((0, m.full_mask))
-    assert m.degeneration(whole) == m
-    split = Flag((0, 0b001, m.full_mask))
-    assert m.degeneration(split) == uniform(1, 1).direct_sum(uniform(1, 2))
-    trivial = uniform(0, 0)
-    assert trivial.degeneration(Flag((0,))) == trivial
-    with pytest.raises(ValueError):
-        m.degeneration(Flag((0, 0b011, m.full_mask)))  # {0,1} is not a flat
-    with pytest.raises(ValueError):
-        m.degeneration(Flag((0, 0b001)))
+    assert degeneration(m, (0, m.full_mask)) == m
+    split = degeneration(m, (0, 0b001, m.full_mask))
+    assert split == uniform(1, 1).direct_sum(uniform(1, 2))
+    assert degeneration(uniform(0, 0), (0,)) == uniform(0, 0)
 
 
 def test_degeneration_rank_additivity(catalog4):
@@ -329,8 +330,8 @@ def test_degeneration_rank_additivity(catalog4):
 
     for entry in catalog4:
         m = entry.matroid
-        for flag in lattice_of(m).flags():
-            assert m.degeneration(flag).rank == m.rank, entry.name
+        for flag in flags(lattice_of(m)):
+            assert degeneration(m, flag).rank == m.rank, entry.name
 
 
 def test_count_sets_by_rank_size(catalog4):

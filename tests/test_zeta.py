@@ -5,14 +5,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from matzeta.algebra import (
-    Polynomial,
-    RationalFunction,
-    _itrim,
-    poly_divide_exact,
-    taylor_prefix,
-)
-from matzeta.lattice import FlagCapExceeded, LoopsError, lattice_of
+from matzeta.algebra import Polynomial, RationalFunction, _itrim, taylor_prefix
+from matzeta.lattice import FlagCapExceeded, LatticeOfFlats, LoopsError, lattice_of
 from matzeta.matroid import Matroid, graphic, uniform
 from matzeta.zeta import (
     _div_linear,
@@ -32,6 +26,7 @@ from matzeta.zeta import (
     zeta_of_truncation_via_transfer,
     zeta_uniform_closed,
 )
+from oracles import degeneration, flags, poly_divmod
 
 Z23 = RationalFunction(Polynomial([2, -1]), Polynomial([2, 5, 3]))
 Y23 = RationalFunction(Polynomial([0, 0, 6]), Polynomial([2, 5, 3]))
@@ -82,11 +77,12 @@ def naive_zeta(m):
         return RationalFunction.zero()
     lat = lattice_of(m)
     total = RationalFunction.zero()
-    for flag in lat.flags():
-        chi = characteristic_polynomial(m.degeneration(flag))
-        coeff = poly_divide_exact(chi, Polynomial([-1, 1]) ** flag.length)(1)
-        term = RationalFunction(Polynomial([coeff]))
-        for f in flag.flats:
+    for flag in flags(lat):
+        chi = characteristic_polynomial(degeneration(m, flag))
+        quo, rem = poly_divmod(chi, Polynomial([-1, 1]) ** (len(flag) - 1))
+        assert rem.is_zero
+        term = RationalFunction(Polynomial([quo(1)]))
+        for f in flag:
             if f:
                 term = term / RationalFunction(
                     Polynomial.linear(f.bit_count(), m.rank_of(f))
@@ -199,7 +195,7 @@ def test_zeta_denominator_divides_flat_product(catalog5):
         for f in lat.flats:
             if f:
                 product = product * Polynomial.linear(f.bit_count(), m.rank_of(f))
-        assert poly_divide_exact(product, z.den) is not None, entry.name
+        assert poly_divmod(product, z.den)[1].is_zero, entry.name
 
 
 def test_mobius_inversion_roundtrip(catalog5):
@@ -274,16 +270,35 @@ def test_flag_cap_enforced():
 
 
 @pytest.mark.parametrize("walk", [
-    lambda m, cap: list(lattice_of(m).flags(max_flags=cap)),
     lambda m, cap: zeta_by_flags(m, max_flags=cap),
     lambda m, cap: upsilon_by_flags(m, max_flags=cap),
-], ids=["flags", "zeta_by_flags", "upsilon_by_flags"])
+], ids=["zeta_by_flags", "upsilon_by_flags"])
 def test_flag_cap_is_one_check(walk):
     m = uniform(3, 4)
     count = lattice_of(m).flag_count
     walk(m, count)
     with pytest.raises(FlagCapExceeded, match=f"^{count} flags exceed the cap of {count - 1};"):
         walk(m, count - 1)
+
+
+def test_upsilon_by_mobius_sweeps_each_row_once(monkeypatch):
+    # mu(F, E) comes from the sweep that gives the Z-recurrence weights
+    rows = []
+    original = LatticeOfFlats._mobius_row
+
+    def counting(self, g):
+        rows.append(g)
+        return original(self, g)
+
+    monkeypatch.setattr(LatticeOfFlats, "_mobius_row", counting)
+    m = uniform(3, 6)
+    assert upsilon_by_mobius(m) == upsilon_by_recurrence(m)
+    lat = lattice_of(m)
+    assert sorted(rows) == sorted(lat.flats)
+    rows.clear()  # the lattice command reads every mu(F, E) the same way
+    mus = [lat.mobius_to_top(f) for f in lat.flats]
+    assert sorted(rows) == sorted(lat.flats)
+    assert mus == [lat.mobius(f, lat.top) for f in lat.flats]
 
 
 def test_compute_dispatch():
@@ -317,7 +332,7 @@ def test_div_linear_matches_polynomial_divmod(quo, pair, rem):
     if num.is_zero:
         return
     ints = [int(c) for c in num.coefficients]
-    expected_quo, expected_rem = divmod(num, Polynomial.linear(a, b))
+    expected_quo, expected_rem = poly_divmod(num, Polynomial.linear(a, b))
     got = _div_linear(ints, a, b)
     if expected_rem.is_zero:
         assert got is not None and all(isinstance(c, int) for c in got)
