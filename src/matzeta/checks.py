@@ -24,11 +24,10 @@ from .algebra import (
     _imul_linear,
     taylor_prefix,
 )
-from .combinat import rising_factorial, stirling_second
+from .combinat import rising_factorial, stirling_second_rows
 from .lattice import _minor_chibar_ints, lattice_of
 from .matroid import Matroid, graphic, iter_bits, uniform
 from .zeta import (
-    _F_ZERO,
     _Acc,
     _factored_derivative,
     _factored_to_rf,
@@ -167,13 +166,17 @@ def upsilon_taylor_prefix(m: Matroid, k: int) -> TaylorPrefix:
     return taylor_prefix(_upsilon(m), k)
 
 
-def _witness_base(entry: CatalogEntry) -> dict:
-    return {
+def _fails(check: str, entry: CatalogEntry, reason: str, **found) -> CheckReport:
+    """A failing report; the witness records the entry, its bases and what
+    the check found."""
+    witness = {
         "entry": entry.name,
         "provenance": entry.provenance,
         "size": entry.matroid.size,
         "bases": [sorted(iter_bits(b)) for b in sorted(entry.matroid.bases)],
+        **found,
     }
+    return CheckReport(check, entry.name, FAILS, reason, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +194,9 @@ def check_girth_theorem(entry: CatalogEntry) -> CheckReport:
         lhs = math.factorial(k) * prefix[k]
         rhs = Fraction((-1) ** k * rising_factorial(m.size, k))
         if lhs != rhs:
-            witness = _witness_base(entry)
-            witness.update({"k": k, "girth": g, "lhs": str(lhs), "rhs": str(rhs)})
-            return CheckReport(
-                GIRTH_CHECK, entry.name, FAILS, f"derivative {k} mismatch", witness
+            return _fails(
+                GIRTH_CHECK, entry, f"derivative {k} mismatch",
+                k=k, girth=g, lhs=str(lhs), rhs=str(rhs),
             )
     return CheckReport(GIRTH_CHECK, entry.name, HOLDS)
 
@@ -232,7 +234,7 @@ def check_k_derivative_lemma(entry: CatalogEntry, kmax: int = 3) -> CheckReport:
         for f, w in weights.items():
             num, scale, fct = derivs[f][k]
             acc.add([-w * c for c in num], scale, fct)
-        if acc.total() != _F_ZERO:
+        if acc.total()[0]:
             rhs = sum(
                 (w * _factored_to_rf(derivs[f][k]) for f, w in weights.items()),
                 start=RationalFunction.zero(),
@@ -240,12 +242,9 @@ def check_k_derivative_lemma(entry: CatalogEntry, kmax: int = 3) -> CheckReport:
             rhs = (rhs - k * n * _factored_to_rf(zprev)) / RationalFunction(
                 Polynomial.linear(n, r)
             )
-            witness = _witness_base(entry)
-            witness.update(
-                {"k": k, "lhs": _factored_to_rf(zk).to_json(), "rhs": rhs.to_json()}
-            )
-            return CheckReport(
-                K_DERIVATIVE_CHECK, entry.name, FAILS, f"order {k} mismatch", witness
+            return _fails(
+                K_DERIVATIVE_CHECK, entry, f"order {k} mismatch",
+                k=k, lhs=_factored_to_rf(zk).to_json(), rhs=rhs.to_json(),
             )
     return CheckReport(K_DERIVATIVE_CHECK, entry.name, HOLDS)
 
@@ -263,12 +262,9 @@ def check_counting_identities(entry: CatalogEntry, kmax: int = 4) -> CheckReport
         def side(x):
             return [str(c) for c in x] if isinstance(x, list) else str(x)
 
-        witness = _witness_base(entry)
-        witness.update(
-            {"identity": identity, "params": params, "lhs": side(lhs), "rhs": side(rhs)}
-        )
-        return CheckReport(
-            COUNTING_CHECK, entry.name, FAILS, f"{identity} {params}", witness
+        return _fails(
+            COUNTING_CHECK, entry, f"{identity} {params}",
+            identity=identity, params=params, lhs=side(lhs), rhs=side(rhs),
         )
 
     ranks = m._ranks
@@ -280,11 +276,11 @@ def check_counting_identities(entry: CatalogEntry, kmax: int = 4) -> CheckReport
         if lhs != rhs:
             return fail("rank-size-partition", {"s": s}, lhs, rhs)
 
-    for k in range(1, kmax + 1):
+    for k, row in enumerate(stirling_second_rows(kmax), start=1):
         lhs = n**k
         rhs = sum(
             math.factorial(j)
-            * stirling_second(k, j)
+            * row[j]
             * sum(counts.get((i, j), 0) for i in range(1, j + 1))
             for j in range(1, k + 1)
         )
@@ -310,13 +306,13 @@ def check_counting_identities(entry: CatalogEntry, kmax: int = 4) -> CheckReport
             if lhs != rhs:
                 return fail("flat-sum-of-counts", {"i": i, "j": j}, lhs, rhs)
 
-    for k in range(1, kmax + 1):
+    for k, row in enumerate(stirling_second_rows(kmax), start=1):
         lhs = []
         for f, poly in chibar.items():
             lhs = _iadd(lhs, [f.bit_count() ** k * x for x in poly])
         rhs = []
         for j in range(1, k + 1):
-            coeff = math.factorial(j) * stirling_second(k, j)
+            coeff = math.factorial(j) * row[j]
             for i in range(1, j + 1):
                 c = counts.get((i, j), 0)
                 if c:
@@ -357,22 +353,10 @@ def check_conjecture_truncation(entry: CatalogEntry) -> CheckReport:
     truncated = zeta_taylor_prefix(m.truncation(), order)
     for k in range(order + 1):
         if own[k] != truncated[k]:
-            witness = _witness_base(entry)
-            witness.update(
-                {
-                    "first_divergence": k,
-                    "lhs": str(own[k]),
-                    "rhs": str(truncated[k]),
-                    "prefix": own.to_strings(),
-                    "truncation_prefix": truncated.to_strings(),
-                }
-            )
-            return CheckReport(
-                TRUNCATION_CONJECTURE,
-                entry.name,
-                FAILS,
-                f"coefficients diverge at order {k}",
-                witness,
+            return _fails(
+                TRUNCATION_CONJECTURE, entry, f"coefficients diverge at order {k}",
+                first_divergence=k, lhs=str(own[k]), rhs=str(truncated[k]),
+                prefix=own.to_strings(), truncation_prefix=truncated.to_strings(),
             )
     return CheckReport(TRUNCATION_CONJECTURE, entry.name, HOLDS)
 
@@ -388,38 +372,16 @@ def check_conjecture_upsilon(entry: CatalogEntry) -> CheckReport:
     expected_top = Fraction((-1) ** r * len(m.bases))
     for k in range(r):
         if prefix[k] != 0:
-            witness = _witness_base(entry)
-            witness.update(
-                {
-                    "coefficient_index": k,
-                    "lhs": str(prefix[k]),
-                    "rhs": "0",
-                    "prefix": prefix.to_strings(),
-                }
-            )
-            return CheckReport(
-                UPSILON_CONJECTURE,
-                entry.name,
-                FAILS,
-                f"coefficient {k} is nonzero",
-                witness,
+            return _fails(
+                UPSILON_CONJECTURE, entry, f"coefficient {k} is nonzero",
+                coefficient_index=k, lhs=str(prefix[k]), rhs="0",
+                prefix=prefix.to_strings(),
             )
     if prefix[r] != expected_top:
-        witness = _witness_base(entry)
-        witness.update(
-            {
-                "coefficient_index": r,
-                "lhs": str(prefix[r]),
-                "rhs": str(expected_top),
-                "prefix": prefix.to_strings(),
-            }
-        )
-        return CheckReport(
-            UPSILON_CONJECTURE,
-            entry.name,
-            FAILS,
-            "leading coefficient is not the signed basis count",
-            witness,
+        return _fails(
+            UPSILON_CONJECTURE, entry, "leading coefficient is not the signed basis count",
+            coefficient_index=r, lhs=str(prefix[r]), rhs=str(expected_top),
+            prefix=prefix.to_strings(),
         )
     return CheckReport(UPSILON_CONJECTURE, entry.name, HOLDS)
 
@@ -437,11 +399,8 @@ def _entry_reports(
         try:
             out.append(fn(*args))
         except Exception as exc:  # noqa: BLE001 - entry failures never abort the run
-            witness = _witness_base(entry)
-            witness.update({"error": f"{type(exc).__name__}: {exc}"})
-            out.append(
-                CheckReport(name, entry.name, FAILS, "check raised an exception", witness)
-            )
+            error = f"{type(exc).__name__}: {exc}"
+            out.append(_fails(name, entry, "check raised an exception", error=error))
 
     if "theorems" in suites:
         run(GIRTH_CHECK, check_girth_theorem, entry)

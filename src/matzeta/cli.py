@@ -30,7 +30,7 @@ from .checks import (
     summarize,
 )
 from .files import FileFormatError, load_bases, load_graphic_matroid
-from .lattice import FlagCapExceeded, LoopsError, _minor_chi_ints, lattice_of
+from .lattice import FlagCapExceeded, _minor_chi_ints, lattice_of
 from .matroid import MAX_GROUND_SIZE, Matroid, iter_bits, uniform
 from .zeta import UPSILON_ALGORITHMS, ZETA_ALGORITHMS, compute_upsilon, compute_zeta
 
@@ -361,10 +361,7 @@ def main(argv=None) -> int:
     except (SpecParseError, FileFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (LoopsError, FlagCapExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except ValueError as exc:
+    except (ValueError, FlagCapExceeded) as exc:  # LoopsError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
 

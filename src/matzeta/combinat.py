@@ -1,20 +1,16 @@
 """Integer combinatorics: Stirling numbers, factorial variants, binomials.
 
-Stirling triangles are memoized up to a configured row bound (default 64);
-larger arguments are computed on the fly without caching.
+Stirling numbers come from their triangle recurrences, one row at a time.
+Nothing is memoized across calls: a single value builds rows 0..n, and a
+caller that needs a whole range walks ``stirling_second_rows`` once.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Iterator
 
 from .algebra import Polynomial
-
-STIRLING_CACHE_ROWS = 64
-
-# triangle rows; row n holds values for k = 0..n
-_FIRST_ROWS: list[list[int]] = [[1]]
-_SECOND_ROWS: list[list[int]] = [[1]]
 
 
 def _next_first_row(prev: list[int], n: int) -> list[int]:
@@ -33,29 +29,40 @@ def _next_second_row(prev: list[int], n: int) -> list[int]:
     return row
 
 
-def _stirling(rows: list[list[int]], step, n: int, k: int) -> int:
+def _rows(step, nmax: int) -> Iterator[list[int]]:
+    """Triangle rows 1..nmax in turn, from row 0 = [1]; row n holds the values
+    for k = 0..n."""
+    row = [1]
+    for n in range(1, nmax + 1):
+        row = step(row, n)
+        yield row
+
+
+def _stirling(step, n: int, k: int) -> int:
     if n < 0 or k < 0:
         raise ValueError("Stirling numbers need nonnegative arguments")
     if k > n:
         return 0
-    while len(rows) <= min(n, STIRLING_CACHE_ROWS):
-        rows.append(step(rows[-1], len(rows)))
-    if n < len(rows):
-        return rows[n][k]
-    row = rows[-1]
-    for m in range(len(rows), n + 1):
-        row = step(row, m)
+    row = [1]
+    for row in _rows(step, n):
+        pass
     return row[k]
 
 
 def stirling_first(n: int, k: int) -> int:
     """Unsigned count of n-permutations with exactly k disjoint cycles."""
-    return _stirling(_FIRST_ROWS, _next_first_row, n, k)
+    return _stirling(_next_first_row, n, k)
 
 
 def stirling_second(n: int, k: int) -> int:
     """Count of partitions of an n-set into exactly k blocks."""
-    return _stirling(_SECOND_ROWS, _next_second_row, n, k)
+    return _stirling(_next_second_row, n, k)
+
+
+def stirling_second_rows(nmax: int) -> Iterator[list[int]]:
+    """Rows 1..nmax of the triangle of the second kind, built in turn; only
+    the current row is held."""
+    return _rows(_next_second_row, nmax)
 
 
 def rising_factorial(n: int, k: int) -> int:
@@ -107,11 +114,11 @@ def verify_stirling_lemma(k: int) -> bool:
     """Check j * sum_i c(k,i)S(i,j) = k * sum_i c(k-1,i-1)S(i,j) for 1 <= j <= k."""
     if k < 1:
         raise ValueError("k must be positive")
+    *_, first_prev, first = [[1], *_rows(_next_first_row, k)]
+    second = [[1], *_rows(_next_second_row, k)]
     for j in range(1, k + 1):
-        lhs = j * sum(stirling_first(k, i) * stirling_second(i, j) for i in range(j, k + 1))
-        rhs = k * sum(
-            stirling_first(k - 1, i - 1) * stirling_second(i, j) for i in range(j, k + 1)
-        )
+        lhs = j * sum(first[i] * second[i][j] for i in range(j, k + 1))
+        rhs = k * sum(first_prev[i - 1] * second[i][j] for i in range(j, k + 1))
         if lhs != rhs:
             return False
     return True

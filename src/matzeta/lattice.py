@@ -269,23 +269,14 @@ def _minor_chi_ints(m: Matroid, low: int, high: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def characteristic_polynomial(m: Matroid, *, check: bool = False) -> Polynomial:
+def characteristic_polynomial(m: Matroid) -> Polynomial:
     """Characteristic polynomial by the signed subset expansion.
 
-    Matroids with loops give the zero polynomial.  With ``check=True`` the
-    result is also computed from Mobius values over the lattice of flats and
-    the two must agree.
+    Matroids with loops give the zero polynomial.
     """
     if not m.is_loopless():
         return Polynomial.zero()
-    chi = Polynomial(_minor_chi_ints(m, 0, m.full_mask))
-    if check:
-        alt = characteristic_polynomial_via_flats(lattice_of(m))
-        if chi != alt:
-            raise AssertionError(
-                f"characteristic polynomial routes disagree: {chi} vs {alt}"
-            )
-    return chi
+    return Polynomial(_minor_chi_ints(m, 0, m.full_mask))
 
 
 def characteristic_polynomial_via_flats(lat: LatticeOfFlats) -> Polynomial:

@@ -2,8 +2,9 @@
 
 Ground elements are 0..size-1 and every subset is an int bitmask, so the
 whole ground set fits one machine word (size <= MAX_GROUND_SIZE).  Rank and
-independence queries go through lazily built full-subset tables, which makes
-minors, closures and circuit searches direct loops over masks.
+independence queries go through one lazily built rank table over all subsets
+(S is independent iff rk S = |S|), which makes minors, closures and circuit
+searches direct loops over masks.
 """
 
 from __future__ import annotations
@@ -101,12 +102,13 @@ class Matroid:
         return (1 << self.size) - 1
 
     @cached_property
-    def _independent(self) -> bytearray:
-        """Independence table over all subsets, peeled down from the bases."""
-        table = bytearray(1 << self.size)
+    def _ranks(self) -> list[int]:
+        """Rank of every subset: |S| on the independent sets, peeled down from
+        the bases, and the max over single deletions on the others."""
+        table = [0] * (1 << self.size)
         level = set(self.bases)
         for b in level:
-            table[b] = 1
+            table[b] = self.rank
         while level:
             nxt = set()
             for m in level:
@@ -114,22 +116,13 @@ class Matroid:
                 while rest:
                     low = rest & -rest
                     child = m ^ low
-                    if not table[child]:
-                        table[child] = 1
+                    if child and not table[child]:
+                        table[child] = child.bit_count()
                         nxt.add(child)
                     rest ^= low
             level = nxt
-        return table
-
-    @cached_property
-    def _ranks(self) -> list[int]:
-        """Rank of every subset: |S| if independent, else max over deletions."""
-        indep = self._independent
-        table = [0] * (1 << self.size)
         for m in range(1, 1 << self.size):  # every deletion of m is a smaller mask
-            if indep[m]:
-                table[m] = m.bit_count()
-            else:
+            if not table[m]:  # nonempty and dependent
                 best = 0
                 rest = m
                 while rest:
@@ -174,25 +167,23 @@ class Matroid:
 
     def circuits(self) -> tuple[int, ...]:
         """Minimal dependent sets, sorted by (cardinality, mask)."""
-        indep = self._independent
+        ranks = self._ranks
         out = []
         for m in range(1, 1 << self.size):
-            if indep[m]:
-                continue
-            if all(indep[m ^ low] for low in _low_bits(m)):
+            c = m.bit_count()
+            if ranks[m] < c and all(ranks[m ^ low] == c - 1 for low in _low_bits(m)):
                 out.append(m)
         out.sort(key=lambda m: (m.bit_count(), m))
         return tuple(out)
 
     def girth(self) -> int:
         """Size of the smallest circuit; |E| + 1 when there are none."""
-        indep = self._independent
+        ranks = self._ranks
         best = self.size + 1
         for m in range(1, 1 << self.size):
-            if not indep[m]:
-                c = m.bit_count()
-                if c < best:
-                    best = c
+            c = m.bit_count()
+            if ranks[m] < c < best:
+                best = c
         return best
 
     # -- constructions -------------------------------------------------------
@@ -204,11 +195,9 @@ class Matroid:
         """
         self._check_subset(f)
         elems = tuple(iter_bits(f))
-        r = self._ranks[f]
-        indep = self._independent
-        bases = [
-            _compress(s, f) for s in submasks(f) if s.bit_count() == r and indep[s]
-        ]
+        ranks = self._ranks
+        r = ranks[f]
+        bases = [_compress(s, f) for s in submasks(f) if s.bit_count() == r == ranks[s]]
         return Matroid(len(elems), bases, validate=False, element_map=elems)
 
     def contraction(self, f: int) -> "Matroid":
@@ -238,11 +227,9 @@ class Matroid:
         """Drop the rank by one: bases become the independent (r-1)-subsets."""
         if self.rank < 1:
             raise ValueError("cannot truncate a rank-0 matroid")
-        indep = self._independent
+        ranks = self._ranks
         target = self.rank - 1
-        bases = [
-            m for m in range(1 << self.size) if m.bit_count() == target and indep[m]
-        ]
+        bases = [m for m in range(1 << self.size) if m.bit_count() == target == ranks[m]]
         return Matroid(self.size, bases, validate=False)
 
     def free_extension(self) -> "Matroid":
@@ -250,13 +237,12 @@ class Matroid:
         if self.size + 1 > MAX_GROUND_SIZE:
             raise ValueError(f"free extension exceeds the ground-size bound {MAX_GROUND_SIZE}")
         e = 1 << self.size
-        indep = self._independent
+        ranks = self._ranks
+        target = self.rank - 1
         bases = list(self.bases)
         if self.rank >= 1:
             bases += [
-                m | e
-                for m in range(1 << self.size)
-                if m.bit_count() == self.rank - 1 and indep[m]
+                m | e for m in range(1 << self.size) if m.bit_count() == target == ranks[m]
             ]
         return Matroid(self.size + 1, bases, validate=False)
 

@@ -96,6 +96,9 @@ class _Acc:
             self.groups[key] = (merged, cscale * mc)
 
     def total(self) -> _Fct:
+        """All groups over their least common denominator, left unreduced:
+        ``_flat_table`` reduces once after appending its own factor, and
+        RationalFunction canonicalises a total it is handed."""
         live = {k: v for k, v in self.groups.items() if v[0]}
         if not live:
             return _F_ZERO
@@ -119,7 +122,7 @@ class _Acc:
         factors = tuple(
             sorted(pair for pair, mult in profile.items() for _ in range(mult))
         )
-        return _reduce(num_total, scale_lcm, factors)
+        return (tuple(num_total), scale_lcm, factors)
 
 
 def _reduce(num: Sequence[int], scale: int, factors: tuple) -> _Fct:

@@ -23,7 +23,7 @@ from matzeta.checks import (
     summarize,
     witness_reverifies,
 )
-from matzeta.matroid import graphic, uniform
+from matzeta.matroid import graphic, iter_bits, uniform
 
 
 def entry_named(catalog, name):
@@ -251,6 +251,105 @@ def test_mutated_weight_fails_k_derivative_check(monkeypatch, entry):
     assert witness_reverifies(report)
     reports = run_all_checks([entry], suites=("theorems",))
     assert any(r.check == K_DERIVATIVE_CHECK and r.status == FAILS for r in reports)
+
+
+_U23 = CatalogEntry("U(2,3)", uniform(2, 3), "uniform(2,3)")
+_U24 = CatalogEntry("U(2,4)", uniform(2, 4), "uniform(2,4)")
+
+
+def _planted_girth(monkeypatch):
+    monkeypatch.setattr(
+        checks, "zeta_taylor_prefix", _perturbing(checks.zeta_taylor_prefix, _U23.matroid, 1)
+    )
+    return check_girth_theorem(_U23)
+
+
+def _planted_weight(monkeypatch):
+    from matzeta.lattice import _minor_chibar_ints
+
+    victim = {}
+
+    def skewed(m, low, high):
+        chibar = _minor_chibar_ints(m, low, high)
+        return _skew_constant(chibar) if victim.setdefault(m, low) == low else chibar
+
+    monkeypatch.setattr(checks, "_minor_chibar_ints", skewed)
+    return check_k_derivative_lemma(_U23)
+
+
+def _planted_flat_sum(monkeypatch):
+    from matzeta.lattice import _minor_chibar_ints
+
+    def skewed(m, low, high):
+        return _skew_constant(_minor_chibar_ints(m, low, high))
+
+    monkeypatch.setattr(checks, "_minor_chibar_ints", skewed)
+    return check_counting_identities(_U23)
+
+
+def _planted_truncation(monkeypatch):
+    victim = _U24.matroid.truncation()
+    monkeypatch.setattr(
+        checks, "zeta_taylor_prefix", _perturbing(checks.zeta_taylor_prefix, victim, 1)
+    )
+    return check_conjecture_truncation(_U24)
+
+
+def _planted_upsilon(index):
+    def plant(monkeypatch):
+        monkeypatch.setattr(
+            checks,
+            "upsilon_taylor_prefix",
+            _perturbing(checks.upsilon_taylor_prefix, _U23.matroid, index),
+        )
+        return check_conjecture_upsilon(_U23)
+
+    return plant
+
+
+def _planted_crash(monkeypatch):
+    def boom(m, k):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(checks, "zeta_taylor_prefix", boom)
+    return run_all_checks([_U23], suites=("theorems",))[0]
+
+
+@pytest.mark.parametrize("plant, entry, reason, found", [
+    (_planted_girth, _U23, "derivative 1 mismatch",
+     {"k": 1, "girth": 3, "lhs": "-2", "rhs": "-3"}),
+    (_planted_weight, _U23, "order 1 mismatch", {"k": 1, "lhs": None, "rhs": None}),
+    (_planted_flat_sum, _U23, "flat-sum-of-counts {'i': 1, 'j': 1}", {
+        "identity": "flat-sum-of-counts", "params": {"i": 1, "j": 1}, "lhs": ["6"],
+        "rhs": ["3"],
+    }),
+    (_planted_truncation, _U24, "coefficients diverge at order 1", {
+        "first_divergence": 1, "lhs": None, "rhs": None, "prefix": None,
+        "truncation_prefix": None,
+    }),
+    (_planted_upsilon(1), _U23, "coefficient 1 is nonzero",
+     {"coefficient_index": 1, "lhs": "1", "rhs": "0", "prefix": None}),
+    (_planted_upsilon(2), _U23, "leading coefficient is not the signed basis count",
+     {"coefficient_index": 2, "lhs": "4", "rhs": "3", "prefix": None}),
+    (_planted_crash, _U23, "check raised an exception",
+     {"error": "RuntimeError: injected failure"}),
+], ids=["girth", "k-derivative", "counting", "truncation", "upsilon-below-rank",
+        "upsilon-leading", "raised"])
+def test_failure_witness_fields(monkeypatch, plant, entry, reason, found):
+    """Every failure site records the entry, its bases and exactly its own
+    fields (None: any value), and the recorded sides still differ."""
+    report = plant(monkeypatch)
+    assert (report.status, report.entry, report.reason) == (FAILS, entry.name, reason)
+    w = report.witness
+    assert set(w) == {"entry", "provenance", "size", "bases", *found}
+    assert (w["entry"], w["provenance"], w["size"]) == (
+        entry.name, entry.provenance, entry.matroid.size
+    )
+    assert w["bases"] == [sorted(iter_bits(b)) for b in sorted(entry.matroid.bases)]
+    for key, value in found.items():
+        if value is not None:
+            assert w[key] == value, key
+    assert witness_reverifies(report) == ("lhs" in found)
 
 
 def test_integer_holds_paths_build_no_polynomial(monkeypatch, catalog5):

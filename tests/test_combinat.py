@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import matzeta.combinat as combinat
 from matzeta.combinat import (
     falling_factorial,
     generalized_binomial,
@@ -11,6 +12,7 @@ from matzeta.combinat import (
     rising_factorial,
     stirling_first,
     stirling_second,
+    stirling_second_rows,
     verify_stirling_lemma,
 )
 
@@ -77,11 +79,36 @@ def test_stirling_values():
 
 
 def test_stirling_beyond_cache_bound():
-    # row 70 exceeds the 64-row cache; the uncached path must agree with the
-    # recurrence stepped from the cached region
+    # c(n, n-1) = S(n, n-1) = C(n, 2) on a row past 64
     val = stirling_first(70, 69)
     assert val == math.comb(70, 2)
     assert stirling_second(70, 69) == math.comb(70, 2)
+
+
+@pytest.mark.parametrize("n", [70, 100])
+def test_stirling_row_sums_past_row_64(n):
+    # sum_k c(n, k) = n!, and sum_k S(n, k) (x)_k = x^n at x = 3
+    assert sum(stirling_first(n, k) for k in range(n + 1)) == math.factorial(n)
+    assert sum(stirling_second(n, k) * falling_factorial(3, k) for k in range(n + 1)) == 3**n
+    assert list(stirling_second_rows(n))[-1] == [stirling_second(n, k) for k in range(n + 1)]
+
+
+def test_counting_check_walks_each_stirling_row_once(monkeypatch):
+    from matzeta.checks import HOLDS, CatalogEntry, check_counting_identities
+    from matzeta.matroid import uniform
+
+    calls = []
+    step = combinat._next_second_row
+
+    def counted(prev, n):
+        calls.append(n)
+        return step(prev, n)
+
+    monkeypatch.setattr(combinat, "_next_second_row", counted)
+    entry = CatalogEntry("U(2,3)", uniform(2, 3), "uniform(2,3)")
+    assert check_counting_identities(entry, kmax=100).status == HOLDS
+    # one walk over rows 1..100 for the surjection identity, one for the powers
+    assert len(calls) <= 200
 
 
 def test_factorials():
