@@ -5,11 +5,19 @@ proper-flat recurrences, Mobius sums, closed forms for uniform matroids) so
 the routes can be checked against each other exactly.
 
 The routes share their plumbing, never their math.  ``_flag_sum`` is the one
-flag walk: a depth-first fold over the flags 0 = F_0 < ... < F_k = E that
-keeps the denominator factors (|F_i| s + rk F_i) and hands each step to the
-route's own ``step``; ``zeta_by_flags`` steps by multiplying the minor
-characteristic polynomials chi_[F_{i-1}, F_i] and finishes with
-``_chi_div_eval``, ``upsilon_by_flags`` steps by -(|F_i| s + rk F_{i-1}).
+flag walk: an explicit-stack depth-first walk over the flags
+0 = F_0 < ... < F_k = E, in integers only.  Each route gives a ``step``,
+called once per comparable pair F_{i-1} < F_i reached, that returns an
+integer weight and at most one raw numerator factor; a flag's coefficient is
+the product of its weights, and flags are counted by the set of raw factors
+they meet (the numerator factors and the (|F_i|, rk F_i) of the
+denominator), each set expanded once at the end.  ``zeta_by_flags`` weighs a
+step by chi-bar_[F_{i-1}, F_i](1), which it divides itself from the minor
+characteristic polynomial rather than reading the recurrence's weights
+(evaluation at 1 is a ring map, so the product of these is the flag's chi
+product over (q - 1)^k at 1), and a zero weight
+drops every flag through that step; ``upsilon_by_flags`` steps by -1 and the
+factor (|F_i| s + rk F_{i-1}).
 ``_flat_table`` is the one lower-interval fold: for each flat F in ascending
 rank it sums the route's own ``term`` over the flats G < F and divides by
 (|F| s + rk F); ``_zeta_table`` weights by chi-bar_[G, F](1), which the
@@ -21,9 +29,7 @@ over factored linear denominators, grouped by denominator profile, with a
 single canonicalization at the end; public results are always canonical
 RationalFunction values.  The coefficient arithmetic is the integer kernels
 of ``algebra``, including ``_div_linear``, the exact division by a linear
-factor that ``_reduce`` and ``_factored_derivative`` use.  ``_chi_div_eval``
-keeps its own running-sum division by (q - 1), because it runs once per flag
-and one ``divmod`` per coefficient there is measurably slower.
+factor that ``_reduce``, ``_factored_derivative`` and the flag weights use.
 ``_factored_derivative`` differentiates a factored value through the
 log-derivative of its denominator, so the k-derivative check runs on the Z
 table with no polynomial gcd.  Memo tables live inside one computation and
@@ -182,32 +188,61 @@ def _factored_to_rf(f: _Fct) -> RationalFunction:
 def _flag_sum(
     lat: LatticeOfFlats,
     max_flags: int | None,
-    step: Callable[[list[int], int, int], list[int]],
-    finish: Callable[[list[int], int], Sequence[int]],
+    step: Callable[[int, int], tuple[int, tuple[int, int] | None]],
 ) -> RationalFunction:
     """Sum over all flags 0 = F_0 < ... < F_k = E of
-    finish(x_k, k) / prod_{i >= 1} (|F_i| s + rk F_i),
-    where x_0 = [1] and x_i = step(x_{i-1}, F_{i-1}, F_i)."""
+    prod_i w_i p_i / prod_{i >= 1} (|F_i| s + rk F_i),
+    where (w_i, p_i) = step(F_{i-1}, F_i): an integer weight and a raw
+    numerator factor (a, b) standing for a s + b, or None for 1.
+
+    Each flag folds to one integer coefficient keyed by the set of raw
+    factors it meets, a bitmask over a dense index (|F_i| strictly increases,
+    so no factor repeats in a flag); each key is expanded once at the end.
+    ``step`` runs once per comparable pair reached, and a zero weight drops
+    every flag through that step."""
     lat.check_flag_cap(max_flags)
     top = lat.top
-    pairs = {f: _norm_factor(f.bit_count(), lat.rank_of(f)) for f in lat.flats[1:]}
-    acc = _Acc()
-    factors: list[tuple[int, int]] = []
-
-    def walk(f: int, x: list[int], scale: int, steps: int) -> None:
-        for g in lat.strict_supersets(f):
-            x2 = step(x, f, g)
-            c, pair = pairs[g]
-            factors.append(pair)
+    ranks = lat.matroid._ranks
+    bit_of: dict[tuple, int] = {}  # ("den" | "num", a, b) -> bit
+    nexts: dict[int, list[tuple[int, int, int]]] = {}
+    sums: dict[int, int] = {}
+    stack = [(0, 1, 0)]
+    while stack:
+        f, coef, mask = stack.pop()
+        nxt = nexts.get(f)
+        if nxt is None:
+            nxt = nexts[f] = []
+            for g in lat.strict_supersets(f):
+                w, num = step(f, g)
+                if w:
+                    den = ("den", g.bit_count(), ranks[g])
+                    bits = 1 << bit_of.setdefault(den, len(bit_of))
+                    if num is not None:
+                        bits |= 1 << bit_of.setdefault(("num",) + num, len(bit_of))
+                    nxt.append((g, w, bits))
+        for g, w, bits in nxt:
             if g == top:
-                num = finish(x2, steps + 1)
-                if any(num):
-                    acc.add(num, scale * c, tuple(sorted(factors)))
+                key = mask | bits
+                sums[key] = sums.get(key, 0) + coef * w
             else:
-                walk(g, x2, scale * c, steps + 1)
-            factors.pop()
-
-    walk(0, [1], 1, 0)
+                stack.append((g, coef * w, mask | bits))
+    factors = list(bit_of)
+    acc = _Acc()
+    for mask, coef in sums.items():
+        if not coef:
+            continue
+        num, scale, den = [coef], 1, []
+        while mask:
+            low = mask & -mask
+            kind, a, b = factors[low.bit_length() - 1]
+            if kind == "num":
+                num = _imul_linear(num, a, b)
+            else:
+                c, pair = _norm_factor(a, b)
+                scale *= c
+                den.append(pair)
+            mask ^= low
+        acc.add(num, scale, tuple(sorted(den)))
     return _factored_to_rf(acc.total())
 
 
@@ -240,50 +275,32 @@ def _flat_table(
 # Zeta: flag sum
 
 
-def _chi_div_eval(coeffs: Sequence[int], k: int) -> int:
-    """Divide by (q-1)^k with zero-remainder assertions, then evaluate at 1.
-
-    A running sum, not ``_div_linear``: on this per-flag path a ``divmod`` per
-    coefficient made ``zeta u:3,7+u:3,7 --algorithm flags`` take 2.1 s instead
-    of 1.8 s (two runs each, 2 vCPU, CPython 3.11.7)."""
-    cur = list(coeffs)
-    for _ in range(k):
-        d = len(cur) - 1
-        if d < 0:
-            raise InexactDivisionError("flag product has lower degree than (q-1)^len")
-        out = [0] * d
-        acc = 0
-        for i in range(d, 0, -1):
-            acc += cur[i]
-            out[i - 1] = acc
-        rem = cur[0] + (out[0] if d else 0)
-        if rem != 0:
-            raise InexactDivisionError(
-                "flag product is not divisible by (q-1)^len; "
-                "the flag convention is violated"
-            )
-        cur = out
-    return sum(cur)
-
-
 def zeta_by_flags(m: Matroid, *, max_flags: int | None = None) -> RationalFunction:
     """Zeta by direct summation over all flags in the lattice of flats.
 
     Each flag contributes the characteristic polynomial of its step-minor
     product divided exactly by (q-1)^length and evaluated at 1, times the
-    product of 1/(|F| s + rk F) over its nonempty members.
+    product of 1/(|F| s + rk F) over its nonempty members.  Evaluation at 1
+    is a ring map, so that weight is the product of the steps'
+    chi-bar_[F_{i-1}, F_i](1), each divided here from ``minor_chi`` once per
+    comparable pair.
     """
     if m.is_trivial:
         return RationalFunction.one()
     if not m.is_loopless():
         return RationalFunction.zero()
     lat = lattice_of(m)
-    return _flag_sum(
-        lat,
-        max_flags,
-        lambda chi, f, g: _imul(chi, lat.minor_chi(f, g)),
-        lambda chi, length: (_chi_div_eval(chi, length),),
-    )
+
+    def step(f: int, g: int) -> tuple[int, None]:
+        quo = _div_linear(lat.minor_chi(f, g), 1, -1)
+        if quo is None:
+            raise InexactDivisionError(
+                "a step chi is not divisible by (q-1); "
+                "the flag convention is violated"
+            )
+        return sum(quo), None
+
+    return _flag_sum(lat, max_flags, step)
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +377,7 @@ def upsilon_by_flags(m: Matroid, *, max_flags: int | None = None) -> RationalFun
         return RationalFunction.one()
     lat = lattice_of(m)
     ranks = m._ranks
-    return _flag_sum(
-        lat,
-        max_flags,
-        lambda num, f, g: _imul_linear([-c for c in num], g.bit_count(), ranks[f]),
-        lambda num, length: num,
-    )
+    return _flag_sum(lat, max_flags, lambda f, g: (-1, (g.bit_count(), ranks[f])))
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,33 @@
+import gc
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from matzeta.algebra import Polynomial, RationalFunction, _itrim, taylor_prefix
-from matzeta.lattice import FlagCapExceeded, LatticeOfFlats, LoopsError, lattice_of
+from matzeta import zeta
+from matzeta.algebra import (
+    InexactDivisionError,
+    Polynomial,
+    RationalFunction,
+    _itrim,
+    taylor_prefix,
+)
+from matzeta.lattice import (
+    FlagCapExceeded,
+    LatticeOfFlats,
+    LoopsError,
+    _minor_chi_ints,
+    lattice_of,
+)
 from matzeta.matroid import Matroid, graphic, uniform
 from matzeta.zeta import (
     _div_linear,
     _factored_derivative,
     _factored_to_rf,
+    _flag_sum,
     _zeta_table,
     compute_upsilon,
     compute_zeta,
@@ -106,6 +122,120 @@ def test_upsilon_matches_naive_mobius_sum(catalog4):
         for f in lat.flats:
             total = total + lat.mobius_to_top(f) * naive_zeta(m.restriction(f))
         assert total == upsilon_by_recurrence(m), entry.name
+
+
+def literal_flag_folds(m):
+    """(Z, Y) as literal sums over every flag of per-flag RationalFunction
+    products: the chi product of the steps' subset expansions divided by
+    (q-1)^length and evaluated at 1 for Z, and the step quotients
+    -(|F_i| s + rk F_{i-1}) / (|F_i| s + rk F_i) for Y."""
+    lat = lattice_of(m)
+    z = y = RationalFunction.zero()
+    for flag in flags(lat):
+        chi, zterm, yterm = Polynomial.one(), RationalFunction.one(), RationalFunction.one()
+        for low, high in zip(flag, flag[1:]):
+            chi = chi * Polynomial(_minor_chi_ints(m, low, high))
+            den = RationalFunction(Polynomial.linear(high.bit_count(), m.rank_of(high)))
+            zterm = zterm / den
+            yterm = yterm * RationalFunction(
+                Polynomial.linear(-high.bit_count(), -m.rank_of(low))
+            ) / den
+        quo, rem = poly_divmod(chi, Polynomial([-1, 1]) ** (len(flag) - 1))
+        assert rem.is_zero
+        z = z + RationalFunction(Polynomial([quo(1)])) * zterm
+        y = y + yterm
+    return z, y
+
+
+PRUNED_SUMS = [
+    uniform(2, 3).direct_sum(uniform(2, 3)),
+    uniform(1, 2).direct_sum(uniform(2, 4)),
+    uniform(2, 3).direct_sum(uniform(1, 1)).direct_sum(uniform(1, 1)),
+]
+PRUNED_IDS = ["U23+U23", "U12+U24", "U23+U11+U11"]
+
+
+def test_flag_folds_match_literal_flag_products(catalog5):
+    for entry in catalog5:
+        m = entry.matroid
+        if m.is_trivial or not m.is_loopless():
+            continue
+        z, y = literal_flag_folds(m)
+        assert zeta_by_flags(m) == z, entry.name
+        assert upsilon_by_flags(m) == y, entry.name
+
+
+@pytest.mark.parametrize("m", PRUNED_SUMS, ids=PRUNED_IDS)
+def test_flag_folds_match_literal_flag_products_where_weights_vanish(m):
+    lat = lattice_of(m)
+    # a disconnected interval has beta = 0, so some step weight is zero
+    assert any(0 in lat.chibar1_below(f) for f in lat.flats)
+    z, y = literal_flag_folds(m)
+    assert zeta_by_flags(m) == z == zeta_by_recurrence(m)
+    assert upsilon_by_flags(m) == y == upsilon_by_recurrence(m)
+
+
+def comparable_pairs(lat):
+    return {(f, g) for f in lat.flats for g in lat.strict_supersets(f)}
+
+
+@pytest.mark.parametrize(
+    "m",
+    [uniform(3, 5), graphic([(0, 1), (1, 2), (0, 2), (2, 3)])] + PRUNED_SUMS,
+    ids=["U35", "paw"] + PRUNED_IDS,
+)
+def test_flag_step_runs_once_per_comparable_pair(m, monkeypatch):
+    steps = []
+    _flag_sum(lattice_of(m), None, lambda f, g: steps.append((f, g)) or (1, None))
+    assert len(steps) == len(set(steps))
+    assert set(steps) == comparable_pairs(lattice_of(m))
+
+    chis = []
+    original = LatticeOfFlats.minor_chi
+
+    def counting(self, low, high):
+        chis.append((low, high))
+        return original(self, low, high)
+
+    monkeypatch.setattr(LatticeOfFlats, "minor_chi", counting)
+    assert zeta_by_flags(m) == zeta_by_recurrence(m)
+    assert len(chis) == len(set(chis))
+    assert set(chis) <= comparable_pairs(lattice_of(m))
+
+
+def test_flag_weight_divisibility_is_checked_per_interval(monkeypatch):
+    m = uniform(3, 5)
+    lat = lattice_of(m)
+    low = lat.flats_by_rank(1)[0]
+    original = LatticeOfFlats.minor_chi
+
+    def skewed(self, f, g):
+        chi = original(self, f, g)
+        if (f, g) == (low, lat.top):  # chi(1) becomes 1
+            chi = (chi[0] + 1,) + chi[1:]
+        return chi
+
+    monkeypatch.setattr(LatticeOfFlats, "minor_chi", skewed)
+    with pytest.raises(InexactDivisionError, match="flag convention is violated"):
+        zeta_by_flags(m)
+
+
+@pytest.mark.parametrize("route", [zeta_by_flags, upsilon_by_flags])
+def test_flag_walk_leaves_no_cycle_holding_the_lattice(route, monkeypatch):
+    refs = []
+
+    def recording(m):
+        lat = lattice_of(m)
+        refs.append(weakref.ref(lat))
+        return lat
+
+    monkeypatch.setattr(zeta, "lattice_of", recording)
+    gc.disable()  # a reference cycle would keep the lattice until a collection
+    try:
+        route(uniform(3, 5))
+        assert [r() for r in refs] == [None]
+    finally:
+        gc.enable()
 
 
 def test_upsilon_worked_values():
