@@ -16,9 +16,8 @@ the exact division run on the primitive parts of numerator and denominator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -336,18 +335,13 @@ class RationalFunction:
         return other / self
 
     def __pow__(self, k: int) -> "RationalFunction":
+        """num and den are coprime, so their powers are too: one gcd."""
+        num, den = self.num, self.den
         if k < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of the zero rational function")
-            return RationalFunction(self.den, self.num) ** (-k)
-        out = RationalFunction.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+            num, den, k = den, num, -k
+        return RationalFunction(num ** k, den ** k)
 
     def __call__(self, x: Scalar) -> Fraction:
         d = self.den(x)
@@ -408,30 +402,7 @@ def _canonical(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial
 # Taylor expansion at the origin
 
 
-@dataclass(frozen=True)
-class TaylorPrefix:
-    """Coefficients a_0..a_k of an expansion around 0."""
-
-    coefficients: tuple[Fraction, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __len__(self) -> int:
-        return len(self.coefficients)
-
-    def __iter__(self) -> Iterator[Fraction]:
-        return iter(self.coefficients)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.coefficients[i]
-
-    def to_strings(self) -> list[str]:
-        return [str(c) for c in self.coefficients]
-
-
-def taylor_prefix(f: RationalFunction, k: int) -> TaylorPrefix:
+def taylor_prefix(f: RationalFunction, k: int) -> tuple[Fraction, ...]:
     """First k+1 expansion coefficients of f around 0.
 
     Solved from den * (sum a_i s^i) = num mod s^(k+1); requires den(0) != 0.
@@ -449,7 +420,7 @@ def taylor_prefix(f: RationalFunction, k: int) -> TaylorPrefix:
         for j in range(1, min(i, len(den) - 1) + 1):
             acc -= den[j] * out[i - j]
         out.append(acc / d0)
-    return TaylorPrefix(tuple(out))
+    return tuple(out)
 
 
 def kth_derivative_at_zero(f: RationalFunction, k: int) -> Fraction:

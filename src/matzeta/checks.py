@@ -19,7 +19,6 @@ from functools import lru_cache
 from .algebra import (
     Polynomial,
     RationalFunction,
-    TaylorPrefix,
     _iadd,
     _imul_linear,
     taylor_prefix,
@@ -157,12 +156,12 @@ def _upsilon(m: Matroid) -> RationalFunction:
     return upsilon_by_recurrence(m)
 
 
-def zeta_taylor_prefix(m: Matroid, k: int) -> TaylorPrefix:
+def zeta_taylor_prefix(m: Matroid, k: int) -> tuple[Fraction, ...]:
     """Expansion of the zeta value around 0; the seam the checkers go through."""
     return taylor_prefix(_zeta(m), k)
 
 
-def upsilon_taylor_prefix(m: Matroid, k: int) -> TaylorPrefix:
+def upsilon_taylor_prefix(m: Matroid, k: int) -> tuple[Fraction, ...]:
     return taylor_prefix(_upsilon(m), k)
 
 
@@ -356,7 +355,8 @@ def check_conjecture_truncation(entry: CatalogEntry) -> CheckReport:
             return _fails(
                 TRUNCATION_CONJECTURE, entry, f"coefficients diverge at order {k}",
                 first_divergence=k, lhs=str(own[k]), rhs=str(truncated[k]),
-                prefix=own.to_strings(), truncation_prefix=truncated.to_strings(),
+                prefix=[str(c) for c in own],
+                truncation_prefix=[str(c) for c in truncated],
             )
     return CheckReport(TRUNCATION_CONJECTURE, entry.name, HOLDS)
 
@@ -375,13 +375,13 @@ def check_conjecture_upsilon(entry: CatalogEntry) -> CheckReport:
             return _fails(
                 UPSILON_CONJECTURE, entry, f"coefficient {k} is nonzero",
                 coefficient_index=k, lhs=str(prefix[k]), rhs="0",
-                prefix=prefix.to_strings(),
+                prefix=[str(c) for c in prefix],
             )
     if prefix[r] != expected_top:
         return _fails(
             UPSILON_CONJECTURE, entry, "leading coefficient is not the signed basis count",
             coefficient_index=r, lhs=str(prefix[r]), rhs=str(expected_top),
-            prefix=prefix.to_strings(),
+            prefix=[str(c) for c in prefix],
         )
     return CheckReport(UPSILON_CONJECTURE, entry.name, HOLDS)
 

@@ -186,7 +186,7 @@ def _cmd_taylor(args) -> int:
     m = parse_matroid_spec(args.spec)
     prefix = taylor_prefix(compute_zeta(m)[0], args.order)
     if args.format == "json":
-        _emit_json({"taylor": prefix.to_strings()})
+        _emit_json({"taylor": [str(c) for c in prefix]})
     else:
         for k, c in enumerate(prefix):
             print(f"a_{k} = {c}")
@@ -237,7 +237,7 @@ def _cmd_check(args) -> int:
     )
     if args.format == "json":
         for report in reports:
-            print(json.dumps(report.to_json(), sort_keys=True, separators=(", ", ": ")))
+            _emit_json(report.to_json())
     else:
         for report in reports:
             suffix = f"  ({report.reason})" if report.reason else ""
@@ -351,6 +351,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact values print in full: lift CPython's int/str digit limit (3.11+)
+    lift = getattr(sys, "set_int_max_str_digits", None)
+    if lift is not None:
+        lift(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -8,8 +8,9 @@ covers.  One interval-Mobius sweep (``_mobius_row``) gives, by Rota's
 chi_[G, F](q) = sum over H in [G, F] of mu(G, H) q^(rk F - rk H), the minor
 characteristic polynomials (``minor_chi``), the Mobius values and, in one
 pass over every row (``_sweep``), the Z-recurrence weights chi-bar_[G, F](1)
-(``chibar1_below``) together with mu(G, E) (``mobius_to_top``); the signed
-subset expansion ``_minor_chi_ints`` is kept as their oracle.  The flag walk
+(``chibar1_below``) together with mu(G, E) (``mobius_to_top``); a row is
+dropped once read, and the lattice keeps none.  The signed subset expansion
+``_minor_chi_ints`` is kept as their oracle.  The flag walk
 of ``zeta`` is guarded by one hard cap (``check_flag_cap``), compared first
 with the maximal chains, which need only the covers.
 
@@ -57,8 +58,6 @@ class LatticeOfFlats:
         self.top = matroid.full_mask
         self.maximal_chains = maximal_chains
         self._covers: dict[int, tuple[int, ...]] | None = covers
-        self._flat_set = frozenset(self.flats)
-        self._chi_rows: dict[int, dict[int, tuple[int, ...]]] = {}
 
     def __len__(self) -> int:
         return len(self.flats)
@@ -168,18 +167,13 @@ class LatticeOfFlats:
 
     def minor_chi(self, low: int, high: int) -> tuple[int, ...]:
         """Integer coefficients of the characteristic polynomial of
-        restriction(high)/low (flats, low <= high); the sweep row of low is
-        kept per lattice."""
-        row = self._chi_rows.get(low)
-        if row is None:
-            row = self._chi_rows[low] = {
-                f: tuple(reversed(vec)) for f, vec in self._mobius_row(low).items()
-            }
-        return row[high]
+        restriction(high)/low (flats, low <= high), from the sweep row of
+        low; the row is not kept."""
+        return tuple(reversed(self._mobius_row(low)[high]))
 
     def mobius(self, f: int, g: int) -> int:
         """Mobius value of the interval [f, g] in the lattice."""
-        if f not in self._flat_set or g not in self._flat_set:
+        if f not in self._supersets or g not in self._supersets:
             raise ValueError("Mobius arguments must be flats")
         if f & ~g:
             raise ValueError("Mobius arguments must be nested")

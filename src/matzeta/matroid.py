@@ -55,7 +55,6 @@ class Matroid:
         bases: Iterable[int],
         *,
         validate: bool = True,
-        element_map: tuple[int, ...] | None = None,
     ) -> None:
         if size < 0 or size > MAX_GROUND_SIZE:
             raise ValueError(f"ground size {size} outside 0..{MAX_GROUND_SIZE}")
@@ -69,7 +68,6 @@ class Matroid:
         self.size = size
         self.bases = bset
         self.rank = next(iter(bset)).bit_count()
-        self.element_map = element_map
         if validate:
             self._validate()
 
@@ -189,22 +187,18 @@ class Matroid:
     # -- constructions -------------------------------------------------------
 
     def restriction(self, f: int) -> "Matroid":
-        """The matroid on f keeping this matroid's independence inside f.
-
-        Elements are re-indexed densely; ``element_map`` traces them back.
-        """
+        """The matroid on f keeping this matroid's independence inside f,
+        its elements re-indexed densely."""
         self._check_subset(f)
-        elems = tuple(iter_bits(f))
         ranks = self._ranks
         r = ranks[f]
         bases = [_compress(s, f) for s in submasks(f) if s.bit_count() == r == ranks[s]]
-        return Matroid(len(elems), bases, validate=False, element_map=elems)
+        return Matroid(f.bit_count(), bases, validate=False)
 
     def contraction(self, f: int) -> "Matroid":
         """The matroid on E - f with rank S -> rk(S | f) - rk(f)."""
         self._check_subset(f)
         rest = self.full_mask & ~f
-        elems = tuple(iter_bits(rest))
         rf = self._ranks[f]
         target = self.rank - rf
         ranks = self._ranks
@@ -213,7 +207,7 @@ class Matroid:
             for s in submasks(rest)
             if s.bit_count() == target and ranks[s | f] == self.rank
         ]
-        return Matroid(len(elems), bases, validate=False, element_map=elems)
+        return Matroid(rest.bit_count(), bases, validate=False)
 
     def direct_sum(self, other: "Matroid") -> "Matroid":
         size = self.size + other.size

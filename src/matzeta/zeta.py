@@ -6,18 +6,17 @@ the routes can be checked against each other exactly.
 
 The routes share their plumbing, never their math.  ``_flag_sum`` is the one
 flag walk: an explicit-stack depth-first walk over the flags
-0 = F_0 < ... < F_k = E, in integers only.  Each route gives a ``step``,
-called once per comparable pair F_{i-1} < F_i reached, that returns an
-integer weight and at most one raw numerator factor; a flag's coefficient is
-the product of its weights, and flags are counted by the set of raw factors
-they meet (the numerator factors and the (|F_i|, rk F_i) of the
+0 = F_0 < ... < F_k = E, in integers only.  Each route gives ``steps``,
+called once per flat F reached, that lists every step F < G out of it with
+an integer weight and at most one raw numerator factor; a flag's coefficient
+is the product of its weights, and flags are counted by the set of raw
+factors they meet (the numerator factors and the (|F_i|, rk F_i) of the
 denominator), each set expanded once at the end.  ``zeta_by_flags`` weighs a
-step by chi-bar_[F_{i-1}, F_i](1), which it divides itself from the minor
-characteristic polynomial rather than reading the recurrence's weights
-(evaluation at 1 is a ring map, so the product of these is the flag's chi
-product over (q - 1)^k at 1), and a zero weight
-drops every flag through that step; ``upsilon_by_flags`` steps by -1 and the
-factor (|F_i| s + rk F_{i-1}).
+step by chi-bar_[F_{i-1}, F_i](1), which it divides itself from the Mobius
+row of F_{i-1} rather than reading the recurrence's weights (evaluation at 1
+is a ring map, so the product of these is the flag's chi product over
+(q - 1)^k at 1), and a zero weight drops every flag through that step;
+``upsilon_by_flags`` steps by -1 and the factor (|F_i| s + rk F_{i-1}).
 ``_flat_table`` is the one lower-interval fold: for each flat F in ascending
 rank it sums the route's own ``term`` over the flats G < F and divides by
 (|F| s + rk F); ``_zeta_table`` weights by chi-bar_[G, F](1), which the
@@ -47,7 +46,6 @@ from .algebra import (
     InexactDivisionError,
     Polynomial,
     RationalFunction,
-    TaylorPrefix,
     _div_linear,
     _iadd,
     _ideriv,
@@ -188,18 +186,19 @@ def _factored_to_rf(f: _Fct) -> RationalFunction:
 def _flag_sum(
     lat: LatticeOfFlats,
     max_flags: int | None,
-    step: Callable[[int, int], tuple[int, tuple[int, int] | None]],
+    steps: Callable[[int], list[tuple[int, int, tuple[int, int] | None]]],
 ) -> RationalFunction:
     """Sum over all flags 0 = F_0 < ... < F_k = E of
     prod_i w_i p_i / prod_{i >= 1} (|F_i| s + rk F_i),
-    where (w_i, p_i) = step(F_{i-1}, F_i): an integer weight and a raw
-    numerator factor (a, b) standing for a s + b, or None for 1.
+    where (F_i, w_i, p_i) is in steps(F_{i-1}), which lists every flat G
+    strictly above F_{i-1}: an integer weight and a raw numerator factor
+    (a, b) standing for a s + b, or None for 1.
 
     Each flag folds to one integer coefficient keyed by the set of raw
     factors it meets, a bitmask over a dense index (|F_i| strictly increases,
     so no factor repeats in a flag); each key is expanded once at the end.
-    ``step`` runs once per comparable pair reached, and a zero weight drops
-    every flag through that step."""
+    ``steps`` runs once per flat reached, and a zero weight drops every flag
+    through that step."""
     lat.check_flag_cap(max_flags)
     top = lat.top
     ranks = lat.matroid._ranks
@@ -212,8 +211,7 @@ def _flag_sum(
         nxt = nexts.get(f)
         if nxt is None:
             nxt = nexts[f] = []
-            for g in lat.strict_supersets(f):
-                w, num = step(f, g)
+            for g, w, num in steps(f):
                 if w:
                     den = ("den", g.bit_count(), ranks[g])
                     bits = 1 << bit_of.setdefault(den, len(bit_of))
@@ -282,8 +280,8 @@ def zeta_by_flags(m: Matroid, *, max_flags: int | None = None) -> RationalFuncti
     product divided exactly by (q-1)^length and evaluated at 1, times the
     product of 1/(|F| s + rk F) over its nonempty members.  Evaluation at 1
     is a ring map, so that weight is the product of the steps'
-    chi-bar_[F_{i-1}, F_i](1), each divided here from ``minor_chi`` once per
-    comparable pair.
+    chi-bar_[F_{i-1}, F_i](1), each divided here from the Mobius row of
+    F_{i-1}, which is computed once per flat and dropped after.
     """
     if m.is_trivial:
         return RationalFunction.one()
@@ -291,16 +289,20 @@ def zeta_by_flags(m: Matroid, *, max_flags: int | None = None) -> RationalFuncti
         return RationalFunction.zero()
     lat = lattice_of(m)
 
-    def step(f: int, g: int) -> tuple[int, None]:
-        quo = _div_linear(lat.minor_chi(f, g), 1, -1)
-        if quo is None:
-            raise InexactDivisionError(
-                "a step chi is not divisible by (q-1); "
-                "the flag convention is violated"
-            )
-        return sum(quo), None
+    def steps(f: int) -> list[tuple[int, int, None]]:
+        row = lat._mobius_row(f)
+        out = []
+        for g in lat.strict_supersets(f):
+            quo = _div_linear(row[g][::-1], 1, -1)  # the row runs from the top power down
+            if quo is None:
+                raise InexactDivisionError(
+                    "a step chi is not divisible by (q-1); "
+                    "the flag convention is violated"
+                )
+            out.append((g, sum(quo), None))
+        return out
 
-    return _flag_sum(lat, max_flags, step)
+    return _flag_sum(lat, max_flags, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +320,6 @@ def _zeta_table(lat: LatticeOfFlats) -> dict[int, _Fct]:
 
 def zeta_by_recurrence(m: Matroid) -> RationalFunction:
     """Zeta by the proper-flat recurrence, memoized per flat, ascending rank."""
-    if m.is_trivial:
-        return RationalFunction.one()
     if not m.is_loopless():
         return RationalFunction.zero()
     lat = lattice_of(m)
@@ -331,7 +331,7 @@ def zeta_by_recurrence(m: Matroid) -> RationalFunction:
 
 
 def _require_upsilon_input(m: Matroid) -> None:
-    if not m.is_trivial and not m.is_loopless():
+    if not m.is_loopless():
         raise LoopsError("the Mobius inversion is undefined for matroids with loops")
 
 
@@ -339,8 +339,6 @@ def upsilon_by_mobius(m: Matroid) -> RationalFunction:
     """Mobius inversion straight from its definition: sum over all flats of
     mu(F, E) times zeta of the restriction to F."""
     _require_upsilon_input(m)
-    if m.is_trivial:
-        return RationalFunction.one()
     lat = lattice_of(m)
     ztbl = _zeta_table(lat)
     acc = _Acc()
@@ -357,8 +355,6 @@ def upsilon_by_recurrence(m: Matroid) -> RationalFunction:
     """Mobius inversion by its own proper-flat recurrence (no zeta, no mu):
     Y_F = -sum over G < F of (|F| s + rk G) Y_G, over (|F| s + rk F)."""
     _require_upsilon_input(m)
-    if m.is_trivial:
-        return RationalFunction.one()
     lat = lattice_of(m)
     ranks = m._ranks
     tbl = _flat_table(
@@ -377,7 +373,11 @@ def upsilon_by_flags(m: Matroid, *, max_flags: int | None = None) -> RationalFun
         return RationalFunction.one()
     lat = lattice_of(m)
     ranks = m._ranks
-    return _flag_sum(lat, max_flags, lambda f, g: (-1, (g.bit_count(), ranks[f])))
+    return _flag_sum(
+        lat,
+        max_flags,
+        lambda f: [(g, -1, (g.bit_count(), ranks[f])) for g in lat.strict_supersets(f)],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +406,7 @@ def upsilon_uniform_closed(r: int, n: int) -> RationalFunction:
     return RationalFunction(num, den)
 
 
-def uniform_taylor_coefficients(r: int, n: int, kmax: int) -> TaylorPrefix:
+def uniform_taylor_coefficients(r: int, n: int, kmax: int) -> tuple[Fraction, ...]:
     """Expansion coefficients of the uniform zeta: signed multichoose up to
     order r, then the induced linear recurrence."""
     _check_uniform_args(r, n)
@@ -424,7 +424,7 @@ def uniform_taylor_coefficients(r: int, n: int, kmax: int) -> TaylorPrefix:
                 ) * out[k - i]
             a = -total / r
         out.append(a)
-    return TaylorPrefix(tuple(out))
+    return tuple(out)
 
 
 def _check_uniform_args(r: int, n: int) -> None:

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 import matzeta.checks as checks
-from matzeta.algebra import TaylorPrefix
 from matzeta.checks import (
     CONJECTURE_CHECK_NAMES,
     FAILS,
@@ -166,10 +165,10 @@ def test_run_all_checks_bounds_workers(monkeypatch, catalog4, jobs, entries, cpu
 def _perturbing(original, victim, index, delta=Fraction(1)):
     def wrapper(m, k):
         prefix = original(m, k)
-        if m == victim and index <= prefix.order:
-            coeffs = list(prefix.coefficients)
+        if m == victim and index < len(prefix):
+            coeffs = list(prefix)
             coeffs[index] += delta
-            return TaylorPrefix(tuple(coeffs))
+            return tuple(coeffs)
         return prefix
 
     return wrapper

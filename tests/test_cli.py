@@ -253,6 +253,20 @@ def test_taylor_command(capsys):
     assert code == EXIT_OK and out == "a_0 = 1\n"
 
 
+def test_taylor_prints_coefficients_past_the_int_str_digit_limit(capsys):
+    # CPython 3.11+ refuses int/str conversions past 4300 digits by default
+    code, out, err = run_cli(capsys, "taylor", "u:2,16", "-k", "5000", "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    last = json.loads(out)["taylor"][-1]
+    assert sum(c.isdigit() for c in last) > 4300
+
+
+def test_huge_uniform_spec_gets_the_uniform_bound_message(capsys):
+    code, out, err = run_cli(capsys, "zeta", "u:3," + "9" * 5000)
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert err.startswith("error: uniform matroid needs 0 <= r <= n <= 16: r=3, n=999")
+
+
 def test_girth_command(capsys, tmp_path):
     graph = tmp_path / "c4.graph"
     dump_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)], graph)
@@ -338,7 +352,6 @@ def test_check_command_jsonl(capsys):
 def test_check_counterexample_path_end_to_end(capsys, tmp_path, monkeypatch):
     import matzeta.checks as checks
     from fractions import Fraction
-    from matzeta.algebra import TaylorPrefix
 
     victim = uniform(1, 3)  # the truncation of U(2,3)
     original = checks.zeta_taylor_prefix
@@ -346,9 +359,9 @@ def test_check_counterexample_path_end_to_end(capsys, tmp_path, monkeypatch):
     def perturbed(m, k):
         prefix = original(m, k)
         if m == victim:
-            coeffs = list(prefix.coefficients)
+            coeffs = list(prefix)
             coeffs[0] += Fraction(1)
-            return TaylorPrefix(tuple(coeffs))
+            return tuple(coeffs)
         return prefix
 
     monkeypatch.setattr(checks, "zeta_taylor_prefix", perturbed)

@@ -15,7 +15,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -105,4 +104,3 @@ if __name__ == "__main__":
     TRANSCRIPT.parent.mkdir(exist_ok=True)
     record = {_key(argv): _run(argv) for argv in COMMANDS}
     TRANSCRIPT.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    sys.exit(0)

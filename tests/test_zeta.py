@@ -185,37 +185,45 @@ def comparable_pairs(lat):
     ids=["U35", "paw"] + PRUNED_IDS,
 )
 def test_flag_step_runs_once_per_comparable_pair(m, monkeypatch):
-    steps = []
-    _flag_sum(lattice_of(m), None, lambda f, g: steps.append((f, g)) or (1, None))
-    assert len(steps) == len(set(steps))
-    assert set(steps) == comparable_pairs(lattice_of(m))
+    lat = lattice_of(m)
+    reached = []
 
-    chis = []
-    original = LatticeOfFlats.minor_chi
+    def steps(f):
+        reached.append(f)
+        return [(g, 1, None) for g in lat.strict_supersets(f)]
 
-    def counting(self, low, high):
-        chis.append((low, high))
-        return original(self, low, high)
+    _flag_sum(lat, None, steps)
+    # every flat below the top is reached, once, so each pair is stepped once
+    assert sorted(reached) == sorted(set(lat.flats) - {lat.top})
 
-    monkeypatch.setattr(LatticeOfFlats, "minor_chi", counting)
-    assert zeta_by_flags(m) == zeta_by_recurrence(m)
-    assert len(chis) == len(set(chis))
-    assert set(chis) <= comparable_pairs(lattice_of(m))
+    rows = []
+    original = LatticeOfFlats._mobius_row
+
+    def counting(self, low):
+        rows.append(low)
+        return original(self, low)
+
+    monkeypatch.setattr(LatticeOfFlats, "_mobius_row", counting)
+    by_flags = zeta_by_flags(m)
+    assert len(rows) == len(set(rows))
+    assert set(rows) <= set(lat.flats) - {lat.top}
+    monkeypatch.undo()
+    assert by_flags == zeta_by_recurrence(m)
 
 
 def test_flag_weight_divisibility_is_checked_per_interval(monkeypatch):
     m = uniform(3, 5)
     lat = lattice_of(m)
     low = lat.flats_by_rank(1)[0]
-    original = LatticeOfFlats.minor_chi
+    original = LatticeOfFlats._mobius_row
 
-    def skewed(self, f, g):
-        chi = original(self, f, g)
-        if (f, g) == (low, lat.top):  # chi(1) becomes 1
-            chi = (chi[0] + 1,) + chi[1:]
-        return chi
+    def skewed(self, g):
+        row = original(self, g)
+        if g == low:  # chi_[low, E](1) becomes 1
+            row[lat.top][-1] += 1
+        return row
 
-    monkeypatch.setattr(LatticeOfFlats, "minor_chi", skewed)
+    monkeypatch.setattr(LatticeOfFlats, "_mobius_row", skewed)
     with pytest.raises(InexactDivisionError, match="flag convention is violated"):
         zeta_by_flags(m)
 
@@ -236,6 +244,37 @@ def test_flag_walk_leaves_no_cycle_holding_the_lattice(route, monkeypatch):
         assert [r() for r in refs] == [None]
     finally:
         gc.enable()
+
+
+@pytest.fixture
+def built_lattices(monkeypatch):
+    """The lattices the routes of ``zeta`` build, in order."""
+    lats = []
+
+    def recording(m):
+        lats.append(lattice_of(m))
+        return lats[-1]
+
+    monkeypatch.setattr(zeta, "lattice_of", recording)
+    return lats
+
+
+def test_lattice_keeps_no_mobius_row(built_lattices):
+    zeta_by_flags(uniform(3, 5))
+    (lat,) = built_lattices
+    for f, g in comparable_pairs(lat):
+        lat.minor_chi(f, g)
+    # what the lattice grows is its interval index and its flag count
+    assert set(vars(lat)) == {
+        "matroid", "by_rank", "flats", "top", "maximal_chains",
+        "_covers", "_supersets", "flag_count",
+    }
+
+
+@pytest.mark.parametrize("route", [zeta_by_recurrence, upsilon_by_mobius, upsilon_by_recurrence])
+def test_table_routes_fold_the_size_0_matroid(route, built_lattices):
+    assert route(uniform(0, 0)) == RationalFunction.one()
+    assert [lat.flats for lat in built_lattices] == [(0,)]
 
 
 def test_upsilon_worked_values():
@@ -298,14 +337,14 @@ def test_uniform_taylor_coefficients():
     from matzeta.combinat import multichoose
 
     prefix = uniform_taylor_coefficients(2, 3, 3)
-    assert prefix.coefficients == (1, -3, 6, Fraction(-21, 2))
+    assert prefix == (1, -3, 6, Fraction(-21, 2))
     # the multiset-coefficient reading of the low orders is validated against
     # the expansion of the independently built closed form
     for n in range(1, 7):
         for r in range(1, n + 1):
             stated = uniform_taylor_coefficients(r, n, 8)
             oracle = taylor_prefix(zeta_uniform_closed(r, n), 8)
-            assert stated.coefficients == oracle.coefficients, (r, n)
+            assert stated == oracle, (r, n)
             for k in range(r + 1):
                 assert stated[k] == (-1) ** k * multichoose(n, k)
 
