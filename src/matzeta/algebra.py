@@ -68,10 +68,6 @@ class Polynomial:
         return cls((1,))
 
     @classmethod
-    def constant(cls, c: Scalar) -> "Polynomial":
-        return cls((c,))
-
-    @classmethod
     def variable(cls) -> "Polynomial":
         """The monomial of degree 1 with unit coefficient."""
         return cls((0, 1))
@@ -422,10 +418,6 @@ def taylor_prefix(f: RationalFunction, k: int) -> tuple[Fraction, ...]:
         out.append(acc / d0)
     return tuple(out)
 
-
-def kth_derivative_at_zero(f: RationalFunction, k: int) -> Fraction:
-    """k-th formal derivative of f evaluated at 0, i.e. k! * a_k."""
-    return math.factorial(k) * taylor_prefix(f, k)[k]
 
 
 # ---------------------------------------------------------------------------

@@ -442,20 +442,3 @@ def summarize(reports: list[CheckReport]) -> dict[str, int]:
         out[report.status] += 1
     return out
 
-
-def witness_reverifies(report: CheckReport) -> bool:
-    """Re-evaluate both recorded sides of a failing report: they must still differ."""
-    if report.status != FAILS or not report.witness:
-        return False
-    w = report.witness
-    if "lhs" not in w or "rhs" not in w:
-        return False
-    return _parse_side(w["lhs"]) != _parse_side(w["rhs"])
-
-
-def _parse_side(x):
-    if isinstance(x, dict):
-        return RationalFunction.from_json(x)
-    if isinstance(x, list):
-        return tuple(Fraction(s) for s in x)
-    return Fraction(x)

@@ -29,7 +29,7 @@ from .checks import (
     run_all_checks,
     summarize,
 )
-from .files import FileFormatError, load_bases, load_graphic_matroid
+from .files import FileFormatError, _ascii_int, load_bases, load_graphic_matroid
 from .lattice import FlagCapExceeded, _minor_chi_ints, lattice_of
 from .matroid import MAX_GROUND_SIZE, Matroid, iter_bits, uniform
 from .zeta import UPSILON_ALGORITHMS, ZETA_ALGORITHMS, compute_upsilon, compute_zeta
@@ -53,7 +53,7 @@ class SpecParseError(ValueError):
         self.pos = pos
 
 
-_UNIFORM_RE = re.compile(r"u:(\d+),(\d+)")
+_UNIFORM_RE = re.compile(r"u:([0-9]+),([0-9]+)")
 _PREFIX_RE = re.compile(r"(tr|ext)\s*\(")
 _FILE_RE = re.compile(r"(bases|graph):([^+()\s]+)")
 
@@ -259,13 +259,17 @@ def _check_exit_code(reports: list[CheckReport], witness_dir: str | None = None)
     ]
     if counterexamples and witness_dir:
         out = Path(witness_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for r in counterexamples:
-            safe = re.sub(r"[^A-Za-z0-9_.+-]", "_", f"{r.check}__{r.entry}")
-            (out / f"{safe}.json").write_text(
-                json.dumps(r.to_json(), sort_keys=True, indent=2) + "\n",
-                encoding="utf-8",
-            )
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            for r in counterexamples:
+                safe = re.sub(r"[^A-Za-z0-9_.+-]", "_", f"{r.check}__{r.entry}")
+                (out / f"{safe}.json").write_text(
+                    json.dumps(r.to_json(), sort_keys=True, indent=2) + "\n",
+                    encoding="utf-8",
+                )
+        except OSError as exc:  # the reports are on stdout already; the verdict stands
+            reason = exc.strerror or exc
+            print(f"error: cannot write witnesses to {out}: {reason}", file=sys.stderr)
     if theorem_failures:
         return EXIT_THEOREM_FAILURE
     if counterexamples:
@@ -281,7 +285,7 @@ def _int_at_least(low: int):
     """An argparse type for integers no smaller than ``low``."""
 
     def parse(text: str) -> int:
-        value = int(text)
+        value = _ascii_int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value

@@ -1,4 +1,4 @@
-"""Integer combinatorics: Stirling numbers, factorial variants, binomials.
+"""Integer combinatorics: Stirling numbers, rising factorials, binomials.
 
 Stirling numbers come from their triangle recurrences, one row at a time.
 Nothing is memoized across calls: a single value builds rows 0..n, and a
@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 from typing import Iterator
-
-from .algebra import Polynomial
 
 
 def _next_first_row(prev: list[int], n: int) -> list[int]:
@@ -75,16 +73,6 @@ def rising_factorial(n: int, k: int) -> int:
     return out
 
 
-def falling_factorial(n: int, k: int) -> int:
-    """n (n-1) ... (n-k+1); the empty product is 1."""
-    if k < 0:
-        raise ValueError("negative factorial length")
-    out = 1
-    for i in range(k):
-        out *= n - i
-    return out
-
-
 def generalized_binomial(a: int, k: int) -> int:
     """Binomial coefficient a-choose-k for any integer a (k >= 0)."""
     if k < 0:
@@ -102,23 +90,3 @@ def multichoose(n: int, k: int) -> int:
         return 1
     return math.comb(n + k - 1, k)
 
-
-def q_analogue(n: int) -> Polynomial:
-    """1 + q + ... + q^(n-1); the zero polynomial for n = 0."""
-    if n < 0:
-        raise ValueError("negative argument")
-    return Polynomial([1] * n)
-
-
-def verify_stirling_lemma(k: int) -> bool:
-    """Check j * sum_i c(k,i)S(i,j) = k * sum_i c(k-1,i-1)S(i,j) for 1 <= j <= k."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    *_, first_prev, first = [[1], *_rows(_next_first_row, k)]
-    second = [[1], *_rows(_next_second_row, k)]
-    for j in range(1, k + 1):
-        lhs = j * sum(first[i] * second[i][j] for i in range(j, k + 1))
-        rhs = k * sum(first_prev[i - 1] * second[i][j] for i in range(j, k + 1))
-        if lhs != rhs:
-            return False
-    return True

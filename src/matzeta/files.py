@@ -134,13 +134,23 @@ def load_graphic_matroid(source) -> Matroid:
     return graphic(edges, vertices)
 
 
+def _ascii_int(text: str) -> int:
+    """An integer matching [+-]?[0-9]+; ``int()`` alone would also take other
+    Unicode digits, underscores and whitespace.  The test is on str methods,
+    not a regex, because bases files hold tens of thousands of tokens; it
+    lets several signs through, and ``int()`` refuses those."""
+    if not (text.isascii() and text.lstrip("+-").isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _parse_int(lineno: int, items: list[str], exactly: int | None = None) -> list[int]:
     if exactly is not None and len(items) != exactly:
         raise FileFormatError(f"line {lineno}: expected {exactly} integer(s)")
     out = []
     for item in items:
         try:
-            out.append(int(item))
+            out.append(_ascii_int(item))
         except ValueError as exc:
             raise FileFormatError(f"line {lineno}: {item!r} is not an integer") from exc
     return out

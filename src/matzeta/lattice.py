@@ -16,7 +16,7 @@ with the maximal chains, which need only the covers.
 
 Characteristic polynomials are integer coefficient tuples: the reduced one,
 chi-bar = chi / (q - 1), is ``_minor_chibar_ints``, an exact integer
-division; the public ``Polynomial`` functions wrap these tuples.
+division; ``minor_reduced_chi`` is the one public wrapper, a ``Polynomial``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterator
 
-from .algebra import InexactDivisionError, Polynomial, _div_linear, _iadd
+from .algebra import InexactDivisionError, Polynomial, _div_linear
 from .matroid import Matroid
 
 DEFAULT_FLAG_CAP = 10_000_000
@@ -263,22 +263,6 @@ def _minor_chi_ints(m: Matroid, low: int, high: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def characteristic_polynomial(m: Matroid) -> Polynomial:
-    """Characteristic polynomial by the signed subset expansion.
-
-    Matroids with loops give the zero polynomial.
-    """
-    if not m.is_loopless():
-        return Polynomial.zero()
-    return Polynomial(_minor_chi_ints(m, 0, m.full_mask))
-
-
-def characteristic_polynomial_via_flats(lat: LatticeOfFlats) -> Polynomial:
-    """Mobius form: sum over flats of mu(0, F) q^(rk(M) - rk(F)), the
-    interval-Mobius sweep of the bottom flat."""
-    return Polynomial(lat.minor_chi(0, lat.top))
-
-
 def _minor_chibar_ints(m: Matroid, low: int, high: int) -> tuple[int, ...]:
     """Integer coefficients of the reduced characteristic polynomial of
     restriction(high) / low: chi divided exactly by (q - 1).  A zero chi
@@ -292,37 +276,7 @@ def _minor_chibar_ints(m: Matroid, low: int, high: int) -> tuple[int, ...]:
     return tuple(quo)
 
 
-def reduced_characteristic_polynomial(m: Matroid) -> Polynomial:
-    """Characteristic polynomial divided exactly by (q - 1).
-
-    Defined for loopless nontrivial matroids, where q = 1 is always a root;
-    matroids with loops give the zero polynomial, and the trivial matroid
-    surfaces as an InexactDivisionError.
-    """
-    return Polynomial(_minor_chibar_ints(m, 0, m.full_mask))
-
-
 def minor_reduced_chi(m: Matroid, low: int, high: int) -> Polynomial:
     """Reduced characteristic polynomial of restriction(high) / low."""
     return Polynomial(_minor_chibar_ints(m, low, high))
 
-
-def verify_two_flats_identity(m: Matroid) -> bool:
-    """For every nested flat pair F1 <= F2, check that the q-analogue of the
-    rank gap equals the sum of reduced characteristic polynomials of the
-    minors restriction(F2) / F over flats F1 <= F < F2."""
-    lat = lattice_of(m)
-    memo: dict[tuple[int, int], tuple[int, ...]] = {}
-    for f2 in lat.flats:
-        below = lat.strict_subsets(f2)
-        for f1 in below + (f2,):
-            rhs: list[int] = []
-            for f in below:
-                if f1 & ~f == 0:
-                    term = memo.get((f, f2))
-                    if term is None:
-                        term = memo[(f, f2)] = _minor_chibar_ints(m, f, f2)
-                    rhs = _iadd(rhs, term)
-            if rhs != [1] * (lat.rank_of(f2) - lat.rank_of(f1)):
-                return False
-    return True

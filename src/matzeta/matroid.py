@@ -163,17 +163,6 @@ class Matroid:
     def is_trivial(self) -> bool:
         return self.size == 0
 
-    def circuits(self) -> tuple[int, ...]:
-        """Minimal dependent sets, sorted by (cardinality, mask)."""
-        ranks = self._ranks
-        out = []
-        for m in range(1, 1 << self.size):
-            c = m.bit_count()
-            if ranks[m] < c and all(ranks[m ^ low] == c - 1 for low in _low_bits(m)):
-                out.append(m)
-        out.sort(key=lambda m: (m.bit_count(), m))
-        return tuple(out)
-
     def girth(self) -> int:
         """Size of the smallest circuit; |E| + 1 when there are none."""
         ranks = self._ranks

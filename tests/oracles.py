@@ -1,9 +1,15 @@
 """Literal routes kept only as test oracles: long division over Fraction,
-the flag walk over strict_supersets and the degeneration along a flag."""
+the flag walk over strict_supersets and the degeneration along a flag, the
+characteristic polynomial by the signed subset expansion (``chi``), the
+two-flats identity and the Stirling lemma checked term by term, and the
+re-evaluation of a failure witness (``witness_reverifies``)."""
 
 from fractions import Fraction
 
-from matzeta.algebra import Polynomial
+from matzeta.algebra import Polynomial, RationalFunction, _iadd
+from matzeta.checks import FAILS
+from matzeta.combinat import stirling_first, stirling_second_rows
+from matzeta.lattice import _minor_chi_ints, _minor_chibar_ints, lattice_of
 from matzeta.matroid import _compress, uniform
 
 
@@ -37,3 +43,63 @@ def degeneration(m, flag):
     for low, high in zip(flag, flag[1:]):
         out = out.direct_sum(m.restriction(high).contraction(_compress(low, high)))
     return out
+
+
+def chi(m):
+    """Characteristic polynomial by the signed subset expansion; with loops
+    the expansion cancels to the zero polynomial."""
+    return Polynomial(_minor_chi_ints(m, 0, m.full_mask))
+
+
+def verify_two_flats_identity(m):
+    """For every nested flat pair F1 <= F2, check that the q-analogue of the
+    rank gap equals the sum of reduced characteristic polynomials of the
+    minors restriction(F2) / F over flats F1 <= F < F2."""
+    lat = lattice_of(m)
+    memo = {}
+    for f2 in lat.flats:
+        below = lat.strict_subsets(f2)
+        for f1 in below + (f2,):
+            rhs = []
+            for f in below:
+                if f1 & ~f == 0:
+                    term = memo.get((f, f2))
+                    if term is None:
+                        term = memo[(f, f2)] = _minor_chibar_ints(m, f, f2)
+                    rhs = _iadd(rhs, term)
+            if rhs != [1] * (lat.rank_of(f2) - lat.rank_of(f1)):
+                return False
+    return True
+
+
+def verify_stirling_lemma(k):
+    """Check j * sum_i c(k,i)S(i,j) = k * sum_i c(k-1,i-1)S(i,j) for 1 <= j <= k."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    first = [stirling_first(k, i) for i in range(k + 1)]
+    first_prev = [stirling_first(k - 1, i) for i in range(k)]
+    second = [[1], *stirling_second_rows(k)]
+    for j in range(1, k + 1):
+        lhs = j * sum(first[i] * second[i][j] for i in range(j, k + 1))
+        rhs = k * sum(first_prev[i - 1] * second[i][j] for i in range(j, k + 1))
+        if lhs != rhs:
+            return False
+    return True
+
+
+def witness_reverifies(report):
+    """Re-evaluate both recorded sides of a failing report: they must still differ."""
+    if report.status != FAILS or not report.witness:
+        return False
+    w = report.witness
+    if "lhs" not in w or "rhs" not in w:
+        return False
+    return _parse_side(w["lhs"]) != _parse_side(w["rhs"])
+
+
+def _parse_side(x):
+    if isinstance(x, dict):
+        return RationalFunction.from_json(x)
+    if isinstance(x, list):
+        return tuple(Fraction(s) for s in x)
+    return Fraction(x)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,6 @@ from matzeta.algebra import (
     _idiv_exact,
     _imul,
     _itrim,
-    kth_derivative_at_zero,
     poly_gcd,
     taylor_prefix,
 )
@@ -161,12 +161,13 @@ def test_taylor_prefix_needs_nonzero_at_origin():
         taylor_prefix(rf([1], [0, 1]), 2)
 
 
-def test_kth_derivative_at_zero():
+def test_taylor_prefix_gives_derivatives_at_zero():
+    # the k-th derivative at 0 is k! times the k-th coefficient
     f = rf([1], [1, 1]) ** 3
-    assert kth_derivative_at_zero(f, 2) == 12
-    assert kth_derivative_at_zero(rf([1], [1, 5]), 0) == 1
+    assert math.factorial(2) * taylor_prefix(f, 2)[2] == 12
+    assert taylor_prefix(rf([1], [1, 5]), 0) == (1,)
     z23 = rf([2, -1], [2, 5, 3])
-    assert kth_derivative_at_zero(z23, 1) == -3
+    assert math.factorial(1) * taylor_prefix(z23, 1)[1] == -3
 
 
 def test_rf_derivative():
@@ -294,7 +295,7 @@ def test_canonical_form_matches_sympy_cancel():
         st.integers(-3, 3).filter(bool),
     )
     def check(num, den, shared, c):
-        common = Polynomial.constant(c)
+        common = Polynomial([c])
         for factor in shared:
             common = common * Polynomial(factor)
         num, den = Polynomial(num) * common, Polynomial(den) * common

@@ -216,6 +216,26 @@ def test_counts_below_their_minimum_are_usage_errors(capsys, argv):
     assert "must be at least" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, text, message", [
+    (["zeta", "u:\u0661,\u0662"], None, "error: at position 0: expected u:<r>,<n>"),
+    (["zeta", "u:2,\u0663"], None, "error: at position 0: expected u:<r>,<n>"),
+    (["zeta", "bases:{path}"], "n \uff13\nb \uff10\nb 1\nb +2\n", "'\uff13' is not an integer"),
+    (["zeta", "bases:{path}"], "n 3\nb 0\nb 1\nb 1_0\n", "'1_0' is not an integer"),
+    (["girth", "graph:{path}"], "v 1_1\ne 0 1\n", "'1_1' is not an integer"),
+    (["taylor", "u:2,3", "-k", "\uff15"], None, "invalid int value: '\uff15'"),
+    (["check", "all", "--max-ground", "1_0"], None, "invalid int value: '1_0'"),
+    (["zeta", "u:2,3", "--max-flags", " 5"], None, "invalid int value: ' 5'"),
+], ids=["arabic-indic-spec", "arabic-indic-n", "fullwidth-bases", "underscore-bases",
+        "underscore-graph", "fullwidth-option", "underscore-option", "space-option"])
+def test_integers_are_ascii_digits_with_an_optional_sign(capsys, tmp_path, argv, text, message):
+    path = tmp_path / "atom.txt"
+    if text is not None:
+        path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert message in err and "Traceback" not in err
+
+
 def test_zeta_flag_cap(capsys):
     code, _, err = run_cli(
         capsys, "zeta", "u:3,3", "--algorithm", "flags", "--max-flags", "2"
@@ -381,6 +401,14 @@ def test_check_counterexample_path_end_to_end(capsys, tmp_path, monkeypatch):
     assert witness_files
     payload = json.loads(witness_files[0].read_text())
     assert payload["status"] == "fails" and "witness" in payload
+    # an --out that cannot be a directory costs the witness files, not the verdict
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ["check", "conjectures", "--max-ground", "3", "--out", str(blocker)]
+    code, again, err = run_cli(capsys, *argv)
+    assert (code, again) == (EXIT_COUNTEREXAMPLE, out)
+    assert err.startswith(f"error: cannot write witnesses to {blocker}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_check_exit_codes_and_witness_files(tmp_path):
@@ -399,6 +427,9 @@ def test_check_exit_codes_and_witness_files(tmp_path):
     assert len(files) == 1
     payload = json.loads(files[0].read_text())
     assert payload["witness"] == {"lhs": "3", "rhs": "4"}
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert _check_exit_code([ok, counterexample], str(blocker)) == EXIT_COUNTEREXAMPLE
 
 
 def test_cli_deterministic_in_process(capsys):

@@ -38,6 +38,7 @@ def test_bases_roundtrip_all_catalog(catalog4):
 def test_bases_parsing_details():
     text = "# comment\nn 3\n\nb 0 1  # trailing comment\nb 1 2\nb 0 2\n"
     assert load_bases(io.StringIO(text)) == uniform(2, 3)
+    assert load_bases(io.StringIO("n +3\nb 0 2\nb -0 +1\nb 1 2\n")) == uniform(2, 3)
     trivial = load_bases(io.StringIO("n 0\nb\n"))
     assert trivial == uniform(0, 0)
 
@@ -70,6 +71,7 @@ def test_bases_at_the_ground_size_bound():
         ("n 2\n", "no bases"),
         ("", "missing size"),
         ("n 2\nb zero\n", "not an integer"),
+        ("n 2\nb +-1\n", "not an integer"),
         ("n 4\nb 0 1\nb 2 3\n", "not a matroid"),
     ],
 )

@@ -1,4 +1,5 @@
-"""Every name a package module imports is used there or re-exported in __all__.
+"""Every name a package module imports is used there or re-exported in
+__all__, and every public module-level function has a caller in the package.
 
 No linter ships with the test dependencies, so this walks the syntax trees
 with the standard library.
@@ -10,6 +11,21 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "matzeta"
+
+# Public functions nothing in the package calls, each with what needs it.
+UNCALLED_BY_DESIGN = {
+    "algebra.poly_gcd": "perfbench span algebra.poly_gcd",
+    "lattice.minor_reduced_chi": "perfbench span lattice.minor_reduced_chi",
+    "zeta.zeta_uniform_closed": "perfbench large-verify reference value",
+    "zeta.upsilon_uniform_closed": "perfbench large-verify reference value",
+    "zeta.zeta_of_free_extension_via_transfer": "perfbench large-verify reference value",
+    "zeta.zeta_of_truncation_via_transfer": "paper formula checked by criterion 4",
+    "zeta.uniform_taylor_coefficients": "paper formula checked by criterion 3",
+    "combinat.stirling_first": "Stirling numbers checked by criterion 8",
+    "combinat.stirling_second": "Stirling numbers checked by criterion 8",
+    "files.dump_bases": "bases-file writer documented in the README",
+    "files.dump_graph": "graph-file writer documented in the README",
+}
 
 
 def _imported(tree: ast.Module) -> dict[str, int]:
@@ -42,6 +58,20 @@ def _used(tree: ast.Module) -> set[str]:
     return out
 
 
+def _uncalled(trees: dict[str, ast.Module]) -> set[str]:
+    """module.function for every public module-level function whose name no
+    module loads or exports."""
+    used = set().union(*map(_used, trees.values()))
+    return {
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in used
+    }
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(), str(path))
@@ -53,3 +83,20 @@ def test_no_unused_imports(path):
 def test_guard_sees_an_unused_import():
     tree = ast.parse("import os\nfrom .x import a, b as c\n__all__ = ['a']\n")
     assert set(_imported(tree)) - _used(tree) == {"os", "c"}
+
+
+def test_every_public_function_has_a_caller():
+    trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in PACKAGE.glob("*.py")}
+    uncalled = _uncalled(trees)
+    stray = sorted(uncalled - set(UNCALLED_BY_DESIGN))
+    assert not stray, f"public functions nothing in the package calls: {stray}"
+    stale = sorted(set(UNCALLED_BY_DESIGN) - uncalled)
+    assert not stale, f"UNCALLED_BY_DESIGN entries that now have a caller: {stale}"
+
+
+def test_guard_sees_an_uncalled_function():
+    trees = {
+        "a": ast.parse("def f(): pass\ndef g(): pass\ndef _h(): pass\n__all__ = ['g']\n"),
+        "b": ast.parse("def k(): return j()\ndef j(): pass\n"),
+    }
+    assert _uncalled(trees) == {"a.f", "b.k"}

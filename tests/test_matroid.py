@@ -167,14 +167,11 @@ def test_loops():
 
 
 def test_circuits_and_girth():
-    m = uniform(2, 3)
-    assert m.circuits() == (0b111,)
+    assert uniform(2, 3).girth() == 3
     for r, n in [(1, 3), (2, 4), (3, 4), (2, 2)]:
         m = uniform(r, n)
         expected = r + 1 if r < n else n + 1
         assert m.girth() == expected
-        for c in m.circuits():
-            assert c.bit_count() == r + 1 or r == n
     assert uniform(0, 0).girth() == 1
 
 

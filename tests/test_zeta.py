@@ -42,7 +42,7 @@ from matzeta.zeta import (
     zeta_of_truncation_via_transfer,
     zeta_uniform_closed,
 )
-from oracles import degeneration, flags, poly_divmod
+from oracles import chi, degeneration, flags, poly_divmod
 
 Z23 = RationalFunction(Polynomial([2, -1]), Polynomial([2, 5, 3]))
 Y23 = RationalFunction(Polynomial([0, 0, 6]), Polynomial([2, 5, 3]))
@@ -85,8 +85,6 @@ def naive_zeta(m):
     """Deliberately literal route: build every degeneration as a matroid,
     take its characteristic polynomial by subset expansion, divide by
     (q-1)^length, evaluate at 1, and fold plain rational-function sums."""
-    from matzeta.lattice import characteristic_polynomial
-
     if m.size == 0:
         return RationalFunction.one()
     if not m.is_loopless():
@@ -94,8 +92,8 @@ def naive_zeta(m):
     lat = lattice_of(m)
     total = RationalFunction.zero()
     for flag in flags(lat):
-        chi = characteristic_polynomial(degeneration(m, flag))
-        quo, rem = poly_divmod(chi, Polynomial([-1, 1]) ** (len(flag) - 1))
+        divisor = Polynomial([-1, 1]) ** (len(flag) - 1)
+        quo, rem = poly_divmod(chi(degeneration(m, flag)), divisor)
         assert rem.is_zero
         term = RationalFunction(Polynomial([quo(1)]))
         for f in flag:
