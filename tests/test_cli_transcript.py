@@ -45,6 +45,14 @@ COMMANDS = [
     ["upsilon", "tr(u:3,4)+ext(u:1,2)", "--verify", "--max-flags", "1000"],
     ["upsilon", "u:4,5", "--verify", "--max-flags", "10"],
     ["zeta", "u:3,5+u:1,1", "--verify", "--format", "json"],
+    # --verify on matroids with loops, and on a free extension
+    ["zeta", "u:0,3", "--verify"],
+    ["zeta", "ext(u:0,2)", "--verify"],
+    ["upsilon", "u:0,3", "--verify"],
+    ["upsilon", "u:1,2+u:0,1", "--verify", "--format", "json"],
+    ["lattice", "u:0,3"],
+    ["zeta", "ext(u:3,9)", "--verify", "--format", "json"],
+    ["upsilon", "ext(u:3,9)", "--verify", "--format", "json"],
     # the Mobius route
     ["upsilon", "u:3,5", "--algorithm", "mobius"],
     ["upsilon", "tr(u:3,4)+ext(u:1,2)", "--algorithm", "mobius", "--format", "json"],
