@@ -10,6 +10,7 @@ Prefix operators bind tighter than the infix sum, and nest at most
 MAX_NESTING deep.  Exit codes: 0 success, 2 usage/parse error, 3 domain error
 (loops where disallowed, caps, bad construction), 4 theorem-check failure or
 a ``--verify`` disagreement between algorithms, 5 conjecture counterexample.
+``--verify`` runs every route on one lattice of flats: shared plumbing, never math.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .checks import (
 from .files import FileFormatError, _ascii_int, load_bases, load_graphic_matroid
 from .lattice import FlagCapExceeded, _minor_chi_ints, lattice_of
 from .matroid import MAX_GROUND_SIZE, Matroid, iter_bits, uniform
+from . import zeta as routes
 from .zeta import UPSILON_ALGORITHMS, ZETA_ALGORITHMS, compute_upsilon, compute_zeta
 
 EXIT_OK = 0
@@ -140,19 +142,21 @@ def _cmd_zeta(args) -> int:
     m = parse_matroid_spec(args.spec)
     if not m.is_loopless():
         print("note: matroid has loops; its zeta value is 0", file=sys.stderr)
-    if args.verify:
-        by_flags, _ = compute_zeta(m, "flags", max_flags=args.max_flags)
-        zeta, algorithm = compute_zeta(m, "recurrence")
+    if not args.verify:
+        zeta, algorithm = compute_zeta(m, args.algorithm, max_flags=args.max_flags)
+    elif m.is_trivial or not m.is_loopless():  # 1 and 0 by the flag route's guard, no lattice
+        zeta, algorithm = routes.zeta_by_flags(m), "recurrence"
+    else:
+        lat = lattice_of(m)
+        by_flags = routes._zeta_by_flags(lat, args.max_flags)
+        zeta, algorithm = routes._zeta_by_recurrence(lat), "recurrence"
         # both routes read chi from the Mobius sweep; the subset expansion checks it
-        lat = lattice_of(m) if m.is_loopless() else None
-        if lat is not None and lat.minor_chi(0, lat.top) != _minor_chi_ints(m, 0, lat.top):
+        if lat.minor_chi(0, lat.top) != _minor_chi_ints(m, 0, lat.top):
             print("verification failed: Mobius and subset-expansion chi disagree", file=sys.stderr)
             return EXIT_THEOREM_FAILURE
         if by_flags != zeta:
             print("verification failed: flag sum and recurrence disagree", file=sys.stderr)
             return EXIT_THEOREM_FAILURE
-    else:
-        zeta, algorithm = compute_zeta(m, args.algorithm, max_flags=args.max_flags)
     if args.format == "json":
         _emit_json({"algorithm": algorithm, **zeta.to_json()})
     else:
@@ -162,19 +166,19 @@ def _cmd_zeta(args) -> int:
 
 def _cmd_upsilon(args) -> int:
     m = parse_matroid_spec(args.spec)
-    if args.verify:
+    if not args.verify:
+        upsilon, algorithm = compute_upsilon(m, args.algorithm, max_flags=args.max_flags)
+    elif m.is_trivial or not m.is_loopless():  # 1, or LoopsError, by the flag route's guard
+        upsilon, algorithm = routes.upsilon_by_flags(m), "recurrence"
+    else:
+        lat = lattice_of(m)
         # flags first: it is the only route with a cap, so a capped run fails fast
-        values = [
-            compute_upsilon(m, "flags", max_flags=args.max_flags),
-            compute_upsilon(m, "mobius"),
-            compute_upsilon(m, "recurrence"),
-        ]
-        if len({value for value, _ in values}) != 1:
+        by_flags = routes._upsilon_by_flags(lat, args.max_flags)
+        by_mobius = routes._upsilon_by_mobius(lat)
+        upsilon, algorithm = routes._upsilon_by_recurrence(lat), "recurrence"
+        if not by_flags == by_mobius == upsilon:
             print("verification failed: upsilon algorithms disagree", file=sys.stderr)
             return EXIT_THEOREM_FAILURE
-        upsilon, algorithm = values[2]
-    else:
-        upsilon, algorithm = compute_upsilon(m, args.algorithm, max_flags=args.max_flags)
     if args.format == "json":
         _emit_json({"algorithm": algorithm, **upsilon.to_json()})
     else:

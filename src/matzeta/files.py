@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from typing import Sequence
 
-from .matroid import Matroid, graphic, iter_bits, mask_of
+from .matroid import MAX_GROUND_SIZE, Matroid, graphic, iter_bits, mask_of
 
 
 class FileFormatError(ValueError):
@@ -54,6 +54,12 @@ def load_bases(source) -> Matroid:
             if size is not None:
                 raise FileFormatError(f"line {lineno}: duplicate size line")
             size = _parse_int(lineno, rest, exactly=1)[0]
+            if size < 0:
+                raise FileFormatError(f"line {lineno}: negative size {size}")
+            if size > MAX_GROUND_SIZE:  # a domain error, as for u:3,17
+                raise ValueError(
+                    f"line {lineno}: ground size {size} exceeds the bound {MAX_GROUND_SIZE}"
+                )
         elif tag == "b":
             if size is None:
                 raise FileFormatError(f"line {lineno}: basis before the size line")

@@ -229,7 +229,7 @@ def lattice_of(m: Matroid) -> LatticeOfFlats:
             above = []
             rest = m.full_mask & ~f
             while rest:
-                c = m.closure_of(f | rest & -rest)
+                c = m._closure(f | rest & -rest)  # inside E by construction
                 above.append(c)
                 rest &= ~c
             covers[f] = tuple(above)

@@ -4,7 +4,7 @@ Ground elements are 0..size-1 and every subset is an int bitmask, so the
 whole ground set fits one machine word (size <= MAX_GROUND_SIZE).  Rank and
 independence queries go through one lazily built rank table over all subsets
 (S is independent iff rk S = |S|), which makes minors, closures and circuit
-searches direct loops over masks.
+searches direct loops over masks; every closure is one loop over it (``_closure``).
 """
 
 from __future__ import annotations
@@ -77,20 +77,19 @@ class Matroid:
         """Require the local rank axiom: r(X+e) = r(X+f) = r(X) => r(X+e+f) = r(X)
         (Oxley, *Matroid Theory*, 1.3), i.e. cl(X) lies in cl(X+e) for e in cl(X) - X.
 
-        Exact: ``_ranks`` (|S| on subsets of given sets, else the max over single
-        deletions) starts at 0 and grows by 0 or 1 per element for any family, so
-        it is a matroid rank function iff the axiom holds, with the subsets of the
-        given sets as its independent sets and so the given family as its bases.
-        """
+        Exact: ``_ranks`` starts at 0 and grows by 0 or 1 per element for any
+        family, so it is a matroid rank function iff the axiom holds, with the
+        subsets of the given sets as its independent sets and so the given family
+        as its bases."""
         if len({b.bit_count() for b in self.bases}) != 1:
             raise ValueError("bases have mixed cardinalities")
-        closures = [self.closure_of(x) for x in range(1 << self.size)]
+        closures = [self._closure(x) for x in range(1 << self.size)]
         for x, cl in enumerate(closures):
-            for e in _low_bits(cl & ~x):
-                if bad := cl & ~closures[x | e]:
+            for e in iter_bits(cl & ~x):
+                if bad := cl & ~closures[x | 1 << e]:
                     raise ValueError(
                         f"basis exchange fails: {sorted(iter_bits(x))} keeps its rank with "
-                        f"{e.bit_length() - 1} or {(bad & -bad).bit_length() - 1}, not both"
+                        f"{e} or {(bad & -bad).bit_length() - 1}, not both"
                     )
 
     # -- core queries ------------------------------------------------------
@@ -102,33 +101,36 @@ class Matroid:
     @cached_property
     def _ranks(self) -> list[int]:
         """Rank of every subset: |S| on the independent sets, peeled down from
-        the bases, and the max over single deletions on the others."""
+        the bases, and the max over single deletions on the others.  For any family
+        this steps by 0 or 1 per element (with f the deletion attaining the max,
+        rk S = rk(S-f) <= rk(S-f-e) + 1 <= rk(S-e) + 1 by induction), so the max is
+        rk(S - low) or one more: the scan stops at the first deletion one higher."""
         table = [0] * (1 << self.size)
-        level = set(self.bases)
-        for b in level:
+        stack = list(self.bases)
+        for b in stack:
             table[b] = self.rank
-        while level:
-            nxt = set()
-            for m in level:
-                rest = m
-                while rest:
-                    low = rest & -rest
-                    child = m ^ low
-                    if child and not table[child]:
-                        table[child] = child.bit_count()
-                        nxt.add(child)
-                    rest ^= low
-            level = nxt
+        while stack:
+            m = stack.pop()
+            rest = m
+            while rest:
+                low = rest & -rest
+                child = m ^ low
+                if child and not table[child]:
+                    table[child] = child.bit_count()
+                    stack.append(child)
+                rest ^= low
         for m in range(1, 1 << self.size):  # every deletion of m is a smaller mask
             if not table[m]:  # nonempty and dependent
-                best = 0
-                rest = m
-                while rest:
-                    low = rest & -rest
-                    r = table[m ^ low]
-                    if r > best:
-                        best = r
-                    rest ^= low
+                low = m & -m
+                best = table[m ^ low]
+                if best < self.rank:
+                    rest = m ^ low
+                    while rest:
+                        low = rest & -rest
+                        if table[m ^ low] > best:
+                            best += 1
+                            break
+                        rest ^= low
                 table[m] = best
         return table
 
@@ -142,19 +144,23 @@ class Matroid:
 
     def closure_of(self, s: int) -> int:
         self._check_subset(s)
-        r = self._ranks[s]
+        return self._closure(s)
+
+    def _closure(self, s: int) -> int:  # s inside the ground set, unchecked
+        ranks = self._ranks
+        r = ranks[s]
         out = s
         rest = self.full_mask & ~s
         while rest:
             low = rest & -rest
-            if self._ranks[s | low] == r:
+            if ranks[s | low] == r:
                 out |= low
             rest ^= low
         return out
 
     def loops(self) -> int:
         """Mask of rank-0 elements (the closure of the empty set)."""
-        return self.closure_of(0)
+        return self._closure(0)
 
     def is_loopless(self) -> bool:
         return self.loops() == 0
@@ -243,13 +249,6 @@ class Matroid:
         shown = sorted(self.bases)[:4]
         more = "..." if len(self.bases) > 4 else ""
         return f"Matroid(size={self.size}, rank={self.rank}, bases={shown}{more})"
-
-
-def _low_bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
 
 
 def _compress(sub: int, within: int) -> int:

@@ -4,8 +4,9 @@ Every quantity is computed by more than one independent algorithm (flag sums,
 proper-flat recurrences, Mobius sums, closed forms for uniform matroids) so
 the routes can be checked against each other exactly.
 
-The routes share their plumbing, never their math.  ``_flag_sum`` is the one
-flag walk: an explicit-stack depth-first walk over the flags
+The routes share their plumbing, never their math: each is a matroid guard
+around a body on a ``LatticeOfFlats``, and ``--verify`` runs all on one lattice.
+``_flag_sum`` is the one flag walk: an explicit-stack depth-first walk over the flags
 0 = F_0 < ... < F_k = E, in integers only.  Each route gives ``steps``,
 called once per flat F reached, that lists every step F < G out of it with
 an integer weight and at most one raw numerator factor; a flag's coefficient
@@ -287,8 +288,10 @@ def zeta_by_flags(m: Matroid, *, max_flags: int | None = None) -> RationalFuncti
         return RationalFunction.one()
     if not m.is_loopless():
         return RationalFunction.zero()
-    lat = lattice_of(m)
+    return _zeta_by_flags(lattice_of(m), max_flags)
 
+
+def _zeta_by_flags(lat: LatticeOfFlats, max_flags: int | None) -> RationalFunction:
     def steps(f: int) -> list[tuple[int, int, None]]:
         row = lat._mobius_row(f)
         out = []
@@ -322,7 +325,10 @@ def zeta_by_recurrence(m: Matroid) -> RationalFunction:
     """Zeta by the proper-flat recurrence, memoized per flat, ascending rank."""
     if not m.is_loopless():
         return RationalFunction.zero()
-    lat = lattice_of(m)
+    return _zeta_by_recurrence(lattice_of(m))
+
+
+def _zeta_by_recurrence(lat: LatticeOfFlats) -> RationalFunction:
     return _factored_to_rf(_zeta_table(lat)[lat.top])
 
 
@@ -339,7 +345,10 @@ def upsilon_by_mobius(m: Matroid) -> RationalFunction:
     """Mobius inversion straight from its definition: sum over all flats of
     mu(F, E) times zeta of the restriction to F."""
     _require_upsilon_input(m)
-    lat = lattice_of(m)
+    return _upsilon_by_mobius(lattice_of(m))
+
+
+def _upsilon_by_mobius(lat: LatticeOfFlats) -> RationalFunction:
     ztbl = _zeta_table(lat)
     acc = _Acc()
     for f in lat.flats:
@@ -355,8 +364,11 @@ def upsilon_by_recurrence(m: Matroid) -> RationalFunction:
     """Mobius inversion by its own proper-flat recurrence (no zeta, no mu):
     Y_F = -sum over G < F of (|F| s + rk G) Y_G, over (|F| s + rk F)."""
     _require_upsilon_input(m)
-    lat = lattice_of(m)
-    ranks = m._ranks
+    return _upsilon_by_recurrence(lattice_of(m))
+
+
+def _upsilon_by_recurrence(lat: LatticeOfFlats) -> RationalFunction:
+    ranks = lat.matroid._ranks
     tbl = _flat_table(
         lat,
         lat.strict_subsets,
@@ -371,8 +383,11 @@ def upsilon_by_flags(m: Matroid, *, max_flags: int | None = None) -> RationalFun
     _require_upsilon_input(m)
     if m.is_trivial:
         return RationalFunction.one()
-    lat = lattice_of(m)
-    ranks = m._ranks
+    return _upsilon_by_flags(lattice_of(m), max_flags)
+
+
+def _upsilon_by_flags(lat: LatticeOfFlats, max_flags: int | None) -> RationalFunction:
+    ranks = lat.matroid._ranks
     return _flag_sum(
         lat,
         max_flags,

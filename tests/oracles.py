@@ -1,4 +1,5 @@
-"""Literal routes kept only as test oracles: long division over Fraction,
+"""Literal routes kept only as test oracles: the rank table by every single
+deletion and the rank as max |S & B| over the bases, long division over Fraction,
 the flag walk over strict_supersets and the degeneration along a flag, the
 characteristic polynomial by the signed subset expansion (``chi``), the
 two-flats identity and the Stirling lemma checked term by term, and the
@@ -10,7 +11,25 @@ from matzeta.algebra import Polynomial, RationalFunction, _iadd
 from matzeta.checks import FAILS
 from matzeta.combinat import stirling_first, stirling_second_rows
 from matzeta.lattice import _minor_chi_ints, _minor_chibar_ints, lattice_of
-from matzeta.matroid import _compress, uniform
+from matzeta.matroid import _compress, iter_bits, submasks, uniform
+
+
+def ranks_by_all_deletions(size, bases):
+    """The rank table of a family of equal-size sets: |S| on the subsets of
+    its sets, else the max over every single deletion of S."""
+    independent = {s for b in bases for s in submasks(b)}
+    table = []
+    for m in range(1 << size):
+        if m in independent:
+            table.append(m.bit_count())
+        else:
+            table.append(max(table[m ^ (1 << e)] for e in iter_bits(m)))
+    return table
+
+
+def rank_by_bases(bases, s):
+    """rk S = max |S & B| over the bases B."""
+    return max((s & b).bit_count() for b in bases)
 
 
 def poly_divmod(p, d):

@@ -1,14 +1,17 @@
+import gc
 import itertools
 import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import matzeta.cli as cli
 import matzeta.zeta as zeta
 from matzeta.algebra import Polynomial, RationalFunction
 from matzeta.checks import CheckReport
@@ -176,13 +179,40 @@ def test_verify_over_the_cap_fails_fast(capsys, command):
 
 
 def test_upsilon_verify_checks_flag_cap_first(capsys, monkeypatch):
-    def never(m):
+    def never(lat):
         raise AssertionError("upsilon_by_mobius ran although the flag cap is exceeded")
 
-    monkeypatch.setattr(zeta, "upsilon_by_mobius", never)
+    monkeypatch.setattr(zeta, "_upsilon_by_mobius", never)
     code, out, err = run_cli(capsys, "upsilon", "u:2,3", "--verify", "--max-flags", "1")
     assert code == EXIT_DOMAIN and out == ""
     assert "flags exceed" in err
+
+
+@pytest.mark.parametrize("argv, built", [
+    ("zeta u:3,5 --verify", 1),
+    ("upsilon u:3,5 --verify", 1),
+    ("zeta u:0,0 --verify", 0),
+    ("zeta u:0,3 --verify", 0),
+])
+def test_verify_builds_one_lattice_and_keeps_none(capsys, monkeypatch, argv, built):
+    refs = []
+    original = cli.lattice_of
+
+    def recording(m):
+        lat = original(m)
+        refs.append(weakref.ref(lat))
+        return lat
+
+    monkeypatch.setattr(cli, "lattice_of", recording)
+    monkeypatch.setattr(zeta, "lattice_of", recording)
+    gc.disable()  # a reference cycle would keep the lattice until a collection
+    try:
+        code, out, err = run_cli(capsys, *argv.split())
+        assert code == EXIT_OK and out.startswith("Z(s) = " if argv[0] == "z" else "Y(s) = ")
+        assert len(refs) == built
+        assert [r() for r in refs] == [None] * built
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("command, route", [
@@ -192,9 +222,10 @@ def test_upsilon_verify_checks_flag_cap_first(capsys, monkeypatch):
     ("upsilon", "upsilon_by_flags"),
 ])
 def test_verify_disagreement_is_a_theorem_failure(capsys, monkeypatch, command, route):
-    original = getattr(zeta, route)
+    # --verify runs each route's body on the one lattice it builds
+    original = getattr(zeta, "_" + route)
     monkeypatch.setattr(
-        zeta, route, lambda m, **kw: original(m, **kw) + RationalFunction.one()
+        zeta, "_" + route, lambda *args: original(*args) + RationalFunction.one()
     )
     code, out, err = run_cli(capsys, command, "u:2,3", "--verify")
     assert code == EXIT_THEOREM_FAILURE
@@ -285,6 +316,25 @@ def test_huge_uniform_spec_gets_the_uniform_bound_message(capsys):
     code, out, err = run_cli(capsys, "zeta", "u:3," + "9" * 5000)
     assert (code, out) == (EXIT_DOMAIN, "")
     assert err.startswith("error: uniform matroid needs 0 <= r <= n <= 16: r=3, n=999")
+
+
+@pytest.mark.parametrize("spec", [
+    "u:3,17", "ext(u:8,16)", "u:8,9+u:8,8", "bases:{bases}", "graph:{graph}",
+])
+def test_every_17_element_input_is_a_ground_size_domain_error(capsys, tmp_path, spec):
+    bases, graph = tmp_path / "b.txt", tmp_path / "g.txt"
+    bases.write_text("n 17\nb 0\n", encoding="utf-8")
+    dump_graph(17, [(v, v + 1) for v in range(16)] + [(0, 16)], graph)
+    code, out, err = run_cli(capsys, "zeta", spec.format(bases=bases, graph=graph))
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert "16" in err and "Traceback" not in err
+
+
+def test_negative_bases_size_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "b.txt"
+    path.write_text("n -1\nb 0\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "zeta", f"bases:{path}")
+    assert (code, out, err) == (EXIT_USAGE, "", "error: line 1: negative size -1\n")
 
 
 def test_girth_command(capsys, tmp_path):

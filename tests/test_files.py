@@ -73,6 +73,8 @@ def test_bases_at_the_ground_size_bound():
         ("n 2\nb zero\n", "not an integer"),
         ("n 2\nb +-1\n", "not an integer"),
         ("n 4\nb 0 1\nb 2 3\n", "not a matroid"),
+        ("n -1\n", "negative size"),
+        ("# size\nn -3\nb 0\n", "line 2: negative size -3"),
     ],
 )
 def test_bases_errors(text, message):

@@ -13,7 +13,7 @@ from matzeta.matroid import (
     mask_of,
     uniform,
 )
-from oracles import degeneration, flags
+from oracles import degeneration, flags, rank_by_bases, ranks_by_all_deletions
 
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
 C4 = [(0, 1), (1, 2), (2, 3), (0, 3)]
@@ -138,6 +138,39 @@ def test_rank_of_uniform_oracle():
             assert m.rank_of(s) == min(s.bit_count(), r)
 
 
+@settings(max_examples=400)
+@given(equal_size_families())
+def test_rank_table_matches_all_deletions(family):
+    # non-matroids too: the validator reads this table to reject them
+    size, bases = family
+    assert Matroid(size, bases, validate=False)._ranks == ranks_by_all_deletions(size, bases)
+
+
+LARGE = {
+    "u:4,16": lambda: uniform(4, 16),
+    "ext(u:4,14)": lambda: uniform(4, 14).free_extension(),
+    "u:3,7+u:3,7": lambda: uniform(3, 7).direct_sum(uniform(3, 7)),
+    "K6": lambda: graphic(list(itertools.combinations(range(6), 2))),
+}
+
+
+@pytest.mark.parametrize("name", LARGE)
+def test_rank_table_on_large_matroids(name):
+    m = LARGE[name]()
+    ranks = m._ranks
+    assert ranks == ranks_by_all_deletions(m.size, m.bases)
+    # max |S & B| costs a pass over the bases per mask: a fixed sample of masks
+    rng = random.Random(name)
+    for s in [0, m.full_mask] + [rng.getrandbits(m.size) for _ in range(2000)]:
+        assert ranks[s] == rank_by_bases(m.bases, s)
+
+
+def test_rank_table_on_catalog(catalog7):
+    for entry in catalog7:
+        m = entry.matroid
+        assert m._ranks == [rank_by_bases(m.bases, s) for s in range(1 << m.size)], entry.name
+
+
 def test_rank_examples():
     assert uniform(2, 4).rank_of(0b0111) == 2
     assert uniform(2, 4).rank_of(0) == 0
@@ -154,6 +187,9 @@ def test_closure():
     for s in range(1 << 3):
         flat = m2.closure_of(s)
         assert m2.closure_of(flat) == flat
+    for outside in (1 << 3, 0b1001, -1):
+        with pytest.raises(ValueError, match="outside the ground set"):
+            m2.closure_of(outside)
 
 
 def test_loops():
