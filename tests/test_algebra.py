@@ -184,6 +184,18 @@ def test_serialization_roundtrip():
     assert Polynomial.from_strings(p.to_strings()) == p
 
 
+def test_shown_form_of_fractional_numerator():
+    # a fractional numerator, a denominator with content 2 and a negative lead:
+    # the shown denominator is primitive with a positive lead
+    f = RationalFunction.from_json({"num": ["1/2", "3"], "den": ["-2", "-4"]})
+    assert f.to_text() == "(-3/2*s - 1/4) / (2*s + 1)"
+    assert f.to_json() == {"num": ["-1/4", "-3/2"], "den": ["1", "2"]}
+    assert RationalFunction(Fraction(-3, 4)).to_json() == {"num": ["-3/4"], "den": ["1"]}
+    assert RationalFunction(Fraction(-3, 4)).to_text() == "-3/4"
+    assert RationalFunction(0).to_json() == {"num": [], "den": ["1"]}
+    assert RationalFunction(0).to_text() == "0"
+
+
 def test_to_text():
     assert Polynomial([2, -1]).to_text() == "-s + 2"
     assert Polynomial([2, 5, 3]).to_text("q") == "3*q^2 + 5*q + 2"
@@ -220,6 +232,25 @@ def test_division_inverts_multiplication(a, b):
 def test_canonical_idempotence(f):
     assert RationalFunction(f.num, f.den) == f
     assert RationalFunction.from_json(f.to_json()) == f
+
+
+coefficient_strings = st.lists(fractions_st.map(str), max_size=5)
+json_values = st.fixed_dictionaries({
+    "num": coefficient_strings,
+    "den": coefficient_strings.filter(lambda d: any(Fraction(c) for c in d)),
+})
+
+
+@given(json_values)
+def test_json_round_trip(data):
+    f = RationalFunction.from_json(data)
+    shown = f.to_json()
+    assert RationalFunction.from_json(shown) == f
+    assert RationalFunction.from_json(shown).to_json() == shown
+    den = [Fraction(c) for c in shown["den"]]
+    assert all(c.denominator == 1 for c in den)
+    assert math.gcd(*(int(c) for c in den)) == 1 and den[-1] > 0
+    assert (shown["num"] == []) == (f == 0)
 
 
 int_polys = st.lists(st.integers(-9, 9), max_size=5).map(_itrim)
