@@ -6,7 +6,7 @@ truncation/free-extension transfer formulas, and a verification harness over
 a catalog of small matroids.  All arithmetic is exact.
 """
 
-from .algebra import Polynomial, RationalFunction, taylor_prefix
+from .algebra import RationalFunction, taylor_prefix
 from .checks import build_catalog, run_all_checks
 from .files import FileFormatError, load_bases, load_graphic_matroid
 from .lattice import DEFAULT_FLAG_CAP, FlagCapExceeded, LoopsError, lattice_of
@@ -22,7 +22,6 @@ __all__ = [
     "LoopsError",
     "MAX_GROUND_SIZE",
     "Matroid",
-    "Polynomial",
     "RationalFunction",
     "build_catalog",
     "compute_upsilon",

@@ -1,25 +1,25 @@
-"""Exact scalar, polynomial and rational-function arithmetic over Q.
+"""Exact rational-function arithmetic on integer coefficient tuples.
 
-Scalars are `fractions.Fraction` (arbitrary-precision, always reduced, positive
-denominator).  Polynomials are dense ascending coefficient tuples; the zero
-polynomial is the empty tuple.  Rational functions are kept in a canonical
-reduced form -- numerator and denominator coprime, denominator primitive with
-integer coefficients and positive leading coefficient -- so that equality of
-values is structural equality of representations.  No floating point anywhere.
+A polynomial is a dense ascending tuple of ints; the zero polynomial is the
+empty tuple.  A rational function is a pair of them in a canonical form --
+numerator and denominator coprime, no integer content common to both, the
+denominator's leading coefficient positive -- which is unique, so equality of
+values is structural equality of representations.  ``Fraction`` appears only
+at the edges: the constructor clears the denominators of Fraction
+coefficients once, the shown form (``to_text``, ``to_json``) divides both
+sides by the content of the denominator, and ``taylor_prefix`` returns
+Fractions.  No floating point anywhere.
 
-Polynomial arithmetic runs on the coefficient-list kernels at the end of the
-module, which the characteristic polynomials, the zeta tables and the checks
-call directly on integer lists.  Canonicalisation is integer too: the gcd and
-the exact division run on the primitive parts of numerator and denominator.
+All arithmetic, canonicalisation included, runs on the integer kernels at the
+end of the module, which the characteristic polynomials, the zeta tables and
+the checks call directly.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
-
-Scalar = Union[int, Fraction]
+from typing import Sequence
 
 
 class InexactDivisionError(ArithmeticError):
@@ -29,206 +29,13 @@ class InexactDivisionError(ArithmeticError):
     """
 
 
-def _frac(x: Scalar) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational scalar, got {type(x).__name__}")
-
-
-class Polynomial:
-    """Dense univariate polynomial over Q, coefficients in ascending degree.
-
-    The highest-index coefficient is nonzero; the zero polynomial is the
-    empty tuple.  Immutable and hashable.
-    """
-
-    __slots__ = ("coefficients",)
-
-    coefficients: tuple[Fraction, ...]
-
-    def __init__(self, coefficients: Iterable[Scalar] = ()) -> None:
-        coeffs = [_frac(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(coeffs))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("Polynomial is immutable")
-
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "Polynomial":
-        return cls(())
-
-    @classmethod
-    def one(cls) -> "Polynomial":
-        return cls((1,))
-
-    @classmethod
-    def variable(cls) -> "Polynomial":
-        """The monomial of degree 1 with unit coefficient."""
-        return cls((0, 1))
-
-    @classmethod
-    def linear(cls, a: Scalar, b: Scalar) -> "Polynomial":
-        """a*x + b."""
-        return cls((b, a))
-
-    # -- basic queries -------------------------------------------------
-
-    @property
-    def degree(self) -> int:
-        """Degree; the zero polynomial has degree -1."""
-        return len(self.coefficients) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coefficients
-
-    @property
-    def leading(self) -> Fraction:
-        if not self.coefficients:
-            return Fraction(0)
-        return self.coefficients[-1]
-
-    def __bool__(self) -> bool:
-        return bool(self.coefficients)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Polynomial):
-            return self.coefficients == other.coefficients
-        if isinstance(other, (int, Fraction)):
-            return self == Polynomial((other,))
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("Polynomial", self.coefficients))
-
-    # -- arithmetic ----------------------------------------------------
-
-    def __add__(self, other) -> "Polynomial":
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Polynomial(_iadd(self.coefficients, other.coefficients))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coefficients))
-
-    def __sub__(self, other) -> "Polynomial":
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other) -> "Polynomial":
-        return -(self - other)
-
-    def __mul__(self, other) -> "Polynomial":
-        other = _as_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Polynomial(_imul(self.coefficients, other.coefficients))
-
-    __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "Polynomial":
-        if k < 0:
-            raise ValueError("negative polynomial power")
-        out = Polynomial.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __call__(self, x: Scalar) -> Fraction:
-        """Exact Horner evaluation."""
-        x = _frac(x)
-        acc = Fraction(0)
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial(_ideriv(self.coefficients))
-
-    # -- normal forms ---------------------------------------------------
-
-    def content_primitive(self) -> tuple[Fraction, tuple[int, ...]]:
-        """Split as content * primitive-integer part with positive leading coefficient.
-
-        Returns (0, ()) for the zero polynomial.
-        """
-        if not self.coefficients:
-            return Fraction(0), ()
-        den_lcm = math.lcm(*(c.denominator for c in self.coefficients))
-        ints = [int(c * den_lcm) for c in self.coefficients]
-        g = math.gcd(*ints)
-        if ints[-1] < 0:
-            g = -g
-        return Fraction(g, den_lcm), tuple(c // g for c in ints)
-
-    # -- presentation ----------------------------------------------------
-
-    def to_text(self, var: str = "s") -> str:
-        """Human-readable form, descending degree."""
-        if not self.coefficients:
-            return "0"
-        parts: list[str] = []
-        for i in range(len(self.coefficients) - 1, -1, -1):
-            c = self.coefficients[i]
-            if c == 0:
-                continue
-            sign = "-" if c < 0 else ("+" if parts else "")
-            mag = abs(c)
-            if i == 0:
-                body = str(mag)
-            else:
-                head = "" if mag == 1 else f"{mag}*"
-                body = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
-            parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
-        return " ".join(parts)
-
-    def __str__(self) -> str:
-        return self.to_text()
-
-    def __repr__(self) -> str:
-        return f"Polynomial({[str(c) for c in self.coefficients]})"
-
-    # -- serialization ----------------------------------------------------
-
-    def to_strings(self) -> list[str]:
-        """Ascending coefficients as exact "p/q" strings."""
-        return [str(c) for c in self.coefficients]
-
-    @classmethod
-    def from_strings(cls, items: Sequence[str]) -> "Polynomial":
-        return cls(Fraction(s) for s in items)
-
-
-def _as_poly(x) -> Polynomial:
-    if isinstance(x, Polynomial):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Polynomial((x,))
-    return NotImplemented
-
-
-def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Polynomial gcd, returned primitive over the integers with positive lead.
+def poly_gcd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Polynomial gcd of two integer polynomials, primitive with positive lead.
 
     Computed by a primitive polynomial remainder sequence (fraction-free), so
     intermediate coefficients stay integral.
     """
-    return Polynomial(_igcd(a.content_primitive()[1], b.content_primitive()[1]))
+    return tuple(_igcd(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -236,27 +43,24 @@ def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
 
 
 class RationalFunction:
-    """Reduced quotient of two polynomials over Q.
+    """Reduced quotient of two integer polynomials.
 
-    Canonical form: gcd(num, den) = 1, den primitive with integer coefficients
-    and positive leading coefficient.  Equality and hashing are structural.
+    Canonical form: ``num`` and ``den`` are ascending int tuples, coprime as
+    polynomials and with no common integer content, and ``den`` has a positive
+    leading coefficient; zero is ``((), (1,))``.  Equality and hashing are
+    structural, and a constant hashes as the scalar it equals.
     """
 
     __slots__ = ("num", "den")
 
-    num: Polynomial
-    den: Polynomial
+    num: tuple[int, ...]
+    den: tuple[int, ...]
 
-    def __init__(self, num, den=None) -> None:
-        npoly = _as_poly(num)
-        if npoly is NotImplemented:
-            raise TypeError(f"cannot build a rational function from {type(num).__name__}")
-        dpoly = Polynomial.one() if den is None else _as_poly(den)
-        if dpoly is NotImplemented:
-            raise TypeError(f"cannot build a rational function from {type(den).__name__}")
-        npoly, dpoly = _canonical(npoly, dpoly)
-        object.__setattr__(self, "num", npoly)
-        object.__setattr__(self, "den", dpoly)
+    def __init__(self, num, den=1) -> None:
+        """num and den: each an int, a Fraction or an ascending sequence of them."""
+        num, den = _canonical(*_clear_denominators(num, den))
+        object.__setattr__(self, "num", num)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):  # pragma: no cover - guard only
         raise AttributeError("RationalFunction is immutable")
@@ -271,33 +75,36 @@ class RationalFunction:
 
     @property
     def is_zero(self) -> bool:
-        return self.num.is_zero
+        return not self.num
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RationalFunction):
             return self.num == other.num and self.den == other.den
-        if isinstance(other, (int, Fraction, Polynomial)):
+        if isinstance(other, (int, Fraction)):
             return self == RationalFunction(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("RationalFunction", self.num.coefficients, self.den.coefficients))
+        if len(self.den) == 1:  # a constant equals its scalar, so hashes as it
+            return hash(self(0))
+        return hash((self.num, self.den))
 
     def __add__(self, other) -> "RationalFunction":
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
         return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
+            _iadd(_imul(self.num, other.den), _imul(other.num, self.den)),
+            _imul(self.den, other.den),
         )
 
     __radd__ = __add__
 
     def __neg__(self) -> "RationalFunction":
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction([-c for c in self.num], self.den)
 
     def __sub__(self, other) -> "RationalFunction":
         other = _as_rf(other)
@@ -312,7 +119,7 @@ class RationalFunction:
         other = _as_rf(other)
         if other is NotImplemented:
             return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return RationalFunction(_imul(self.num, other.num), _imul(self.den, other.den))
 
     __rmul__ = __mul__
 
@@ -322,7 +129,7 @@ class RationalFunction:
             return NotImplemented
         if other.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return RationalFunction(_imul(self.num, other.den), _imul(self.den, other.num))
 
     def __rtruediv__(self, other) -> "RationalFunction":
         other = _as_rf(other)
@@ -331,31 +138,47 @@ class RationalFunction:
         return other / self
 
     def __pow__(self, k: int) -> "RationalFunction":
-        """num and den are coprime, so their powers are too: one gcd."""
+        """Square and multiply; num and den are coprime, so their powers are
+        too: one gcd."""
         num, den = self.num, self.den
         if k < 0:
             if self.is_zero:
                 raise ZeroDivisionError("negative power of the zero rational function")
             num, den, k = den, num, -k
-        return RationalFunction(num ** k, den ** k)
+        out_num, out_den = [1], [1]
+        while k:
+            if k & 1:
+                out_num, out_den = _imul(out_num, num), _imul(out_den, den)
+            num, den = _imul(num, num), _imul(den, den)
+            k >>= 1
+        return RationalFunction(out_num, out_den)
 
-    def __call__(self, x: Scalar) -> Fraction:
-        d = self.den(x)
+    def __call__(self, x: int | Fraction) -> Fraction:
+        """Exact Horner evaluation."""
+        d = _ieval(self.den, x)
         if d == 0:
             raise ZeroDivisionError(f"pole at {x}")
-        return self.num(x) / d
+        return Fraction(_ieval(self.num, x), d)
 
     def derivative(self) -> "RationalFunction":
         """Formal derivative by the quotient rule, re-reduced to canonical form."""
+        num, den = self.num, self.den
         return RationalFunction(
-            self.num.derivative() * self.den - self.num * self.den.derivative(),
-            self.den * self.den,
+            _iadd(_imul(_ideriv(num), den), [-c for c in _imul(num, _ideriv(den))]),
+            _imul(den, den),
         )
 
+    def _shown(self) -> tuple[list[Fraction], list[int]]:
+        """num and den divided by the content of den: den primitive, num exact."""
+        c = math.gcd(*self.den)
+        return [Fraction(x, c) for x in self.num], [x // c for x in self.den]
+
     def to_text(self, var: str = "s") -> str:
-        if self.den == Polynomial.one():
-            return self.num.to_text(var)
-        return f"({self.num.to_text(var)}) / ({self.den.to_text(var)})"
+        """Human-readable form, descending degree."""
+        num, den = self._shown()
+        if den == [1]:
+            return _poly_text(num, var)
+        return f"({_poly_text(num, var)}) / ({_poly_text(den, var)})"
 
     def __str__(self) -> str:
         return self.to_text()
@@ -365,33 +188,65 @@ class RationalFunction:
 
     def to_json(self) -> dict:
         """{"num": [...], "den": [...]} with exact coefficient strings."""
-        return {"num": self.num.to_strings(), "den": self.den.to_strings()}
+        num, den = self._shown()
+        return {"num": [str(c) for c in num], "den": [str(c) for c in den]}
 
     @classmethod
     def from_json(cls, data: dict) -> "RationalFunction":
-        return cls(Polynomial.from_strings(data["num"]), Polynomial.from_strings(data["den"]))
+        return cls([Fraction(s) for s in data["num"]], [Fraction(s) for s in data["den"]])
 
 
 def _as_rf(x):
     if isinstance(x, RationalFunction):
         return x
-    if isinstance(x, (int, Fraction, Polynomial)):
+    if isinstance(x, (int, Fraction)):
         return RationalFunction(x)
     return NotImplemented
 
 
-def _canonical(num: Polynomial, den: Polynomial) -> tuple[Polynomial, Polynomial]:
-    if den.is_zero:
+def _clear_denominators(num, den) -> tuple[list[int], list[int]]:
+    """num and den as int lists, both multiplied by the lcm of the
+    denominators of their coefficients."""
+    num = [num] if isinstance(num, (int, Fraction)) else list(num)
+    den = [den] if isinstance(den, (int, Fraction)) else list(den)
+    for c in num + den:
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"expected an exact rational coefficient, got {type(c).__name__}")
+    scale = math.lcm(*(c.denominator for c in num + den))
+    return [int(c * scale) for c in num], [int(c * scale) for c in den]
+
+
+def _canonical(num: list[int], den: list[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    _itrim(num)
+    if not _itrim(den):
         raise ZeroDivisionError("zero denominator")
-    if num.is_zero:
-        return Polynomial.zero(), Polynomial.one()
-    ncontent, nprim = num.content_primitive()
-    dcontent, dprim = den.content_primitive()
-    g = _igcd(nprim, dprim)
-    if len(g) > 1:  # primitive parts divide to primitive parts (Gauss's lemma)
-        nprim, dprim = _idiv_exact(nprim, g), _idiv_exact(dprim, g)
-    scale = ncontent / dcontent
-    return Polynomial([c * scale for c in nprim]), Polynomial(dprim)
+    if not num:
+        return (), (1,)
+    g = _igcd(num, den)
+    if len(g) > 1:  # g is primitive, so the quotients are integral (Gauss's lemma)
+        num, den = _idiv_exact(num, g), _idiv_exact(den, g)
+    c = math.gcd(*num, *den)
+    if den[-1] < 0:
+        c = -c
+    return tuple(x // c for x in num), tuple(x // c for x in den)
+
+
+def _poly_text(coeffs: Sequence[int | Fraction], var: str) -> str:
+    """Ascending coefficients as text, descending degree."""
+    parts: list[str] = []
+    for i in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[i]
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else ("+" if parts else "")
+        mag = abs(c)
+        if i == 0:
+            body = str(mag)
+        else:
+            head = "" if mag == 1 else f"{mag}*"
+            body = f"{head}{var}" if i == 1 else f"{head}{var}^{i}"
+        parts.append(f"{sign} {body}" if parts else f"{sign}{body}")
+    return " ".join(parts) if parts else "0"
 
 
 # ---------------------------------------------------------------------------
@@ -405,30 +260,26 @@ def taylor_prefix(f: RationalFunction, k: int) -> tuple[Fraction, ...]:
     """
     if k < 0:
         raise ValueError("negative expansion order")
-    den = f.den.coefficients
-    d0 = den[0] if den else Fraction(0)
+    num, den = f.num, f.den
+    d0 = den[0]
     if d0 == 0:
         raise ValueError("expansion at a pole: denominator vanishes at 0")
-    num = f.num.coefficients
     out: list[Fraction] = []
     for i in range(k + 1):
-        acc = num[i] if i < len(num) else Fraction(0)
+        acc = num[i] if i < len(num) else 0
         for j in range(1, min(i, len(den) - 1) + 1):
             acc -= den[j] * out[i - j]
-        out.append(acc / d0)
+        out.append(Fraction(acc, d0))
     return tuple(out)
 
 
-
 # ---------------------------------------------------------------------------
-# Coefficient-list kernels.
+# Integer coefficient-list kernels.
 #
-# These act on plain lists/tuples in ascending degree with no leading zeros,
-# mirroring the Polynomial layout.  Add, multiply and differentiate are exact
-# over int and Fraction alike: Polynomial arithmetic runs them over Fraction,
-# while the characteristic polynomials, the zeta accumulators and the checks
-# run them over int, free of Fraction overhead.  The divisions and the gcd
-# helpers are integer only.
+# These act on plain int lists/tuples in ascending degree with no leading
+# zeros, the layout of RationalFunction.num and .den.  RationalFunction
+# arithmetic runs them, and so do the characteristic polynomials, the zeta
+# accumulators and the checks, directly.
 
 
 def _itrim(c: list[int]) -> list[int]:
@@ -437,7 +288,7 @@ def _itrim(c: list[int]) -> list[int]:
     return c
 
 
-def _iadd(a: Sequence[Scalar], b: Sequence[Scalar]) -> list[Scalar]:
+def _iadd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
     out = list(a)
@@ -446,7 +297,7 @@ def _iadd(a: Sequence[Scalar], b: Sequence[Scalar]) -> list[Scalar]:
     return _itrim(out)
 
 
-def _imul(a: Sequence[Scalar], b: Sequence[Scalar]) -> list[Scalar]:
+def _imul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
@@ -503,9 +354,17 @@ def _idiv_exact(num: Sequence[int], den: Sequence[int]) -> list[int] | None:
     return None if any(rem[:d]) else quo
 
 
-def _ideriv(a: Sequence[Scalar]) -> list[Scalar]:
+def _ideriv(a: Sequence[int]) -> list[int]:
     """Formal derivative."""
     return [i * c for i, c in enumerate(a)][1:]
+
+
+def _ieval(a: Sequence[int], x: int | Fraction) -> int | Fraction:
+    """Horner evaluation at an exact x."""
+    acc = 0
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
 
 
 def _icontent(a: Sequence[int]) -> int:

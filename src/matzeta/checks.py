@@ -17,7 +17,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import (
-    Polynomial,
     RationalFunction,
     _iadd,
     _imul_linear,
@@ -238,9 +237,7 @@ def check_k_derivative_lemma(entry: CatalogEntry, kmax: int = 3) -> CheckReport:
                 (w * _factored_to_rf(derivs[f][k]) for f, w in weights.items()),
                 start=RationalFunction.zero(),
             )
-            rhs = (rhs - k * n * _factored_to_rf(zprev)) / RationalFunction(
-                Polynomial.linear(n, r)
-            )
+            rhs = (rhs - k * n * _factored_to_rf(zprev)) / RationalFunction((r, n))
             return _fails(
                 K_DERIVATIVE_CHECK, entry, f"order {k} mismatch",
                 k=k, lhs=_factored_to_rf(zk).to_json(), rhs=rhs.to_json(),

@@ -14,9 +14,10 @@ dropped once read, and the lattice keeps none.  The signed subset expansion
 of ``zeta`` is guarded by one hard cap (``check_flag_cap``), compared first
 with the maximal chains, which need only the covers.
 
-Characteristic polynomials are integer coefficient tuples: the reduced one,
-chi-bar = chi / (q - 1), is ``_minor_chibar_ints``, an exact integer
-division; ``minor_reduced_chi`` is the one public wrapper, a ``Polynomial``.
+Characteristic polynomials are ascending integer coefficient tuples, like
+every polynomial in ``algebra``: the reduced one, chi-bar = chi / (q - 1), is
+``_minor_chibar_ints``, an exact integer division, and ``minor_reduced_chi``
+is its public name.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterator
 
-from .algebra import InexactDivisionError, Polynomial, _div_linear
+from .algebra import InexactDivisionError, _div_linear, _poly_text
 from .matroid import Matroid
 
 DEFAULT_FLAG_CAP = 10_000_000
@@ -271,12 +272,13 @@ def _minor_chibar_ints(m: Matroid, low: int, high: int) -> tuple[int, ...]:
     quo = _div_linear(chi, 1, -1) if chi else []
     if quo is None:
         raise InexactDivisionError(
-            f"({Polynomial(chi)}) is not divisible by ({Polynomial.linear(1, -1)})"
+            f"({_poly_text(chi, 'q')}) is not divisible by (q - 1)"
         )
     return tuple(quo)
 
 
-def minor_reduced_chi(m: Matroid, low: int, high: int) -> Polynomial:
-    """Reduced characteristic polynomial of restriction(high) / low."""
-    return Polynomial(_minor_chibar_ints(m, low, high))
+def minor_reduced_chi(m: Matroid, low: int, high: int) -> tuple[int, ...]:
+    """Reduced characteristic polynomial of restriction(high) / low, as
+    ascending integer coefficients."""
+    return _minor_chibar_ints(m, low, high)
 

@@ -26,10 +26,12 @@ intervals, ``upsilon_by_recurrence`` by -(|F| s + rk G).
 
 Internally the big sums are accumulated as integer-coefficient polynomials
 over factored linear denominators, grouped by denominator profile, with a
-single canonicalization at the end; public results are always canonical
-RationalFunction values.  The coefficient arithmetic is the integer kernels
-of ``algebra``, including ``_div_linear``, the exact division by a linear
-factor that ``_reduce``, ``_factored_derivative`` and the flag weights use.
+single canonicalization at the end (``_factored_to_rf`` hands its integer
+lists to ``RationalFunction`` as they are); public results are always
+canonical RationalFunction values.  The coefficient arithmetic is the integer
+kernels of ``algebra``, including ``_div_linear``, the exact division by a
+linear factor that ``_reduce``, ``_factored_derivative`` and the flag weights
+use.
 ``_factored_derivative`` differentiates a factored value through the
 log-derivative of its denominator, so the k-derivative check runs on the Z
 table with no polynomial gcd.  Memo tables live inside one computation and
@@ -45,7 +47,6 @@ from typing import Callable, Sequence
 
 from .algebra import (
     InexactDivisionError,
-    Polynomial,
     RationalFunction,
     _div_linear,
     _iadd,
@@ -177,7 +178,7 @@ def _factored_to_rf(f: _Fct) -> RationalFunction:
     den: list[int] = [scale]
     for a, b in factors:
         den = _imul_linear(den, a, b)
-    return RationalFunction(Polynomial(num), Polynomial(den))
+    return RationalFunction(num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -402,23 +403,28 @@ def _upsilon_by_flags(lat: LatticeOfFlats, max_flags: int | None) -> RationalFun
 def zeta_uniform_closed(r: int, n: int) -> RationalFunction:
     """Closed form over a common denominator (n s + r)(s+1)^(r-1)."""
     _check_uniform_args(r, n)
-    s_plus_1 = Polynomial.linear(1, 1)
-    num = Polynomial.zero()
+    num: list[int] = []
     for k in range(r):
         coef = math.comb(n, k) * generalized_binomial(r - n, r - 1 - k)
-        if coef:
-            num = num + coef * s_plus_1 ** (r - 1 - k)
-    den = Polynomial.linear(n, r) * s_plus_1 ** (r - 1)
-    return RationalFunction(num, den)
+        num = _iadd(num, [coef * c for c in _binomial_row(r - 1 - k)])
+    return RationalFunction(num, _uniform_den(r, n))
 
 
 def upsilon_uniform_closed(r: int, n: int) -> RationalFunction:
     """Closed form: (-1)^r r C(n, r) s^r / ((n s + r)(s+1)^(r-1))."""
     _check_uniform_args(r, n)
     sign = -1 if r & 1 else 1
-    num = Polynomial([0] * r + [sign * r * math.comb(n, r)])
-    den = Polynomial.linear(n, r) * Polynomial.linear(1, 1) ** (r - 1)
-    return RationalFunction(num, den)
+    return RationalFunction([0] * r + [sign * r * math.comb(n, r)], _uniform_den(r, n))
+
+
+def _binomial_row(j: int) -> list[int]:
+    """The coefficients of (s + 1)^j."""
+    return [math.comb(j, i) for i in range(j + 1)]
+
+
+def _uniform_den(r: int, n: int) -> list[int]:
+    """(n s + r)(s + 1)^(r-1)."""
+    return _imul_linear(_binomial_row(r - 1), n, r)
 
 
 def uniform_taylor_coefficients(r: int, n: int, kmax: int) -> tuple[Fraction, ...]:
@@ -460,7 +466,7 @@ def zeta_of_truncation_via_transfer(m: Matroid) -> RationalFunction:
         raise ValueError("truncation transfer needs rank >= 2")
     z = zeta_by_recurrence(m)
     y = upsilon_by_recurrence(m)
-    return z + y / RationalFunction(Polynomial.linear(m.size, m.rank - 1))
+    return z + y / RationalFunction((m.rank - 1, m.size))
 
 
 def zeta_of_free_extension_via_transfer(m: Matroid) -> RationalFunction:
@@ -471,9 +477,9 @@ def zeta_of_free_extension_via_transfer(m: Matroid) -> RationalFunction:
         raise ValueError("free-extension transfer needs rank >= 1")
     z = zeta_by_recurrence(m)
     y = upsilon_by_recurrence(m)
-    s = RationalFunction(Polynomial.variable())
-    lin = RationalFunction(Polynomial.linear(m.size + 1, m.rank))
-    return (z - s / lin * y) / RationalFunction(Polynomial.linear(1, 1))
+    s = RationalFunction((0, 1))
+    lin = RationalFunction((m.rank, m.size + 1))
+    return (z - s / lin * y) / RationalFunction((1, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ re-evaluation of a failure witness (``witness_reverifies``)."""
 
 from fractions import Fraction
 
-from matzeta.algebra import Polynomial, RationalFunction, _iadd
+from matzeta.algebra import RationalFunction, _iadd, _itrim
 from matzeta.checks import FAILS
 from matzeta.combinat import stirling_first, stirling_second_rows
 from matzeta.lattice import _minor_chi_ints, _minor_chibar_ints, lattice_of
@@ -33,15 +33,16 @@ def rank_by_bases(bases, s):
 
 
 def poly_divmod(p, d):
-    """(quotient, remainder) of p by the nonzero d, by long division over Q."""
-    rem = list(p.coefficients)
-    dd = d.degree
+    """(quotient, remainder) of p by d, ascending coefficient lists with no
+    trailing zeros, by long division over Q; d has a nonzero lead."""
+    rem = [Fraction(c) for c in p]
+    dd = len(d) - 1
     quo = [Fraction(0)] * max(len(rem) - dd, 0)
     for i in range(len(rem) - 1, dd - 1, -1):
-        q = quo[i - dd] = rem[i] / d.leading
-        for j, c in enumerate(d.coefficients):
+        q = quo[i - dd] = rem[i] / d[-1]
+        for j, c in enumerate(d):
             rem[i - dd + j] -= q * c
-    return Polynomial(quo), Polynomial(rem)
+    return _itrim(quo), _itrim(rem)
 
 
 def flags(lat):
@@ -65,9 +66,9 @@ def degeneration(m, flag):
 
 
 def chi(m):
-    """Characteristic polynomial by the signed subset expansion; with loops
-    the expansion cancels to the zero polynomial."""
-    return Polynomial(_minor_chi_ints(m, 0, m.full_mask))
+    """Characteristic polynomial by the signed subset expansion, as ascending
+    integer coefficients; with loops the expansion cancels to ()."""
+    return _minor_chi_ints(m, 0, m.full_mask)
 
 
 def verify_two_flats_identity(m):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import conftest
 import matzeta.checks as checks
-from matzeta.algebra import Polynomial, RationalFunction, taylor_prefix
+from matzeta.algebra import RationalFunction, _iadd, _ieval, _imul, taylor_prefix
 from matzeta.checks import FAILS, HOLDS, SKIPPED, run_all_checks
 from matzeta.cli import main as cli_main
 from matzeta.combinat import rising_factorial, stirling_first, stirling_second
@@ -38,8 +38,8 @@ from oracles import (
     witness_reverifies,
 )
 
-Z23 = RationalFunction(Polynomial([2, -1]), Polynomial([2, 5, 3]))
-Y23 = RationalFunction(Polynomial([0, 0, 6]), Polynomial([2, 5, 3]))
+Z23 = RationalFunction((2, -1), (2, 5, 3))
+Y23 = RationalFunction((0, 0, 6), (2, 5, 3))
 
 
 def criterion(number: int, description: str):
@@ -83,21 +83,15 @@ def test_criterion_3_uniform_closed_forms():
             assert zc == zeta_by_recurrence(m) == zeta_by_flags(m), (r, n)
             yc = upsilon_uniform_closed(r, n)
             assert yc == upsilon_by_recurrence(m), (r, n)
-        assert zeta_uniform_closed(n, n) == RationalFunction(
-            Polynomial.one(), Polynomial([1, 1])
-        ) ** n
+        assert zeta_uniform_closed(n, n) == RationalFunction(1, (1, 1)) ** n
     assert zeta_uniform_closed(2, 3) == Z23
     assert upsilon_uniform_closed(2, 3) == Y23
 
 
 @criterion(4, "truncation and free-extension transfer formulas match direct computation")
 def test_criterion_4_transfer_theorems(catalog7):
-    assert zeta_of_truncation_via_transfer(uniform(2, 3)) == RationalFunction(
-        Polynomial.one(), Polynomial([1, 3])
-    )
-    assert zeta_of_free_extension_via_transfer(uniform(1, 1)) == RationalFunction(
-        Polynomial.one(), Polynomial([1, 2])
-    )
+    assert zeta_of_truncation_via_transfer(uniform(2, 3)) == RationalFunction(1, (1, 3))
+    assert zeta_of_free_extension_via_transfer(uniform(1, 1)) == RationalFunction(1, (1, 2))
     for entry in catalog7:
         m = entry.matroid
         if m.rank >= 2:
@@ -144,16 +138,17 @@ def test_criterion_7_identity_suite(catalog7):
     failing = [r for r in reports if r.status == FAILS]
     assert not failing, failing[:3]
     assert all(r.status == HOLDS for r in reports)
-    q = Polynomial.variable()
+    q = (0, 1)
     for entry in catalog7:
         m = entry.matroid
         assert verify_two_flats_identity(m), entry.name
         if m.rank >= 2:
             whole = chi(m)
+            at_0 = _ieval(whole, 0)
             tr = m.truncation()
-            assert chi(tr) * q == whole + Polynomial([-1, 1]) * whole(0)
-            assert minor_reduced_chi(tr, 0, tr.full_mask) * q == (
-                minor_reduced_chi(m, 0, m.full_mask) + Polynomial([whole(0)])
+            assert _imul(chi(tr), q) == _iadd(whole, _imul((-1, 1), [at_0]))
+            assert _imul(minor_reduced_chi(tr, 0, tr.full_mask), q) == (
+                _iadd(minor_reduced_chi(m, 0, m.full_mask), [at_0])
             )
             lat = lattice_of(m)
             for r in range(m.rank - 1):

@@ -351,15 +351,15 @@ def test_failure_witness_fields(monkeypatch, plant, entry, reason, found):
     assert witness_reverifies(report) == ("lhs" in found)
 
 
-def test_integer_holds_paths_build_no_polynomial(monkeypatch, catalog5):
-    from matzeta.algebra import Polynomial
+def test_integer_holds_paths_build_no_rational_function(monkeypatch, catalog5):
+    from matzeta.algebra import RationalFunction
 
-    def refuse(self, coefficients=()):
-        raise AssertionError("a Polynomial was built")
+    def refuse(self, num, den=1):
+        raise AssertionError("a RationalFunction was built")
 
-    monkeypatch.setattr(Polynomial, "__init__", refuse)
-    with pytest.raises(AssertionError, match="Polynomial was built"):
-        Polynomial((1,))
+    monkeypatch.setattr(RationalFunction, "__init__", refuse)
+    with pytest.raises(AssertionError, match="RationalFunction was built"):
+        RationalFunction((1,))
     for entry in catalog5:
         assert check_counting_identities(entry).status == HOLDS, entry.name
         assert check_k_derivative_lemma(entry).status == HOLDS, entry.name

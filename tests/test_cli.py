@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import matzeta.cli as cli
 import matzeta.zeta as zeta
-from matzeta.algebra import Polynomial, RationalFunction
+from matzeta.algebra import RationalFunction
 from matzeta.checks import CheckReport
 from matzeta.cli import (
     EXIT_COUNTEREXAMPLE,
@@ -32,7 +32,7 @@ from matzeta.lattice import LatticeOfFlats
 from matzeta.matroid import graphic, uniform
 from matzeta.zeta import zeta_by_recurrence
 
-Z23 = RationalFunction(Polynomial([2, -1]), Polynomial([2, 5, 3]))
+Z23 = RationalFunction((2, -1), (2, 5, 3))
 
 
 def run_cli(capsys, *argv):
