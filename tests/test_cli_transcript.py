@@ -53,6 +53,8 @@ COMMANDS = [
     ["lattice", "u:0,3"],
     ["zeta", "ext(u:3,9)", "--verify", "--format", "json"],
     ["upsilon", "ext(u:3,9)", "--verify", "--format", "json"],
+    # 7,087,261 flags folded under the default cap
+    ["upsilon", "u:9,9", "--verify", "--format", "json"],
     # the Mobius route
     ["upsilon", "u:3,5", "--algorithm", "mobius"],
     ["upsilon", "tr(u:3,4)+ext(u:1,2)", "--algorithm", "mobius", "--format", "json"],
