@@ -6,20 +6,23 @@ the routes can be checked against each other exactly.
 
 The routes share their plumbing, never their math: each is a matroid guard
 around a body on a ``LatticeOfFlats``, and ``--verify`` runs all on one lattice.
-``_flag_sum`` is the one flag walk: an explicit-stack depth-first walk over the flags
-0 = F_0 < ... < F_k = E, in integers only.  Each route gives ``steps``,
-called once per flat F reached, that lists every step F < G out of it with
-an integer weight and at most one raw numerator factor; a flag's coefficient
-is the product of its weights, and flags are counted by the set of raw
-factors they meet (the numerator factors and the (|F_i|, rk F_i) of the
-denominator), each set expanded once at the end.  ``zeta_by_flags`` weighs a
+``_flag_sum`` is the one flag sum over the flags 0 = F_0 < ... < F_k = E,
+in integers only: a forward fold over the flats in ascending rank.  Each
+route gives ``steps``, called once per flat F reached, that lists every step
+F < G out of it with an integer weight and at most one raw numerator factor;
+a flag's coefficient is the product of its weights, and each flat holds the
+flags that reach it summed by the set of raw factors they meet (the
+numerator factors and the (|F_i|, rk F_i) of the denominator), so stepping
+costs one addition per comparable pair and set, and each set reaching the
+top is expanded once at the end.  ``zeta_by_flags`` weighs a
 step by chi-bar_[F_{i-1}, F_i](1), which it divides itself from the Mobius
 row of F_{i-1} rather than reading the recurrence's weights (evaluation at 1
 is a ring map, so the product of these is the flag's chi product over
 (q - 1)^k at 1), and a zero weight drops every flag through that step;
 ``upsilon_by_flags`` steps by -1 and the factor (|F_i| s + rk F_{i-1}).
 ``_flat_table`` is the one lower-interval fold: for each flat F in ascending
-rank it sums the route's own ``term`` over the flats G < F and divides by
+rank it sums the route's own coefficient times T[G] over the flats G < F,
+summing the coefficients of equal entries first, and divides by
 (|F| s + rk F); ``_zeta_table`` weights by chi-bar_[G, F](1), which the
 lattice's interval-Mobius sweep gives as lists parallel to the lower
 intervals, ``upsilon_by_recurrence`` by -(|F| s + rk G).
@@ -41,7 +44,6 @@ are never shared across matroids.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -105,30 +107,39 @@ class _Acc:
         """All groups over their least common denominator, left unreduced:
         ``_flat_table`` reduces once after appending its own factor, and
         RationalFunction canonicalises a total it is handed."""
-        live = {k: v for k, v in self.groups.items() if v[0]}
+        live = [(k, v) for k, v in self.groups.items() if v[0]]
         if not live:
             return _F_ZERO
+        if len(live) == 1:  # one group is its own total
+            key, (num, scale) = live[0]
+            return (tuple(num), scale, key)
         profile: dict[tuple[int, int], int] = {}
         scale_lcm = 1
-        for key, (_, scale) in live.items():
-            for pair, mult in Counter(key).items():
+        for key, (_, scale) in live:
+            for pair, mult in _mults(key).items():
                 if profile.get(pair, 0) < mult:
                     profile[pair] = mult
             scale_lcm = math.lcm(scale_lcm, scale)
         num_total: list[int] = []
-        for key in sorted(live):
-            gnum, gscale = live[key]
+        for key, (gnum, gscale) in live:
             cof = [scale_lcm // gscale]
-            have = Counter(key)
-            for pair in sorted(profile):
-                a, b = pair
-                for _ in range(profile[pair] - have.get(pair, 0)):
+            have = _mults(key)
+            for (a, b), mult in profile.items():
+                for _ in range(mult - have.get((a, b), 0)):
                     cof = _imul_linear(cof, a, b)
             num_total = _iadd(num_total, _imul(gnum, cof))
         factors = tuple(
             sorted(pair for pair, mult in profile.items() for _ in range(mult))
         )
         return (tuple(num_total), scale_lcm, factors)
+
+
+def _mults(factors: tuple) -> dict[tuple[int, int], int]:
+    """The multiplicity of each pair of a factor tuple, in the tuple's order."""
+    out: dict[tuple[int, int], int] = {}
+    for pair in factors:
+        out[pair] = out.get(pair, 0) + 1
+    return out
 
 
 def _reduce(num: Sequence[int], scale: int, factors: tuple) -> _Fct:
@@ -144,7 +155,7 @@ def _reduce(num: Sequence[int], scale: int, factors: tuple) -> _Fct:
         num = [c // g for c in num]
         scale //= g
     kept: list[tuple[int, int]] = []
-    for pair, mult in sorted(Counter(factors).items()):
+    for pair, mult in _mults(factors).items():  # sorted, as factors is
         a, b = pair
         while mult > 0 and len(num) > 1:
             quo = _div_linear(num, a, b)
@@ -162,7 +173,7 @@ def _factored_derivative(f: _Fct) -> _Fct:
     (num' Q - num * sum_j m_j a_j Q / p_j) / (scale * prod p_j^m_j * Q).
     Integer throughout and no gcd; the result is left unreduced."""
     num, scale, factors = f
-    mults = Counter(factors)
+    mults = _mults(factors)
     q = [1]
     for a, b in mults:
         q = _imul_linear(q, a, b)
@@ -196,36 +207,34 @@ def _flag_sum(
     strictly above F_{i-1}: an integer weight and a raw numerator factor
     (a, b) standing for a s + b, or None for 1.
 
-    Each flag folds to one integer coefficient keyed by the set of raw
-    factors it meets, a bitmask over a dense index (|F_i| strictly increases,
-    so no factor repeats in a flag); each key is expanded once at the end.
-    ``steps`` runs once per flat reached, and a zero weight drops every flag
-    through that step."""
+    A forward fold over the flats in ascending rank, which is the same sum
+    regrouped by distributivity: each flat F reached holds the flags from 0
+    to F as a dict from the set of raw factors they meet, a bitmask over a
+    dense index, to the sum of their weight products (|F_i| strictly
+    increases, so no factor repeats in a flag).  Stepping F -> G adds
+    coef * w under mask | bits to G's dict, F's dict is dropped once pushed,
+    and each key of the top's dict is expanded once at the end.  ``steps``
+    runs once per flat reached, and a zero weight drops every flag through
+    that step."""
     lat.check_flag_cap(max_flags)
-    top = lat.top
     ranks = lat.matroid._ranks
     bit_of: dict[tuple, int] = {}  # ("den" | "num", a, b) -> bit
-    nexts: dict[int, list[tuple[int, int, int]]] = {}
-    sums: dict[int, int] = {}
-    stack = [(0, 1, 0)]
-    while stack:
-        f, coef, mask = stack.pop()
-        nxt = nexts.get(f)
-        if nxt is None:
-            nxt = nexts[f] = []
-            for g, w, num in steps(f):
-                if w:
-                    den = ("den", g.bit_count(), ranks[g])
-                    bits = 1 << bit_of.setdefault(den, len(bit_of))
-                    if num is not None:
-                        bits |= 1 << bit_of.setdefault(("num",) + num, len(bit_of))
-                    nxt.append((g, w, bits))
-        for g, w, bits in nxt:
-            if g == top:
+    folds: dict[int, dict[int, int]] = {0: {0: 1}}
+    for f in lat.flats[:-1]:  # the top is the last flat
+        here = folds.pop(f, None)
+        if here is None:
+            continue
+        for g, w, num in steps(f):
+            if not w:
+                continue
+            bits = 1 << bit_of.setdefault(("den", g.bit_count(), ranks[g]), len(bit_of))
+            if num is not None:
+                bits |= 1 << bit_of.setdefault(("num",) + num, len(bit_of))
+            there = folds.setdefault(g, {})
+            for mask, coef in here.items():
                 key = mask | bits
-                sums[key] = sums.get(key, 0) + coef * w
-            else:
-                stack.append((g, coef * w, mask | bits))
+                there[key] = there.get(key, 0) + coef * w
+    sums = folds.get(lat.top, {})
     factors = list(bit_of)
     acc = _Acc()
     for mask, coef in sums.items():
@@ -249,26 +258,39 @@ def _flag_sum(
 def _flat_table(
     lat: LatticeOfFlats,
     row: Callable[[int], Sequence[int]],
-    term: Callable[[tuple[int, ...], int, int], Sequence[int]],
+    coef: Callable[[int, int, int], list[int]],
 ) -> dict[int, _Fct]:
     """Fold over lower intervals in ascending rank, keyed by flat: T[0] = 1 and
-    T[F] = sum over flats G < F of term(num_G, x_G, F) / (scale_G * prod fct_G),
-    divided by (|F| s + rk F), where T[G] = (num_G, scale_G, fct_G) and x_G is
-    G's entry in row(F), a sequence parallel to lat.strict_subsets(F)."""
-    tbl: dict[int, _Fct] = {0: _F_ONE}
+    T[F] = sum over flats G < F of coef(x_G, G, F) T[G], divided by
+    (|F| s + rk F), where coef gives a short polynomial in s ([] for zero) and
+    x_G is G's entry in row(F), a sequence parallel to lat.strict_subsets(F).
+
+    The coefficients of the G with equal entries are summed first, so each
+    distinct entry below F is multiplied once; the entries are interned
+    (value -> small id) as they are reduced, and a reduced entry is unique
+    per value."""
+    vals: list[_Fct] = [_F_ONE]
+    ids = {_F_ONE: 0}
+    id_of = {0: 0}
     for f in lat.flats[1:]:
-        acc = _Acc()
+        merged: dict[int, list[int]] = {}
         for g, x in zip(lat.strict_subsets(f), row(f)):
-            num, scale, fct = tbl[g]
-            num = term(num, x, f)
-            if num:
-                acc.add(num, scale, fct)
+            c = coef(x, g, f)
+            if c:  # zero is []: on near-Boolean lattices most chi-bar(1) are 0
+                i = id_of[g]
+                cur = merged.get(i)
+                merged[i] = c if cur is None else [a + b for a, b in zip(cur, c, strict=True)]
+        acc = _Acc()
+        for i, c in merged.items():
+            num, scale, fct = vals[i]
+            acc.add(_imul(num, c), scale, fct)
         total = acc.total()
         c, pair = _norm_factor(f.bit_count(), lat.rank_of(f))
-        tbl[f] = _reduce(
-            total[0], total[1] * c, tuple(sorted(total[2] + (pair,)))
-        )
-    return tbl
+        entry = _reduce(total[0], total[1] * c, tuple(sorted(total[2] + (pair,))))
+        i = id_of[f] = ids.setdefault(entry, len(vals))
+        if i == len(vals):
+            vals.append(entry)
+    return {f: vals[i] for f, i in id_of.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -317,9 +339,7 @@ def _zeta_table(lat: LatticeOfFlats) -> dict[int, _Fct]:
     """Zeta of every restriction-to-a-flat, keyed by flat mask, ascending rank:
     Z_F = sum over G < F of chi-bar_[G, F](1) Z_G, over (|F| s + rk F)."""
     # the weights are lattice-sized: they come from the interval-Mobius sweep
-    return _flat_table(
-        lat, lat.chibar1_below, lambda num, w, f: [c * w for c in num] if w else []
-    )
+    return _flat_table(lat, lat.chibar1_below, lambda w, g, f: [w] if w else [])
 
 
 def zeta_by_recurrence(m: Matroid) -> RationalFunction:
@@ -368,14 +388,14 @@ def upsilon_by_recurrence(m: Matroid) -> RationalFunction:
     return _upsilon_by_recurrence(lattice_of(m))
 
 
-def _upsilon_by_recurrence(lat: LatticeOfFlats) -> RationalFunction:
+def _upsilon_table(lat: LatticeOfFlats) -> dict[int, _Fct]:
+    """Y of every restriction-to-a-flat, keyed by flat mask, ascending rank."""
     ranks = lat.matroid._ranks
-    tbl = _flat_table(
-        lat,
-        lat.strict_subsets,
-        lambda num, g, f: _imul_linear([-c for c in num], f.bit_count(), ranks[g]),
-    )
-    return _factored_to_rf(tbl[lat.top])
+    return _flat_table(lat, lat.strict_subsets, lambda g, _, f: [-ranks[g], -f.bit_count()])
+
+
+def _upsilon_by_recurrence(lat: LatticeOfFlats) -> RationalFunction:
+    return _factored_to_rf(_upsilon_table(lat)[lat.top])
 
 
 def upsilon_by_flags(m: Matroid, *, max_flags: int | None = None) -> RationalFunction:

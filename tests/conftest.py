@@ -26,6 +26,11 @@ def catalog7():
 
 
 @pytest.fixture(scope="session")
+def catalog6():
+    return matzeta.build_catalog(6)
+
+
+@pytest.fixture(scope="session")
 def catalog5():
     return matzeta.build_catalog(5)
 

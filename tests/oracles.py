@@ -1,7 +1,8 @@
 """Literal routes kept only as test oracles: the rank table by every single
 deletion and the rank as max |S & B| over the bases, long division over Fraction,
 the flag walk over strict_supersets and the degeneration along a flag, the
-characteristic polynomial by the signed subset expansion (``chi``), the
+lower-interval fold one comparable pair at a time (``flat_table_per_pair``),
+the characteristic polynomial by the signed subset expansion (``chi``), the
 two-flats identity and the Stirling lemma checked term by term, and the
 re-evaluation of a failure witness (``witness_reverifies``)."""
 
@@ -12,6 +13,7 @@ from matzeta.checks import FAILS
 from matzeta.combinat import stirling_first, stirling_second_rows
 from matzeta.lattice import _minor_chi_ints, _minor_chibar_ints, lattice_of
 from matzeta.matroid import _compress, iter_bits, submasks, uniform
+from matzeta.zeta import _F_ONE, _Acc, _norm_factor, _reduce
 
 
 def ranks_by_all_deletions(size, bases):
@@ -63,6 +65,25 @@ def degeneration(m, flag):
     for low, high in zip(flag, flag[1:]):
         out = out.direct_sum(m.restriction(high).contraction(_compress(low, high)))
     return out
+
+
+def flat_table_per_pair(lat, row, term):
+    """The lower-interval fold with one term per comparable pair: T[0] = 1 and
+    T[F] = sum over flats G < F of term(num_G, x_G, F) / (scale_G * prod fct_G),
+    divided by (|F| s + rk F), where T[G] = (num_G, scale_G, fct_G) and x_G is
+    G's entry in row(F), a sequence parallel to lat.strict_subsets(F)."""
+    tbl = {0: _F_ONE}
+    for f in lat.flats[1:]:
+        acc = _Acc()
+        for g, x in zip(lat.strict_subsets(f), row(f)):
+            num, scale, fct = tbl[g]
+            num = term(num, x, f)
+            if num:
+                acc.add(num, scale, fct)
+        total = acc.total()
+        c, pair = _norm_factor(f.bit_count(), lat.rank_of(f))
+        tbl[f] = _reduce(total[0], total[1] * c, tuple(sorted(total[2] + (pair,))))
+    return tbl
 
 
 def chi(m):

@@ -13,10 +13,12 @@ from matzeta.algebra import (
     RationalFunction,
     _iadd,
     _imul,
+    _imul_linear,
     _itrim,
     taylor_prefix,
 )
 from matzeta.lattice import (
+    DEFAULT_FLAG_CAP,
     FlagCapExceeded,
     LatticeOfFlats,
     LoopsError,
@@ -25,10 +27,13 @@ from matzeta.lattice import (
 )
 from matzeta.matroid import Matroid, graphic, uniform
 from matzeta.zeta import (
+    _Acc,
     _div_linear,
     _factored_derivative,
     _factored_to_rf,
     _flag_sum,
+    _reduce,
+    _upsilon_table,
     _zeta_table,
     compute_upsilon,
     compute_zeta,
@@ -43,7 +48,7 @@ from matzeta.zeta import (
     zeta_of_truncation_via_transfer,
     zeta_uniform_closed,
 )
-from oracles import chi, degeneration, flags, poly_divmod
+from oracles import chi, degeneration, flags, flat_table_per_pair, poly_divmod
 
 Z23 = RationalFunction((2, -1), (2, 5, 3))
 Y23 = RationalFunction((0, 0, 6), (2, 5, 3))
@@ -173,6 +178,15 @@ def test_flag_folds_match_literal_flag_products_where_weights_vanish(m):
     z, y = literal_flag_folds(m)
     assert zeta_by_flags(m) == z == zeta_by_recurrence(m)
     assert upsilon_by_flags(m) == y == upsilon_by_recurrence(m)
+
+
+def test_many_flags_fold_to_the_closed_forms():
+    m = uniform(9, 9)
+    lat = lattice_of(m)
+    assert (len(lat), len(comparable_pairs(lat))) == (512, 19_171)
+    assert lat.flag_count == 7_087_261 <= DEFAULT_FLAG_CAP
+    assert zeta_by_flags(m) == zeta_uniform_closed(9, 9)
+    assert upsilon_by_flags(m) == upsilon_uniform_closed(9, 9)
 
 
 def comparable_pairs(lat):
@@ -534,3 +548,62 @@ def test_zeta_table_entries_are_restriction_zetas(catalog5):
                 entry.name,
                 f,
             )
+
+
+def _per_pair_tables(lat):
+    """(Z table, Y table) folded one comparable pair at a time."""
+    ranks = lat.matroid._ranks
+
+    def z_term(num, w, f):
+        return [c * w for c in num] if w else []
+
+    def y_term(num, g, f):
+        return _imul_linear([-c for c in num], f.bit_count(), ranks[g])
+
+    return (
+        flat_table_per_pair(lat, lat.chibar1_below, z_term),
+        flat_table_per_pair(lat, lat.strict_subsets, y_term),
+    )
+
+
+@pytest.mark.parametrize("family", ["catalog6", "U37+U37"])
+def test_flat_tables_match_the_per_pair_fold(family, request):
+    if family == "catalog6":
+        matroids = [e.matroid for e in request.getfixturevalue("catalog6")]
+    else:
+        matroids = [uniform(3, 7).direct_sum(uniform(3, 7))]
+    for m in matroids:
+        if not m.is_loopless():
+            continue
+        lat = lattice_of(m)
+        for got, want in zip((_zeta_table(lat), _upsilon_table(lat)), _per_pair_tables(lat)):
+            assert got.keys() == want.keys()
+            for f in lat.flats:
+                assert _factored_to_rf(got[f]) == _factored_to_rf(want[f]), (m, f)
+
+
+# few pairs, so keys repeat factors and groups collide
+factor_keys = st.lists(st.sampled_from(PRIMITIVE_PAIRS[:3]), max_size=4).map(
+    lambda pairs: tuple(sorted(pairs))
+)
+acc_terms = st.lists(st.tuples(int_polys, st.integers(1, 6), factor_keys), max_size=6)
+
+
+@given(acc_terms, st.sampled_from(PRIMITIVE_PAIRS[:6]), st.integers(1, 4))
+@example([], (1, 1), 1)
+@example([((1, 2), 2, ((1, 1), (1, 1)))], (1, 1), 1)  # one live group
+@example([((1,), 2, ((1, 1),)), ((-1,), 2, ((1, 1),)), ((), 3, ())], (1, 0), 2)  # all zero
+@example([((1,), 2, ((1, 0),)), ((1,), 3, ((1, 0),)), ((2,), 1, ())], (1, 0), 1)
+def test_acc_total_and_reduce_keep_the_plain_sum(terms, pair, k):
+    acc = _Acc()
+    for num, scale, key in terms:
+        acc.add(num, scale, key)
+    plain = sum((_factored_to_rf(t) for t in terms), RationalFunction.zero())
+    total = acc.total()
+    assert _factored_to_rf(total) == plain
+    reduced = _reduce(*total)
+    assert _factored_to_rf(reduced) == plain
+    # a reduced value is unique: padding it by k (a s + b) / (k (a s + b)) reduces back
+    a, b = pair
+    padded = _imul_linear([k * c for c in reduced[0]], a, b)
+    assert _reduce(padded, k * reduced[1], tuple(sorted(reduced[2] + (pair,)))) == reduced
