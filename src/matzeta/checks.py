@@ -206,7 +206,8 @@ def check_k_derivative_lemma(entry: CatalogEntry, kmax: int = 3) -> CheckReport:
     Each order is tested as an exact zero in factored integer arithmetic over
     the Z table, where Z(M|F) is the entry of F.  The weights come from the
     chi-bar division (chi-bar(1) is its coefficient sum), not from the
-    recurrence being checked.
+    recurrence being checked; they are summed per table value, so each
+    distinct value is differentiated once.
     """
     m = entry.matroid
     if m.is_trivial or not m.is_loopless():
@@ -216,25 +217,25 @@ def check_k_derivative_lemma(entry: CatalogEntry, kmax: int = 3) -> CheckReport:
     lat = lattice_of(m)
     tbl = _zeta_table(lat)
     n, r, top = m.size, m.rank, lat.top
-    weights: dict[int, int] = {}
+    weights: dict[tuple, int] = {}  # table value -> summed weight
     for f in lat.reduced_flats():
         w = sum(_minor_chibar_ints(m, f, top))
         if w:
-            weights[f] = w
-    derivs = {f: [tbl[f]] for f in (top, *weights)}
+            weights[tbl[f]] = weights.get(tbl[f], 0) + w
+    derivs = {v: [v] for v in (tbl[top], *weights)}
     for k in range(1, kmax + 1):
         for chain in derivs.values():
             chain.append(_factored_derivative(chain[-1]))
-        zk, zprev = derivs[top][k], derivs[top][k - 1]
+        zk, zprev = derivs[tbl[top]][k], derivs[tbl[top]][k - 1]
         acc = _Acc()
         acc.add(_imul_linear(zk[0], n, r), zk[1], zk[2])
         acc.add([k * n * c for c in zprev[0]], zprev[1], zprev[2])
-        for f, w in weights.items():
-            num, scale, fct = derivs[f][k]
+        for v, w in weights.items():
+            num, scale, fct = derivs[v][k]
             acc.add([-w * c for c in num], scale, fct)
         if acc.total()[0]:
             rhs = sum(
-                (w * _factored_to_rf(derivs[f][k]) for f, w in weights.items()),
+                (w * _factored_to_rf(derivs[v][k]) for v, w in weights.items()),
                 start=RationalFunction.zero(),
             )
             rhs = (rhs - k * n * _factored_to_rf(zprev)) / RationalFunction((r, n))

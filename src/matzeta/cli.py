@@ -150,7 +150,7 @@ def _cmd_zeta(args) -> int:
         lat = lattice_of(m)
         by_flags = routes._zeta_by_flags(lat, args.max_flags)
         zeta, algorithm = routes._zeta_by_recurrence(lat), "recurrence"
-        # both routes read chi from the Mobius sweep; the subset expansion checks it
+        # the flag route reads chi from the Mobius rows; the subset expansion checks them
         if lat.minor_chi(0, lat.top) != _minor_chi_ints(m, 0, lat.top):
             print("verification failed: Mobius and subset-expansion chi disagree", file=sys.stderr)
             return EXIT_THEOREM_FAILURE

@@ -4,12 +4,14 @@ Flats are generated bottom-up by closing single-element extensions of the
 previous rank stratum, so the work scales with the lattice rather than the
 powerset; the distinct closures cl(F + e) are the covers of F.  The interval
 indexes ``strict_supersets`` and ``strict_subsets`` are folded from the
-covers.  One interval-Mobius sweep (``_mobius_row``) gives, by Rota's
+covers.  The Mobius row of a flat G (``_mobius_row``) gives, by Rota's
 chi_[G, F](q) = sum over H in [G, F] of mu(G, H) q^(rk F - rk H), the minor
-characteristic polynomials (``minor_chi``), the Mobius values and, in one
-pass over every row (``_sweep``), the Z-recurrence weights chi-bar_[G, F](1)
-(``chibar1_below``) together with mu(G, E) (``mobius_to_top``); a row is
-dropped once read, and the lattice keeps none.  The signed subset expansion
+characteristic polynomials (``minor_chi``) and the Mobius values; it is
+computed on demand and the lattice keeps none.  The Z-recurrence weights
+chi-bar_[G, F](1) (``chibar1_below``) are an integer fold down the column of
+F, one addition per G < H < F with a nonzero weight at H, and mu(G, E)
+(``mobius_to_top``) is a fold down the top column, one addition per
+comparable pair.  The signed subset expansion
 ``_minor_chi_ints`` is kept as their oracle.  The flag walk
 of ``zeta`` is guarded by one hard cap (``check_flag_cap``), compared first
 with the maximal chains, which need only the covers.
@@ -123,7 +125,7 @@ class LatticeOfFlats:
     def strict_subsets(self, f: int) -> tuple[int, ...]:
         return self._subsets[f]
 
-    # -- the interval-Mobius sweep -----------------------------------------
+    # -- Mobius rows and columns --------------------------------------------
 
     def _mobius_row(self, g: int) -> dict[int, list[int]]:
         """For every flat F >= g, chi_[g, F] from q^(rk F - rk g) down to q^0,
@@ -145,30 +147,41 @@ class LatticeOfFlats:
                 row[f][k] += mu
         return row
 
-    @cached_property
-    def _sweep(self) -> tuple[dict[int, list[int]], dict[int, int]]:
-        """The sweep, one row per flat G, read into the Z-recurrence weights
-        chi-bar_[G, F](1) = chi_[G, F]'(1), for each F an int list parallel to
-        strict_subsets(F), and into mu(G, E), one int per G."""
-        weights: dict[int, list[int]] = {f: [] for f in self.flats}
-        mu_top: dict[int, int] = {}
-        for g in self.flats:
-            row = self._mobius_row(g)  # dropped once read
-            mu_top[g] = row[self.top][-1]
-            for f in self._supersets[g]:
-                w = 0
-                for d, c in enumerate(reversed(row[f])):  # c is the coefficient of q^d
-                    w += d * c
-                weights[f].append(w)
-        return weights, mu_top
-
     def chibar1_below(self, f: int) -> list[int]:
-        """The Z-recurrence weights chi-bar_[G, f](1), for G in strict_subsets(f)."""
-        return self._sweep[0][f]
+        """The Z-recurrence weights w(G) = chi-bar_[G, f](1), for G in
+        strict_subsets(f): an integer fold down the column of f.
+
+        Differentiating q^(rk f - rk G) = sum over H in [G, f] of chi_[H, f](q)
+        at q = 1 gives w(G) = (rk f - rk G) - sum over G < H < f of w(H), since
+        chi = (q - 1) chi-bar.  The G are taken in descending rank, and each
+        nonzero w(H) is pushed to the flats below H."""
+        ranks = self.matroid._ranks
+        sub = self._subsets
+        rf = ranks[f]
+        below = sub[f]
+        pushed = dict.fromkeys(below, 0)
+        out = [0] * len(below)
+        for i in range(len(below) - 1, -1, -1):
+            h = below[i]
+            w = out[i] = rf - ranks[h] - pushed[h]
+            if w:
+                for g in sub[h]:
+                    pushed[g] += w
+        return out
+
+    @cached_property
+    def _mobius_column(self) -> dict[int, int]:
+        """mu(G, E) for every flat G, by mu(G, E) = -sum over H > G of mu(H, E)
+        in descending rank: one addition per comparable pair."""
+        sup = self._supersets
+        mu = {self.top: 1}
+        for g in reversed(self.flats[:-1]):  # the top is the last flat
+            mu[g] = -sum(mu[h] for h in sup[g])
+        return mu
 
     def minor_chi(self, low: int, high: int) -> tuple[int, ...]:
         """Integer coefficients of the characteristic polynomial of
-        restriction(high)/low (flats, low <= high), from the sweep row of
+        restriction(high)/low (flats, low <= high), from the Mobius row of
         low; the row is not kept."""
         return tuple(reversed(self._mobius_row(low)[high]))
 
@@ -181,8 +194,8 @@ class LatticeOfFlats:
         return self._mobius_row(f)[g][-1]
 
     def mobius_to_top(self, f: int) -> int:
-        """mu(f, E), kept by the sweep behind ``chibar1_below``."""
-        return self._sweep[1][f]
+        """mu(f, E), from the top column fold."""
+        return self._mobius_column[f]
 
     # -- the flag cap --------------------------------------------------------
 

@@ -296,9 +296,9 @@ def test_minor_chi_weight_matches_rank_gap_sum(catalog4):
 
 
 def test_mobius_is_constant_term_of_minor_chi(catalog4):
-    """chi of the interval [f, g] at q = 0 is mu(f, g).  Both now come from
-    the same interval-Mobius sweep, so this holds by construction; the guard
-    is test_sweep_matches_subset_expansion_and_recursion."""
+    """chi of the interval [f, g] at q = 0 is mu(f, g).  Both come from the
+    Mobius row of f, so this holds by construction; the guard is
+    test_column_fold_matches_subset_expansion_and_recursion."""
     for entry in catalog4:
         lat = lattice_of(entry.matroid)
         for f, g in _nested_pairs(lat):
@@ -306,7 +306,7 @@ def test_mobius_is_constant_term_of_minor_chi(catalog4):
 
 
 def _mobius_oracle(lat):
-    """The lower-interval recursion the sweep replaced, over containment:
+    """The lower-interval recursion the Mobius rows replaced, over containment:
     mu(f, g) = -sum of mu(f, h) over flats f <= h < g."""
     memo = {}
 
@@ -322,7 +322,7 @@ def _mobius_oracle(lat):
     return mu
 
 
-def test_sweep_matches_subset_expansion_and_recursion(catalog7):
+def test_column_fold_matches_subset_expansion_and_recursion(catalog7):
     for entry in catalog7:
         m = entry.matroid
         lat = lattice_of(m)

@@ -1,5 +1,6 @@
 import gc
 import math
+import random
 import weakref
 from fractions import Fraction
 
@@ -460,8 +461,13 @@ def test_flag_cap_is_one_check(walk):
         walk(m, count - 1)
 
 
-def test_upsilon_by_mobius_sweeps_each_row_once(monkeypatch):
-    # mu(F, E) comes from the sweep that gives the Z-recurrence weights
+def complete_graph(k):
+    return [(a, b) for a in range(k) for b in range(a + 1, k)]
+
+
+def test_table_routes_read_no_mobius_row(monkeypatch):
+    # the recurrences and mu(F, E) fold columns; only the flag route and
+    # mobius/minor_chi divide Mobius rows, so --verify compares two computations
     rows = []
     original = LatticeOfFlats._mobius_row
 
@@ -470,14 +476,82 @@ def test_upsilon_by_mobius_sweeps_each_row_once(monkeypatch):
         return original(self, g)
 
     monkeypatch.setattr(LatticeOfFlats, "_mobius_row", counting)
-    m = uniform(3, 6)
-    assert upsilon_by_mobius(m) == upsilon_by_recurrence(m)
+    for m in (uniform(3, 6), graphic(complete_graph(4))):
+        assert upsilon_by_mobius(m) == upsilon_by_recurrence(m)
+        zeta_by_recurrence(m)
+        lat = lattice_of(m)
+        mus = [lat.mobius_to_top(f) for f in lat.flats]
+        assert rows == []
+        assert mus == [lat.mobius(f, lat.top) for f in lat.flats]
+        rows.clear()
+
+
+def _table_mismatches(m):
+    """The flats whose Z or Y table entry is not the flag route's value on
+    the restriction to that flat."""
     lat = lattice_of(m)
-    assert sorted(rows) == sorted(lat.flats)
-    rows.clear()  # the lattice command reads every mu(F, E) the same way
-    mus = [lat.mobius_to_top(f) for f in lat.flats]
-    assert sorted(rows) == sorted(lat.flats)
-    assert mus == [lat.mobius(f, lat.top) for f in lat.flats]
+    ztbl, ytbl = _zeta_table(lat), _upsilon_table(lat)
+    bad = []
+    for f in lat.flats:
+        sub = m.restriction(f)
+        if (_factored_to_rf(ztbl[f]), _factored_to_rf(ytbl[f])) != (
+            zeta_by_flags(sub),
+            upsilon_by_flags(sub),
+        ):
+            bad.append(f)
+    return bad
+
+
+def test_table_entries_are_flag_values_of_restrictions():
+    # K6 with its edges shuffled, so equal restrictions sit on unequal masks
+    edges = complete_graph(6)
+    random.Random(6).shuffle(edges)
+    assert _table_mismatches(graphic(edges)) == []
+
+
+def test_a_size_and_rank_class_key_is_caught(monkeypatch):
+    # U(2,3) + U(1,2) has two rank-2 flats of size 3: U(2,3) and U(1,1) + U(1,2)
+    m = uniform(2, 3).direct_sum(uniform(1, 2))
+    assert _table_mismatches(m) == []
+    monkeypatch.setattr(zeta, "_restriction_key", lambda ranks, f: (f.bit_count(), ranks[f]))
+    assert _table_mismatches(m) != []
+
+
+@pytest.mark.parametrize(
+    "m, classes",
+    [
+        (uniform(4, 16), 4),  # U(k,k) for k = 1, 2, 3, and the top
+        (uniform(3, 7).direct_sum(uniform(3, 7)), None),
+        (graphic(complete_graph(6)), None),
+        (uniform(3, 6).direct_sum(uniform(2, 5)).truncation(), None),
+    ],
+    ids=["U4_16", "U37+U37", "K6", "tr(U36+U25)"],
+)
+def test_table_rows_run_once_per_restriction_class(m, classes, monkeypatch):
+    lat = lattice_of(m)
+    distinct = {m.restriction(f) for f in lat.reduced_flats()}
+    assert classes in (None, len(distinct) + 1)
+    weights, rows = [], []
+    chibar1_below = LatticeOfFlats.chibar1_below
+    flat_table = zeta._flat_table
+
+    def counting_weights(self, f):
+        weights.append(f)
+        return chibar1_below(self, f)
+
+    def counting_rows(lat, row, coef):
+        def counted(f):
+            rows.append(f)
+            return row(f)
+
+        return flat_table(lat, counted, coef)
+
+    monkeypatch.setattr(LatticeOfFlats, "chibar1_below", counting_weights)
+    monkeypatch.setattr(zeta, "_flat_table", counting_rows)
+    zeta_by_recurrence(m)
+    upsilon_by_recurrence(m)
+    assert len(weights) == len(set(weights)) == len(distinct) + 1
+    assert len(rows) == 2 * len(weights)
 
 
 def test_compute_dispatch():
