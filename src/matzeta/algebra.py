@@ -257,6 +257,9 @@ def taylor_prefix(f: RationalFunction, k: int) -> tuple[Fraction, ...]:
     """First k+1 expansion coefficients of f around 0.
 
     Solved from den * (sum a_i s^i) = num mod s^(k+1); requires den(0) != 0.
+    The recurrence runs on the integers b_i = a_i d^(i+1), d = den(0):
+    b_i = num_i d^i - sum over j >= 1 of den_j d^(j-1) b_(i-j), so each
+    coefficient is reduced once, as b_i / d^(i+1).
     """
     if k < 0:
         raise ValueError("negative expansion order")
@@ -264,12 +267,16 @@ def taylor_prefix(f: RationalFunction, k: int) -> tuple[Fraction, ...]:
     d0 = den[0]
     if d0 == 0:
         raise ValueError("expansion at a pole: denominator vanishes at 0")
+    steps = [c * d0 ** (j - 1) for j, c in enumerate(den) if j]  # den_j d^(j-1), j >= 1
+    recent: list[int] = []  # b_(i-1), b_(i-2), ...: the last len(steps) of them
     out: list[Fraction] = []
+    power = 1  # d^i
     for i in range(k + 1):
-        acc = num[i] if i < len(num) else 0
-        for j in range(1, min(i, len(den) - 1) + 1):
-            acc -= den[j] * out[i - j]
-        out.append(Fraction(acc, d0))
+        b = num[i] * power if i < len(num) else 0
+        b -= sum(c * x for c, x in zip(steps, recent))
+        recent = [b, *recent[: len(steps) - 1]]
+        power *= d0
+        out.append(Fraction(b, power))
     return tuple(out)
 
 

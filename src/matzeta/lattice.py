@@ -12,7 +12,9 @@ chi-bar_[G, F](1) (``chibar1_below``) are an integer fold down the column of
 F, one addition per G < H < F with a nonzero weight at H, and mu(G, E)
 (``mobius_to_top``) is a fold down the top column, one addition per
 comparable pair.  The signed subset expansion
-``_minor_chi_ints`` is kept as their oracle.  The flag walk
+``_minor_chi_ints`` is kept as their oracle.  ``restriction_class`` names
+each reduced flat's restriction by an exact key (``_restriction_key``), once
+per lattice, for the tables that fold once per class.  The flag walk
 of ``zeta`` is guarded by one hard cap (``check_flag_cap``), compared first
 with the maximal chains, which need only the covers.
 
@@ -25,10 +27,11 @@ is its public name.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterator
+from itertools import combinations
+from typing import Iterator, Sequence
 
 from .algebra import InexactDivisionError, _div_linear, _poly_text
-from .matroid import Matroid
+from .matroid import Matroid, iter_bits
 
 DEFAULT_FLAG_CAP = 10_000_000
 
@@ -118,6 +121,18 @@ class LatticeOfFlats:
             for f in self._supersets[g]:
                 out[f].append(g)
         return {f: tuple(below) for f, below in out.items()}
+
+    @cached_property
+    def restriction_class(self) -> dict[int, int]:
+        """For each reduced flat, a small id of its restriction: two flats
+        share an id only when their ``_restriction_key`` is equal.  Keyed
+        once per lattice, so every table folded on it reads the same map."""
+        ranks = self.matroid._ranks
+        ids: dict[tuple, int] = {}
+        return {
+            f: ids.setdefault(_restriction_key(ranks, f), len(ids))
+            for f in self.reduced_flats()
+        }
 
     def strict_supersets(self, f: int) -> tuple[int, ...]:
         return self._supersets[f]
@@ -223,6 +238,19 @@ class LatticeOfFlats:
                 f"{bound}{count} flags exceed the cap of {cap}; "
                 "raise the cap to enumerate anyway"
             )
+
+
+def _restriction_key(ranks: Sequence[int], f: int) -> tuple:
+    """An exact key for the restriction to the flat f: |f|, rk f and the
+    positions of its bases among the (rk f)-subsets of f, in
+    ``itertools.combinations`` order.  Two flats have equal keys only when
+    their restrictions are equal after dense relabelling; this is no
+    isomorphism test."""
+    r = ranks[f]
+    elems = [1 << e for e in iter_bits(f)]
+    bases = tuple(i for i, c in enumerate(combinations(elems, r)) if ranks[sum(c)] == r)
+    return (len(elems), r, bases)
+
 
 def lattice_of(m: Matroid) -> LatticeOfFlats:
     """Enumerate all flats of a loopless matroid, graded by rank, with their

@@ -25,8 +25,9 @@ rank it sums the route's own coefficient times T[G] over the flats G < F,
 summing the coefficients of equal entries first, and divides by
 (|F| s + rk F).  T[F] is a value of the restriction to F, so F is folded
 only when its restriction, relabelled densely, was not met before
-(``_restriction_key``): the fold runs once per restriction class, which on
-U(4,16) is 4 of 698 flats.  ``_zeta_table`` weights by chi-bar_[G, F](1),
+(the lattice's ``restriction_class`` map, keyed once per lattice and read by
+both tables): the fold runs once per restriction class, which on U(4,16) is
+4 of 698 flats.  ``_zeta_table`` weights by chi-bar_[G, F](1),
 the lattice's integer fold down the column of F, and
 ``upsilon_by_recurrence`` by -(|F| s + rk G); neither reads a Mobius row, so
 the flag routes, which divide their own, stay an independent check.
@@ -49,7 +50,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Sequence
 
 from .algebra import (
@@ -64,7 +64,7 @@ from .algebra import (
 )
 from .combinat import generalized_binomial, multichoose
 from .lattice import LatticeOfFlats, LoopsError, lattice_of
-from .matroid import Matroid, iter_bits
+from .matroid import Matroid
 
 
 ZETA_ALGORITHMS = ("flags", "recurrence", "auto")
@@ -260,18 +260,6 @@ def _flag_sum(
     return _factored_to_rf(acc.total())
 
 
-def _restriction_key(ranks: Sequence[int], f: int) -> tuple:
-    """An exact key for the restriction to the flat f: |f|, rk f and the
-    positions of its bases among the (rk f)-subsets of f, in
-    ``itertools.combinations`` order.  Two flats have equal keys only when
-    their restrictions are equal after dense relabelling; this is no
-    isomorphism test."""
-    r = ranks[f]
-    elems = [1 << e for e in iter_bits(f)]
-    bases = tuple(i for i, c in enumerate(combinations(elems, r)) if ranks[sum(c)] == r)
-    return (len(elems), r, bases)
-
-
 def _flat_table(
     lat: LatticeOfFlats,
     row: Callable[[int], Sequence[int]],
@@ -283,18 +271,19 @@ def _flat_table(
     x_G is G's entry in row(F), a sequence parallel to lat.strict_subsets(F).
 
     T[F] depends only on the restriction to F, so a proper flat whose
-    ``_restriction_key`` was seen before takes that flat's entry, and row(F)
-    runs once per restriction class.  The coefficients of the G with equal
-    entries are summed first, so each distinct entry below F is multiplied
-    once; the entries are interned (value -> small id) as they are reduced,
-    and a reduced entry is unique per value."""
+    ``lat.restriction_class`` was seen before takes that flat's entry, and
+    row(F) runs once per restriction class.  The coefficients of the G with
+    equal entries are summed first, so each distinct entry below F is
+    multiplied once; the entries are interned (value -> small id) as they are
+    reduced, and a reduced entry is unique per value."""
     ranks = lat.matroid._ranks
     vals: list[_Fct] = [_F_ONE]
     ids = {_F_ONE: 0}
     id_of = {0: 0}
-    classes: dict[tuple, int] = {}  # restriction key -> entry id
+    class_of = lat.restriction_class
+    classes: dict[int | None, int] = {}  # restriction class -> entry id
     for f in lat.flats[1:]:
-        key = _restriction_key(ranks, f) if f != lat.top else None
+        key = class_of.get(f)  # None for the top
         if key in classes:
             id_of[f] = classes[key]
             continue
@@ -509,8 +498,8 @@ def zeta_of_truncation_via_transfer(m: Matroid) -> RationalFunction:
         raise LoopsError("truncation transfer needs a loopless matroid")
     if m.rank < 2:
         raise ValueError("truncation transfer needs rank >= 2")
-    z = zeta_by_recurrence(m)
-    y = upsilon_by_recurrence(m)
+    lat = lattice_of(m)
+    z, y = _zeta_by_recurrence(lat), _upsilon_by_recurrence(lat)
     return z + y / RationalFunction((m.rank - 1, m.size))
 
 
@@ -520,8 +509,8 @@ def zeta_of_free_extension_via_transfer(m: Matroid) -> RationalFunction:
         raise LoopsError("free-extension transfer needs a loopless matroid")
     if m.rank < 1:
         raise ValueError("free-extension transfer needs rank >= 1")
-    z = zeta_by_recurrence(m)
-    y = upsilon_by_recurrence(m)
+    lat = lattice_of(m)
+    z, y = _zeta_by_recurrence(lat), _upsilon_by_recurrence(lat)
     s = RationalFunction((0, 1))
     lin = RationalFunction((m.rank, m.size + 1))
     return (z - s / lin * y) / RationalFunction((1, 1))

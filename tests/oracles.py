@@ -1,6 +1,7 @@
 """Literal routes kept only as test oracles: the rank table by every single
 deletion and the rank as max |S & B| over the bases, long division over Fraction,
-the flag walk over strict_supersets and the degeneration along a flag, the
+the Taylor recurrence over Fraction (``taylor_prefix_by_fractions``), the flag
+walk over strict_supersets and the degeneration along a flag, the
 lower-interval fold one comparable pair at a time (``flat_table_per_pair``),
 the characteristic polynomial by the signed subset expansion (``chi``), the
 two-flats identity and the Stirling lemma checked term by term, and the
@@ -45,6 +46,19 @@ def poly_divmod(p, d):
         for j, c in enumerate(d):
             rem[i - dd + j] -= q * c
     return _itrim(quo), _itrim(rem)
+
+
+def taylor_prefix_by_fractions(f, k):
+    """The first k+1 expansion coefficients of f around 0 by the denominator's
+    recurrence over Fraction, one reduced Fraction per coefficient and step."""
+    num, den = f.num, f.den
+    out = []
+    for i in range(k + 1):
+        acc = num[i] if i < len(num) else 0
+        for j in range(1, min(i, len(den) - 1) + 1):
+            acc -= den[j] * out[i - j]
+        out.append(Fraction(acc, den[0]))
+    return tuple(out)
 
 
 def flags(lat):
@@ -144,3 +158,4 @@ def _parse_side(x):
     if isinstance(x, list):
         return tuple(Fraction(s) for s in x)
     return Fraction(x)
+

@@ -187,9 +187,9 @@ def test_criterion_9_conjecture_harness(catalog7, monkeypatch):
     victim = entry.matroid.truncation()
     original = checks.zeta_taylor_prefix
 
-    def perturbed(m, k):
-        prefix = original(m, k)
-        if m == victim:
+    def perturbed(b, k):
+        prefix = original(b, k)
+        if b.matroid == victim:
             coeffs = list(prefix)
             coeffs[1] += Fraction(1)
             return tuple(coeffs)

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from matzeta.algebra import (
@@ -16,7 +16,7 @@ from matzeta.algebra import (
     poly_gcd,
     taylor_prefix,
 )
-from oracles import poly_divmod
+from oracles import poly_divmod, taylor_prefix_by_fractions
 
 rf = RationalFunction
 
@@ -151,6 +151,22 @@ def test_taylor_prefix_binomial_series():
 def test_taylor_prefix_needs_nonzero_at_origin():
     with pytest.raises(ValueError):
         taylor_prefix(rf([1], [0, 1]), 2)
+
+
+_coeffs = st.lists(st.integers(-40, 40), min_size=1, max_size=5)
+
+
+@given(
+    num=_coeffs,
+    d0=st.integers(-30, 30).filter(lambda d: d not in (-1, 0, 1)),
+    rest=st.lists(st.integers(-40, 40), max_size=4),
+    k=st.integers(0, 60),
+)
+@example(num=[1], d0=30030, rest=[1], k=60)
+def test_integer_taylor_prefix_matches_fraction_recurrence(num, d0, rest, k):
+    f = rf(num, [d0, *rest])
+    assume(f.den[0] not in (-1, 1))  # canonicalisation may cancel den(0) down
+    assert taylor_prefix(f, k) == taylor_prefix_by_fractions(f, k)
 
 
 def test_taylor_prefix_gives_derivatives_at_zero():

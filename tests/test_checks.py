@@ -1,3 +1,6 @@
+import gc
+import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -21,7 +24,9 @@ from matzeta.checks import (
     run_all_checks,
     summarize,
 )
+from matzeta.lattice import _minor_chibar_ints, lattice_of
 from matzeta.matroid import graphic, iter_bits, uniform
+from matzeta.zeta import upsilon_by_recurrence, zeta_by_recurrence
 from oracles import witness_reverifies
 
 
@@ -162,10 +167,64 @@ def test_run_all_checks_bounds_workers(monkeypatch, catalog4, jobs, entries, cpu
     assert reports == run_all_checks(catalog, kderivative_kmax=1)
 
 
+def test_a_catalog_pass_builds_one_lattice_per_entry_and_truncation(monkeypatch, catalog7):
+    """Every check of an entry reads one lattice; Z(tr M) needs the
+    truncation's own, so each rank >= 2 entry adds one.  None outlives its
+    entry."""
+    built = []
+
+    def recording(m):
+        lat = lattice_of(m)
+        built.append(weakref.ref(lat))
+        return lat
+
+    monkeypatch.setattr(checks, "lattice_of", recording)
+    gc.disable()  # a reference cycle would keep a lattice until a collection
+    try:
+        run_all_checks(catalog7)
+        assert [r() for r in built] == [None] * len(built)
+    finally:
+        gc.enable()
+    truncations = sum(e.matroid.rank >= 2 for e in catalog7)
+    assert (len(catalog7), truncations) == (165, 158)
+    assert len(built) == len(catalog7) + truncations == 323
+
+
+def test_chibar_is_expanded_once_per_reduced_flat(monkeypatch, catalog5):
+    calls = Counter()
+
+    def counting(m, low, high):
+        calls[m, low, high] += 1
+        return _minor_chibar_ints(m, low, high)
+
+    monkeypatch.setattr(checks, "_minor_chibar_ints", counting)
+    reports = run_all_checks(catalog5, suites=("theorems",))
+    assert {r.status for r in reports} == {HOLDS}
+    assert calls == Counter(
+        (e.matroid, f, e.matroid.full_mask)
+        for e in catalog5
+        for f in lattice_of(e.matroid).reduced_flats()
+    )
+
+
+def test_check_memos_keep_their_benchmark_hooks(catalog4):
+    # perfbench/workloads.py:77-78 (_clear_check_memos) clears both memos
+    # before every pass and perfbench/run.py:158 (_layer_metrics) reads
+    # _zeta.cache_info(), so both stay lru_cache functions of a matroid
+    memos = ((checks._zeta, zeta_by_recurrence), (checks._upsilon, upsilon_by_recurrence))
+    for memo, _ in memos:
+        memo.cache_clear()
+    run_all_checks(catalog4)
+    for memo, route in memos:
+        assert memo.cache_info().currsize == 0  # no check warms them
+        assert memo(uniform(2, 3)) == route(uniform(2, 3))
+        assert memo.cache_info().currsize == 1
+
+
 def _perturbing(original, victim, index, delta=Fraction(1)):
-    def wrapper(m, k):
-        prefix = original(m, k)
-        if m == victim and index < len(prefix):
+    def wrapper(b, k):
+        prefix = original(b, k)
+        if b.matroid == victim and index < len(prefix):
             coeffs = list(prefix)
             coeffs[index] += delta
             return tuple(coeffs)

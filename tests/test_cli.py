@@ -426,9 +426,9 @@ def test_check_counterexample_path_end_to_end(capsys, tmp_path, monkeypatch):
     victim = uniform(1, 3)  # the truncation of U(2,3)
     original = checks.zeta_taylor_prefix
 
-    def perturbed(m, k):
-        prefix = original(m, k)
-        if m == victim:
+    def perturbed(b, k):
+        prefix = original(b, k)
+        if b.matroid == victim:
             coeffs = list(prefix)
             coeffs[0] += Fraction(1)
             return tuple(coeffs)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from matzeta import zeta
+from matzeta import lattice, zeta
 from matzeta.algebra import (
     InexactDivisionError,
     RationalFunction,
@@ -292,6 +292,15 @@ def test_table_routes_fold_the_size_0_matroid(route, built_lattices):
     assert [lat.flats for lat in built_lattices] == [(0,)]
 
 
+
+@pytest.mark.parametrize(
+    "transfer", [zeta_of_truncation_via_transfer, zeta_of_free_extension_via_transfer]
+)
+def test_transfers_fold_both_tables_on_one_lattice(transfer, built_lattices):
+    transfer(uniform(3, 5))
+    assert len(built_lattices) == 1
+
+
 def test_upsilon_worked_values():
     u23 = uniform(2, 3)
     assert upsilon_by_mobius(u23) == Y23
@@ -513,8 +522,24 @@ def test_a_size_and_rank_class_key_is_caught(monkeypatch):
     # U(2,3) + U(1,2) has two rank-2 flats of size 3: U(2,3) and U(1,1) + U(1,2)
     m = uniform(2, 3).direct_sum(uniform(1, 2))
     assert _table_mismatches(m) == []
-    monkeypatch.setattr(zeta, "_restriction_key", lambda ranks, f: (f.bit_count(), ranks[f]))
+    monkeypatch.setattr(lattice, "_restriction_key", lambda ranks, f: (f.bit_count(), ranks[f]))
     assert _table_mismatches(m) != []
+
+
+
+def test_both_tables_key_each_reduced_flat_once(monkeypatch):
+    keys = []
+    restriction_key = lattice._restriction_key
+
+    def counting(ranks, f):
+        keys.append(f)
+        return restriction_key(ranks, f)
+
+    monkeypatch.setattr(lattice, "_restriction_key", counting)
+    lat = lattice_of(graphic(complete_graph(5)))
+    _zeta_table(lat)
+    _upsilon_table(lat)
+    assert sorted(keys) == sorted(lat.reduced_flats())
 
 
 @pytest.mark.parametrize(
