@@ -6,17 +6,14 @@ failure is a counterexample and must be preserved verbatim in its witness.
 Entries are independent; the runner can execute them in parallel and merges
 results in catalog order.
 
-The checks of one entry read the same few objects of its matroid: the lattice
-of flats, the Z and Y tables folded on it, and chi-bar_[F, E] of each reduced
-flat.  The runner builds one ``_Bundle`` per entry, which builds each of these
-on first use, hands it to every check and drops it with the entry's reports;
-a check called alone builds its own.  What is shared is plumbing, never an
-answer a check is testing: the k-derivative and counting checks take their
-weights from the subset expansion ``_minor_chibar_ints``, not from the
-recurrence's column fold, and Z(tr M) comes from the truncation's own lattice,
-not from the transfer formula.  ``zeta_taylor_prefix``,
-``upsilon_taylor_prefix`` and ``_minor_chibar_ints`` are module-level names so
-a test can plant a violation through them.
+The checks of one entry share one ``_Bundle`` of its matroid: the lattice of
+flats, Z and Y on it and chi-bar_[F, E] of each reduced flat, each built on
+first use and dropped with the entry's reports.  It shares plumbing, never an
+answer under test: the k-derivative and counting weights come from the subset
+expansion ``_minor_chibar_ints``, not the recurrence, and Z(tr M) from the
+truncation's own lattice, not the transfer formula.  ``zeta_taylor_prefix``,
+``upsilon_taylor_prefix`` and ``_minor_chibar_ints`` stay module-level names
+so a test can plant a violation through them.
 """
 
 from __future__ import annotations
@@ -162,7 +159,7 @@ def build_catalog(max_ground: int = 7) -> list[CatalogEntry]:
 class _Bundle:
     """One matroid's lattice of flats, Z and Y on that lattice, and
     chi-bar_[F, E] of its reduced flats by the subset expansion, each built
-    on first use and dropped with the bundle."""
+    on first use.  A check handed none builds its own."""
 
     def __init__(self, matroid: Matroid) -> None:
         self.matroid = matroid
