@@ -2,14 +2,16 @@
 
 Flats are generated bottom-up by closing single-element extensions of the
 previous rank stratum, so the work scales with the lattice rather than the
-powerset; the distinct closures cl(F + e) are the covers of F.  The interval
-indexes ``strict_supersets`` and ``strict_subsets`` are folded from the
-covers.  The Mobius row of a flat G (``_mobius_row``) gives, by Rota's
+powerset; the distinct closures cl(F + e) are the covers of F.  The one
+interval index, the up-sets ``strict_supersets``, is folded from the covers;
+a lower interval ``strict_subsets(F)`` is a subset test over the flats of
+lower rank, made only for the flats a table folds.  The Mobius row of a
+flat G (``_mobius_row``) gives, by Rota's
 chi_[G, F](q) = sum over H in [G, F] of mu(G, H) q^(rk F - rk H), the minor
 characteristic polynomials (``minor_chi``) and the Mobius values; it is
 computed on demand and the lattice keeps none.  The Z-recurrence weights
 chi-bar_[G, F](1) (``chibar1_below``) are an integer fold down the column of
-F, one addition per G < H < F with a nonzero weight at H, and mu(G, E)
+F, each G < F pulling the weights of its up-set, and mu(G, E)
 (``mobius_to_top``) is a fold down the top column, one addition per
 comparable pair.  The signed subset expansion
 ``_minor_chi_ints`` is kept as their oracle.  ``restriction_class`` names
@@ -111,18 +113,6 @@ class LatticeOfFlats:
         return out
 
     @cached_property
-    def _subsets(self) -> dict[int, tuple[int, ...]]:
-        """For each flat, the flats strictly inside it, in (rank, mask) order.
-
-        Built by inverting ``_supersets``, so the covers are folded once.
-        """
-        out: dict[int, list[int]] = {f: [] for f in self.flats}
-        for g in self.flats:
-            for f in self._supersets[g]:
-                out[f].append(g)
-        return {f: tuple(below) for f, below in out.items()}
-
-    @cached_property
     def restriction_class(self) -> dict[int, int]:
         """For each reduced flat, a small id of its restriction: two flats
         share an id only when their ``_restriction_key`` is equal.  Keyed
@@ -138,7 +128,15 @@ class LatticeOfFlats:
         return self._supersets[f]
 
     def strict_subsets(self, f: int) -> tuple[int, ...]:
-        return self._subsets[f]
+        """The flats strictly inside f, in (rank, mask) order: one subset
+        test per flat of lower rank, so the lattice keeps no lower-interval
+        index."""
+        return tuple(
+            g
+            for stratum in self.by_rank[: self.matroid._ranks[f]]
+            for g in stratum
+            if not g & ~f
+        )
 
     # -- Mobius rows and columns --------------------------------------------
 
@@ -162,27 +160,21 @@ class LatticeOfFlats:
                 row[f][k] += mu
         return row
 
-    def chibar1_below(self, f: int) -> list[int]:
+    def chibar1_below(self, f: int, below: Sequence[int]) -> list[int]:
         """The Z-recurrence weights w(G) = chi-bar_[G, f](1), for G in
-        strict_subsets(f): an integer fold down the column of f.
+        below = strict_subsets(f): an integer fold down the column of f.
 
         Differentiating q^(rk f - rk G) = sum over H in [G, f] of chi_[H, f](q)
         at q = 1 gives w(G) = (rk f - rk G) - sum over G < H < f of w(H), since
         chi = (q - 1) chi-bar.  The G are taken in descending rank, and each
-        nonzero w(H) is pushed to the flats below H."""
+        pulls the w(H) of its up-set; the flats not below f weigh 0."""
         ranks = self.matroid._ranks
-        sub = self._subsets
+        sup = self._supersets
         rf = ranks[f]
-        below = sub[f]
-        pushed = dict.fromkeys(below, 0)
-        out = [0] * len(below)
-        for i in range(len(below) - 1, -1, -1):
-            h = below[i]
-            w = out[i] = rf - ranks[h] - pushed[h]
-            if w:
-                for g in sub[h]:
-                    pushed[g] += w
-        return out
+        w = dict.fromkeys(self.flats, 0)
+        for g in reversed(below):
+            w[g] = rf - ranks[g] - sum(map(w.__getitem__, sup[g]))
+        return [w[g] for g in below]
 
     @cached_property
     def _mobius_column(self) -> dict[int, int]:

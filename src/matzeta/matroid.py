@@ -190,20 +190,6 @@ class Matroid:
         bases = [_compress(s, f) for s in submasks(f) if s.bit_count() == r == ranks[s]]
         return Matroid(f.bit_count(), bases, validate=False)
 
-    def contraction(self, f: int) -> "Matroid":
-        """The matroid on E - f with rank S -> rk(S | f) - rk(f)."""
-        self._check_subset(f)
-        rest = self.full_mask & ~f
-        rf = self._ranks[f]
-        target = self.rank - rf
-        ranks = self._ranks
-        bases = [
-            _compress(s, rest)
-            for s in submasks(rest)
-            if s.bit_count() == target and ranks[s | f] == self.rank
-        ]
-        return Matroid(rest.bit_count(), bases, validate=False)
-
     def direct_sum(self, other: "Matroid") -> "Matroid":
         size = self.size + other.size
         if size > MAX_GROUND_SIZE:

@@ -27,10 +27,13 @@ summing the coefficients of equal entries first, and divides by
 only when its restriction, relabelled densely, was not met before
 (the lattice's ``restriction_class`` map, keyed once per lattice and read by
 both tables): the fold runs once per restriction class, which on U(4,16) is
-4 of 698 flats.  ``_zeta_table`` weights by chi-bar_[G, F](1),
-the lattice's integer fold down the column of F, and
-``upsilon_by_recurrence`` by -(|F| s + rk G); neither reads a Mobius row, so
-the flag routes, which divide their own, stay an independent check.
+4 of 698 flats.  The flats below a folded F come from one subset test per
+flat of lower rank (``strict_subsets``), handed to the route's row.
+``_zeta_table`` weights by chi-bar_[G, F](1), the lattice's integer fold
+down the column of F, which pulls through the up-set index, and
+``upsilon_by_recurrence`` by -(|F| s + rk G), which reads no interval index
+at all; neither reads a Mobius row, so the flag routes, which divide their
+own, stay an independent check.
 
 Internally the big sums are accumulated as integer-coefficient polynomials
 over factored linear denominators, grouped by denominator profile, with a
@@ -262,20 +265,22 @@ def _flag_sum(
 
 def _flat_table(
     lat: LatticeOfFlats,
-    row: Callable[[int], Sequence[int]],
+    row: Callable[[int, tuple[int, ...]], Sequence[int]],
     coef: Callable[[int, int, int], list[int]],
 ) -> dict[int, _Fct]:
     """Fold over lower intervals in ascending rank, keyed by flat: T[0] = 1 and
     T[F] = sum over flats G < F of coef(x_G, G, F) T[G], divided by
     (|F| s + rk F), where coef gives a short polynomial in s ([] for zero) and
-    x_G is G's entry in row(F), a sequence parallel to lat.strict_subsets(F).
+    x_G is G's entry in row(F, below), a sequence parallel to
+    below = lat.strict_subsets(F).
 
     T[F] depends only on the restriction to F, so a proper flat whose
     ``lat.restriction_class`` was seen before takes that flat's entry, and
-    row(F) runs once per restriction class.  The coefficients of the G with
-    equal entries are summed first, so each distinct entry below F is
-    multiplied once; the entries are interned (value -> small id) as they are
-    reduced, and a reduced entry is unique per value."""
+    its lower interval and row(F, below) are computed once per restriction
+    class.  The coefficients of the G with equal entries are summed first, so
+    each distinct entry below F is multiplied once; the entries are interned
+    (value -> small id) as they are reduced, and a reduced entry is unique per
+    value."""
     ranks = lat.matroid._ranks
     vals: list[_Fct] = [_F_ONE]
     ids = {_F_ONE: 0}
@@ -288,7 +293,8 @@ def _flat_table(
             id_of[f] = classes[key]
             continue
         merged: dict[int, list[int]] = {}
-        for g, x in zip(lat.strict_subsets(f), row(f)):
+        below = lat.strict_subsets(f)
+        for g, x in zip(below, row(f, below)):
             c = coef(x, g, f)
             if c:  # zero is []: on near-Boolean lattices most chi-bar(1) are 0
                 i = id_of[g]
@@ -405,7 +411,7 @@ def upsilon_by_recurrence(m: Matroid) -> RationalFunction:
 def _upsilon_table(lat: LatticeOfFlats) -> dict[int, _Fct]:
     """Y of every restriction-to-a-flat, keyed by flat mask, ascending rank."""
     ranks = lat.matroid._ranks
-    return _flat_table(lat, lat.strict_subsets, lambda g, _, f: [-ranks[g], -f.bit_count()])
+    return _flat_table(lat, lambda f, below: below, lambda g, _, f: [-ranks[g], -f.bit_count()])
 
 
 def _upsilon_by_recurrence(lat: LatticeOfFlats) -> RationalFunction:

@@ -1,11 +1,12 @@
 """Literal routes kept only as test oracles: the rank table by every single
 deletion and the rank as max |S & B| over the bases, long division over Fraction,
 the Taylor recurrence over Fraction (``taylor_prefix_by_fractions``), the flag
-walk over strict_supersets and the degeneration along a flag, the
-lower-interval fold one comparable pair at a time (``flat_table_per_pair``),
-the characteristic polynomial by the signed subset expansion (``chi``), the
-two-flats identity and the Stirling lemma checked term by term, and the
-re-evaluation of a failure witness (``witness_reverifies``)."""
+walk over strict_supersets, the contraction at a set and the degeneration
+along a flag, the lower-interval fold one comparable pair at a time
+(``flat_table_per_pair``), the characteristic polynomial by the signed subset
+expansion (``chi``), the two-flats identity and the Stirling lemma checked
+term by term, and the re-evaluation of a failure witness
+(``witness_reverifies``)."""
 
 from fractions import Fraction
 
@@ -13,7 +14,7 @@ from matzeta.algebra import RationalFunction, _iadd, _itrim
 from matzeta.checks import FAILS
 from matzeta.combinat import stirling_first, stirling_second_rows
 from matzeta.lattice import _minor_chi_ints, _minor_chibar_ints, lattice_of
-from matzeta.matroid import _compress, iter_bits, submasks, uniform
+from matzeta.matroid import Matroid, _compress, iter_bits, submasks, uniform
 from matzeta.zeta import _F_ONE, _Acc, _norm_factor, _reduce
 
 
@@ -73,11 +74,25 @@ def flags(lat):
     return out
 
 
+def contraction(m, f):
+    """The matroid on E - f with rank S -> rk(S | f) - rk(f)."""
+    m._check_subset(f)
+    rest = m.full_mask & ~f
+    ranks = m._ranks
+    target = m.rank - ranks[f]
+    bases = [
+        _compress(s, rest)
+        for s in submasks(rest)
+        if s.bit_count() == target and ranks[s | f] == m.rank
+    ]
+    return Matroid(rest.bit_count(), bases, validate=False)
+
+
 def degeneration(m, flag):
     """Direct sum of the step minors restriction(F_i) / F_{i-1} along a flag."""
     out = uniform(0, 0)
     for low, high in zip(flag, flag[1:]):
-        out = out.direct_sum(m.restriction(high).contraction(_compress(low, high)))
+        out = out.direct_sum(contraction(m.restriction(high), _compress(low, high)))
     return out
 
 
@@ -85,11 +100,13 @@ def flat_table_per_pair(lat, row, term):
     """The lower-interval fold with one term per comparable pair: T[0] = 1 and
     T[F] = sum over flats G < F of term(num_G, x_G, F) / (scale_G * prod fct_G),
     divided by (|F| s + rk F), where T[G] = (num_G, scale_G, fct_G) and x_G is
-    G's entry in row(F), a sequence parallel to lat.strict_subsets(F)."""
+    G's entry in row(F, below), a sequence parallel to
+    below = lat.strict_subsets(F)."""
     tbl = {0: _F_ONE}
     for f in lat.flats[1:]:
         acc = _Acc()
-        for g, x in zip(lat.strict_subsets(f), row(f)):
+        below = lat.strict_subsets(f)
+        for g, x in zip(below, row(f, below)):
             num, scale, fct = tbl[g]
             num = term(num, x, f)
             if num:

@@ -33,6 +33,7 @@ from matzeta.zeta import (
 )
 from oracles import (
     chi,
+    contraction,
     verify_stirling_lemma,
     verify_two_flats_identity,
     witness_reverifies,
@@ -154,7 +155,7 @@ def test_criterion_7_identity_suite(catalog7):
             for r in range(m.rank - 1):
                 for f in lat.flats_by_rank(r):
                     assert tr.restriction(f) == m.restriction(f), entry.name
-                    assert tr.contraction(f) == m.contraction(f).truncation(), entry.name
+                    assert contraction(tr, f) == contraction(m, f).truncation(), entry.name
 
 
 @criterion(8, "Stirling identities hold: lemma to k=15, factorial expansions to n=12")

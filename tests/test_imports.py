@@ -1,5 +1,6 @@
 """Every name a package module imports is used there or re-exported in
-__all__, and every public module-level function has a caller in the package.
+__all__, and every public module-level function and public method has a
+caller in the package.
 
 No linter ships with the test dependencies, so this walks the syntax trees
 with the standard library.
@@ -12,7 +13,8 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "matzeta"
 
-# Public functions nothing in the package calls, each with what needs it.
+# Public functions and methods nothing in the package calls, each with what
+# needs it.
 UNCALLED_BY_DESIGN = {
     "algebra.poly_gcd": "perfbench span algebra.poly_gcd",
     "lattice.minor_reduced_chi": "perfbench span lattice.minor_reduced_chi",
@@ -25,6 +27,13 @@ UNCALLED_BY_DESIGN = {
     "combinat.stirling_second": "Stirling numbers checked by criterion 8",
     "files.dump_bases": "bases-file writer documented in the README",
     "files.dump_graph": "graph-file writer documented in the README",
+    "lattice.LatticeOfFlats.mobius": "perfbench span lattice.mobius",
+    "matroid.Matroid.restriction": "perfbench span matroid.restriction",
+    "algebra.RationalFunction.derivative": "perfbench span algebra.derivative",
+    "algebra.RationalFunction.from_json": (
+        "perfbench reference values and criterion 10's JSON round trip"
+    ),
+    "matroid.Matroid.closure_of": "the checked counterpart of rank_of",
 }
 
 
@@ -60,16 +69,30 @@ def _used(tree: ast.Module) -> set[str]:
 
 def _uncalled(trees: dict[str, ast.Module]) -> set[str]:
     """module.function for every public module-level function whose name no
-    module loads or exports."""
+    module loads or exports, and module.Class.method for every public method
+    whose name no module reads as an attribute."""
     used = set().union(*map(_used, trees.values()))
-    return {
-        f"{module}.{node.name}"
-        for module, tree in trees.items()
-        for node in tree.body
-        if isinstance(node, ast.FunctionDef)
-        and not node.name.startswith("_")
-        and node.name not in used
+    attrs = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
     }
+    out = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                if not node.name.startswith("_") and node.name not in used:
+                    out.add(f"{module}.{node.name}")
+            elif isinstance(node, ast.ClassDef):
+                out |= {
+                    f"{module}.{node.name}.{method.name}"
+                    for method in node.body
+                    if isinstance(method, ast.FunctionDef)
+                    and not method.name.startswith("_")
+                    and method.name not in attrs
+                }
+    return out
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -89,7 +112,7 @@ def test_every_public_function_has_a_caller():
     trees = {p.stem: ast.parse(p.read_text(), str(p)) for p in PACKAGE.glob("*.py")}
     uncalled = _uncalled(trees)
     stray = sorted(uncalled - set(UNCALLED_BY_DESIGN))
-    assert not stray, f"public functions nothing in the package calls: {stray}"
+    assert not stray, f"public functions and methods nothing in the package calls: {stray}"
     stale = sorted(set(UNCALLED_BY_DESIGN) - uncalled)
     assert not stale, f"UNCALLED_BY_DESIGN entries that now have a caller: {stale}"
 
@@ -100,3 +123,18 @@ def test_guard_sees_an_uncalled_function():
         "b": ast.parse("def k(): return j()\ndef j(): pass\n"),
     }
     assert _uncalled(trees) == {"a.f", "b.k"}
+
+
+def test_guard_sees_an_uncalled_method():
+    trees = {
+        "a": ast.parse(
+            "class C:\n"
+            "    def f(self): return self.g()\n"
+            "    def g(self): pass\n"
+            "    def h(self): pass\n"
+            "    def _k(self): pass\n"
+            "    def __len__(self): return 0\n"
+        ),
+        "b": ast.parse("def run(c): return c.f()\n__all__ = ['run']\n"),
+    }
+    assert _uncalled(trees) == {"a.C.h"}

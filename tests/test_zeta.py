@@ -175,7 +175,7 @@ def test_flag_folds_match_literal_flag_products(catalog5):
 def test_flag_folds_match_literal_flag_products_where_weights_vanish(m):
     lat = lattice_of(m)
     # a disconnected interval has beta = 0, so some step weight is zero
-    assert any(0 in lat.chibar1_below(f) for f in lat.flats)
+    assert any(0 in lat.chibar1_below(f, lat.strict_subsets(f)) for f in lat.flats)
     z, y = literal_flag_folds(m)
     assert zeta_by_flags(m) == z == zeta_by_recurrence(m)
     assert upsilon_by_flags(m) == y == upsilon_by_recurrence(m)
@@ -556,27 +556,48 @@ def test_table_rows_run_once_per_restriction_class(m, classes, monkeypatch):
     lat = lattice_of(m)
     distinct = {m.restriction(f) for f in lat.reduced_flats()}
     assert classes in (None, len(distinct) + 1)
-    weights, rows = [], []
+    weights, rows, lowers = [], [], []
     chibar1_below = LatticeOfFlats.chibar1_below
+    strict_subsets = LatticeOfFlats.strict_subsets
     flat_table = zeta._flat_table
 
-    def counting_weights(self, f):
+    def counting_weights(self, f, below):
         weights.append(f)
-        return chibar1_below(self, f)
+        return chibar1_below(self, f, below)
+
+    def counting_lowers(self, f):
+        lowers.append(f)
+        return strict_subsets(self, f)
 
     def counting_rows(lat, row, coef):
-        def counted(f):
+        def counted(f, below):
             rows.append(f)
-            return row(f)
+            return row(f, below)
 
         return flat_table(lat, counted, coef)
 
     monkeypatch.setattr(LatticeOfFlats, "chibar1_below", counting_weights)
+    monkeypatch.setattr(LatticeOfFlats, "strict_subsets", counting_lowers)
     monkeypatch.setattr(zeta, "_flat_table", counting_rows)
     zeta_by_recurrence(m)
     upsilon_by_recurrence(m)
     assert len(weights) == len(set(weights)) == len(distinct) + 1
     assert len(rows) == 2 * len(weights)
+    # one subset scan per class representative and the top, per table
+    assert sorted(lowers) == sorted(rows)
+
+
+def test_upsilon_recurrence_reads_no_interval_index(catalog6, monkeypatch):
+    matroids = [e.matroid for e in catalog6 if e.matroid.is_loopless()]
+    by_flags = [upsilon_by_flags(m) for m in matroids]
+
+    def refuse(self):
+        raise AssertionError("the Y recurrence read the up-set index")
+
+    monkeypatch.setattr(LatticeOfFlats, "_supersets", property(refuse))
+    # the Boolean lattice on 16 elements: 65,536 flats, 3^16 - 2^16 pairs
+    assert upsilon_by_recurrence(uniform(16, 16)) == upsilon_uniform_closed(16, 16)
+    assert [upsilon_by_recurrence(m) for m in matroids] == by_flags
 
 
 def test_compute_dispatch():
@@ -661,7 +682,7 @@ def _per_pair_tables(lat):
 
     return (
         flat_table_per_pair(lat, lat.chibar1_below, z_term),
-        flat_table_per_pair(lat, lat.strict_subsets, y_term),
+        flat_table_per_pair(lat, lambda f, below: below, y_term),
     )
 
 
