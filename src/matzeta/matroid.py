@@ -5,12 +5,21 @@ whole ground set fits one machine word (size <= MAX_GROUND_SIZE).  Rank and
 independence queries go through one lazily built rank table over all subsets
 (S is independent iff rk S = |S|), which makes minors, closures and circuit
 searches direct loops over masks; every closure is one loop over it (``_closure``).
+
+The table is built bit-parallel.  A *family* of subsets is one int with bit S
+set for each member S, so 2**size bits (8 KB at size 16).  The independent
+sets are the bases closed downward, one mask-and-shift per element; for
+k = 1..rank the sets of rank >= k are the independent k-sets closed upward
+the same way, and rk S is the number of these level families holding S.  For
+any family of equal-size sets this is max |I| over the independent I inside S
+(which is max |S & B| over the bases B), so it starts at 0 and grows by 0 or 1
+per element: the validator reads the same function whatever it is given.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Iterator, Sequence
 
 MAX_GROUND_SIZE = 16
@@ -39,6 +48,44 @@ def submasks(mask: int) -> Iterator[int]:
         if sub == 0:
             return
         sub = (sub - 1) & mask
+
+
+# ---------------------------------------------------------------------------
+# Families of subsets: one int with bit S set for each member S
+
+
+@cache
+def _holding(size: int) -> tuple[int, ...]:
+    """For each element e, the family of subsets holding e."""
+    out = []
+    for e in range(size):
+        step = 1 << e
+        fam = ((1 << step) - 1) << step  # one period: step sets without e, step with
+        period = 2 * step
+        while period < 1 << size:
+            fam |= fam << period
+            period *= 2
+        out.append(fam)
+    return tuple(out)
+
+
+@cache
+def _by_size(size: int) -> tuple[int, ...]:
+    """For k = 0..size, the family of k-subsets."""
+    out = [1]  # the empty set, over the empty ground set
+    for e in range(size):
+        out = [a | b << (1 << e) for a, b in zip(out + [0], [0] + out)]
+    return tuple(out)
+
+
+_BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
+
+
+def _spread(fam: int, size: int) -> int:
+    """The family with each bit widened to a byte: byte S is 1 iff S is a
+    member.  Base-2 text only, so no int/str digit limit applies."""
+    text = format(fam, f"0{1 << size}b").encode().translate(_BIT_BYTES)
+    return int.from_bytes(text, "big")
 
 
 class Matroid:
@@ -77,20 +124,34 @@ class Matroid:
         """Require the local rank axiom: r(X+e) = r(X+f) = r(X) => r(X+e+f) = r(X)
         (Oxley, *Matroid Theory*, 1.3), i.e. cl(X) lies in cl(X+e) for e in cl(X) - X.
 
-        Exact: ``_ranks`` starts at 0 and grows by 0 or 1 per element for any
-        family, so it is a matroid rank function iff the axiom holds, with the
-        subsets of the given sets as its independent sets and so the given family
-        as its bases."""
+        Exact: the rank read off the level families (``_levels``) starts at 0
+        and grows by 0 or 1 per element for any family, so it is a matroid rank
+        function iff the axiom holds, with the subsets of the given sets as its
+        independent sets and so the given family as its bases.  Each pair
+        e < f is tested for all X at once; the message names the least X, then
+        the least e in cl(X) - X, then the least f."""
         if len({b.bit_count() for b in self.bases}) != 1:
             raise ValueError("bases have mixed cardinalities")
-        closures = [self._closure(x) for x in range(1 << self.size)]
-        for x, cl in enumerate(closures):
-            for e in iter_bits(cl & ~x):
-                if bad := cl & ~closures[x | 1 << e]:
-                    raise ValueError(
-                        f"basis exchange fails: {sorted(iter_bits(x))} keeps its rank with "
-                        f"{e} or {(bad & -bad).bit_length() - 1}, not both"
-                    )
+        levels = self._levels()
+        full = (1 << (1 << self.size)) - 1
+        keeps = []  # keeps[e]: the sets X without e with r(X+e) = r(X)
+        for e, holding in enumerate(_holding(self.size)):
+            grows = 0
+            for fam in levels:
+                grows |= fam >> (1 << e) & ~fam
+            keeps.append(full & ~(grows | holding))
+        bad = {}
+        for e, f in itertools.combinations(range(self.size), 2):
+            # X keeps its rank with e and with f, and X+e grows with f
+            if fails := keeps[e] & keeps[f] & ~(keeps[f] >> (1 << e)):
+                bad[e, f] = fails
+        if bad:
+            x = min(fails & -fails for fails in bad.values()).bit_length() - 1
+            e, f = next(pair for pair, fails in bad.items() if fails >> x & 1)
+            raise ValueError(
+                f"basis exchange fails: {sorted(iter_bits(x))} keeps its rank with "
+                f"{e} or {f}, not both"
+            )
 
     # -- core queries ------------------------------------------------------
 
@@ -99,40 +160,34 @@ class Matroid:
         return (1 << self.size) - 1
 
     @cached_property
+    def _independent(self) -> int:
+        """The family of independent sets: the bases closed downward."""
+        members = bytearray(((1 << self.size) + 7) // 8)
+        for b in self.bases:
+            members[b >> 3] |= 1 << (b & 7)
+        fam = int.from_bytes(members, "little")
+        for e, holding in enumerate(_holding(self.size)):
+            fam |= (fam & holding) >> (1 << e)
+        return fam
+
+    def _levels(self) -> list[int]:
+        """For k = 1..rank, the family of sets of rank >= k: the sets holding an
+        independent k-set, so the independent k-sets closed upward."""
+        holding = _holding(self.size)
+        out = []
+        for k_sets in _by_size(self.size)[1 : self.rank + 1]:
+            fam = self._independent & k_sets
+            for e, h in enumerate(holding):
+                fam |= fam << (1 << e) & h
+            out.append(fam)
+        return out
+
+    @cached_property
     def _ranks(self) -> list[int]:
-        """Rank of every subset: |S| on the independent sets, peeled down from
-        the bases, and the max over single deletions on the others.  For any family
-        this steps by 0 or 1 per element (with f the deletion attaining the max,
-        rk S = rk(S-f) <= rk(S-f-e) + 1 <= rk(S-e) + 1 by induction), so the max is
-        rk(S - low) or one more: the scan stops at the first deletion one higher."""
-        table = [0] * (1 << self.size)
-        stack = list(self.bases)
-        for b in stack:
-            table[b] = self.rank
-        while stack:
-            m = stack.pop()
-            rest = m
-            while rest:
-                low = rest & -rest
-                child = m ^ low
-                if child and not table[child]:
-                    table[child] = child.bit_count()
-                    stack.append(child)
-                rest ^= low
-        for m in range(1, 1 << self.size):  # every deletion of m is a smaller mask
-            if not table[m]:  # nonempty and dependent
-                low = m & -m
-                best = table[m ^ low]
-                if best < self.rank:
-                    rest = m ^ low
-                    while rest:
-                        low = rest & -rest
-                        if table[m ^ low] > best:
-                            best += 1
-                            break
-                        rest ^= low
-                table[m] = best
-        return table
+        """Rank of every subset: the number of level families holding it, summed
+        one byte per subset (a rank is at most 16, so no byte carries)."""
+        total = sum(_spread(fam, self.size) for fam in self._levels())
+        return list(total.to_bytes(1 << self.size, "little"))
 
     def _check_subset(self, s: int) -> None:
         if s < 0 or s & ~self.full_mask:
@@ -170,14 +225,13 @@ class Matroid:
         return self.size == 0
 
     def girth(self) -> int:
-        """Size of the smallest circuit; |E| + 1 when there are none."""
-        ranks = self._ranks
-        best = self.size + 1
-        for m in range(1, 1 << self.size):
-            c = m.bit_count()
-            if ranks[m] < c < best:
-                best = c
-        return best
+        """Size of the smallest circuit: the least k with a dependent k-set;
+        |E| + 1 when there are none."""
+        independent = self._independent
+        return next(
+            (k for k, k_sets in enumerate(_by_size(self.size)) if k_sets & ~independent),
+            self.size + 1,
+        )
 
     # -- constructions -------------------------------------------------------
 

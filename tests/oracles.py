@@ -1,5 +1,7 @@
 """Literal routes kept only as test oracles: the rank table by every single
-deletion and the rank as max |S & B| over the bases, long division over Fraction,
+deletion and the rank as max |S & B| over the bases, the girth by a scan of
+every subset (``girth_by_scan``), the least witness against the local rank
+axiom by trying every X, e and f (``exchange_witness``), long division over Fraction,
 the Taylor recurrence over Fraction (``taylor_prefix_by_fractions``), the flag
 walk over strict_supersets, the contraction at a set and the degeneration
 along a flag, the lower-interval fold one comparable pair at a time
@@ -34,6 +36,33 @@ def ranks_by_all_deletions(size, bases):
 def rank_by_bases(bases, s):
     """rk S = max |S & B| over the bases B."""
     return max((s & b).bit_count() for b in bases)
+
+
+def girth_by_scan(m):
+    """Size of the smallest dependent nonempty set, one rank lookup per subset;
+    |E| + 1 when there is none."""
+    ranks = m._ranks
+    best = m.size + 1
+    for s in range(1, 1 << m.size):
+        c = s.bit_count()
+        if ranks[s] < c < best:
+            best = c
+    return best
+
+
+def exchange_witness(size, bases):
+    """The least (X, e, f) against the local rank axiom: X keeps its rank with
+    e and with f but not with both, least X, then least e, then least f; None
+    when the axiom holds.  The ranks are ``ranks_by_all_deletions``."""
+    ranks = ranks_by_all_deletions(size, bases)
+    for x in range(1 << size):
+        r = ranks[x]
+        keeps = [e for e in range(size) if not x >> e & 1 and ranks[x | 1 << e] == r]
+        for e in keeps:
+            for f in keeps:
+                if f != e and ranks[x | 1 << e | 1 << f] != r:
+                    return x, e, f
+    return None
 
 
 def poly_divmod(p, d):

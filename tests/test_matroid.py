@@ -13,7 +13,15 @@ from matzeta.matroid import (
     mask_of,
     uniform,
 )
-from oracles import contraction, degeneration, flags, rank_by_bases, ranks_by_all_deletions
+from oracles import (
+    contraction,
+    degeneration,
+    exchange_witness,
+    flags,
+    girth_by_scan,
+    rank_by_bases,
+    ranks_by_all_deletions,
+)
 
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
 C4 = [(0, 1), (1, 2), (2, 3), (0, 3)]
@@ -116,6 +124,15 @@ def equal_size_families(draw):
     return size, bases
 
 
+def _witness_text(size, bases):
+    """The validator's message for the oracle's least witness, or None."""
+    witness = exchange_witness(size, bases)
+    if witness is None:
+        return None
+    x, e, f = witness
+    return f"basis exchange fails: {sorted(iter_bits(x))} keeps its rank with {e} or {f}, not both"
+
+
 @settings(max_examples=400)
 @given(equal_size_families())
 def test_validation_matches_exchange_oracle(family):
@@ -123,12 +140,25 @@ def test_validation_matches_exchange_oracle(family):
     try:
         m = Matroid(size, bases, validate=True)
     except ValueError as exc:
-        assert "basis exchange fails" in str(exc)
-        accepted = False
+        message = str(exc)
     else:
         assert m.bases == frozenset(bases)
-        accepted = True
-    assert accepted == _exchange_oracle(frozenset(bases))
+        message = None
+    assert (message is None) == _exchange_oracle(frozenset(bases))
+    assert message == _witness_text(size, bases)
+
+
+def _broken_u8_16():
+    """U(8,16) less S+7 and S+8 for S = {0..6}: S keeps its rank with 7 or 8."""
+    core = mask_of(range(7))
+    return [b for b in uniform(8, 16).bases if b not in (core | 1 << 7, core | 1 << 8)]
+
+
+def test_validation_witness_at_the_ground_bound():
+    message = "basis exchange fails: [0, 1, 2, 3, 4, 5, 6] keeps its rank with 7 or 8, not both"
+    with pytest.raises(ValueError) as exc:
+        Matroid(16, _broken_u8_16())
+    assert str(exc.value) == message
 
 
 def test_rank_of_uniform_oracle():
@@ -147,7 +177,11 @@ def test_rank_table_matches_all_deletions(family):
 
 
 LARGE = {
+    "u:1,16": lambda: uniform(1, 16),
     "u:4,16": lambda: uniform(4, 16),
+    "u:8,16": lambda: uniform(8, 16),
+    "u:16,16": lambda: uniform(16, 16),
+    "broken u:8,16": lambda: Matroid(16, _broken_u8_16(), validate=False),
     "ext(u:4,14)": lambda: uniform(4, 14).free_extension(),
     "u:3,7+u:3,7": lambda: uniform(3, 7).direct_sum(uniform(3, 7)),
     "K6": lambda: graphic(list(itertools.combinations(range(6), 2))),
@@ -159,10 +193,20 @@ def test_rank_table_on_large_matroids(name):
     m = LARGE[name]()
     ranks = m._ranks
     assert ranks == ranks_by_all_deletions(m.size, m.bases)
-    # max |S & B| costs a pass over the bases per mask: a fixed sample of masks
+    # max |S & B| costs a pass over the bases per mask: a fixed sample of masks,
+    # about 200,000 basis reads in all
     rng = random.Random(name)
-    for s in [0, m.full_mask] + [rng.getrandbits(m.size) for _ in range(2000)]:
+    count = max(16, 200_000 // len(m.bases))
+    for s in [0, m.full_mask] + [rng.getrandbits(m.size) for _ in range(count)]:
         assert ranks[s] == rank_by_bases(m.bases, s)
+
+
+def test_rank_table_and_girth_without_elements_or_rank():
+    empty = Matroid(0, [0])
+    assert empty._ranks == [0] and empty.girth() == 1
+    loops = Matroid(3, [0])
+    assert loops._ranks == [0] * 8 and loops.girth() == 1
+    assert loops.loops() == 0b111
 
 
 def test_rank_table_on_catalog(catalog7):
@@ -209,6 +253,25 @@ def test_circuits_and_girth():
         expected = r + 1 if r < n else n + 1
         assert m.girth() == expected
     assert uniform(0, 0).girth() == 1
+
+
+def test_girth_matches_scan_on_catalog(catalog7):
+    for entry in catalog7:
+        assert entry.matroid.girth() == girth_by_scan(entry.matroid), entry.name
+
+
+@settings(max_examples=400)
+@given(equal_size_families())
+def test_girth_matches_scan_on_families(family):
+    size, bases = family
+    m = Matroid(size, bases, validate=False)
+    assert m.girth() == girth_by_scan(m)
+
+
+def test_girth_matches_scan_at_the_ground_bound():
+    # S+7 and S+8 are the broken family's only dependent 8-sets
+    for m, girth in ((uniform(8, 16), 9), (Matroid(16, _broken_u8_16(), validate=False), 8)):
+        assert m.girth() == girth_by_scan(m) == girth
 
 
 def test_graphic_matroids():
