@@ -3,8 +3,8 @@
 Ground elements are 0..size-1 and every subset is an int bitmask, so the
 whole ground set fits one machine word (size <= MAX_GROUND_SIZE).  Rank and
 independence queries go through one lazily built rank table over all subsets
-(S is independent iff rk S = |S|), which makes minors, closures and circuit
-searches direct loops over masks; every closure is one loop over it (``_closure``).
+(S is independent iff rk S = |S|), which makes minors and closures direct
+loops over masks; every closure is one loop over it (``_closure``).
 
 The table is built bit-parallel.  A *family* of subsets is one int with bit S
 set for each member S, so 2**size bits (8 KB at size 16).  The independent
