@@ -132,7 +132,7 @@ class Matroid:
         the least e in cl(X) - X, then the least f."""
         if len({b.bit_count() for b in self.bases}) != 1:
             raise ValueError("bases have mixed cardinalities")
-        levels = self._levels()
+        levels = self._levels
         full = (1 << (1 << self.size)) - 1
         keeps = []  # keeps[e]: the sets X without e with r(X+e) = r(X)
         for e, holding in enumerate(_holding(self.size)):
@@ -170,9 +170,11 @@ class Matroid:
             fam |= (fam & holding) >> (1 << e)
         return fam
 
+    @cached_property
     def _levels(self) -> list[int]:
         """For k = 1..rank, the family of sets of rank >= k: the sets holding an
-        independent k-set, so the independent k-sets closed upward."""
+        independent k-set, so the independent k-sets closed upward.  Cached, so
+        validation and the rank table build them once."""
         holding = _holding(self.size)
         out = []
         for k_sets in _by_size(self.size)[1 : self.rank + 1]:
@@ -186,7 +188,7 @@ class Matroid:
     def _ranks(self) -> list[int]:
         """Rank of every subset: the number of level families holding it, summed
         one byte per subset (a rank is at most 16, so no byte carries)."""
-        total = sum(_spread(fam, self.size) for fam in self._levels())
+        total = sum(_spread(fam, self.size) for fam in self._levels)
         return list(total.to_bytes(1 << self.size, "little"))
 
     def _check_subset(self, s: int) -> None:

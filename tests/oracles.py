@@ -39,9 +39,9 @@ def rank_by_bases(bases, s):
 
 
 def girth_by_scan(m):
-    """Size of the smallest dependent nonempty set, one rank lookup per subset;
-    |E| + 1 when there is none."""
-    ranks = m._ranks
+    """Size of the smallest dependent nonempty set, one rank lookup per subset
+    of ``ranks_by_all_deletions``; |E| + 1 when there is none."""
+    ranks = ranks_by_all_deletions(m.size, m.bases)
     best = m.size + 1
     for s in range(1, 1 << m.size):
         c = s.bit_count()
