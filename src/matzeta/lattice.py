@@ -2,19 +2,22 @@
 
 Flats are generated bottom-up by closing single-element extensions of the
 previous rank stratum, so the work scales with the lattice rather than the
-powerset; the distinct closures cl(F + e) are the covers of F.  The one
-interval index, the up-sets ``strict_supersets``, is folded from the covers;
-a lower interval ``strict_subsets(F)`` is a subset test over the flats of
-lower rank, made only for the flats a table folds.  The Mobius row of a
-flat G (``_mobius_row``) gives, by Rota's
-chi_[G, F](q) = sum over H in [G, F] of mu(G, H) q^(rk F - rk H), the minor
-characteristic polynomials (``minor_chi``) and the Mobius values; it is
-computed on demand and the lattice keeps none.  The Z-recurrence weights
-chi-bar_[G, F](1) (``chibar1_below``) are an integer fold down the column of
-F, each G < F pulling the weights of its up-set, and mu(G, E)
-(``mobius_to_top``) is a fold down the top column, one addition per
-comparable pair.  The signed subset expansion
-``_minor_chi_ints`` is kept as their oracle.  ``restriction_class`` names
+powerset; the distinct closures cl(F + e) are the covers of F, and as they
+partition E - F each is closed over the elements no earlier cover of F took.
+The one interval index, the up-sets ``strict_supersets``, is folded from the
+covers; a lower interval ``strict_subsets(F)`` is a subset test over the
+flats of lower rank, made only for the flats a table folds.  The Mobius row
+of a flat G (``_mobius_row``) holds two integers per flat F > G: mu(G, F)
+and the flag weight chi-bar_[G, F](1).  By Rota's
+chi_[G, F](q) = sum over H in [G, F] of mu(G, H) q^(rk F - rk H), the row
+also gives the minor characteristic polynomials (``minor_chi``) and the
+Mobius values; it is computed on demand and the lattice keeps none.  The
+Z-recurrence weights chi-bar_[G, F](1) (``chibar1_below``) are an integer
+fold down the column of F, each G < F pulling the weights of its up-set, and
+mu(G, E) (``mobius_to_top``) is a fold down the top column, one addition per
+comparable pair.  The signed subset expansion ``_minor_chi_ints``, counted
+bit-parallel on the matroid's families of subsets, reads no lattice and is
+kept as their oracle.  ``restriction_class`` names
 each reduced flat's restriction by an exact key (``_restriction_key``), once
 per lattice, for the tables that fold once per class.  The flag walk
 of ``zeta`` is guarded by one hard cap (``check_flag_cap``), compared first
@@ -33,7 +36,7 @@ from itertools import combinations
 from typing import Iterator, Sequence
 
 from .algebra import InexactDivisionError, _div_linear, _poly_text
-from .matroid import Matroid, iter_bits
+from .matroid import Matroid, _holding, iter_bits
 
 DEFAULT_FLAG_CAP = 10_000_000
 
@@ -140,24 +143,28 @@ class LatticeOfFlats:
 
     # -- Mobius rows and columns --------------------------------------------
 
-    def _mobius_row(self, g: int) -> dict[int, list[int]]:
-        """For every flat F >= g, chi_[g, F] from q^(rk F - rk g) down to q^0,
-        whose last coefficient is mu(g, F): the one Mobius recurrence.  Each H of
-        the upper interval of g, in ascending rank, adds mu(g, H) to entry
-        rk H - rk g of every F > H, so F's entries are the sums over [g, F)
-        by rank when F is reached, and mu(g, F) is minus their total."""
+    def _mobius_row(self, g: int) -> dict[int, tuple[int, int]]:
+        """For every flat F > g, (mu(g, F), chi-bar_[g, F](1)): the one Mobius
+        recurrence, in scalars.  Each F keeps two integer sums over [g, F),
+        of mu(g, H) and of mu(g, H) rk H, which every H of the upper interval
+        of g, in ascending rank, adds to each F > H; when F is reached,
+        mu(g, F) is minus the first, and since chi_[g, F](1) = 0 the weight
+        chi-bar_[g, F](1) = chi'_[g, F](1) is minus the second with F's own
+        term added."""
         ranks = self.matroid._ranks
         sup = self._supersets
-        rg = ranks[g]
-        row = {g: [1]}
-        for f in sup[g]:
-            row[f] = [1] + [0] * (ranks[f] - rg)
-        for h in sup[g]:
-            vec = row[h]
-            mu = vec[-1] = -sum(vec)
-            k = len(vec) - 1
+        up = sup[g]
+        mus = dict.fromkeys(up, 1)  # mu(g, g) = 1 opens both sums
+        sums = dict.fromkeys(up, ranks[g])
+        row = {}
+        for h in up:
+            rh = ranks[h]
+            mu = -mus[h]
+            row[h] = (mu, -sums[h] - mu * rh)
+            step = mu * rh
             for f in sup[h]:
-                row[f][k] += mu
+                mus[f] += mu
+                sums[f] += step
         return row
 
     def chibar1_below(self, f: int, below: Sequence[int]) -> list[int]:
@@ -188,17 +195,29 @@ class LatticeOfFlats:
 
     def minor_chi(self, low: int, high: int) -> tuple[int, ...]:
         """Integer coefficients of the characteristic polynomial of
-        restriction(high)/low (flats, low <= high), from the Mobius row of
-        low; the row is not kept."""
-        return tuple(reversed(self._mobius_row(low)[high]))
+        restriction(high)/low (flats, low <= high), by Rota's formula over
+        the Mobius row of low; the row is not kept."""
+        self._check_interval(low, high)
+        ranks = self.matroid._ranks
+        rh = ranks[high]
+        coeffs = [0] * (rh - ranks[low] + 1)
+        coeffs[-1] = 1  # mu(low, low) at q^(rk high - rk low)
+        if low != high:
+            for h, (mu, _) in self._mobius_row(low).items():
+                if not h & ~high:
+                    coeffs[rh - ranks[h]] += mu
+        return tuple(coeffs)
 
     def mobius(self, f: int, g: int) -> int:
         """Mobius value of the interval [f, g] in the lattice."""
+        self._check_interval(f, g)
+        return 1 if f == g else self._mobius_row(f)[g][0]
+
+    def _check_interval(self, f: int, g: int) -> None:
         if f not in self._supersets or g not in self._supersets:
             raise ValueError("Mobius arguments must be flats")
         if f & ~g:
             raise ValueError("Mobius arguments must be nested")
-        return self._mobius_row(f)[g][-1]
 
     def mobius_to_top(self, f: int) -> int:
         """mu(f, E), from the top column fold."""
@@ -261,9 +280,11 @@ def lattice_of(m: Matroid) -> LatticeOfFlats:
         for f in current:
             # the covers of f partition E - f, so each cover is closed once
             above = []
-            rest = m.full_mask & ~f
+            rest = m.full_mask & ~f  # the elements in no cover of f yet
             while rest:
-                c = m._closure(f | rest & -rest)  # inside E by construction
+                e = rest & -rest
+                rest ^= e
+                c = m._closure(f | e, rest)  # meets no earlier cover of f
                 above.append(c)
                 rest &= ~c
             covers[f] = tuple(above)
@@ -281,17 +302,28 @@ def lattice_of(m: Matroid) -> LatticeOfFlats:
 
 def _minor_chi_ints(m: Matroid, low: int, high: int) -> tuple[int, ...]:
     """Integer coefficients of the characteristic polynomial of
-    restriction(high) contracted at low (both flats, low <= high)."""
+    restriction(high) contracted at low (low <= high): the signed subset
+    expansion, the sum over low <= T <= high of (-1)^|T - low| q^(rk high - rk T),
+    counted bit-parallel.  The interval {T : low <= T <= high} is one family
+    of subsets, and the coefficient at rank k is its members among the sets
+    of rank k and even size minus those of odd size (``_rank_strata``), up to
+    the sign of |low|.  It reads neither the lattice nor a Mobius value, so
+    it checks them."""
     ranks = m._ranks
-    r_high = ranks[high]
-    coeffs = [0] * (r_high - ranks[low] + 1)
-    sub = high & ~low
-    s = sub
-    while True:
-        coeffs[r_high - ranks[s | low]] += -1 if s.bit_count() & 1 else 1
-        if s == 0:
-            break
-        s = (s - 1) & sub
+    holding = _holding(m.size)
+    fam = (1 << (1 << m.size)) - 1  # every subset
+    fixed = low | m.full_mask & ~high  # in every T, or in none
+    while fixed:
+        bit = fixed & -fixed
+        sets = holding[bit.bit_length() - 1]
+        fam &= sets if low & bit else ~sets
+        fixed ^= bit
+    sign = -1 if low.bit_count() & 1 else 1
+    coeffs = [
+        sign * ((fam & even).bit_count() - (fam & odd).bit_count())
+        for even, odd in m._rank_strata[ranks[low] : ranks[high] + 1]
+    ]
+    coeffs.reverse()  # rank k is the coefficient of q^(rk high - k)
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     return tuple(coeffs)

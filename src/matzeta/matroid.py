@@ -185,6 +185,19 @@ class Matroid:
         return out
 
     @cached_property
+    def _rank_strata(self) -> list[tuple[int, int]]:
+        """For k = 0..rank, the sets of rank exactly k split by size parity:
+        (even-size family, odd-size family), from consecutive level families."""
+        by_size = _by_size(self.size)
+        even = sum(by_size[0::2])  # disjoint families, so the sum is their union
+        at_least = [(1 << (1 << self.size)) - 1, *self._levels, 0]
+        out = []
+        for ge, gt in zip(at_least, at_least[1:]):
+            exact = ge & ~gt
+            out.append((exact & even, exact & ~even))
+        return out
+
+    @cached_property
     def _ranks(self) -> list[int]:
         """Rank of every subset: the number of level families holding it, summed
         one byte per subset (a rank is at most 16, so no byte carries)."""
@@ -203,11 +216,15 @@ class Matroid:
         self._check_subset(s)
         return self._closure(s)
 
-    def _closure(self, s: int) -> int:  # s inside the ground set, unchecked
+    def _closure(self, s: int, rest: int | None = None) -> int:
+        """cl(s) for s inside the ground set, unchecked, testing only the
+        elements of ``rest`` (default: every element outside s); a caller
+        that knows the closure lies in s | rest passes the smaller mask."""
         ranks = self._ranks
         r = ranks[s]
         out = s
-        rest = self.full_mask & ~s
+        if rest is None:
+            rest = self.full_mask & ~s
         while rest:
             low = rest & -rest
             if ranks[s | low] == r:

@@ -15,10 +15,11 @@ flags that reach it summed by the set of raw factors they meet (the
 numerator factors and the (|F_i|, rk F_i) of the denominator), so stepping
 costs one addition per comparable pair and set, and each set reaching the
 top is expanded once at the end.  ``zeta_by_flags`` weighs a
-step by chi-bar_[F_{i-1}, F_i](1), which it divides itself from the Mobius
-row of F_{i-1} rather than reading the recurrence's weights (evaluation at 1
-is a ring map, so the product of these is the flag's chi product over
-(q - 1)^k at 1), and a zero weight drops every flag through that step;
+step by chi-bar_[F_{i-1}, F_i](1), which it reads from the Mobius row of
+F_{i-1} (two integers per flat above it: mu and that weight) rather than
+from the recurrence's weights (evaluation at 1 is a ring map, so the product
+of these is the flag's chi product over (q - 1)^k at 1), and a zero weight
+drops every flag through that step;
 ``upsilon_by_flags`` steps by -1 and the factor (|F_i| s + rk F_{i-1}).
 ``_flat_table`` is the one lower-interval fold: for each flat F in ascending
 rank it sums the route's own coefficient times T[G] over the flats G < F,
@@ -32,7 +33,7 @@ flat of lower rank (``strict_subsets``), handed to the route's row.
 ``_zeta_table`` weights by chi-bar_[G, F](1), the lattice's integer fold
 down the column of F, which pulls through the up-set index, and
 ``upsilon_by_recurrence`` by -(|F| s + rk G), which reads no interval index
-at all; neither reads a Mobius row, so the flag routes, which divide their
+at all; neither reads a Mobius row, so the flag routes, which sweep their
 own, stay an independent check.
 
 Internally the big sums are accumulated as integer-coefficient polynomials
@@ -41,8 +42,8 @@ single canonicalization at the end (``_factored_to_rf`` hands its integer
 lists to ``RationalFunction`` as they are); public results are always
 canonical RationalFunction values.  The coefficient arithmetic is the integer
 kernels of ``algebra``, including ``_div_linear``, the exact division by a
-linear factor that ``_reduce``, ``_factored_derivative`` and the flag weights
-use.
+linear factor that ``_reduce`` and ``_factored_derivative`` use; the flag
+weights are integers read off the Mobius rows and need no division.
 ``_factored_derivative`` differentiates a factored value through the
 log-derivative of its denominator, so the k-derivative check runs on the Z
 table with no polynomial gcd.  Memo tables live inside one computation and
@@ -56,7 +57,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .algebra import (
-    InexactDivisionError,
     RationalFunction,
     _div_linear,
     _iadd,
@@ -324,8 +324,8 @@ def zeta_by_flags(m: Matroid, *, max_flags: int | None = None) -> RationalFuncti
     product divided exactly by (q-1)^length and evaluated at 1, times the
     product of 1/(|F| s + rk F) over its nonempty members.  Evaluation at 1
     is a ring map, so that weight is the product of the steps'
-    chi-bar_[F_{i-1}, F_i](1), each divided here from the Mobius row of
-    F_{i-1}, which is computed once per flat and dropped after.
+    chi-bar_[F_{i-1}, F_i](1), each read from the Mobius row of F_{i-1},
+    which is computed once per flat and dropped after.
     """
     if m.is_trivial:
         return RationalFunction.one()
@@ -335,20 +335,9 @@ def zeta_by_flags(m: Matroid, *, max_flags: int | None = None) -> RationalFuncti
 
 
 def _zeta_by_flags(lat: LatticeOfFlats, max_flags: int | None) -> RationalFunction:
-    def steps(f: int) -> list[tuple[int, int, None]]:
-        row = lat._mobius_row(f)
-        out = []
-        for g in lat.strict_supersets(f):
-            quo = _div_linear(row[g][::-1], 1, -1)  # the row runs from the top power down
-            if quo is None:
-                raise InexactDivisionError(
-                    "a step chi is not divisible by (q-1); "
-                    "the flag convention is violated"
-                )
-            out.append((g, sum(quo), None))
-        return out
-
-    return _flag_sum(lat, max_flags, steps)
+    return _flag_sum(
+        lat, max_flags, lambda f: [(g, w, None) for g, (_, w) in lat._mobius_row(f).items()]
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ axiom by trying every X, e and f (``exchange_witness``), long division over Frac
 the Taylor recurrence over Fraction (``taylor_prefix_by_fractions``), the flag
 walk over strict_supersets, the contraction at a set and the degeneration
 along a flag, the lower-interval fold one comparable pair at a time
-(``flat_table_per_pair``), the characteristic polynomial by the signed subset
-expansion (``chi``), the two-flats identity and the Stirling lemma checked
+(``flat_table_per_pair``), the characteristic polynomial of a minor by a
+loop over the signed subset expansion (``chi_by_subsets``, and ``chi`` for
+the whole matroid), the brute-force covers of a flat by closing every
+one-element extension (``covers_by_closure``), the two-flats identity and the Stirling lemma checked
 term by term, and the re-evaluation of a failure witness
 (``witness_reverifies``)."""
 
@@ -15,7 +17,7 @@ from fractions import Fraction
 from matzeta.algebra import RationalFunction, _iadd, _itrim
 from matzeta.checks import FAILS
 from matzeta.combinat import stirling_first, stirling_second_rows
-from matzeta.lattice import _minor_chi_ints, _minor_chibar_ints, lattice_of
+from matzeta.lattice import _minor_chibar_ints, lattice_of
 from matzeta.matroid import Matroid, _compress, iter_bits, submasks, uniform
 from matzeta.zeta import _F_ONE, _Acc, _norm_factor, _reduce
 
@@ -146,10 +148,29 @@ def flat_table_per_pair(lat, row, term):
     return tbl
 
 
+def chi_by_subsets(m, low, high):
+    """Integer coefficients of the characteristic polynomial of
+    restriction(high) contracted at low (low <= high): the signed subset
+    expansion, one rank lookup per subset T with low <= T <= high."""
+    ranks = m._ranks
+    r_high = ranks[high]
+    coeffs = [0] * (r_high - ranks[low] + 1)
+    sub = high & ~low
+    for s in submasks(sub):
+        coeffs[r_high - ranks[s | low]] += -1 if s.bit_count() & 1 else 1
+    return tuple(_itrim(coeffs))
+
+
 def chi(m):
     """Characteristic polynomial by the signed subset expansion, as ascending
     integer coefficients; with loops the expansion cancels to ()."""
-    return _minor_chi_ints(m, 0, m.full_mask)
+    return chi_by_subsets(m, 0, m.full_mask)
+
+
+def covers_by_closure(m, f):
+    """The covers of the flat f: the distinct closures of f + e over every
+    element e outside f, each closed over the whole ground set."""
+    return {m.closure_of(f | 1 << e) for e in iter_bits(m.full_mask & ~f)}
 
 
 def verify_two_flats_identity(m):

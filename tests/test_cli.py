@@ -155,19 +155,33 @@ def test_zeta_verify_checks_chi_against_the_subset_expansion(capsys, monkeypatch
     original = LatticeOfFlats._mobius_row
 
     def skewed(self, g):
-        # add q - 1 to every chi_[g, F] with F > g; the flag products stay
-        # divisible by the powers of q - 1, so only the cross-check can fail
-        row = original(self, g)
-        for vec in row.values():
-            if len(vec) > 1:
-                vec[-2] += 1
-                vec[-1] -= 1
-        return row
+        # add 1 to every mu(g, F) with F > g and keep the flag weights, so
+        # the flag sum still agrees with the recurrence and only the
+        # cross-check can fail
+        return {f: (mu + 1, w) for f, (mu, w) in original(self, g).items()}
 
     monkeypatch.setattr(LatticeOfFlats, "_mobius_row", skewed)
     code, out, err = run_cli(capsys, "zeta", "u:3,6", "--verify")
     assert code == EXIT_THEOREM_FAILURE and out == ""
     assert "verification failed: Mobius and subset-expansion chi disagree" in err
+
+
+def test_zeta_verify_catches_a_wrong_flag_weight(capsys, monkeypatch):
+    original = LatticeOfFlats._mobius_row
+
+    def skewed(self, g):
+        # a wrong top entry in the row of one rank-1 flat: the chi of the
+        # whole lattice reads only the row of the bottom, so it stays right
+        row = original(self, g)
+        if g == self.flats_by_rank(1)[0]:
+            mu, w = row[self.top]
+            row[self.top] = (mu + 1, w + 1)
+        return row
+
+    monkeypatch.setattr(LatticeOfFlats, "_mobius_row", skewed)
+    code, out, err = run_cli(capsys, "zeta", "u:3,5", "--verify")
+    assert code == EXIT_THEOREM_FAILURE and out == ""
+    assert "verification failed: flag sum and recurrence disagree" in err
 
 
 @pytest.mark.parametrize("command", ["zeta", "upsilon"])

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 
 import pytest
 
@@ -7,6 +9,7 @@ from matzeta.algebra import InexactDivisionError, _iadd, _ieval, _imul
 from matzeta.lattice import (
     DEFAULT_FLAG_CAP,
     FlagCapExceeded,
+    LatticeOfFlats,
     LoopsError,
     _minor_chi_ints,
     _minor_chibar_ints,
@@ -14,7 +17,15 @@ from matzeta.lattice import (
     minor_reduced_chi,
 )
 from matzeta.matroid import Matroid, graphic, uniform
-from oracles import chi, contraction, flags, poly_divmod, verify_two_flats_identity
+from oracles import (
+    chi,
+    chi_by_subsets,
+    contraction,
+    covers_by_closure,
+    flags,
+    poly_divmod,
+    verify_two_flats_identity,
+)
 
 
 def chibar(m):
@@ -337,6 +348,84 @@ def test_column_fold_matches_subset_expansion_and_recursion(catalog7):
                 for f in lat.strict_subsets(g)
             ]
             assert lat.chibar1_below(g, lat.strict_subsets(g)) == weights, entry.name
+
+
+def _with_truncations(catalog):
+    """The catalog's matroids, each followed by its truncation when that is
+    loopless (rank >= 2), as the truncation checks build them."""
+    for entry in catalog:
+        yield entry.name, entry.matroid
+        if entry.matroid.rank >= 2:
+            yield f"tr({entry.name})", entry.matroid.truncation()
+
+
+def _shuffled_k6():
+    # K6 with its edges shuffled, so the flats sit on scattered masks
+    edges = list(itertools.combinations(range(6), 2))
+    random.Random(6).shuffle(edges)
+    return graphic(edges)
+
+
+def test_bit_parallel_chi_matches_the_subset_loop_on_flat_pairs(catalog7):
+    for name, m in _with_truncations(catalog7):
+        for f, g in _nested_pairs(lattice_of(m)):
+            assert _minor_chi_ints(m, f, g) == chi_by_subsets(m, f, g), name
+
+
+def test_bit_parallel_chi_matches_the_subset_loop_with_loops():
+    loopy = uniform(2, 3).direct_sum(Matroid(1, [0])).direct_sum(uniform(1, 1))
+    assert _minor_chi_ints(loopy, 0, loopy.full_mask) == ()
+    full = loopy.full_mask
+    for high in range(full + 1):
+        for low in range(high + 1):
+            if not low & ~high:
+                assert _minor_chi_ints(loopy, low, high) == chi_by_subsets(loopy, low, high)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [uniform(3, 7).direct_sum(uniform(3, 7)), _shuffled_k6(), uniform(8, 16)],
+    ids=["U37+U37", "shuffled K6", "U(8,16)"],
+)
+def test_bit_parallel_chi_matches_the_subset_loop_on_large_matroids(m):
+    assert _minor_chi_ints(m, 0, m.full_mask) == chi_by_subsets(m, 0, m.full_mask)
+
+
+def test_minor_chi_from_the_mobius_row_matches_the_subset_loop(catalog6):
+    for entry in catalog6:
+        m = entry.matroid
+        lat = lattice_of(m)
+        for f, g in _nested_pairs(lat):
+            assert lat.minor_chi(f, g) == chi_by_subsets(m, f, g), entry.name
+        for f in lat.flats:
+            assert lat.mobius(f, f) == 1, entry.name
+
+
+def test_subset_expansion_reads_no_mobius_row(monkeypatch):
+    def never(self, g):
+        raise AssertionError("the subset expansion read a Mobius row")
+
+    monkeypatch.setattr(LatticeOfFlats, "_mobius_row", never)
+    for m in (uniform(3, 6), _shuffled_k6()):
+        lat = lattice_of(m)
+        for f, g in _nested_pairs(lat):
+            assert _minor_chi_ints(m, f, g) == chi_by_subsets(m, f, g)
+
+
+@pytest.mark.parametrize("shuffled_k6", [False, True], ids=["catalog7", "shuffled K6"])
+def test_covers_and_maximal_chains_match_closing_every_extension(shuffled_k6, catalog7):
+    matroids = [_shuffled_k6()] if shuffled_k6 else [e.matroid for e in catalog7]
+    for m in matroids:
+        lat = lattice_of(m)
+        covers = lat._covers  # dropped once the up-set index is folded
+        chains = {0: 1}
+        for f in lat.flats:
+            brute = covers_by_closure(m, f)
+            assert len(covers.get(f, ())) == len(brute)
+            assert set(covers.get(f, ())) == brute, m
+            for c in brute:
+                chains[c] = chains.get(c, 0) + chains[f]
+        assert lat.maximal_chains == chains[lat.top], m
 
 
 def test_two_flats_identity_worked_example():

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from matzeta import lattice, zeta
 from matzeta.algebra import (
-    InexactDivisionError,
     RationalFunction,
     _iadd,
     _imul,
@@ -220,27 +219,25 @@ def test_flag_step_runs_once_per_comparable_pair(m, monkeypatch):
 
     monkeypatch.setattr(LatticeOfFlats, "_mobius_row", counting)
     by_flags = zeta_by_flags(m)
-    assert len(rows) == len(set(rows))
+    assert rows and len(rows) == len(set(rows))
     assert set(rows) <= set(lat.flats) - {lat.top}
     monkeypatch.undo()
     assert by_flags == zeta_by_recurrence(m)
 
 
-def test_flag_weight_divisibility_is_checked_per_interval(monkeypatch):
-    m = uniform(3, 5)
-    lat = lattice_of(m)
-    low = lat.flats_by_rank(1)[0]
-    original = LatticeOfFlats._mobius_row
+@pytest.mark.parametrize(
+    "m",
+    [uniform(3, 6), graphic([(0, 1), (1, 2), (0, 2), (2, 3)])] + PRUNED_SUMS,
+    ids=["U36", "paw"] + PRUNED_IDS,
+)
+def test_flag_route_reads_no_column_weight(m, monkeypatch):
+    expected = zeta_by_recurrence(m)
 
-    def skewed(self, g):
-        row = original(self, g)
-        if g == low:  # chi_[low, E](1) becomes 1
-            row[lat.top][-1] += 1
-        return row
+    def never(self, f, below):
+        raise AssertionError("the flag route read the recurrence's column weights")
 
-    monkeypatch.setattr(LatticeOfFlats, "_mobius_row", skewed)
-    with pytest.raises(InexactDivisionError, match="flag convention is violated"):
-        zeta_by_flags(m)
+    monkeypatch.setattr(LatticeOfFlats, "chibar1_below", never)
+    assert zeta_by_flags(m) == expected
 
 
 @pytest.mark.parametrize("route", [zeta_by_flags, upsilon_by_flags])
