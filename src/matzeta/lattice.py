@@ -202,10 +202,9 @@ class LatticeOfFlats:
         rh = ranks[high]
         coeffs = [0] * (rh - ranks[low] + 1)
         coeffs[-1] = 1  # mu(low, low) at q^(rk high - rk low)
-        if low != high:
-            for h, (mu, _) in self._mobius_row(low).items():
-                if not h & ~high:
-                    coeffs[rh - ranks[h]] += mu
+        for h, (mu, _) in self._mobius_row(low).items():
+            if not h & ~high:
+                coeffs[rh - ranks[h]] += mu
         return tuple(coeffs)
 
     def mobius(self, f: int, g: int) -> int:

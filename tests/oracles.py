@@ -7,9 +7,9 @@ walk over strict_supersets, the contraction at a set and the degeneration
 along a flag, the lower-interval fold one comparable pair at a time
 (``flat_table_per_pair``), the characteristic polynomial of a minor by a
 loop over the signed subset expansion (``chi_by_subsets``, and ``chi`` for
-the whole matroid), the brute-force covers of a flat by closing every
-one-element extension (``covers_by_closure``), the two-flats identity and the Stirling lemma checked
-term by term, and the re-evaluation of a failure witness
+the whole matroid), the covers of a flat by closing every one-element
+extension (``covers_by_closure``), the two-flats identity and the Stirling
+lemma checked term by term, and the re-evaluation of a failure witness
 (``witness_reverifies``)."""
 
 from fractions import Fraction

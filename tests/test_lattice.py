@@ -412,17 +412,14 @@ def test_subset_expansion_reads_no_mobius_row(monkeypatch):
             assert _minor_chi_ints(m, f, g) == chi_by_subsets(m, f, g)
 
 
-@pytest.mark.parametrize("shuffled_k6", [False, True], ids=["catalog7", "shuffled K6"])
-def test_covers_and_maximal_chains_match_closing_every_extension(shuffled_k6, catalog7):
-    matroids = [_shuffled_k6()] if shuffled_k6 else [e.matroid for e in catalog7]
-    for m in matroids:
+def test_covers_and_maximal_chains_match_closing_every_extension(catalog7):
+    for m in [*(entry.matroid for entry in catalog7), _shuffled_k6()]:
         lat = lattice_of(m)
         covers = lat._covers  # dropped once the up-set index is folded
         chains = {0: 1}
         for f in lat.flats:
             brute = covers_by_closure(m, f)
-            assert len(covers.get(f, ())) == len(brute)
-            assert set(covers.get(f, ())) == brute, m
+            assert sorted(covers.get(f, ())) == sorted(brute), m
             for c in brute:
                 chains[c] = chains.get(c, 0) + chains[f]
         assert lat.maximal_chains == chains[lat.top], m
