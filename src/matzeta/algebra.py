@@ -7,7 +7,8 @@ denominator's leading coefficient positive -- which is unique, so equality of
 values is structural equality of representations.  ``Fraction`` appears only
 at the edges: the constructor clears the denominators of Fraction
 coefficients once, the shown form (``to_text``, ``to_json``) divides both
-sides by the content of the denominator, and ``taylor_prefix`` returns
+sides by the content of the denominator, and ``taylor_prefix`` (on the
+kernel ``_itaylor``, which also expands a fraction left unreduced) returns
 Fractions.  No floating point anywhere.
 
 All arithmetic, canonicalisation included, runs on the integer kernels at the
@@ -254,7 +255,13 @@ def _poly_text(coeffs: Sequence[int | Fraction], var: str) -> str:
 
 
 def taylor_prefix(f: RationalFunction, k: int) -> tuple[Fraction, ...]:
-    """First k+1 expansion coefficients of f around 0.
+    """First k+1 expansion coefficients of f around 0; requires den(0) != 0."""
+    return _itaylor(f.num, f.den, k)
+
+
+def _itaylor(num: Sequence[int], den: Sequence[int], k: int) -> tuple[Fraction, ...]:
+    """First k+1 expansion coefficients of num / den around 0, reduced or not:
+    a common factor of num and den leaves them unchanged.
 
     Solved from den * (sum a_i s^i) = num mod s^(k+1); requires den(0) != 0.
     The recurrence runs on the integers b_i = a_i d^(i+1), d = den(0):
@@ -263,7 +270,6 @@ def taylor_prefix(f: RationalFunction, k: int) -> tuple[Fraction, ...]:
     """
     if k < 0:
         raise ValueError("negative expansion order")
-    num, den = f.num, f.den
     d0 = den[0]
     if d0 == 0:
         raise ValueError("expansion at a pole: denominator vanishes at 0")

@@ -7,11 +7,17 @@ Entries are independent; the runner can execute them in parallel and merges
 results in catalog order.
 
 The checks of one entry share one ``_Bundle`` of its matroid: the lattice of
-flats, Z and Y on it and chi-bar_[F, E] of each reduced flat, each built on
-first use and dropped with the entry's reports.  It shares plumbing, never an
-answer under test: the k-derivative and counting weights come from the subset
-expansion ``_minor_chibar_ints``, not the recurrence, and Z(tr M) from the
-truncation's own lattice, not the transfer formula.  ``zeta_taylor_prefix``,
+flats, the Z table on it and chi-bar_[F, E] of each reduced flat, each built
+on first use and dropped with the entry's reports.  It shares plumbing, never
+an answer under test: the k-derivative and counting weights come from the
+subset expansion ``_minor_chibar_ints``, not the recurrence, and Z(tr M) from
+the truncation's own lattice, not the transfer formula.
+
+Each check makes one pass over its table values, and a holds verdict builds
+no ``RationalFunction``.  The k-derivative lemma differentiates one residual,
+the counting identities sum chi-bar_[F, E] per restriction class of F before
+weighing it by the class's subset counts, and the Taylor prefixes expand the
+top entry of the Z or Y table as it stands, unreduced.  ``zeta_taylor_prefix``,
 ``upsilon_taylor_prefix`` and ``_minor_chibar_ints`` stay module-level names
 so a test can plant a violation through them.
 """
@@ -25,20 +31,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .algebra import (
-    RationalFunction,
-    _iadd,
-    _imul_linear,
-    taylor_prefix,
-)
+from .algebra import RationalFunction, _iadd, _imul_linear, _itaylor
 from .combinat import rising_factorial, stirling_second_rows
 from .lattice import LatticeOfFlats, _minor_chibar_ints, lattice_of
 from .matroid import Matroid, graphic, iter_bits, uniform
 from .zeta import (
     _Acc,
     _Fct,
+    _expand_den,
     _factored_derivative,
     _factored_to_rf,
+    _reduce,
     _upsilon_table,
     _zeta_table,
     upsilon_by_recurrence,
@@ -157,7 +160,7 @@ def build_catalog(max_ground: int = 7) -> list[CatalogEntry]:
 
 
 class _Bundle:
-    """One matroid's lattice of flats, Z and Y on that lattice, and
+    """One matroid's lattice of flats, the Z table on that lattice, and
     chi-bar_[F, E] of its reduced flats by the subset expansion, each built
     on first use.  A check handed none builds its own."""
 
@@ -173,14 +176,6 @@ class _Bundle:
         return _zeta_table(self.lattice)
 
     @cached_property
-    def zeta(self) -> RationalFunction:
-        return _factored_to_rf(self.zeta_table[self.lattice.top])
-
-    @cached_property
-    def upsilon(self) -> RationalFunction:
-        return _factored_to_rf(_upsilon_table(self.lattice)[self.lattice.top])
-
-    @cached_property
     def chibar_to_top(self) -> dict[int, tuple[int, ...]]:
         lat = self.lattice
         return {f: _minor_chibar_ints(self.matroid, f, lat.top) for f in lat.reduced_flats()}
@@ -188,11 +183,19 @@ class _Bundle:
 
 def zeta_taylor_prefix(b: _Bundle, k: int) -> tuple[Fraction, ...]:
     """Expansion of the zeta value around 0; the seam the checkers go through."""
-    return taylor_prefix(b.zeta, k)
+    return _factored_taylor(b.zeta_table[b.lattice.top], k)
 
 
 def upsilon_taylor_prefix(b: _Bundle, k: int) -> tuple[Fraction, ...]:
-    return taylor_prefix(b.upsilon, k)
+    return _factored_taylor(_upsilon_table(b.lattice)[b.lattice.top], k)
+
+
+def _factored_taylor(f: _Fct, k: int) -> tuple[Fraction, ...]:
+    """Expansion of a table entry num / (scale * prod (a s + b)) around 0, as
+    it stands: an unreduced fraction expands as its canonical form does, and
+    den(0) = scale * prod b is nonzero, every b being a rank >= 1."""
+    num, scale, factors = f
+    return _itaylor(num, _expand_den(scale, factors), k)
 
 
 # Z and Y of a matroid, memoised across calls.  No check reads them: the
@@ -252,11 +255,14 @@ def check_k_derivative_lemma(
     """The derivative recurrence (n s + r) D^k Z + k n D^(k-1) Z =
     sum over reduced flats F of chi-bar_[F, E](1) D^k Z(M|F), for k = 1..kmax.
 
-    Each order is tested as an exact zero in factored integer arithmetic over
-    the Z table, where Z(M|F) is the entry of F.  The weights come from the
-    chi-bar division (chi-bar(1) is its coefficient sum), not from the
-    recurrence being checked; they are summed per table value, so each
-    distinct value is differentiated once.
+    By the Leibniz rule the two sides of order k differ by D^k R, for the one
+    residual R = (n s + r) Z - sum over F of chi-bar_[F, E](1) Z(M|F), where
+    Z(M|F) is the entry of F in the Z table.  R is summed once in factored
+    integer arithmetic and reduced, then differentiated order by order, each
+    order tested as an exact zero, with no polynomial gcd.  The weights come
+    from the chi-bar division (chi-bar(1) is its coefficient sum), not from
+    the recurrence being checked, and are summed per table value; only a
+    failing order differentiates each value, for the witness's two sides.
     """
     m = entry.matroid
     if m.is_trivial or not m.is_loopless():
@@ -271,28 +277,41 @@ def check_k_derivative_lemma(
         w = sum(chibar)
         if w:
             weights[tbl[f]] = weights.get(tbl[f], 0) + w
-    derivs = {v: [v] for v in (tbl[top], *weights)}
+    acc = _Acc()
+    num, scale, fct = tbl[top]
+    acc.add(_imul_linear(num, n, r), scale, fct)
+    for (num, scale, fct), w in weights.items():
+        acc.add([-w * c for c in num], scale, fct)
+    residual = _reduce(*acc.total())
     for k in range(1, kmax + 1):
-        for chain in derivs.values():
-            chain.append(_factored_derivative(chain[-1]))
-        zk, zprev = derivs[tbl[top]][k], derivs[tbl[top]][k - 1]
-        acc = _Acc()
-        acc.add(_imul_linear(zk[0], n, r), zk[1], zk[2])
-        acc.add([k * n * c for c in zprev[0]], zprev[1], zprev[2])
-        for v, w in weights.items():
-            num, scale, fct = derivs[v][k]
-            acc.add([-w * c for c in num], scale, fct)
-        if acc.total()[0]:
-            rhs = sum(
-                (w * _factored_to_rf(derivs[v][k]) for v, w in weights.items()),
-                start=RationalFunction.zero(),
-            )
-            rhs = (rhs - k * n * _factored_to_rf(zprev)) / RationalFunction((r, n))
+        residual = _factored_derivative(residual)
+        if residual[0]:
+            lhs, rhs = _k_derivative_sides(tbl[top], weights, k, n, r)
             return _fails(
                 K_DERIVATIVE_CHECK, entry, f"order {k} mismatch",
-                k=k, lhs=_factored_to_rf(zk).to_json(), rhs=rhs.to_json(),
+                k=k, lhs=lhs.to_json(), rhs=rhs.to_json(),
             )
     return CheckReport(K_DERIVATIVE_CHECK, entry.name, HOLDS)
+
+
+def _k_derivative_sides(
+    z: _Fct, weights: dict[tuple, int], k: int, n: int, r: int
+) -> tuple[RationalFunction, RationalFunction]:
+    """D^k Z, and the value the order-k identity gives it: the sum of the
+    weighted D^k Z(M|F), less k n D^(k-1) Z, over (n s + r)."""
+
+    def derivative(f: _Fct, order: int) -> _Fct:
+        for _ in range(order):
+            f = _factored_derivative(f)
+        return f
+
+    zprev = derivative(z, k - 1)
+    rhs = sum(
+        (w * _factored_to_rf(derivative(v, k)) for v, w in weights.items()),
+        start=RationalFunction.zero(),
+    )
+    rhs = (rhs - k * n * _factored_to_rf(zprev)) / RationalFunction((r, n))
+    return _factored_to_rf(_factored_derivative(zprev)), rhs
 
 
 def check_counting_identities(
@@ -300,7 +319,13 @@ def check_counting_identities(
 ) -> CheckReport:
     """The four counting identities: rank-size partition of binomials, the
     surjection expansion of |E|^k, and the two flat sums over the reduced
-    lattice (counted sets, then |F|^k moments)."""
+    lattice (counted sets, then |F|^k moments).
+
+    A flat F enters the flat sums only through |F| and the (rank, size)
+    counts of its subsets, which its restriction fixes, so chi-bar_[F, E] is
+    first summed over each restriction class and the subsets are counted once
+    per class.  The Stirling sums skip the terms counts(i, j) with j > |E| or
+    i > rk E, which are 0, so order k costs min(k, |E|) rk E terms."""
     m = entry.matroid
     if not m.is_loopless():
         return CheckReport(COUNTING_CHECK, entry.name, SKIPPED, "matroid has loops")
@@ -317,21 +342,18 @@ def check_counting_identities(
 
     ranks = m._ranks
     counts = _rank_size_counts(ranks, m.full_mask)
+    by_size = [0] * (n + 1)  # nonempty subsets by size: the sum over i of counts(i, j)
+    for (_, j), c in counts.items():
+        by_size[j] += c
 
     for s in range(1, n + 1):
         lhs = math.comb(n, s)
-        rhs = sum(counts.get((i, s), 0) for i in range(1, s + 1))
-        if lhs != rhs:
-            return fail("rank-size-partition", {"s": s}, lhs, rhs)
+        if lhs != by_size[s]:
+            return fail("rank-size-partition", {"s": s}, lhs, by_size[s])
 
     for k, row in enumerate(stirling_second_rows(kmax), start=1):
         lhs = n**k
-        rhs = sum(
-            math.factorial(j)
-            * row[j]
-            * sum(counts.get((i, j), 0) for i in range(1, j + 1))
-            for j in range(1, k + 1)
-        )
+        rhs = sum(math.factorial(j) * row[j] * by_size[j] for j in range(1, min(k, n) + 1))
         if lhs != rhs:
             return fail("ground-power-surjections", {"k": k}, lhs, rhs)
 
@@ -339,9 +361,9 @@ def check_counting_identities(
         return CheckReport(COUNTING_CHECK, entry.name, HOLDS)
 
     # q-polynomials as trimmed integer coefficient lists; [1] * d is [d]_q
-    chibar = (bundle or _Bundle(m)).chibar_to_top
+    classes = _class_chibar_sums(bundle or _Bundle(m))
     flat_sums: dict[tuple[int, int], list[int]] = {}
-    for f, poly in chibar.items():
+    for f, poly in classes:
         for key, c in _rank_size_counts(ranks, f).items():
             flat_sums[key] = _iadd(flat_sums.get(key, []), [c * x for x in poly])
 
@@ -355,12 +377,12 @@ def check_counting_identities(
 
     for k, row in enumerate(stirling_second_rows(kmax), start=1):
         lhs = []
-        for f, poly in chibar.items():
+        for f, poly in classes:
             lhs = _iadd(lhs, [f.bit_count() ** k * x for x in poly])
         rhs = []
-        for j in range(1, k + 1):
+        for j in range(1, min(k, n) + 1):
             coeff = math.factorial(j) * row[j]
-            for i in range(1, j + 1):
+            for i in range(1, min(j, r) + 1):
                 c = counts.get((i, j), 0)
                 if c:
                     rhs = _iadd(rhs, [coeff * c] * (r - i))
@@ -368,6 +390,18 @@ def check_counting_identities(
             return fail("flat-sum-of-powers", {"k": k}, lhs, rhs)
 
     return CheckReport(COUNTING_CHECK, entry.name, HOLDS)
+
+
+def _class_chibar_sums(b: _Bundle) -> list[tuple[int, list[int]]]:
+    """One (flat, sum of chi-bar_[F, E] over the flats F of its restriction
+    class) per restriction class of the reduced flats, the flat standing for
+    its class."""
+    class_of = b.lattice.restriction_class
+    sums: dict[int, tuple[int, list[int]]] = {}
+    for f, poly in b.chibar_to_top.items():
+        rep, total = sums.get(class_of[f], (f, []))
+        sums[class_of[f]] = (rep, _iadd(total, poly))
+    return list(sums.values())
 
 
 def _rank_size_counts(ranks: list[int], mask: int) -> dict[tuple[int, int], int]:

@@ -148,10 +148,10 @@ def _cmd_zeta(args) -> int:
         zeta, algorithm = routes.zeta_by_flags(m), "recurrence"
     else:
         lat = lattice_of(m)
-        by_flags = routes._zeta_by_flags(lat, args.max_flags)
+        by_flags, bottom_row = routes._zeta_by_flags(lat, args.max_flags)
         zeta, algorithm = routes._zeta_by_recurrence(lat), "recurrence"
         # the flag route reads chi from the Mobius rows; the subset expansion checks them
-        if lat.minor_chi(0, lat.top) != _minor_chi_ints(m, 0, lat.top):
+        if lat.minor_chi(0, lat.top, bottom_row) != _minor_chi_ints(m, 0, lat.top):
             print("verification failed: Mobius and subset-expansion chi disagree", file=sys.stderr)
             return EXIT_THEOREM_FAILURE
         if by_flags != zeta:

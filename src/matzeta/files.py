@@ -11,7 +11,7 @@ from __future__ import annotations
 import os
 from typing import Sequence
 
-from .matroid import MAX_GROUND_SIZE, Matroid, graphic, iter_bits, mask_of
+from .matroid import MAX_GROUND_SIZE, Matroid, graphic, iter_bits
 
 
 class FileFormatError(ValueError):
@@ -63,15 +63,22 @@ def load_bases(source) -> Matroid:
         elif tag == "b":
             if size is None:
                 raise FileFormatError(f"line {lineno}: basis before the size line")
-            elems = _parse_int(lineno, rest)
+            # one test per line: a line of plain digit tokens needs no token test
+            digits = "".join(rest)
+            if digits.isascii() and digits.isdigit():
+                elems = list(map(int, rest))
+            else:
+                elems = _parse_int(lineno, rest)
+            mask = 0
             for e in elems:
                 if not 0 <= e < size:
                     raise FileFormatError(
                         f"line {lineno}: element {e} outside 0..{size - 1}"
                     )
-            if len(set(elems)) != len(elems):
+                mask |= 1 << e
+            if mask.bit_count() != len(elems):
                 raise FileFormatError(f"line {lineno}: repeated element in basis")
-            bases.append(mask_of(elems))
+            bases.append(mask)
         else:
             raise FileFormatError(f"line {lineno}: unknown directive {tag!r}")
     if size is None:

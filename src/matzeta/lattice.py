@@ -193,16 +193,21 @@ class LatticeOfFlats:
             mu[g] = -sum(mu[h] for h in sup[g])
         return mu
 
-    def minor_chi(self, low: int, high: int) -> tuple[int, ...]:
+    def minor_chi(
+        self, low: int, high: int, row: dict[int, tuple[int, int]] | None = None
+    ) -> tuple[int, ...]:
         """Integer coefficients of the characteristic polynomial of
         restriction(high)/low (flats, low <= high), by Rota's formula over
-        the Mobius row of low; the row is not kept."""
+        the Mobius row of low: ``row`` if the caller already swept it, else
+        swept here and not kept."""
         self._check_interval(low, high)
         ranks = self.matroid._ranks
         rh = ranks[high]
         coeffs = [0] * (rh - ranks[low] + 1)
         coeffs[-1] = 1  # mu(low, low) at q^(rk high - rk low)
-        for h, (mu, _) in self._mobius_row(low).items():
+        if row is None:
+            row = self._mobius_row(low)
+        for h, (mu, _) in row.items():
             if not h & ~high:
                 coeffs[rh - ranks[h]] += mu
         return tuple(coeffs)

@@ -192,12 +192,17 @@ def _factored_derivative(f: _Fct) -> _Fct:
     return (tuple(out), scale, tuple(sorted(factors + tuple(mults))))
 
 
-def _factored_to_rf(f: _Fct) -> RationalFunction:
-    num, scale, factors = f
-    den: list[int] = [scale]
+def _expand_den(scale: int, factors: tuple) -> list[int]:
+    """scale * prod (a s + b) as a coefficient list."""
+    den = [scale]
     for a, b in factors:
         den = _imul_linear(den, a, b)
-    return RationalFunction(num, den)
+    return den
+
+
+def _factored_to_rf(f: _Fct) -> RationalFunction:
+    num, scale, factors = f
+    return RationalFunction(num, _expand_den(scale, factors))
 
 
 # ---------------------------------------------------------------------------
@@ -325,19 +330,29 @@ def zeta_by_flags(m: Matroid, *, max_flags: int | None = None) -> RationalFuncti
     product of 1/(|F| s + rk F) over its nonempty members.  Evaluation at 1
     is a ring map, so that weight is the product of the steps'
     chi-bar_[F_{i-1}, F_i](1), each read from the Mobius row of F_{i-1},
-    which is computed once per flat and dropped after.
+    which is computed once per flat and dropped after, but for the bottom's.
     """
     if m.is_trivial:
         return RationalFunction.one()
     if not m.is_loopless():
         return RationalFunction.zero()
-    return _zeta_by_flags(lattice_of(m), max_flags)
+    return _zeta_by_flags(lattice_of(m), max_flags)[0]
 
 
-def _zeta_by_flags(lat: LatticeOfFlats, max_flags: int | None) -> RationalFunction:
-    return _flag_sum(
-        lat, max_flags, lambda f: [(g, w, None) for g, (_, w) in lat._mobius_row(f).items()]
-    )
+def _zeta_by_flags(
+    lat: LatticeOfFlats, max_flags: int | None
+) -> tuple[RationalFunction, dict[int, tuple[int, int]]]:
+    """Z by the flag sum, and the Mobius row of the bottom flat it swept, for
+    ``zeta --verify`` to check chi on with no second sweep."""
+    bottom: dict[int, tuple[int, int]] = {}
+
+    def steps(f: int) -> list[tuple[int, int, None]]:
+        row = lat._mobius_row(f)
+        if f == 0:
+            bottom.update(row)
+        return [(g, w, None) for g, (_, w) in row.items()]
+
+    return _flag_sum(lat, max_flags, steps), bottom
 
 
 # ---------------------------------------------------------------------------

@@ -9,17 +9,25 @@ along a flag, the lower-interval fold one comparable pair at a time
 loop over the signed subset expansion (``chi_by_subsets``, and ``chi`` for
 the whole matroid), the covers of a flat by closing every one-element
 extension (``covers_by_closure``), the two-flats identity and the Stirling
-lemma checked term by term, and the re-evaluation of a failure witness
-(``witness_reverifies``)."""
+lemma checked term by term, the k-derivative lemma with each table value
+differentiated to every order (``k_derivative_lemma_per_value``), and the
+re-evaluation of a failure witness (``witness_reverifies``)."""
 
 from fractions import Fraction
 
-from matzeta.algebra import RationalFunction, _iadd, _itrim
-from matzeta.checks import FAILS
+from matzeta.algebra import RationalFunction, _iadd, _imul_linear, _itrim
+from matzeta.checks import FAILS, HOLDS, K_DERIVATIVE_CHECK, SKIPPED, CheckReport, _Bundle, _fails
 from matzeta.combinat import stirling_first, stirling_second_rows
 from matzeta.lattice import _minor_chibar_ints, lattice_of
 from matzeta.matroid import Matroid, _compress, iter_bits, submasks, uniform
-from matzeta.zeta import _F_ONE, _Acc, _norm_factor, _reduce
+from matzeta.zeta import (
+    _F_ONE,
+    _Acc,
+    _factored_derivative,
+    _factored_to_rf,
+    _norm_factor,
+    _reduce,
+)
 
 
 def ranks_by_all_deletions(size, bases):
@@ -207,6 +215,48 @@ def verify_stirling_lemma(k):
         if lhs != rhs:
             return False
     return True
+
+
+def k_derivative_lemma_per_value(entry, kmax=3, bundle=None):
+    """The k-derivative lemma with each side built at every order: every
+    distinct table value among Z and the weighted Z(M|F) is differentiated
+    k times, and (n s + r) D^k Z + k n D^(k-1) Z - sum of w D^k Z(M|F) is
+    summed and tested as an exact zero, order by order."""
+    m = entry.matroid
+    if m.is_trivial or not m.is_loopless():
+        return CheckReport(
+            K_DERIVATIVE_CHECK, entry.name, SKIPPED, "needs a loopless nontrivial matroid"
+        )
+    b = bundle or _Bundle(m)
+    tbl, top = b.zeta_table, b.lattice.top
+    n, r = m.size, m.rank
+    weights = {}  # table value -> summed weight
+    for f, chibar in b.chibar_to_top.items():
+        w = sum(chibar)
+        if w:
+            weights[tbl[f]] = weights.get(tbl[f], 0) + w
+    derivs = {v: [v] for v in (tbl[top], *weights)}
+    for k in range(1, kmax + 1):
+        for chain in derivs.values():
+            chain.append(_factored_derivative(chain[-1]))
+        zk, zprev = derivs[tbl[top]][k], derivs[tbl[top]][k - 1]
+        acc = _Acc()
+        acc.add(_imul_linear(zk[0], n, r), zk[1], zk[2])
+        acc.add([k * n * c for c in zprev[0]], zprev[1], zprev[2])
+        for v, w in weights.items():
+            num, scale, fct = derivs[v][k]
+            acc.add([-w * c for c in num], scale, fct)
+        if acc.total()[0]:
+            rhs = sum(
+                (w * _factored_to_rf(derivs[v][k]) for v, w in weights.items()),
+                start=RationalFunction.zero(),
+            )
+            rhs = (rhs - k * n * _factored_to_rf(zprev)) / RationalFunction((r, n))
+            return _fails(
+                K_DERIVATIVE_CHECK, entry, f"order {k} mismatch",
+                k=k, lhs=_factored_to_rf(zk).to_json(), rhs=rhs.to_json(),
+            )
+    return CheckReport(K_DERIVATIVE_CHECK, entry.name, HOLDS)
 
 
 def witness_reverifies(report):

@@ -1,4 +1,6 @@
 import gc
+import itertools
+import random
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -26,8 +28,16 @@ from matzeta.checks import (
 )
 from matzeta.lattice import _minor_chibar_ints, lattice_of
 from matzeta.matroid import graphic, iter_bits, uniform
-from matzeta.zeta import upsilon_by_recurrence, zeta_by_recurrence
-from oracles import witness_reverifies
+from matzeta.algebra import _iadd, _imul_linear, taylor_prefix
+from matzeta.zeta import (
+    _expand_den,
+    _factored_derivative,
+    _factored_to_rf,
+    _upsilon_table,
+    upsilon_by_recurrence,
+    zeta_by_recurrence,
+)
+from oracles import k_derivative_lemma_per_value, witness_reverifies
 
 
 def entry_named(catalog, name):
@@ -422,6 +432,149 @@ def test_integer_holds_paths_build_no_rational_function(monkeypatch, catalog5):
     for entry in catalog5:
         assert check_counting_identities(entry).status == HOLDS, entry.name
         assert check_k_derivative_lemma(entry).status == HOLDS, entry.name
+    # a whole pass: the runner reports a raised AssertionError as a failure
+    reports = run_all_checks(build_catalog(5))
+    assert summarize(reports)[FAILS] == 0
+
+
+def _with_truncations(catalog):
+    for entry in catalog:
+        yield entry
+        if entry.matroid.rank >= 2:
+            tr = entry.matroid.truncation()
+            yield CatalogEntry(f"tr({entry.name})", tr, f"truncation({entry.provenance})")
+
+
+def _shuffled_k6():
+    # K6 with its edges shuffled, so equal restrictions sit on unequal masks
+    edges = list(itertools.combinations(range(6), 2))
+    random.Random(6).shuffle(edges)
+    return CatalogEntry("shuffled K6", graphic(edges), "graphic(shuffled K6)")
+
+
+def test_residual_k_derivative_matches_the_per_value_oracle(catalog7):
+    """Every order the residual check tests agrees with differentiating each
+    table value; a holds verdict at kmax 6 covers every order below it."""
+    for entry in _with_truncations(catalog7):
+        bundle = checks._Bundle(entry.matroid)
+        for kmax in (1, 6):
+            report = check_k_derivative_lemma(entry, kmax, bundle)
+            assert report == k_derivative_lemma_per_value(entry, kmax, bundle), entry.name
+            assert report.status != FAILS, entry.name
+
+
+def _bump_constant(f):
+    num, scale, fct = f
+    return ((num[0] + 1,) + num[1:], scale, fct)
+
+
+def _shift_by_one(f):
+    # + 1 as a fraction: num + scale * prod factors over the same denominator
+    num, scale, fct = f
+    return (tuple(_iadd(num, _expand_den(scale, fct))), scale, fct)
+
+
+@pytest.mark.parametrize("name", ["U(2,3)", "K4", "U(2,3)+U(2,3)", "tr(U(1,2)+U(2,4))"])
+@pytest.mark.parametrize("plant", ["weight", "top", "flat", "flat-constant"])
+def test_planted_k_derivative_failures_match_the_oracle(monkeypatch, catalog7, name, plant):
+    """A planted weight or table entry makes the residual check and the
+    per-value oracle fail at the same first order with the same witness;
+    shifting a flat's value by a constant changes no derivative, so both hold."""
+    entry = entry_named(catalog7, name)
+    m = entry.matroid
+    victim = next(  # a flat of nonzero weight, so a planted entry shows
+        f for f in lattice_of(m).reduced_flats() if sum(_minor_chibar_ints(m, f, m.full_mask))
+    )
+    if plant == "weight":
+        def skewed(matroid, low, high):
+            chibar = _minor_chibar_ints(matroid, low, high)
+            return _skew_constant(chibar) if low == victim else chibar
+
+        monkeypatch.setattr(checks, "_minor_chibar_ints", skewed)
+    for kmax in range(1, 7):
+        bundle = checks._Bundle(m)
+        if plant != "weight":
+            tbl = dict(bundle.zeta_table)
+            f = m.full_mask if plant == "top" else victim
+            tbl[f] = (_shift_by_one if plant == "flat-constant" else _bump_constant)(tbl[f])
+            bundle.zeta_table = tbl
+        report = check_k_derivative_lemma(entry, kmax, bundle)
+        oracle = k_derivative_lemma_per_value(entry, kmax, bundle)
+        assert report == oracle
+        assert report.status == (HOLDS if plant == "flat-constant" else FAILS)
+        assert report.witness == oracle.witness
+
+
+def test_k_derivative_differentiates_one_residual_per_order(monkeypatch, catalog7):
+    calls = []
+    monkeypatch.setattr(
+        checks, "_factored_derivative", lambda f: calls.append(f) or _factored_derivative(f)
+    )
+    for entry in catalog7:
+        calls.clear()
+        report = check_k_derivative_lemma(entry, 3)
+        assert report.status == HOLDS, entry.name
+        assert len(calls) == 3, entry.name
+
+
+def _per_flat_sums(entry):
+    """The counting sums of the flat identities, one flat at a time."""
+    m = entry.matroid
+    counts, powers = {}, {}
+    for f in lattice_of(m).reduced_flats():
+        poly = _minor_chibar_ints(m, f, m.full_mask)
+        for key, c in checks._rank_size_counts(m._ranks, f).items():
+            counts[key] = _iadd(counts.get(key, []), [c * x for x in poly])
+        for k in range(1, 7):
+            powers[k] = _iadd(powers.get(k, []), [f.bit_count() ** k * x for x in poly])
+    return counts, powers
+
+
+def test_class_grouped_counting_sums_match_per_flat_sums(catalog7):
+    for entry in [*catalog7, _shuffled_k6()]:
+        m = entry.matroid
+        classes = checks._class_chibar_sums(checks._Bundle(m))
+        counts, powers = {}, {}
+        for f, poly in classes:
+            for key, c in checks._rank_size_counts(m._ranks, f).items():
+                counts[key] = _iadd(counts.get(key, []), [c * x for x in poly])
+            for k in range(1, 7):
+                powers[k] = _iadd(powers.get(k, []), [f.bit_count() ** k * x for x in poly])
+        assert (counts, powers) == _per_flat_sums(entry), entry.name
+
+
+def test_subsets_are_counted_once_per_restriction_class(monkeypatch, catalog7):
+    counted = []
+    original = checks._rank_size_counts
+
+    def counting(ranks, mask):
+        counted.append(mask)
+        return original(ranks, mask)
+
+    monkeypatch.setattr(checks, "_rank_size_counts", counting)
+    for entry in [*catalog7, _shuffled_k6()]:
+        counted.clear()
+        m = entry.matroid
+        assert check_counting_identities(entry).status == HOLDS, entry.name
+        classes = 0 if m.is_trivial else len(set(lattice_of(m).restriction_class.values()))
+        assert counted[0] == m.full_mask and len(counted) == classes + 1, entry.name
+
+
+def test_factored_taylor_prefixes_match_the_canonical_expansion(catalog7):
+    for entry in _with_truncations(catalog7):
+        bundle = checks._Bundle(entry.matroid)
+        order = entry.matroid.rank + 3
+        lat = bundle.lattice
+        for seam, table in (
+            (checks.zeta_taylor_prefix, bundle.zeta_table),
+            (checks.upsilon_taylor_prefix, _upsilon_table(lat)),
+        ):
+            num, scale, fct = table[lat.top]
+            expected = taylor_prefix(_factored_to_rf(table[lat.top]), order)
+            assert seam(bundle, order) == expected, entry.name
+            # a common integer and a common linear factor change no coefficient
+            unreduced = (_imul_linear([3 * c for c in num], 2, 5), 3 * scale, fct + ((2, 5),))
+            assert checks._factored_taylor(unreduced, order) == expected, entry.name
 
 
 def test_crashing_check_is_reported_not_raised(monkeypatch, catalog4):

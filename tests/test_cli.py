@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -164,6 +165,22 @@ def test_zeta_verify_checks_chi_against_the_subset_expansion(capsys, monkeypatch
     code, out, err = run_cli(capsys, "zeta", "u:3,6", "--verify")
     assert code == EXIT_THEOREM_FAILURE and out == ""
     assert "verification failed: Mobius and subset-expansion chi disagree" in err
+
+
+@pytest.mark.parametrize("spec", ["u:3,6", "u:3,7+u:3,7"])
+def test_zeta_verify_sweeps_the_bottom_row_once(capsys, monkeypatch, spec):
+    """The chi check reads the row of the bottom flat the flag route swept."""
+    original = LatticeOfFlats._mobius_row
+    swept = Counter()
+
+    def counting(self, g):
+        swept[g] += 1
+        return original(self, g)
+
+    monkeypatch.setattr(LatticeOfFlats, "_mobius_row", counting)
+    code, out, _ = run_cli(capsys, "zeta", spec, "--verify")
+    assert code == EXIT_OK and out.startswith("Z(s) = ")
+    assert swept[0] == 1 and set(swept.values()) == {1}
 
 
 def test_zeta_verify_catches_a_wrong_flag_weight(capsys, monkeypatch):

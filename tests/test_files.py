@@ -82,6 +82,35 @@ def test_bases_errors(text, message):
         load_bases(io.StringIO(text))
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("b 0 -1", "line 3: element -1 outside 0..3"),
+        ("b 0 +-1", "line 3: '+-1' is not an integer"),
+        ("b 0 \u0661", "line 3: '\u0661' is not an integer"),
+        ("b 0 \u00b2", "line 3: '\u00b2' is not an integer"),
+        ("b 0 \uff11", "line 3: '\uff11' is not an integer"),
+        ("b 1_0", "line 3: '1_0' is not an integer"),
+        ("b 0 9", "line 3: element 9 outside 0..3"),
+        ("b 1 1", "line 3: repeated element in basis"),
+        ("b 1 +1", "line 3: repeated element in basis"),
+        ("b 9 5", "line 3: element 9 outside 0..3"),
+        ("b 1 1 9", "line 3: element 9 outside 0..3"),
+        ("b 9 x", "line 3: 'x' is not an integer"),
+        ("b -1 1_0", "line 3: '1_0' is not an integer"),
+    ],
+    ids=["negative", "two-signs", "arabic-indic", "superscript", "fullwidth", "underscore",
+         "out-of-range", "repeat", "signed-repeat", "first-out-of-range",
+         "range-before-repeat", "parse-before-range", "parse-before-sign"],
+)
+def test_bases_line_error_texts(line, message):
+    """A basis line's error text and the priority of its errors: a token that
+    is no integer first, then the first element out of range, then a repeat."""
+    with pytest.raises(FileFormatError) as caught:
+        load_bases(io.StringIO(f"n 4\nb 0 1\n{line}\nb 2 3\n"))
+    assert str(caught.value) == message
+
+
 def test_graph_roundtrip(tmp_path):
     path = tmp_path / "c3.graph"
     dump_graph(3, [(0, 1), (1, 2), (0, 2)], path)
