@@ -236,7 +236,6 @@ def _cmd_check(args) -> int:
         catalog,
         suites=suites,
         kmax=args.kmax,
-        kderivative_kmax=args.kderivative_kmax,
         jobs=args.jobs,
     )
     if args.format == "json":
@@ -347,9 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("suite", choices=("theorems", "conjectures", "all"))
     p_check.add_argument("--max-ground", type=_non_negative_int, default=7, dest="max_ground")
     p_check.add_argument("--kmax", type=_non_negative_int, default=4)
-    p_check.add_argument(
-        "--kderivative-kmax", type=_non_negative_int, default=3, dest="kderivative_kmax"
-    )
     p_check.add_argument("--jobs", type=_int_at_least(1), default=1)
     p_check.add_argument("--format", choices=("text", "json"), default="text")
     p_check.add_argument("--out", default=None, help="directory for counterexample witnesses")

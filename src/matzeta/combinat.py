@@ -19,11 +19,11 @@ def _next_first_row(prev: list[int], n: int) -> list[int]:
     return row
 
 
-def _next_second_row(prev: list[int], n: int) -> list[int]:
-    # S(n,k) = k S(n-1,k) + S(n-1,k-1)
-    row = [0] * (n + 1)
-    for k in range(n + 1):
-        row[k] = k * (prev[k] if k < n else 0) + (prev[k - 1] if k >= 1 else 0)
+def _next_second_row(prev: list[int], n: int, width: int | None = None) -> list[int]:
+    # S(n,k) = k S(n-1,k) + S(n-1,k-1), for k < width if a width is given
+    row = [0] * min(n + 1, width or n + 1)
+    for k in range(len(row)):
+        row[k] = k * (prev[k] if k < len(prev) else 0) + (prev[k - 1] if k >= 1 else 0)
     return row
 
 
@@ -57,10 +57,10 @@ def stirling_second(n: int, k: int) -> int:
     return _stirling(_next_second_row, n, k)
 
 
-def stirling_second_rows(nmax: int) -> Iterator[list[int]]:
-    """Rows 1..nmax of the triangle of the second kind, built in turn; only
-    the current row is held."""
-    return _rows(_next_second_row, nmax)
+def stirling_second_rows(nmax: int, width: int | None = None) -> Iterator[list[int]]:
+    """Rows 1..nmax of the triangle of the second kind, built in turn and cut
+    to the columns k < width if a width is given; only the current row is held."""
+    return _rows(lambda prev, n: _next_second_row(prev, n, width), nmax)
 
 
 def rising_factorial(n: int, k: int) -> int:

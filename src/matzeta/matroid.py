@@ -285,13 +285,9 @@ class Matroid:
         if self.size + 1 > MAX_GROUND_SIZE:
             raise ValueError(f"free extension exceeds the ground-size bound {MAX_GROUND_SIZE}")
         e = 1 << self.size
-        ranks = self._ranks
-        target = self.rank - 1
         bases = list(self.bases)
         if self.rank >= 1:
-            bases += [
-                m | e for m in range(1 << self.size) if m.bit_count() == target == ranks[m]
-            ]
+            bases += [b | e for b in self.truncation().bases]
         return Matroid(self.size + 1, bases, validate=False)
 
     # -- identity ------------------------------------------------------------

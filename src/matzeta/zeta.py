@@ -42,12 +42,12 @@ single canonicalization at the end (``_factored_to_rf`` hands its integer
 lists to ``RationalFunction`` as they are); public results are always
 canonical RationalFunction values.  The coefficient arithmetic is the integer
 kernels of ``algebra``, including ``_div_linear``, the exact division by a
-linear factor that ``_reduce`` and ``_factored_derivative`` use; the flag
-weights are integers read off the Mobius rows and need no division.
-``_factored_derivative`` differentiates a factored value through the
-log-derivative of its denominator, so the k-derivative check runs on the Z
-table with no polynomial gcd.  Memo tables live inside one computation and
-are never shared across matroids.
+linear factor that ``_reduce`` uses; the flag weights are integers read off
+the Mobius rows and need no division.  A reduced value keeps no linear factor
+that divides its numerator, so it is a constant iff it has no factor and a
+numerator of degree <= 0, which the k-derivative check reads with no
+polynomial gcd.  Memo tables live inside one computation and are never
+shared across matroids.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from .algebra import (
     RationalFunction,
     _div_linear,
     _iadd,
-    _ideriv,
     _imul,
     _imul_linear,
     _itrim,
@@ -173,23 +172,6 @@ def _reduce(num: Sequence[int], scale: int, factors: tuple) -> _Fct:
             mult -= 1
         kept.extend([pair] * mult)
     return (tuple(num), scale, tuple(kept))
-
-
-def _factored_derivative(f: _Fct) -> _Fct:
-    """d/ds of num / (scale * prod p_j^m_j) through the log-derivative of the
-    denominator: with Q the product of the distinct p_j = a_j s + b_j, it is
-    (num' Q - num * sum_j m_j a_j Q / p_j) / (scale * prod p_j^m_j * Q).
-    Integer throughout and no gcd; the result is left unreduced."""
-    num, scale, factors = f
-    mults = _mults(factors)
-    q = [1]
-    for a, b in mults:
-        q = _imul_linear(q, a, b)
-    dq: list[int] = []
-    for (a, b), mult in mults.items():
-        dq = _iadd(dq, [mult * a * c for c in _div_linear(q, a, b)])
-    out = _iadd(_imul(_ideriv(num), q), [-c for c in _imul(num, dq)])
-    return (tuple(out), scale, tuple(sorted(factors + tuple(mults))))
 
 
 def _expand_den(scale: int, factors: tuple) -> list[int]:

@@ -135,7 +135,7 @@ def test_criterion_6_multiplicativity(catalog7):
 
 @criterion(7, "the counting/derivative identity suite holds exactly on the catalog")
 def test_criterion_7_identity_suite(catalog7):
-    reports = run_all_checks(catalog7, suites=("theorems",), kmax=4, kderivative_kmax=3)
+    reports = run_all_checks(catalog7, suites=("theorems",), kmax=4)
     failing = [r for r in reports if r.status == FAILS]
     assert not failing, failing[:3]
     assert all(r.status == HOLDS for r in reports)

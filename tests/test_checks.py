@@ -31,7 +31,6 @@ from matzeta.matroid import graphic, iter_bits, uniform
 from matzeta.algebra import _iadd, _imul_linear, taylor_prefix
 from matzeta.zeta import (
     _expand_den,
-    _factored_derivative,
     _factored_to_rf,
     _upsilon_table,
     upsilon_by_recurrence,
@@ -100,7 +99,7 @@ def test_conjecture_checks_hold(catalog4):
 
 def test_k_derivative_check(catalog4):
     for entry in catalog4:
-        report = check_k_derivative_lemma(entry, kmax=2)
+        report = check_k_derivative_lemma(entry)
         assert report.status == HOLDS, entry.name
 
 
@@ -116,8 +115,8 @@ def test_counting_power_identity_to_order_five(catalog4):
 
 
 def test_run_all_checks_order_and_determinism(catalog4):
-    first = run_all_checks(catalog4, kmax=3, kderivative_kmax=2)
-    second = run_all_checks(catalog4, kmax=3, kderivative_kmax=2)
+    first = run_all_checks(catalog4, kmax=3)
+    second = run_all_checks(catalog4, kmax=3)
     assert first == second
     per_entry = len(THEOREM_CHECK_NAMES) + len(CONJECTURE_CHECK_NAMES)
     assert len(first) == per_entry * len(catalog4)
@@ -172,9 +171,9 @@ def test_run_all_checks_bounds_workers(monkeypatch, catalog4, jobs, entries, cpu
     monkeypatch.setattr(checks, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(checks.os, "cpu_count", lambda: cpus)
     catalog = catalog4[:entries]
-    reports = run_all_checks(catalog, kderivative_kmax=1, jobs=jobs)
+    reports = run_all_checks(catalog, jobs=jobs)
     assert pools == ([] if workers is None else [workers])
-    assert reports == run_all_checks(catalog, kderivative_kmax=1)
+    assert reports == run_all_checks(catalog)
 
 
 def test_a_catalog_pass_builds_one_lattice_per_entry_and_truncation(monkeypatch, catalog7):
@@ -453,14 +452,14 @@ def _shuffled_k6():
 
 
 def test_residual_k_derivative_matches_the_per_value_oracle(catalog7):
-    """Every order the residual check tests agrees with differentiating each
-    table value; a holds verdict at kmax 6 covers every order below it."""
-    for entry in _with_truncations(catalog7):
+    """The one constancy test of the residual agrees with differentiating
+    each canonical value to every order up to kmax, for kmax = 1..6."""
+    for entry in [*_with_truncations(catalog7), _shuffled_k6()]:
         bundle = checks._Bundle(entry.matroid)
-        for kmax in (1, 6):
-            report = check_k_derivative_lemma(entry, kmax, bundle)
+        report = check_k_derivative_lemma(entry, bundle)
+        assert report.status != FAILS, entry.name
+        for kmax in range(1, 7):
             assert report == k_derivative_lemma_per_value(entry, kmax, bundle), entry.name
-            assert report.status != FAILS, entry.name
 
 
 def _bump_constant(f):
@@ -478,7 +477,7 @@ def _shift_by_one(f):
 @pytest.mark.parametrize("plant", ["weight", "top", "flat", "flat-constant"])
 def test_planted_k_derivative_failures_match_the_oracle(monkeypatch, catalog7, name, plant):
     """A planted weight or table entry makes the residual check and the
-    per-value oracle fail at the same first order with the same witness;
+    per-value oracle fail at order 1 with the same witness, at every kmax;
     shifting a flat's value by a constant changes no derivative, so both hold."""
     entry = entry_named(catalog7, name)
     m = entry.matroid
@@ -491,30 +490,18 @@ def test_planted_k_derivative_failures_match_the_oracle(monkeypatch, catalog7, n
             return _skew_constant(chibar) if low == victim else chibar
 
         monkeypatch.setattr(checks, "_minor_chibar_ints", skewed)
+    bundle = checks._Bundle(m)
+    if plant != "weight":
+        tbl = dict(bundle.zeta_table)
+        f = m.full_mask if plant == "top" else victim
+        tbl[f] = (_shift_by_one if plant == "flat-constant" else _bump_constant)(tbl[f])
+        bundle.zeta_table = tbl
+    report = check_k_derivative_lemma(entry, bundle)
+    assert report.status == (HOLDS if plant == "flat-constant" else FAILS)
     for kmax in range(1, 7):
-        bundle = checks._Bundle(m)
-        if plant != "weight":
-            tbl = dict(bundle.zeta_table)
-            f = m.full_mask if plant == "top" else victim
-            tbl[f] = (_shift_by_one if plant == "flat-constant" else _bump_constant)(tbl[f])
-            bundle.zeta_table = tbl
-        report = check_k_derivative_lemma(entry, kmax, bundle)
         oracle = k_derivative_lemma_per_value(entry, kmax, bundle)
         assert report == oracle
-        assert report.status == (HOLDS if plant == "flat-constant" else FAILS)
         assert report.witness == oracle.witness
-
-
-def test_k_derivative_differentiates_one_residual_per_order(monkeypatch, catalog7):
-    calls = []
-    monkeypatch.setattr(
-        checks, "_factored_derivative", lambda f: calls.append(f) or _factored_derivative(f)
-    )
-    for entry in catalog7:
-        calls.clear()
-        report = check_k_derivative_lemma(entry, 3)
-        assert report.status == HOLDS, entry.name
-        assert len(calls) == 3, entry.name
 
 
 def _per_flat_sums(entry):

@@ -269,7 +269,6 @@ def test_verify_disagreement_is_a_theorem_failure(capsys, monkeypatch, command, 
     "check all --max-ground 2 --jobs -3",
     "check all --max-ground -1",
     "check all --max-ground 2 --kmax -2",
-    "check all --max-ground 2 --kderivative-kmax -1",
     "taylor u:2,3 -k -1",
 ])
 def test_counts_below_their_minimum_are_usage_errors(capsys, argv):
@@ -421,6 +420,15 @@ def test_check_command(capsys, tmp_path):
     assert code == EXIT_OK
     assert "summary:" in out
     assert not (tmp_path / "w").exists()  # no counterexamples, no files
+
+
+def test_kderivative_kmax_is_not_an_option(capsys):
+    # one constancy test decides every order of the k-derivative lemma
+    code, out, err = run_cli(
+        capsys, "check", "all", "--max-ground", "2", "--kderivative-kmax", "3"
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert "unrecognized arguments: --kderivative-kmax 3" in err
 
 
 def test_check_command_empty_catalog(capsys):

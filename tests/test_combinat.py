@@ -98,15 +98,23 @@ def test_counting_check_walks_each_stirling_row_once(monkeypatch):
     calls = []
     step = combinat._next_second_row
 
-    def counted(prev, n):
-        calls.append(n)
-        return step(prev, n)
+    def counted(prev, n, width=None):
+        row = step(prev, n, width)
+        calls.append((n, len(row)))
+        return row
 
     monkeypatch.setattr(combinat, "_next_second_row", counted)
     entry = CatalogEntry("U(2,3)", uniform(2, 3), "uniform(2,3)")
     assert check_counting_identities(entry, kmax=100).status == HOLDS
-    # one walk over rows 1..100 for the surjection identity, one for the powers
-    assert len(calls) <= 200
+    # one walk over rows 1..100 for both Stirling identities, cut to j <= |E|
+    assert [n for n, _ in calls] == list(range(1, 101))
+    assert max(width for _, width in calls) == 3 + 1
+
+
+@pytest.mark.parametrize("width", [1, 2, 5, None])
+def test_cut_stirling_rows_are_prefixes_of_the_full_rows(width):
+    full = list(stirling_second_rows(30))
+    assert list(stirling_second_rows(30, width)) == [row[:width] for row in full]
 
 
 def test_factorials():

@@ -29,7 +29,6 @@ UNCALLED_BY_DESIGN = {
     "files.dump_graph": "graph-file writer documented in the README",
     "lattice.LatticeOfFlats.mobius": "perfbench span lattice.mobius",
     "matroid.Matroid.restriction": "perfbench span matroid.restriction",
-    "algebra.RationalFunction.derivative": "perfbench span algebra.derivative",
     "algebra.RationalFunction.from_json": (
         "perfbench reference values and criterion 10's JSON round trip"
     ),

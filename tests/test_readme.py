@@ -1,9 +1,12 @@
-"""The README's library sketch runs, and its export list is the package's."""
+"""The README's library sketch runs, its export list is the package's, and
+its CLI section names only options the parser has."""
 
+import argparse
 import re
 from pathlib import Path
 
 import matzeta
+from matzeta.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,3 +26,17 @@ def test_exports_resolve_and_match_the_readme():
     for name in matzeta.__all__:
         assert namespace[name] is getattr(matzeta, name), name
     assert sorted(re.findall(r"`(\w+)`", bullets)) == sorted(matzeta.__all__)
+
+
+def test_cli_section_names_only_parser_options():
+    section = README.read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    known = {
+        option
+        for sub in commands.choices.values()
+        for action in sub._actions
+        for option in action.option_strings
+    }
+    assert named and named <= known, sorted(named - known)

@@ -29,7 +29,6 @@ from matzeta.matroid import Matroid, graphic, uniform
 from matzeta.zeta import (
     _Acc,
     _div_linear,
-    _factored_derivative,
     _factored_to_rf,
     _flag_sum,
     _reduce,
@@ -644,15 +643,31 @@ factored_values = st.builds(
 )
 
 
-@given(factored_values)
+@st.composite
+def partly_cancelling(draw):
+    """A factored value whose numerator is a drawn polynomial times some of
+    its own denominator factors, so that some of them cancel."""
+    num, scale, factors = draw(factored_values)
+    for a, b in factors:
+        if draw(st.booleans()):
+            num = _imul_linear(num, a, b)
+    return (tuple(_itrim(list(num))), scale, factors)
+
+
+@given(partly_cancelling())
 @example(((), 1, ()))
 @example(((5,), 2, ()))
+@example(((0, 1), 1, ()))
+@example(((1, 2, 1), 2, ((1, 1), (1, 1))))
 @example(((1, 1), 1, ((1, 1), (1, 1))))
-def test_factored_derivative_matches_quotient_rule(x):
-    for _ in range(3):
-        dx = _factored_derivative(x)
-        assert _factored_to_rf(dx) == _factored_to_rf(x).derivative()
-        x = dx
+@example(((3,), 1, ((1, 2),)))
+def test_reduced_value_is_constant_iff_no_factor_and_degree_at_most_zero(x):
+    """``_reduce`` strips every linear factor that divides the numerator, so
+    the value is a constant exactly when no factor is left and the numerator
+    has degree <= 0, the k-derivative check's whole test."""
+    num, _, factors = _reduce(*x)
+    value = _factored_to_rf(x)
+    assert (not factors and len(num) <= 1) == (len(value.num) <= 1 and len(value.den) == 1)
 
 
 def test_zeta_table_entries_are_restriction_zetas(catalog5):
