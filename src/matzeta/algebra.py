@@ -36,7 +36,11 @@ def poly_gcd(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     Computed by a primitive polynomial remainder sequence (fraction-free), so
     intermediate coefficients stay integral.
     """
-    return tuple(_igcd(a, b))
+    a = _iprimitive(_itrim(list(a)))
+    b = _iprimitive(_itrim(list(b)))
+    while b:
+        a, b = b, _iprimitive(_itrim(_iprem(a, b)))
+    return tuple(a)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +227,7 @@ def _canonical(num: list[int], den: list[int]) -> tuple[tuple[int, ...], tuple[i
         raise ZeroDivisionError("zero denominator")
     if not num:
         return (), (1,)
-    g = _igcd(num, den)
+    g = poly_gcd(num, den)
     if len(g) > 1:  # g is primitive, so the quotients are integral (Gauss's lemma)
         num, den = _idiv_exact(num, g), _idiv_exact(den, g)
     c = math.gcd(*num, *den)
@@ -408,17 +412,3 @@ def _iprem(a: Sequence[int], b: Sequence[int]) -> list[int]:
         rem.pop()
         _itrim(rem)
     return rem
-
-
-def _igcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Gcd of integer polynomials via the primitive remainder sequence."""
-    a = _iprimitive(_itrim(list(a)))
-    b = _iprimitive(_itrim(list(b)))
-    if not a:
-        return b
-    if not b:
-        return a
-    while b:
-        r = _iprem(a, b)
-        a, b = b, _iprimitive(_itrim(r))
-    return _iprimitive(a)

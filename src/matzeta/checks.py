@@ -7,20 +7,21 @@ Entries are independent; the runner can execute them in parallel and merges
 results in catalog order.
 
 The checks of one entry share one ``_Bundle`` of its matroid: the lattice of
-flats, the Z table on it and chi-bar_[F, E] of each reduced flat, each built
-on first use and dropped with the entry's reports.  It shares plumbing, never
-an answer under test: the k-derivative and counting weights come from the
-subset expansion ``_minor_chibar_ints``, not the recurrence, and Z(tr M) from
-the truncation's own lattice, not the transfer formula.
+flats, the Z table on it and chi-bar_[F, E] summed over each restriction
+class of reduced flats F, each built on first use and dropped with the
+entry's reports.  It shares plumbing, never an answer under test: the
+k-derivative and counting weights come from the subset-expansion chi-bar
+``minor_reduced_chi``, not the recurrence, and Z(tr M) from the truncation's
+own lattice, not the transfer formula.
 
 Each check makes one pass over its table values, and a holds verdict builds
 no ``RationalFunction``.  The k-derivative lemma tests one residual for being
-a constant, which decides every order at once; the counting identities sum
-chi-bar_[F, E] per restriction class of F before weighing it by the class's
-subset counts; and the Taylor prefixes expand the top entry of the Z or Y
-table as it stands, unreduced.  ``zeta_taylor_prefix``,
-``upsilon_taylor_prefix`` and ``_minor_chibar_ints`` stay module-level names
-so a test can plant a violation through them.
+a constant, which decides every order at once; both it and the counting
+identities weigh each restriction class once, by its chi-bar sum; and the
+Taylor prefixes expand the top entry of the Z or Y table as it stands,
+unreduced.  ``zeta_taylor_prefix``, ``upsilon_taylor_prefix`` and
+``minor_reduced_chi`` stay module-level names so a test can plant a violation
+through them.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from functools import cached_property, lru_cache
 
 from .algebra import RationalFunction, _iadd, _imul_linear, _itaylor
 from .combinat import rising_factorial, stirling_second_rows
-from .lattice import LatticeOfFlats, _minor_chibar_ints, lattice_of
+from .lattice import LatticeOfFlats, lattice_of, minor_reduced_chi
 from .matroid import Matroid, graphic, iter_bits, uniform
 from .zeta import (
     _Acc,
@@ -162,8 +163,8 @@ def build_catalog(max_ground: int = 7) -> list[CatalogEntry]:
 
 class _Bundle:
     """One matroid's lattice of flats, the Z table on that lattice, and
-    chi-bar_[F, E] of its reduced flats by the subset expansion, each built
-    on first use.  A check handed none builds its own."""
+    ``class_chibar``, each built on first use.  A check handed none builds
+    its own."""
 
     def __init__(self, matroid: Matroid) -> None:
         self.matroid = matroid
@@ -177,9 +178,17 @@ class _Bundle:
         return _zeta_table(self.lattice)
 
     @cached_property
-    def chibar_to_top(self) -> dict[int, tuple[int, ...]]:
-        lat = self.lattice
-        return {f: _minor_chibar_ints(self.matroid, f, lat.top) for f in lat.reduced_flats()}
+    def class_chibar(self) -> list[tuple[int, list[int]]]:
+        """One (flat, sum of chi-bar_[F, E] over the flats F of its
+        restriction class) per class of reduced flats, in ``restriction_class``
+        order: the flats of one class share Z(M|F) and their subset counts,
+        so the flat stands for its class in both checks."""
+        m, lat = self.matroid, self.lattice
+        sums: dict[int, tuple[int, list[int]]] = {}
+        for f, cls in lat.restriction_class.items():
+            rep, total = sums.get(cls, (f, []))
+            sums[cls] = (rep, _iadd(total, minor_reduced_chi(m, f, lat.top)))
+        return list(sums.values())
 
 
 def zeta_taylor_prefix(b: _Bundle, k: int) -> tuple[Fraction, ...]:
@@ -264,8 +273,10 @@ def check_k_derivative_lemma(
     numerator, so R is a constant iff no factor is left and the numerator has
     degree <= 0; no polynomial gcd is taken.  The weights come from the
     chi-bar division (chi-bar(1) is its coefficient sum), not from the
-    recurrence being checked, and are summed per table value; only a failing
-    residual differentiates each value, for the order-1 witness's two sides.
+    recurrence being checked: the flats of one restriction class share their
+    table value, so each class weighs it by its summed chi-bar, and the
+    weights are summed per table value; only a failing residual
+    differentiates each value, for the order-1 witness's two sides.
     """
     m = entry.matroid
     if m.is_trivial or not m.is_loopless():
@@ -276,7 +287,7 @@ def check_k_derivative_lemma(
     tbl, top = b.zeta_table, b.lattice.top
     n, r = m.size, m.rank
     weights: dict[tuple, int] = {}  # table value -> summed weight
-    for f, chibar in b.chibar_to_top.items():
+    for f, chibar in b.class_chibar:
         w = sum(chibar)
         if w:
             weights[tbl[f]] = weights.get(tbl[f], 0) + w
@@ -340,7 +351,7 @@ def check_counting_identities(
             return fail("rank-size-partition", {"s": s}, lhs, by_size[s])
 
     # q-polynomials as trimmed integer coefficient lists; [1] * d is [d]_q
-    classes = [] if m.is_trivial else _class_chibar_sums(bundle or _Bundle(m))
+    classes = [] if m.is_trivial else (bundle or _Bundle(m)).class_chibar
     flat_sums: dict[tuple[int, int], list[int]] = {}
     for f, poly in classes:
         for key, c in _rank_size_counts(ranks, f).items():
@@ -376,18 +387,6 @@ def check_counting_identities(
             pending = fail("flat-sum-of-powers", {"k": k}, lhs, rhs)
 
     return pending or CheckReport(COUNTING_CHECK, entry.name, HOLDS)
-
-
-def _class_chibar_sums(b: _Bundle) -> list[tuple[int, list[int]]]:
-    """One (flat, sum of chi-bar_[F, E] over the flats F of its restriction
-    class) per restriction class of the reduced flats, the flat standing for
-    its class."""
-    class_of = b.lattice.restriction_class
-    sums: dict[int, tuple[int, list[int]]] = {}
-    for f, poly in b.chibar_to_top.items():
-        rep, total = sums.get(class_of[f], (f, []))
-        sums[class_of[f]] = (rep, _iadd(total, poly))
-    return list(sums.values())
 
 
 def _rank_size_counts(ranks: list[int], mask: int) -> dict[tuple[int, int], int]:
@@ -487,10 +486,6 @@ def _entry_reports(
     return out
 
 
-def _entry_reports_star(args) -> list[CheckReport]:
-    return _entry_reports(*args)
-
-
 def run_all_checks(
     catalog: list[CatalogEntry],
     *,
@@ -500,13 +495,13 @@ def run_all_checks(
 ) -> list[CheckReport]:
     """Run every applicable check over every entry, in deterministic order,
     on at most min(jobs, entries, CPUs) worker processes (in-process for 1)."""
-    tasks = [(entry, tuple(suites), kmax) for entry in catalog]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    args = (catalog, itertools.repeat(tuple(suites)), itertools.repeat(kmax))
+    workers = min(jobs, len(catalog), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_entry_reports_star, tasks))
+            chunks = list(pool.map(_entry_reports, *args))
     else:
-        chunks = [_entry_reports(*task) for task in tasks]
+        chunks = list(map(_entry_reports, *args))
     return [report for chunk in chunks for report in chunk]
 
 

@@ -25,8 +25,7 @@ with the maximal chains, which need only the covers.
 
 Characteristic polynomials are ascending integer coefficient tuples, like
 every polynomial in ``algebra``: the reduced one, chi-bar = chi / (q - 1), is
-``_minor_chibar_ints``, an exact integer division, and ``minor_reduced_chi``
-is its public name.
+``minor_reduced_chi``, the subset expansion divided exactly by q - 1.
 """
 
 from __future__ import annotations
@@ -333,7 +332,7 @@ def _minor_chi_ints(m: Matroid, low: int, high: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def _minor_chibar_ints(m: Matroid, low: int, high: int) -> tuple[int, ...]:
+def minor_reduced_chi(m: Matroid, low: int, high: int) -> tuple[int, ...]:
     """Integer coefficients of the reduced characteristic polynomial of
     restriction(high) / low: chi divided exactly by (q - 1).  A zero chi
     (the minor has loops) gives (); a remainder raises InexactDivisionError."""
@@ -344,10 +343,4 @@ def _minor_chibar_ints(m: Matroid, low: int, high: int) -> tuple[int, ...]:
             f"({_poly_text(chi, 'q')}) is not divisible by (q - 1)"
         )
     return tuple(quo)
-
-
-def minor_reduced_chi(m: Matroid, low: int, high: int) -> tuple[int, ...]:
-    """Reduced characteristic polynomial of restriction(high) / low, as
-    ascending integer coefficients."""
-    return _minor_chibar_ints(m, low, high)
 

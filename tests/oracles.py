@@ -16,9 +16,10 @@ re-evaluation of a failure witness (``witness_reverifies``)."""
 from fractions import Fraction
 
 from matzeta.algebra import RationalFunction, _iadd, _itrim
+from matzeta import checks
 from matzeta.checks import FAILS, HOLDS, K_DERIVATIVE_CHECK, SKIPPED, CheckReport, _Bundle, _fails
 from matzeta.combinat import stirling_first, stirling_second_rows
-from matzeta.lattice import _minor_chibar_ints, lattice_of
+from matzeta.lattice import lattice_of, minor_reduced_chi
 from matzeta.matroid import Matroid, _compress, iter_bits, submasks, uniform
 from matzeta.zeta import (
     _F_ONE,
@@ -194,7 +195,7 @@ def verify_two_flats_identity(m):
                 if f1 & ~f == 0:
                     term = memo.get((f, f2))
                     if term is None:
-                        term = memo[(f, f2)] = _minor_chibar_ints(m, f, f2)
+                        term = memo[(f, f2)] = minor_reduced_chi(m, f, f2)
                     rhs = _iadd(rhs, term)
             if rhs != [1] * (lat.rank_of(f2) - lat.rank_of(f1)):
                 return False
@@ -218,8 +219,11 @@ def verify_stirling_lemma(k):
 
 def k_derivative_lemma_per_value(entry, kmax=3, bundle=None):
     """The k-derivative lemma with each side built at every order on canonical
-    values: Z and every distinct Z(M|F) of nonzero summed weight are
-    differentiated k times by ``RationalFunction.derivative``, and
+    values: the weights are summed flat by flat, chi-bar_[F, E] read through
+    ``checks.minor_reduced_chi`` at call time (so a planted weight reaches
+    it) and never through the bundle's class sums; Z and every distinct
+    Z(M|F) of nonzero summed weight are differentiated k times by
+    ``RationalFunction.derivative``, and
     D^k Z = (sum of w D^k Z(M|F) - k n D^(k-1) Z) / (n s + r) is tested order
     by order, for k = 1..kmax."""
     m = entry.matroid
@@ -231,9 +235,9 @@ def k_derivative_lemma_per_value(entry, kmax=3, bundle=None):
     tbl, top = b.zeta_table, b.lattice.top
     n, r = m.size, m.rank
     weights = {}  # canonical Z(M|F) -> summed weight
-    for f, chibar in b.chibar_to_top.items():
+    for f in b.lattice.reduced_flats():
         v = _factored_to_rf(tbl[f])
-        weights[v] = weights.get(v, 0) + sum(chibar)
+        weights[v] = weights.get(v, 0) + sum(checks.minor_reduced_chi(m, f, top))
     weights = {v: w for v, w in weights.items() if w}
     z = _factored_to_rf(tbl[top])
     derivs = {v: [v] for v in (z, *weights)}

@@ -10,7 +10,6 @@ from matzeta.algebra import (
     _iadd,
     _idiv_exact,
     _ieval,
-    _igcd,
     _imul,
     _itrim,
     poly_gcd,
@@ -56,6 +55,21 @@ def test_poly_gcd_primitive():
     b = [-2 * c for c in _imul([-1, 1], [3, 1])]  # -2 (s - 1)(s + 3)
     assert poly_gcd(a, b) == (-1, 1)
     assert poly_gcd((), b) == (-3, 2, 1)
+
+
+def test_canonical_form_takes_its_gcd_from_poly_gcd(monkeypatch):
+    import matzeta.algebra as algebra
+
+    calls = []
+
+    def recording(a, b):
+        calls.append((tuple(a), tuple(b)))
+        return poly_gcd(a, b)
+
+    monkeypatch.setattr(algebra, "poly_gcd", recording)
+    f = rf((-1, 0, 1), (2, 2))  # (s^2 - 1) / (2 s + 2) = (s - 1) / 2
+    assert (f.num, f.den) == ((-1, 1), (2,))
+    assert calls == [((-1, 0, 1), (2, 2))]
 
 
 def test_rational_function_canonical_form():
@@ -323,7 +337,7 @@ def test_canonical_form_is_canonical(pair):
     if f.num == ():
         assert f.den == (1,)
     else:
-        assert _igcd(f.num, f.den) == [1]
+        assert poly_gcd(f.num, f.den) == (1,)
         assert math.gcd(*f.num, *f.den) == 1
 
 

@@ -26,7 +26,7 @@ from matzeta.checks import (
     run_all_checks,
     summarize,
 )
-from matzeta.lattice import _minor_chibar_ints, lattice_of
+from matzeta.lattice import lattice_of, minor_reduced_chi
 from matzeta.matroid import graphic, iter_bits, uniform
 from matzeta.algebra import _iadd, _imul_linear, taylor_prefix
 from matzeta.zeta import (
@@ -165,8 +165,8 @@ def test_run_all_checks_bounds_workers(monkeypatch, catalog4, jobs, entries, cpu
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     monkeypatch.setattr(checks, "ProcessPoolExecutor", InProcessPool)
     monkeypatch.setattr(checks.os, "cpu_count", lambda: cpus)
@@ -204,9 +204,9 @@ def test_chibar_is_expanded_once_per_reduced_flat(monkeypatch, catalog5):
 
     def counting(m, low, high):
         calls[m, low, high] += 1
-        return _minor_chibar_ints(m, low, high)
+        return minor_reduced_chi(m, low, high)
 
-    monkeypatch.setattr(checks, "_minor_chibar_ints", counting)
+    monkeypatch.setattr(checks, "minor_reduced_chi", counting)
     reports = run_all_checks(catalog5, suites=("theorems",))
     assert {r.status for r in reports} == {HOLDS}
     assert calls == Counter(
@@ -214,6 +214,30 @@ def test_chibar_is_expanded_once_per_reduced_flat(monkeypatch, catalog5):
         for e in catalog5
         for f in lattice_of(e.matroid).reduced_flats()
     )
+
+
+def test_one_bundle_expands_chibar_once_per_reduced_flat(monkeypatch, catalog5):
+    """The k-derivative and counting checks of one bundle read chi-bar_[F, E]
+    through ``checks.minor_reduced_chi``, once per reduced flat between them."""
+    calls = Counter()
+
+    def counting(m, low, high):
+        calls[m, low, high] += 1
+        return minor_reduced_chi(m, low, high)
+
+    monkeypatch.setattr(checks, "minor_reduced_chi", counting)
+    checked = 0
+    for entry in catalog5:
+        m = entry.matroid
+        if m.is_trivial:
+            continue
+        bundle = checks._Bundle(m)
+        calls.clear()
+        assert check_k_derivative_lemma(entry, bundle).status == HOLDS
+        assert check_counting_identities(entry, bundle=bundle).status == HOLDS
+        assert calls == Counter((m, f, m.full_mask) for f in bundle.lattice.reduced_flats())
+        checked += bool(calls)
+    assert checked > 0
 
 
 def test_check_memos_keep_their_benchmark_hooks(catalog4):
@@ -280,12 +304,10 @@ def _skew_constant(chibar):
 
 
 def test_mutated_flat_sum_yields_parseable_witness(monkeypatch, catalog4):
-    from matzeta.lattice import _minor_chibar_ints
-
     def skewed(m, low, high):
-        return _skew_constant(_minor_chibar_ints(m, low, high))
+        return _skew_constant(minor_reduced_chi(m, low, high))
 
-    monkeypatch.setattr(checks, "_minor_chibar_ints", skewed)
+    monkeypatch.setattr(checks, "minor_reduced_chi", skewed)
     entry = entry_named(catalog4, "U(2,3)")
     report = check_counting_identities(entry)
     assert report.status == FAILS
@@ -302,15 +324,13 @@ def test_mutated_flat_sum_yields_parseable_witness(monkeypatch, catalog4):
     ),
 ], ids=lambda e: e.name)
 def test_mutated_weight_fails_k_derivative_check(monkeypatch, entry):
-    from matzeta.lattice import _minor_chibar_ints
-
     victim = {}
 
     def skewed(m, low, high):
-        chibar = _minor_chibar_ints(m, low, high)
+        chibar = minor_reduced_chi(m, low, high)
         return _skew_constant(chibar) if victim.setdefault(m, low) == low else chibar
 
-    monkeypatch.setattr(checks, "_minor_chibar_ints", skewed)
+    monkeypatch.setattr(checks, "minor_reduced_chi", skewed)
     report = check_k_derivative_lemma(entry)
     assert report.status == FAILS
     assert isinstance(report.witness["lhs"], dict)
@@ -332,25 +352,21 @@ def _planted_girth(monkeypatch):
 
 
 def _planted_weight(monkeypatch):
-    from matzeta.lattice import _minor_chibar_ints
-
     victim = {}
 
     def skewed(m, low, high):
-        chibar = _minor_chibar_ints(m, low, high)
+        chibar = minor_reduced_chi(m, low, high)
         return _skew_constant(chibar) if victim.setdefault(m, low) == low else chibar
 
-    monkeypatch.setattr(checks, "_minor_chibar_ints", skewed)
+    monkeypatch.setattr(checks, "minor_reduced_chi", skewed)
     return check_k_derivative_lemma(_U23)
 
 
 def _planted_flat_sum(monkeypatch):
-    from matzeta.lattice import _minor_chibar_ints
-
     def skewed(m, low, high):
-        return _skew_constant(_minor_chibar_ints(m, low, high))
+        return _skew_constant(minor_reduced_chi(m, low, high))
 
-    monkeypatch.setattr(checks, "_minor_chibar_ints", skewed)
+    monkeypatch.setattr(checks, "minor_reduced_chi", skewed)
     return check_counting_identities(_U23)
 
 
@@ -478,23 +494,31 @@ def _shift_by_one(f):
 def test_planted_k_derivative_failures_match_the_oracle(monkeypatch, catalog7, name, plant):
     """A planted weight or table entry makes the residual check and the
     per-value oracle fail at order 1 with the same witness, at every kmax;
-    shifting a flat's value by a constant changes no derivative, so both hold."""
+    shifting a flat's value by a constant changes no derivative, so both hold.
+    A table entry is planted on every flat of the victim's restriction class,
+    as the table gives them one value."""
     entry = entry_named(catalog7, name)
     m = entry.matroid
-    victim = next(  # a flat of nonzero weight, so a planted entry shows
-        f for f in lattice_of(m).reduced_flats() if sum(_minor_chibar_ints(m, f, m.full_mask))
+    lat = lattice_of(m)
+    cls = lat.restriction_class
+    weight = Counter()
+    for f in lat.reduced_flats():
+        weight[cls[f]] += sum(minor_reduced_chi(m, f, m.full_mask))
+    victim = next(  # in a class of nonzero weight, so a planted entry shows
+        f for f in lat.reduced_flats() if weight[cls[f]]
     )
     if plant == "weight":
         def skewed(matroid, low, high):
-            chibar = _minor_chibar_ints(matroid, low, high)
+            chibar = minor_reduced_chi(matroid, low, high)
             return _skew_constant(chibar) if low == victim else chibar
 
-        monkeypatch.setattr(checks, "_minor_chibar_ints", skewed)
+        monkeypatch.setattr(checks, "minor_reduced_chi", skewed)
     bundle = checks._Bundle(m)
     if plant != "weight":
         tbl = dict(bundle.zeta_table)
-        f = m.full_mask if plant == "top" else victim
-        tbl[f] = (_shift_by_one if plant == "flat-constant" else _bump_constant)(tbl[f])
+        planted = [m.full_mask] if plant == "top" else [f for f in cls if cls[f] == cls[victim]]
+        for f in planted:
+            tbl[f] = (_shift_by_one if plant == "flat-constant" else _bump_constant)(tbl[f])
         bundle.zeta_table = tbl
     report = check_k_derivative_lemma(entry, bundle)
     assert report.status == (HOLDS if plant == "flat-constant" else FAILS)
@@ -509,7 +533,7 @@ def _per_flat_sums(entry):
     m = entry.matroid
     counts, powers = {}, {}
     for f in lattice_of(m).reduced_flats():
-        poly = _minor_chibar_ints(m, f, m.full_mask)
+        poly = minor_reduced_chi(m, f, m.full_mask)
         for key, c in checks._rank_size_counts(m._ranks, f).items():
             counts[key] = _iadd(counts.get(key, []), [c * x for x in poly])
         for k in range(1, 7):
@@ -520,7 +544,7 @@ def _per_flat_sums(entry):
 def test_class_grouped_counting_sums_match_per_flat_sums(catalog7):
     for entry in [*catalog7, _shuffled_k6()]:
         m = entry.matroid
-        classes = checks._class_chibar_sums(checks._Bundle(m))
+        classes = checks._Bundle(m).class_chibar
         counts, powers = {}, {}
         for f, poly in classes:
             for key, c in checks._rank_size_counts(m._ranks, f).items():

@@ -7,17 +7,18 @@ with the standard library.
 """
 
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "matzeta"
+TRACER = PACKAGE.parents[1] / "perfbench" / "tracer.py"
 
 # Public functions and methods nothing in the package calls, each with what
 # needs it.
 UNCALLED_BY_DESIGN = {
-    "algebra.poly_gcd": "perfbench span algebra.poly_gcd",
-    "lattice.minor_reduced_chi": "perfbench span lattice.minor_reduced_chi",
     "zeta.zeta_uniform_closed": "perfbench large-verify reference value",
     "zeta.upsilon_uniform_closed": "perfbench large-verify reference value",
     "zeta.zeta_of_free_extension_via_transfer": "perfbench large-verify reference value",
@@ -137,3 +138,32 @@ def test_guard_sees_an_uncalled_method():
         "b": ast.parse("def run(c): return c.f()\n__all__ = ['run']\n"),
     }
     assert _uncalled(trees) == {"a.C.h"}
+
+
+def _traced() -> tuple[tuple[str, str, str], ...]:
+    """The (span, owner, attribute) triples of the benchmark tracer's
+    ``TRACED``, read from its syntax tree: the tracer is neither imported nor
+    installed."""
+    tree = ast.parse(TRACER.read_text(), str(TRACER))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{TRACER.name} assigns no TRACED")
+
+
+def test_every_traced_name_resolves_in_the_package():
+    """A rename or deletion of a traced function fails here, not when the
+    benchmark's ``--trace 1`` installs its spans."""
+    traced = _traced()
+    for span, owner, attr in traced:
+        module, _, cls = owner.partition(":")
+        obj = importlib.import_module(module)
+        if cls:
+            obj = getattr(obj, cls, None)
+        assert callable(getattr(obj, attr, None)), f"span {span}: {owner}.{attr} does not exist"
+    spans = {span for span, _, _ in traced}
+    for name, reason in UNCALLED_BY_DESIGN.items():
+        for span in re.findall(r"perfbench span (\S+)", reason):
+            assert span in spans, f"{name} is kept for span {span}, which nothing traces"

@@ -12,7 +12,6 @@ from matzeta.lattice import (
     LatticeOfFlats,
     LoopsError,
     _minor_chi_ints,
-    _minor_chibar_ints,
     lattice_of,
     minor_reduced_chi,
 )
@@ -179,7 +178,7 @@ def test_integer_chibar_matches_polynomial_division(catalog5):
         for g in lat.flats:
             for f in lat.strict_subsets(g):
                 chi = _minor_chi_ints(m, f, g)
-                chibar = _minor_chibar_ints(m, f, g)
+                chibar = minor_reduced_chi(m, f, g)
                 assert all(isinstance(c, int) for c in chibar)
                 assert tuple(_imul(chibar, (-1, 1))) == chi
                 assert poly_divmod(chi, (-1, 1)) == (list(chibar), [])
@@ -190,18 +189,18 @@ def test_integer_chibar_refuses_a_remainder():
     # the minor restriction(F)/F is trivial: chi = 1 is not divisible by q - 1
     for f in lattice_of(m).flats:
         with pytest.raises(InexactDivisionError, match="not divisible"):
-            _minor_chibar_ints(m, f, f)
+            minor_reduced_chi(m, f, f)
     with pytest.raises(InexactDivisionError, match="not divisible"):
         minor_reduced_chi(m, 0b011, 0b011)
     loopy = uniform(1, 2).direct_sum(uniform(0, 1))
-    assert _minor_chibar_ints(loopy, 0, loopy.full_mask) == ()
+    assert minor_reduced_chi(loopy, 0, loopy.full_mask) == ()
     assert chibar(loopy) == ()
 
 
 def test_chibar_remainder_is_reported_in_q(monkeypatch):
     monkeypatch.setattr(lattice, "_minor_chi_ints", lambda m, low, high: (1, 1))
     with pytest.raises(InexactDivisionError, match=r"^\(q \+ 1\) is not divisible by \(q - 1\)$"):
-        _minor_chibar_ints(uniform(1, 2), 0, 0b11)
+        minor_reduced_chi(uniform(1, 2), 0, 0b11)
 
 
 def test_truncation_characteristic_polynomial_lemma(catalog4):
