@@ -7,18 +7,24 @@ Entries are independent; the runner can execute them in parallel and merges
 results in catalog order.
 
 The checks of one entry share one ``_Bundle`` of its matroid: the lattice of
-flats, the Z table on it and chi-bar_[F, E] summed over each restriction
+flats, the Y table on it and chi-bar_[F, E] summed over each restriction
 class of reduced flats F, each built on first use and dropped with the
-entry's reports.  It shares plumbing, never an answer under test: the
-k-derivative and counting weights come from the subset-expansion chi-bar
-``minor_reduced_chi``, not the recurrence, and Z(tr M) from the truncation's
-own lattice, not the transfer formula.
+entry's reports.  Z is read off the Y table, Z(M|F) = sum over the flats
+G <= F of Y(M|G): Z(M) for the Taylor prefixes, and Z(M|F) only for the
+restriction classes the k-derivative lemma weighs by a nonzero sum, so a
+pass builds no Z recurrence and no pair index.  The truncation's bundle
+takes M's Y entries by exact restriction key: tr(M)|F = M|F when
+rk F <= r - 2, so only the top of tr(M) is folded.  The bundle shares
+plumbing, never an answer under test: the k-derivative lemma is the Z
+recurrence, tested here on a Z it did not compute, its weights come from
+the subset-expansion chi-bar ``minor_reduced_chi``, and Z(tr M) from the
+truncation's own lattice and top, not the transfer formula.
 
-Each check makes one pass over its table values, and a holds verdict builds
+Each check makes one pass over its values, and a holds verdict builds
 no ``RationalFunction``.  The k-derivative lemma tests one residual for being
 a constant, which decides every order at once; both it and the counting
 identities weigh each restriction class once, by its chi-bar sum; and the
-Taylor prefixes expand the top entry of the Z or Y table as it stands,
+Taylor prefixes expand Z(M) or the top entry of the Y table as it stands,
 unreduced.  ``zeta_taylor_prefix``, ``upsilon_taylor_prefix`` and
 ``minor_reduced_chi`` stay module-level names so a test can plant a violation
 through them.
@@ -45,7 +51,7 @@ from .zeta import (
     _factored_to_rf,
     _reduce,
     _upsilon_table,
-    _zeta_table,
+    _y_sum,
     upsilon_by_recurrence,
     zeta_by_recurrence,
 )
@@ -162,20 +168,36 @@ def build_catalog(max_ground: int = 7) -> list[CatalogEntry]:
 
 
 class _Bundle:
-    """One matroid's lattice of flats, the Z table on that lattice, and
-    ``class_chibar``, each built on first use.  A check handed none builds
-    its own."""
+    """One matroid's lattice of flats, the Y table on that lattice, Z of the
+    restrictions the checks ask for, and ``class_chibar``, each built on
+    first use.  A check handed none builds its own.
 
-    def __init__(self, matroid: Matroid) -> None:
+    ``memo`` maps the exact restriction key of a proper flat to its Y
+    entry, filled by the Y fold; a bundle given another bundle's memo takes
+    every entry whose key it shares instead of folding it."""
+
+    def __init__(self, matroid: Matroid, memo: dict[tuple, _Fct] | None = None) -> None:
         self.matroid = matroid
+        self.memo = {} if memo is None else memo
+        self.zeta_at: dict[int, _Fct] = {}  # flat -> Z(M|F), as asked for
 
     @cached_property
     def lattice(self) -> LatticeOfFlats:
         return lattice_of(self.matroid)
 
     @cached_property
-    def zeta_table(self) -> dict[int, _Fct]:
-        return _zeta_table(self.lattice)
+    def upsilon_table(self) -> dict[int, _Fct]:
+        return _upsilon_table(self.lattice, self.memo)
+
+    def zeta(self, f: int) -> _Fct:
+        """Z(M|F) = sum over the flats G <= F of Y(M|G), summed on first use
+        and kept: the Mobius inversion read backwards, off the Y table."""
+        z = self.zeta_at.get(f)
+        if z is None:
+            lat = self.lattice
+            below = lat.flats if f == lat.top else lat.strict_subsets(f) + (f,)
+            z = self.zeta_at[f] = _y_sum(self.upsilon_table, below)
+        return z
 
     @cached_property
     def class_chibar(self) -> list[tuple[int, list[int]]]:
@@ -193,11 +215,11 @@ class _Bundle:
 
 def zeta_taylor_prefix(b: _Bundle, k: int) -> tuple[Fraction, ...]:
     """Expansion of the zeta value around 0; the seam the checkers go through."""
-    return _factored_taylor(b.zeta_table[b.lattice.top], k)
+    return _factored_taylor(b.zeta(b.lattice.top), k)
 
 
 def upsilon_taylor_prefix(b: _Bundle, k: int) -> tuple[Fraction, ...]:
-    return _factored_taylor(_upsilon_table(b.lattice)[b.lattice.top], k)
+    return _factored_taylor(b.upsilon_table[b.lattice.top], k)
 
 
 def _factored_taylor(f: _Fct, k: int) -> tuple[Fraction, ...]:
@@ -267,15 +289,16 @@ def check_k_derivative_lemma(
 
     By the Leibniz rule the two sides of order k differ by D^k R, for the one
     residual R = (n s + r) Z - sum over F of chi-bar_[F, E](1) Z(M|F), where
-    Z(M|F) is the entry of F in the Z table.  So every order holds iff D R = 0,
+    Z and Z(M|F) are the bundle's sums of the Y table, not the recurrence
+    being checked.  So every order holds iff D R = 0,
     that is, iff R is a constant.  R is summed once in factored integer
     arithmetic and reduced, which strips every linear factor dividing its
     numerator, so R is a constant iff no factor is left and the numerator has
     degree <= 0; no polynomial gcd is taken.  The weights come from the
     chi-bar division (chi-bar(1) is its coefficient sum), not from the
-    recurrence being checked: the flats of one restriction class share their
-    table value, so each class weighs it by its summed chi-bar, and the
-    weights are summed per table value; only a failing residual
+    recurrence either: the flats of one restriction class share Z(M|F), so
+    it is summed once per class of nonzero summed chi-bar, weighed by that
+    sum, and the weights are summed per value; only a failing residual
     differentiates each value, for the order-1 witness's two sides.
     """
     m = entry.matroid
@@ -284,22 +307,23 @@ def check_k_derivative_lemma(
             K_DERIVATIVE_CHECK, entry.name, SKIPPED, "needs a loopless nontrivial matroid"
         )
     b = bundle or _Bundle(m)
-    tbl, top = b.zeta_table, b.lattice.top
     n, r = m.size, m.rank
-    weights: dict[tuple, int] = {}  # table value -> summed weight
+    weights: dict[tuple, int] = {}  # Z(M|F) -> summed weight
     for f, chibar in b.class_chibar:
         w = sum(chibar)
         if w:
-            weights[tbl[f]] = weights.get(tbl[f], 0) + w
+            z = b.zeta(f)
+            weights[z] = weights.get(z, 0) + w
     acc = _Acc()
-    num, scale, fct = tbl[top]
+    top = b.zeta(b.lattice.top)
+    num, scale, fct = top
     acc.add(_imul_linear(num, n, r), scale, fct)
     for (num, scale, fct), w in weights.items():
         acc.add([-w * c for c in num], scale, fct)
     num, _, fct = _reduce(*acc.total())
     if fct or len(num) > 1:
         # D Z, and the value the order-1 identity gives it
-        z = _factored_to_rf(tbl[top])
+        z = _factored_to_rf(top)
         rhs = sum(
             (w * _factored_to_rf(v).derivative() for v, w in weights.items()),
             start=RationalFunction.zero(),
@@ -419,8 +443,9 @@ def check_conjecture_truncation(
             "rank < 2: truncation would create loops",
         )
     order = m.rank - 1
-    own = zeta_taylor_prefix(bundle or _Bundle(m), order)
-    truncated = zeta_taylor_prefix(_Bundle(m.truncation()), order)
+    b = bundle or _Bundle(m)
+    own = zeta_taylor_prefix(b, order)
+    truncated = zeta_taylor_prefix(_Bundle(m.truncation(), b.memo), order)
     for k in range(order + 1):
         if own[k] != truncated[k]:
             return _fails(

@@ -138,25 +138,32 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, separators=(", ", ": ")))
 
 
-def _cmd_zeta(args) -> int:
-    m = parse_matroid_spec(args.spec)
+def _note_loops(m: Matroid) -> None:
+    """The stderr note of the commands that report zeta 0 for loops."""
     if not m.is_loopless():
         print("note: matroid has loops; its zeta value is 0", file=sys.stderr)
+
+
+def _cmd_zeta(args) -> int:
+    m = parse_matroid_spec(args.spec)
+    _note_loops(m)
     if not args.verify:
         zeta, algorithm = compute_zeta(m, args.algorithm, max_flags=args.max_flags)
-    elif m.is_trivial or not m.is_loopless():  # 1 and 0 by the flag route's guard, no lattice
-        zeta, algorithm = routes.zeta_by_flags(m), "recurrence"
+    elif m.is_trivial or not m.is_loopless():  # 1 and 0 by the routes' guards, no lattice
+        zeta, algorithm = routes.zeta_by_ysum(m), "y-sum"
     else:
         lat = lattice_of(m)
         by_flags, bottom_row = routes._zeta_by_flags(lat, args.max_flags)
-        zeta, algorithm = routes._zeta_by_recurrence(lat), "recurrence"
+        by_recurrence = routes._zeta_by_recurrence(lat)
+        zeta, algorithm = routes._zeta_by_ysum(lat), "y-sum"
         # the flag route reads chi from the Mobius rows; the subset expansion checks them
         if lat.minor_chi(0, lat.top, bottom_row) != _minor_chi_ints(m, 0, lat.top):
             print("verification failed: Mobius and subset-expansion chi disagree", file=sys.stderr)
             return EXIT_THEOREM_FAILURE
-        if by_flags != zeta:
-            print("verification failed: flag sum and recurrence disagree", file=sys.stderr)
-            return EXIT_THEOREM_FAILURE
+        for route, value in (("flag sum", by_flags), ("y-sum", zeta)):
+            if value != by_recurrence:
+                print(f"verification failed: {route} and recurrence disagree", file=sys.stderr)
+                return EXIT_THEOREM_FAILURE
     if args.format == "json":
         _emit_json({"algorithm": algorithm, **zeta.to_json()})
     else:
@@ -188,6 +195,7 @@ def _cmd_upsilon(args) -> int:
 
 def _cmd_taylor(args) -> int:
     m = parse_matroid_spec(args.spec)
+    _note_loops(m)
     prefix = taylor_prefix(compute_zeta(m)[0], args.order)
     if args.format == "json":
         _emit_json({"taylor": [str(c) for c in prefix]})

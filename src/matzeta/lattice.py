@@ -17,9 +17,11 @@ fold down the column of F, each G < F pulling the weights of its up-set, and
 mu(G, E) (``mobius_to_top``) is a fold down the top column, one addition per
 comparable pair.  The signed subset expansion ``_minor_chi_ints``, counted
 bit-parallel on the matroid's families of subsets, reads no lattice and is
-kept as their oracle.  ``restriction_class`` names
-each reduced flat's restriction by an exact key (``_restriction_key``), once
-per lattice, for the tables that fold once per class.  The flag walk
+kept as their oracle.  ``restriction_key`` keys
+each reduced flat's restriction exactly (``_restriction_key``), once per
+lattice, and ``restriction_class`` numbers the distinct keys, for the tables
+that fold once per class and the Y memo one matroid hands another.  Flat
+membership is a closure test, so refusing a non-flat builds no index.  The flag walk
 of ``zeta`` is guarded by one hard cap (``check_flag_cap``), compared first
 with the maximal chains, which need only the covers.
 
@@ -115,16 +117,19 @@ class LatticeOfFlats:
         return out
 
     @cached_property
+    def restriction_key(self) -> dict[int, tuple]:
+        """For each reduced flat, the exact key of its restriction
+        (``_restriction_key``), computed once per lattice."""
+        ranks = self.matroid._ranks
+        return {f: _restriction_key(ranks, f) for f in self.reduced_flats()}
+
+    @cached_property
     def restriction_class(self) -> dict[int, int]:
         """For each reduced flat, a small id of its restriction: two flats
-        share an id only when their ``_restriction_key`` is equal.  Keyed
-        once per lattice, so every table folded on it reads the same map."""
-        ranks = self.matroid._ranks
+        share an id only when their ``restriction_key`` is equal, so every
+        table folded on the lattice reads the same map."""
         ids: dict[tuple, int] = {}
-        return {
-            f: ids.setdefault(_restriction_key(ranks, f), len(ids))
-            for f in self.reduced_flats()
-        }
+        return {f: ids.setdefault(key, len(ids)) for f, key in self.restriction_key.items()}
 
     def strict_supersets(self, f: int) -> tuple[int, ...]:
         return self._supersets[f]
@@ -217,8 +222,11 @@ class LatticeOfFlats:
         return 1 if f == g else self._mobius_row(f)[g][0]
 
     def _check_interval(self, f: int, g: int) -> None:
-        if f not in self._supersets or g not in self._supersets:
-            raise ValueError("Mobius arguments must be flats")
+        """Raise unless f <= g are flats: a flat is a set inside E equal to
+        its closure, so the test builds no interval index."""
+        for x in (f, g):
+            if x < 0 or x & ~self.top or self.matroid._closure(x) != x:
+                raise ValueError("Mobius arguments must be flats")
         if f & ~g:
             raise ValueError("Mobius arguments must be nested")
 

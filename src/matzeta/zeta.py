@@ -2,7 +2,11 @@
 
 Every quantity is computed by more than one independent algorithm (flag sums,
 proper-flat recurrences, Mobius sums, closed forms for uniform matroids) so
-the routes can be checked against each other exactly.
+the routes can be checked against each other exactly.  Z has three: the flag
+sum, the Z recurrence and the y-sum, Z(M) = sum over all flats F of Y(M|F),
+the Mobius inversion of Y(M) = sum over F of mu(F, E) Z(M|F) read
+backwards.  The y-sum reads the Y table, which needs no interval index, so
+it is the route ``auto`` takes; the recurrence stays a checked route.
 
 The routes share their plumbing, never their math: each is a matroid guard
 around a body on a ``LatticeOfFlats``, and ``--verify`` runs all on one lattice.
@@ -34,7 +38,9 @@ flat of lower rank (``strict_subsets``), handed to the route's row.
 down the column of F, which pulls through the up-set index, and
 ``upsilon_by_recurrence`` by -(|F| s + rk G), which reads no interval index
 at all; neither reads a Mobius row, so the flag routes, which sweep their
-own, stay an independent check.
+own, stay an independent check.  ``_y_sum`` adds table entries over a set
+of flats, each distinct entry multiplied once by its count: over all flats
+of the Y table it is ``zeta_by_ysum``.
 
 Internally the big sums are accumulated as integer-coefficient polynomials
 over factored linear denominators, grouped by denominator profile, with a
@@ -46,15 +52,18 @@ linear factor that ``_reduce`` uses; the flag weights are integers read off
 the Mobius rows and need no division.  A reduced value keeps no linear factor
 that divides its numerator, so it is a constant iff it has no factor and a
 numerator of degree <= 0, which the k-derivative check reads with no
-polynomial gcd.  Memo tables live inside one computation and are never
-shared across matroids.
+polynomial gcd.  Memo tables live inside one computation; the one memo a
+caller may hand from one matroid to another, ``_flat_table``'s, is keyed by
+the exact restriction key, so a shared entry is the value of an equal
+restriction.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .algebra import (
     RationalFunction,
@@ -69,7 +78,7 @@ from .lattice import LatticeOfFlats, LoopsError, lattice_of
 from .matroid import Matroid
 
 
-ZETA_ALGORITHMS = ("flags", "recurrence", "auto")
+ZETA_ALGORITHMS = ("flags", "recurrence", "y-sum", "auto")
 UPSILON_ALGORITHMS = ("mobius", "recurrence", "flags", "auto")
 
 
@@ -89,7 +98,8 @@ def _norm_factor(a: int, b: int) -> tuple[int, tuple[int, int]]:
 
 
 class _Acc:
-    """Sum of terms num/(scale * prod factors), grouped by factor profile."""
+    """Sum of terms num/(scale * prod factors), grouped by factor profile,
+    a sorted tuple of factor pairs, as every factored value keeps them."""
 
     __slots__ = ("groups",)
 
@@ -121,23 +131,25 @@ class _Acc:
             key, (num, scale) = live[0]
             return (tuple(num), scale, key)
         profile: dict[tuple[int, int], int] = {}
-        scale_lcm = 1
-        for key, (_, scale) in live:
+        for key, _ in live:
             for pair, mult in _mults(key).items():
                 if profile.get(pair, 0) < mult:
                     profile[pair] = mult
-            scale_lcm = math.lcm(scale_lcm, scale)
-        num_total: list[int] = []
-        for key, (gnum, gscale) in live:
-            cof = [scale_lcm // gscale]
-            have = _mults(key)
-            for (a, b), mult in profile.items():
-                for _ in range(mult - have.get((a, b), 0)):
-                    cof = _imul_linear(cof, a, b)
-            num_total = _iadd(num_total, _imul(gnum, cof))
+        scale_lcm = math.lcm(*(scale for _, (_, scale) in live))
         factors = tuple(
             sorted(pair for pair, mult in profile.items() for _ in range(mult))
         )
+        num_total: list[int] = []
+        for key, (num, scale) in live:
+            if scale != scale_lcm:
+                num = [c * (scale_lcm // scale) for c in num]
+            i = 0  # key and factors are sorted: walk both, multiply by what key lacks
+            for pair in factors:
+                if i < len(key) and key[i] == pair:
+                    i += 1
+                else:
+                    num = _imul_linear(num, *pair)
+            num_total = _iadd(num_total, num)
         return (tuple(num_total), scale_lcm, factors)
 
 
@@ -254,6 +266,7 @@ def _flat_table(
     lat: LatticeOfFlats,
     row: Callable[[int, tuple[int, ...]], Sequence[int]],
     coef: Callable[[int, int, int], list[int]],
+    memo: dict[tuple, _Fct] | None = None,
 ) -> dict[int, _Fct]:
     """Fold over lower intervals in ascending rank, keyed by flat: T[0] = 1 and
     T[F] = sum over flats G < F of coef(x_G, G, F) T[G], divided by
@@ -264,7 +277,11 @@ def _flat_table(
     T[F] depends only on the restriction to F, so a proper flat whose
     ``lat.restriction_class`` was seen before takes that flat's entry, and
     its lower interval and row(F, below) are computed once per restriction
-    class.  The coefficients of the G with equal entries are summed first, so
+    class.  ``memo``, if given, maps the exact ``lat.restriction_key`` of a
+    proper flat to its entry: a class whose key it holds takes that entry
+    unfolded, and every class folded is added, so a memo filled on one
+    matroid serves another whose restrictions have the same keys.  The
+    coefficients of the G with equal entries are summed first, so
     each distinct entry below F is multiplied once; the entries are interned
     (value -> small id) as they are reduced, and a reduced entry is unique per
     value."""
@@ -273,31 +290,46 @@ def _flat_table(
     ids = {_F_ONE: 0}
     id_of = {0: 0}
     class_of = lat.restriction_class
+    exact = None if memo is None else lat.restriction_key
     classes: dict[int | None, int] = {}  # restriction class -> entry id
     for f in lat.flats[1:]:
         key = class_of.get(f)  # None for the top
         if key in classes:
             id_of[f] = classes[key]
             continue
-        merged: dict[int, list[int]] = {}
-        below = lat.strict_subsets(f)
-        for g, x in zip(below, row(f, below)):
-            c = coef(x, g, f)
-            if c:  # zero is []: on near-Boolean lattices most chi-bar(1) are 0
-                i = id_of[g]
-                cur = merged.get(i)
-                merged[i] = c if cur is None else [a + b for a, b in zip(cur, c, strict=True)]
-        acc = _Acc()
-        for i, c in merged.items():
-            num, scale, fct = vals[i]
-            acc.add(_imul(num, c), scale, fct)
-        total = acc.total()
-        c, pair = _norm_factor(f.bit_count(), ranks[f])
-        entry = _reduce(total[0], total[1] * c, tuple(sorted(total[2] + (pair,))))
+        known = None if exact is None or key is None else exact[f]
+        entry = None if known is None else memo.get(known)
+        if entry is None:
+            merged: dict[int, list[int]] = {}
+            below = lat.strict_subsets(f)
+            for g, x in zip(below, row(f, below)):
+                c = coef(x, g, f)
+                if c:  # zero is []: on near-Boolean lattices most chi-bar(1) are 0
+                    i = id_of[g]
+                    cur = merged.get(i)
+                    merged[i] = c if cur is None else [a + b for a, b in zip(cur, c, strict=True)]
+            acc = _Acc()
+            for i, c in merged.items():
+                num, scale, fct = vals[i]
+                acc.add(_imul(num, c), scale, fct)
+            total = acc.total()
+            c, pair = _norm_factor(f.bit_count(), ranks[f])
+            entry = _reduce(total[0], total[1] * c, tuple(sorted(total[2] + (pair,))))
+            if known is not None:
+                memo[known] = entry
         i = id_of[f] = classes[key] = ids.setdefault(entry, len(vals))
         if i == len(vals):
             vals.append(entry)
     return {f: vals[i] for f, i in id_of.items()}
+
+
+def _y_sum(table: dict[int, _Fct], flats: Iterable[int]) -> _Fct:
+    """The sum of the table entries of ``flats``, reduced: the entries are
+    counted first, so each distinct one is multiplied once."""
+    acc = _Acc()
+    for (num, scale, fct), c in Counter(map(table.__getitem__, flats)).items():
+        acc.add([c * x for x in num], scale, fct)
+    return _reduce(*acc.total())
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +392,25 @@ def _zeta_by_recurrence(lat: LatticeOfFlats) -> RationalFunction:
 
 
 # ---------------------------------------------------------------------------
+# Zeta: the sum of the Mobius inversion over the flats
+
+
+def zeta_by_ysum(m: Matroid) -> RationalFunction:
+    """Zeta as the sum over all flats F of Y(M|F): the Mobius inversion of
+    Y(M) = sum over F of mu(F, E) Z(M|F), read off the Y table, so it takes
+    no Mobius value, no Z weight and no interval index."""
+    if m.is_trivial:
+        return RationalFunction.one()
+    if not m.is_loopless():
+        return RationalFunction.zero()
+    return _zeta_by_ysum(lattice_of(m))
+
+
+def _zeta_by_ysum(lat: LatticeOfFlats) -> RationalFunction:
+    return _factored_to_rf(_y_sum(_upsilon_table(lat), lat.flats))
+
+
+# ---------------------------------------------------------------------------
 # Mobius inversion
 
 
@@ -394,10 +445,15 @@ def upsilon_by_recurrence(m: Matroid) -> RationalFunction:
     return _upsilon_by_recurrence(lattice_of(m))
 
 
-def _upsilon_table(lat: LatticeOfFlats) -> dict[int, _Fct]:
-    """Y of every restriction-to-a-flat, keyed by flat mask, ascending rank."""
+def _upsilon_table(
+    lat: LatticeOfFlats, memo: dict[tuple, _Fct] | None = None
+) -> dict[int, _Fct]:
+    """Y of every restriction-to-a-flat, keyed by flat mask, ascending rank;
+    ``memo`` is ``_flat_table``'s."""
     ranks = lat.matroid._ranks
-    return _flat_table(lat, lambda f, below: below, lambda g, _, f: [-ranks[g], -f.bit_count()])
+    return _flat_table(
+        lat, lambda f, below: below, lambda g, _, f: [-ranks[g], -f.bit_count()], memo
+    )
 
 
 def _upsilon_by_recurrence(lat: LatticeOfFlats) -> RationalFunction:
@@ -520,7 +576,9 @@ def compute_zeta(
         raise ValueError(f"unknown zeta algorithm {algorithm!r}")
     if algorithm == "flags":
         return zeta_by_flags(m, max_flags=max_flags), "flag-sum"
-    return zeta_by_recurrence(m), "recurrence"
+    if algorithm == "recurrence":
+        return zeta_by_recurrence(m), "recurrence"
+    return zeta_by_ysum(m), "y-sum"
 
 
 def compute_upsilon(

@@ -26,7 +26,7 @@ from matzeta.checks import (
     run_all_checks,
     summarize,
 )
-from matzeta.lattice import lattice_of, minor_reduced_chi
+from matzeta.lattice import LatticeOfFlats, _restriction_key, lattice_of, minor_reduced_chi
 from matzeta.matroid import graphic, iter_bits, uniform
 from matzeta.algebra import _iadd, _imul_linear, taylor_prefix
 from matzeta.zeta import (
@@ -515,11 +515,10 @@ def test_planted_k_derivative_failures_match_the_oracle(monkeypatch, catalog7, n
         monkeypatch.setattr(checks, "minor_reduced_chi", skewed)
     bundle = checks._Bundle(m)
     if plant != "weight":
-        tbl = dict(bundle.zeta_table)
         planted = [m.full_mask] if plant == "top" else [f for f in cls if cls[f] == cls[victim]]
         for f in planted:
-            tbl[f] = (_shift_by_one if plant == "flat-constant" else _bump_constant)(tbl[f])
-        bundle.zeta_table = tbl
+            shift = _shift_by_one if plant == "flat-constant" else _bump_constant
+            bundle.zeta_at[f] = shift(bundle.zeta(f))
     report = check_k_derivative_lemma(entry, bundle)
     assert report.status == (HOLDS if plant == "flat-constant" else FAILS)
     for kmax in range(1, 7):
@@ -576,16 +575,80 @@ def test_factored_taylor_prefixes_match_the_canonical_expansion(catalog7):
         bundle = checks._Bundle(entry.matroid)
         order = entry.matroid.rank + 3
         lat = bundle.lattice
-        for seam, table in (
-            (checks.zeta_taylor_prefix, bundle.zeta_table),
-            (checks.upsilon_taylor_prefix, _upsilon_table(lat)),
+        for seam, top in (
+            (checks.zeta_taylor_prefix, bundle.zeta(lat.top)),
+            (checks.upsilon_taylor_prefix, _upsilon_table(lat)[lat.top]),
         ):
-            num, scale, fct = table[lat.top]
-            expected = taylor_prefix(_factored_to_rf(table[lat.top]), order)
+            num, scale, fct = top
+            expected = taylor_prefix(_factored_to_rf(top), order)
             assert seam(bundle, order) == expected, entry.name
             # a common integer and a common linear factor change no coefficient
             unreduced = (_imul_linear([3 * c for c in num], 2, 5), 3 * scale, fct + ((2, 5),))
             assert checks._factored_taylor(unreduced, order) == expected, entry.name
+
+
+def test_truncation_takes_every_proper_flat_from_the_memo(monkeypatch, catalog7):
+    """tr(M)|F = M|F when rk F <= r - 2, and their restriction keys are
+    equal, so the truncation's Y table built with M's memo equals its own,
+    flat by flat, and folds only its top."""
+    folded = []
+    strict_subsets = LatticeOfFlats.strict_subsets
+
+    def recording(self, f):
+        folded.append(f)
+        return strict_subsets(self, f)
+
+    checked = 0
+    for entry in catalog7:
+        m = entry.matroid
+        if m.rank < 2:
+            continue
+        tr = m.truncation()
+        own = _upsilon_table(lattice_of(tr))
+        bundle = checks._Bundle(m)
+        bundle.upsilon_table
+        folded.clear()
+        monkeypatch.setattr(LatticeOfFlats, "strict_subsets", recording)
+        shared = checks._Bundle(tr, bundle.memo).upsilon_table
+        monkeypatch.undo()
+        assert shared == own, entry.name
+        assert folded == [tr.full_mask], entry.name
+        checked += 1
+    assert checked == 158
+
+
+@pytest.mark.parametrize("name", ["U(3,5)", "K4", "U(2,3)+U(2,3)", "U(1,2)+U(2,4)"])
+def test_a_memo_entry_under_a_foreign_key_changes_nothing(catalog7, name):
+    m = entry_named(catalog7, name).matroid
+    tr = m.truncation()
+    own = _upsilon_table(lattice_of(tr))
+    bundle = checks._Bundle(m)
+    bundle.upsilon_table
+    keys = lattice_of(tr).restriction_key
+    planted = ((7,), 1, ())
+    # M's own key: a real restriction, on more elements than any proper flat of tr(M)
+    foreign = _restriction_key(m._ranks, m.full_mask)
+    assert foreign not in keys.values()
+    memo = {**bundle.memo, foreign: planted}
+    assert checks._Bundle(tr, memo).upsilon_table == own
+    # the same plant under a key tr(M) has is read
+    f = next(iter(keys))
+    memo = {**bundle.memo, keys[f]: planted}
+    assert checks._Bundle(tr, memo).upsilon_table[f] == planted
+
+
+def test_a_bundle_sums_z_only_where_the_checks_read_it(catalog7):
+    """Z(M) for the Taylor prefixes, and Z(M|F) only for the restriction
+    classes of nonzero summed chi-bar weight: no second Z table."""
+    for entry in catalog7:
+        bundle = checks._Bundle(entry.matroid)
+        for check in (
+            check_girth_theorem, check_k_derivative_lemma,
+            check_conjecture_truncation, check_conjecture_upsilon,
+        ):
+            assert check(entry, bundle).status != FAILS, entry.name
+        weighed = {f for f, chibar in bundle.class_chibar if sum(chibar)}
+        assert set(bundle.zeta_at) == {bundle.lattice.top} | weighed, entry.name
 
 
 def test_crashing_check_is_reported_not_raised(monkeypatch, catalog4):

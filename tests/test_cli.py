@@ -6,6 +6,7 @@ import subprocess
 import sys
 import weakref
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 import matzeta.cli as cli
 import matzeta.zeta as zeta
 from matzeta.algebra import RationalFunction
-from matzeta.checks import CheckReport
+from matzeta.checks import CheckReport, run_all_checks, summarize
 from matzeta.cli import (
     EXIT_COUNTEREXAMPLE,
     EXIT_DOMAIN,
@@ -31,7 +32,15 @@ from matzeta.cli import (
 from matzeta.files import dump_bases, dump_graph
 from matzeta.lattice import LatticeOfFlats
 from matzeta.matroid import graphic, uniform
-from matzeta.zeta import zeta_by_recurrence
+from matzeta.zeta import (
+    compute_upsilon,
+    compute_zeta,
+    uniform_taylor_coefficients,
+    upsilon_by_flags,
+    zeta_by_flags,
+    zeta_by_recurrence,
+    zeta_uniform_closed,
+)
 
 Z23 = RationalFunction((2, -1), (2, 5, 3))
 
@@ -246,8 +255,33 @@ def test_verify_builds_one_lattice_and_keeps_none(capsys, monkeypatch, argv, bui
         gc.enable()
 
 
+def test_plain_paths_build_no_pair_index(capsys, monkeypatch, catalog6, catalog7):
+    """Plain zeta, upsilon and taylor and a whole catalog pass read the Y
+    table, never the up-set index: 3^16 - 2^16 pairs on U(16,16)."""
+    matroids = [e.matroid for e in catalog6]
+    expected = [(zeta_by_flags(m), upsilon_by_flags(m)) for m in matroids]
+
+    def refuse(self):
+        raise AssertionError("a plain path built the pair index")
+
+    monkeypatch.setattr(LatticeOfFlats, "_supersets", property(refuse))
+    for m, (z, y) in zip(matroids, expected):
+        assert (compute_zeta(m), compute_upsilon(m)) == ((z, "y-sum"), (y, "recurrence"))
+    # the runner reports a raised AssertionError as a failure
+    counts = summarize(run_all_checks(catalog7))
+    assert counts == {"holds": 818, "fails": 0, "skipped": 7}
+    code, out, err = run_cli(capsys, "zeta", "u:16,16", "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    assert RationalFunction.from_json(json.loads(out)) == zeta_uniform_closed(16, 16)
+    code, out, err = run_cli(capsys, "taylor", "u:14,16", "-k", "20", "--format", "json")
+    assert (code, err) == (EXIT_OK, "")
+    taylor = tuple(map(Fraction, json.loads(out)["taylor"]))
+    assert taylor == uniform_taylor_coefficients(14, 16, 20)
+
+
 @pytest.mark.parametrize("command, route", [
     ("zeta", "zeta_by_recurrence"),
+    ("zeta", "zeta_by_ysum"),
     ("upsilon", "upsilon_by_mobius"),
     ("upsilon", "upsilon_by_recurrence"),
     ("upsilon", "upsilon_by_flags"),

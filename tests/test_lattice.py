@@ -96,6 +96,22 @@ def test_mobius_values():
         lat.mobius(0b001, 0b010)
 
 
+@pytest.mark.parametrize("m, pairs", [
+    (uniform(2, 4), [(0b0011, 0b1111), (0, 0b0110)]),  # {0, 1} closes to E
+    (uniform(16, 16), [(0, 1 << 16), (-1, 0)]),  # every subset of E is a flat
+])
+def test_non_flat_arguments_build_no_pair_index(m, pairs):
+    """Flat membership is a closure test: refusing a non-flat on U(16,16)
+    never builds the up-set index of its 3^16 - 2^16 pairs."""
+    lat = lattice_of(m)
+    for low, high in pairs:
+        with pytest.raises(ValueError, match="must be flats"):
+            lat.mobius(low, high)
+        with pytest.raises(ValueError, match="must be flats"):
+            lat.minor_chi(low, high)
+    assert "_supersets" not in lat.__dict__
+
+
 def test_mobius_against_contraction_oracle(catalog4):
     # mu(F, E) equals the constant term of the contraction's characteristic
     # polynomial, an independent subset-expansion route

@@ -1,5 +1,6 @@
 """The README's library sketch runs, its export list is the package's, and
-its CLI section names only options the parser has."""
+its CLI section names only options the parser has and every algorithm
+choice of each command."""
 
 import argparse
 import re
@@ -28,15 +29,30 @@ def test_exports_resolve_and_match_the_readme():
     assert sorted(re.findall(r"`(\w+)`", bullets)) == sorted(matzeta.__all__)
 
 
-def test_cli_section_names_only_parser_options():
-    section = README.read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
-    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+def _cli_section():
+    return README.read_text().split("## CLI", 1)[1].split("\n## ", 1)[0]
+
+
+def _subcommand_actions():
     parser = build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    known = {
-        option
-        for sub in commands.choices.values()
-        for action in sub._actions
-        for option in action.option_strings
-    }
+    return [action for sub in commands.choices.values() for action in sub._actions]
+
+
+def test_cli_section_names_only_parser_options():
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", _cli_section()))
+    known = {option for action in _subcommand_actions() for option in action.option_strings}
     assert named and named <= known, sorted(named - known)
+
+
+def test_cli_section_lists_every_algorithm_choice():
+    listed = {
+        tuple(choices.split(","))
+        for choices in re.findall(r"--algorithm \{([a-z,-]+)\}", _cli_section())
+    }
+    choices = {
+        tuple(action.choices)
+        for action in _subcommand_actions()
+        if "--algorithm" in action.option_strings
+    }
+    assert listed == choices

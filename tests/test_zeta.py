@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from matzeta import lattice, zeta
+from matzeta.cli import parse_matroid_spec
 from matzeta.algebra import (
     RationalFunction,
     _iadd,
@@ -43,6 +44,7 @@ from matzeta.zeta import (
     upsilon_uniform_closed,
     zeta_by_flags,
     zeta_by_recurrence,
+    zeta_by_ysum,
     zeta_of_free_extension_via_transfer,
     zeta_of_truncation_via_transfer,
     zeta_uniform_closed,
@@ -66,11 +68,49 @@ def test_zeta_worked_values():
     u23 = uniform(2, 3)
     assert zeta_by_flags(u23) == Z23
     assert zeta_by_recurrence(u23) == Z23
+    assert zeta_by_ysum(u23) == Z23
     assert zeta_by_flags(uniform(0, 0)) == RationalFunction.one()
     assert zeta_by_recurrence(uniform(0, 0)) == RationalFunction.one()
     withloop = Matroid(2, [0b01])
     assert zeta_by_flags(withloop).is_zero
     assert zeta_by_recurrence(withloop).is_zero
+    assert zeta_by_ysum(withloop).is_zero
+
+
+def test_ysum_guards_build_no_lattice(monkeypatch):
+    def refuse(m):
+        raise AssertionError("the y-sum guard built a lattice")
+
+    monkeypatch.setattr(zeta, "lattice_of", refuse)
+    assert zeta_by_ysum(uniform(0, 0)) == RationalFunction.one()
+    assert zeta_by_ysum(uniform(0, 3)).is_zero
+    assert zeta_by_ysum(uniform(2, 3).direct_sum(uniform(0, 1))).is_zero
+
+
+# nested specs of up to 9 elements, each built by the spec grammar
+NESTED_SPECS = [
+    "tr(u:3,5+u:2,4)",
+    "ext(u:2,3+u:2,3)",
+    "tr(u:2,3+u:2,3+u:1,3)",
+    "ext(tr(u:3,4)+u:1,1)+u:1,2",
+    "tr(ext(u:2,4))+u:2,3",
+    "ext(ext(u:2,3)+u:1,2)+u:1,1",
+    "tr(u:3,4+u:3,5)",
+]
+
+
+def test_ysum_matches_both_recurrence_and_flag_sum(catalog7):
+    """Z as the sum of the Y table over the flats equals the Z recurrence and
+    the flag sum on one lattice, across the catalog, a shuffled K6 (equal
+    restrictions on unequal masks) and nested specs."""
+    edges = complete_graph(6)
+    random.Random(6).shuffle(edges)
+    nested = [parse_matroid_spec(spec) for spec in NESTED_SPECS]
+    assert max(m.size for m in nested) == 9
+    for m in [*(e.matroid for e in catalog7), graphic(edges), *nested]:
+        lat = lattice_of(m)
+        by_ysum = zeta._zeta_by_ysum(lat)
+        assert by_ysum == zeta._zeta_by_recurrence(lat) == zeta._zeta_by_flags(lat, None)[0]
 
 
 def test_zeta_one_dimensional_family():
@@ -535,6 +575,7 @@ def test_both_tables_key_each_reduced_flat_once(monkeypatch):
     lat = lattice_of(graphic(complete_graph(5)))
     _zeta_table(lat)
     _upsilon_table(lat)
+    _upsilon_table(lat, {})  # the memo reads the same key map
     assert sorted(keys) == sorted(lat.reduced_flats())
 
 
@@ -565,12 +606,12 @@ def test_table_rows_run_once_per_restriction_class(m, classes, monkeypatch):
         lowers.append(f)
         return strict_subsets(self, f)
 
-    def counting_rows(lat, row, coef):
+    def counting_rows(lat, row, coef, memo=None):
         def counted(f, below):
             rows.append(f)
             return row(f, below)
 
-        return flat_table(lat, counted, coef)
+        return flat_table(lat, counted, coef, memo)
 
     monkeypatch.setattr(LatticeOfFlats, "chibar1_below", counting_weights)
     monkeypatch.setattr(LatticeOfFlats, "strict_subsets", counting_lowers)
@@ -599,7 +640,9 @@ def test_upsilon_recurrence_reads_no_interval_index(catalog6, monkeypatch):
 def test_compute_dispatch():
     m = uniform(2, 3)
     assert compute_zeta(m, "flags") == (Z23, "flag-sum")
-    assert compute_zeta(m) == (Z23, "recurrence")
+    assert compute_zeta(m) == (Z23, "y-sum")
+    assert compute_zeta(m, "y-sum") == (Z23, "y-sum")
+    assert compute_zeta(m, "recurrence") == (Z23, "recurrence")
     assert compute_upsilon(m, "mobius") == (Y23, "mobius-def")
     assert compute_upsilon(m, "flags") == (Y23, "flag-product")
     with pytest.raises(ValueError):
