@@ -6,28 +6,23 @@ failure is a counterexample and must be preserved verbatim in its witness.
 Entries are independent; the runner can execute them in parallel and merges
 results in catalog order.
 
-The checks of one entry share one ``_Bundle`` of its matroid: the lattice of
-flats, the Y table on it and chi-bar_[F, E] summed over each restriction
-class of reduced flats F, each built on first use and dropped with the
-entry's reports.  Z is read off the Y table, Z(M|F) = sum over the flats
-G <= F of Y(M|G): Z(M) for the Taylor prefixes, and Z(M|F) only for the
-restriction classes the k-derivative lemma weighs by a nonzero sum, so a
-pass builds no Z recurrence and no pair index.  The truncation's bundle
-takes M's Y entries by exact restriction key: tr(M)|F = M|F when
-rk F <= r - 2, so only the top of tr(M) is folded.  The bundle shares
-plumbing, never an answer under test: the k-derivative lemma is the Z
-recurrence, tested here on a Z it did not compute, its weights come from
-the subset-expansion chi-bar ``minor_reduced_chi``, and Z(tr M) from the
-truncation's own lattice and top, not the transfer formula.
+The checks of one entry share one ``_Bundle`` of its matroid, built on first
+use and dropped with the entry's reports: one lattice of flats, the Y table
+on it, chi-bar_[F, E] summed per restriction class of reduced flats F, and
+the truncation's bundle, read off these (L(tr M) is L(M) less its
+hyperplanes and tr(M)|F = M|F when rk F <= r - 2, so only the top of its Y
+table is folded).  Z(M) is the sum of the Y table, and the k-derivative lemma
+counts Y entries rather than sum any Z(M|F), so a pass builds no Z recurrence
+and no pair index.  The bundle shares plumbing, never an answer under test:
+the k-derivative lemma is the Z recurrence, tested on a Z it did not compute,
+with weights from the subset-expansion chi-bar ``minor_reduced_chi``, and
+Z(tr M) comes from the truncation's table, not the transfer formula.
 
-Each check makes one pass over its values, and a holds verdict builds
-no ``RationalFunction``.  The k-derivative lemma tests one residual for being
-a constant, which decides every order at once; both it and the counting
-identities weigh each restriction class once, by its chi-bar sum; and the
-Taylor prefixes expand Z(M) or the top entry of the Y table as it stands,
-unreduced.  ``zeta_taylor_prefix``, ``upsilon_taylor_prefix`` and
-``minor_reduced_chi`` stay module-level names so a test can plant a violation
-through them.
+Each check makes one pass over its values, and a holds verdict builds no
+``RationalFunction``.  The Taylor prefixes expand Z(M) or the top entry of
+the Y table as it stands, unreduced.  ``zeta_taylor_prefix``,
+``upsilon_taylor_prefix`` and ``minor_reduced_chi`` stay module-level names
+so a test can plant a violation through them.
 """
 
 from __future__ import annotations
@@ -50,6 +45,7 @@ from .zeta import (
     _expand_den,
     _factored_to_rf,
     _reduce,
+    _truncated_upsilon_table,
     _upsilon_table,
     _y_sum,
     upsilon_by_recurrence,
@@ -169,16 +165,11 @@ def build_catalog(max_ground: int = 7) -> list[CatalogEntry]:
 
 class _Bundle:
     """One matroid's lattice of flats, the Y table on that lattice, Z of the
-    restrictions the checks ask for, and ``class_chibar``, each built on
-    first use.  A check handed none builds its own.
+    restrictions the checks ask for, ``class_chibar`` and the bundle of its
+    truncation, each built on first use.  A check handed none builds its own."""
 
-    ``memo`` maps the exact restriction key of a proper flat to its Y
-    entry, filled by the Y fold; a bundle given another bundle's memo takes
-    every entry whose key it shares instead of folding it."""
-
-    def __init__(self, matroid: Matroid, memo: dict[tuple, _Fct] | None = None) -> None:
+    def __init__(self, matroid: Matroid) -> None:
         self.matroid = matroid
-        self.memo = {} if memo is None else memo
         self.zeta_at: dict[int, _Fct] = {}  # flat -> Z(M|F), as asked for
 
     @cached_property
@@ -187,7 +178,15 @@ class _Bundle:
 
     @cached_property
     def upsilon_table(self) -> dict[int, _Fct]:
-        return _upsilon_table(self.lattice, self.memo)
+        return _upsilon_table(self.lattice)
+
+    @cached_property
+    def truncation(self) -> _Bundle:
+        """The bundle of tr M, its lattice and Y table read off this one's."""
+        tr = _Bundle(self.matroid.truncation())
+        tr.lattice = self.lattice.truncation(tr.matroid)
+        tr.upsilon_table = _truncated_upsilon_table(self.lattice, self.upsilon_table)
+        return tr
 
     def zeta(self, f: int) -> _Fct:
         """Z(M|F) = sum over the flats G <= F of Y(M|G), summed on first use
@@ -289,17 +288,15 @@ def check_k_derivative_lemma(
 
     By the Leibniz rule the two sides of order k differ by D^k R, for the one
     residual R = (n s + r) Z - sum over F of chi-bar_[F, E](1) Z(M|F), where
-    Z and Z(M|F) are the bundle's sums of the Y table, not the recurrence
-    being checked.  So every order holds iff D R = 0,
-    that is, iff R is a constant.  R is summed once in factored integer
-    arithmetic and reduced, which strips every linear factor dividing its
-    numerator, so R is a constant iff no factor is left and the numerator has
-    degree <= 0; no polynomial gcd is taken.  The weights come from the
-    chi-bar division (chi-bar(1) is its coefficient sum), not from the
-    recurrence either: the flats of one restriction class share Z(M|F), so
-    it is summed once per class of nonzero summed chi-bar, weighed by that
-    sum, and the weights are summed per value; only a failing residual
-    differentiates each value, for the order-1 witness's two sides.
+    Z is the bundle's sum of the Y table, not the recurrence being checked,
+    so every order holds iff D R = 0, that is, iff R is a constant.  The
+    weights are chi-bar(1), coefficient sums of the chi-bar division, summed
+    to W per restriction class.  As Z(M|F) = sum over the flats G <= F of
+    Y(M|G), the weighted sum is that of K_e e over the Y entries e, K_e adding
+    the W of each class above a flat with entry e: one integer count and one
+    fold, reduced, which strips every linear factor dividing the numerator,
+    so R is a constant iff no factor is left and the numerator has degree
+    <= 0.  Only a failing R is differentiated, for the order-1 witness.
     """
     m = entry.matroid
     if m.is_trivial or not m.is_loopless():
@@ -308,24 +305,24 @@ def check_k_derivative_lemma(
         )
     b = bundle or _Bundle(m)
     n, r = m.size, m.rank
-    weights: dict[tuple, int] = {}  # Z(M|F) -> summed weight
+    lat, table = b.lattice, b.upsilon_table
+    counts: dict[tuple, int] = {}  # Y(M|G) -> K
     for f, chibar in b.class_chibar:
-        w = sum(chibar)
-        if w:
-            z = b.zeta(f)
-            weights[z] = weights.get(z, 0) + w
+        if w := sum(chibar):
+            for g in lat.strict_subsets(f) + (f,):  # the flats G <= F
+                counts[table[g]] = counts.get(table[g], 0) + w
     acc = _Acc()
-    top = b.zeta(b.lattice.top)
+    top = b.zeta(lat.top)
     num, scale, fct = top
     acc.add(_imul_linear(num, n, r), scale, fct)
-    for (num, scale, fct), w in weights.items():
-        acc.add([-w * c for c in num], scale, fct)
+    for (num, scale, fct), k in counts.items():
+        acc.add([-k * c for c in num], scale, fct)
     num, _, fct = _reduce(*acc.total())
     if fct or len(num) > 1:
         # D Z, and the value the order-1 identity gives it
         z = _factored_to_rf(top)
         rhs = sum(
-            (w * _factored_to_rf(v).derivative() for v, w in weights.items()),
+            (k * _factored_to_rf(e).derivative() for e, k in counts.items() if k),
             start=RationalFunction.zero(),
         )
         rhs = (rhs - n * z) / RationalFunction((r, n))
@@ -431,21 +428,16 @@ def _rank_size_counts(ranks: list[int], mask: int) -> dict[tuple[int, int], int]
 def check_conjecture_truncation(
     entry: CatalogEntry, bundle: _Bundle | None = None
 ) -> CheckReport:
-    """Expansion coefficients of zeta below the rank survive truncation.
-
-    Z(tr M) comes from the truncation's own lattice, never from Z(M)."""
+    """Expansion coefficients of zeta below the rank survive truncation; Z(tr M)
+    is the sum of the truncation's Y table, never Z(M) or a transfer."""
     m = entry.matroid
-    if m.rank < 2:
-        return CheckReport(
-            TRUNCATION_CONJECTURE,
-            entry.name,
-            SKIPPED,
-            "rank < 2: truncation would create loops",
-        )
+    if m.rank < 2 or not m.is_loopless():
+        why = "matroid has loops" if m.rank >= 2 else "rank < 2: truncation would create loops"
+        return CheckReport(TRUNCATION_CONJECTURE, entry.name, SKIPPED, why)
     order = m.rank - 1
     b = bundle or _Bundle(m)
     own = zeta_taylor_prefix(b, order)
-    truncated = zeta_taylor_prefix(_Bundle(m.truncation(), b.memo), order)
+    truncated = zeta_taylor_prefix(b.truncation, order)
     for k in range(order + 1):
         if own[k] != truncated[k]:
             return _fails(

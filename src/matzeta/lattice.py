@@ -17,13 +17,14 @@ fold down the column of F, each G < F pulling the weights of its up-set, and
 mu(G, E) (``mobius_to_top``) is a fold down the top column, one addition per
 comparable pair.  The signed subset expansion ``_minor_chi_ints``, counted
 bit-parallel on the matroid's families of subsets, reads no lattice and is
-kept as their oracle.  ``restriction_key`` keys
-each reduced flat's restriction exactly (``_restriction_key``), once per
-lattice, and ``restriction_class`` numbers the distinct keys, for the tables
-that fold once per class and the Y memo one matroid hands another.  Flat
-membership is a closure test, so refusing a non-flat builds no index.  The flag walk
-of ``zeta`` is guarded by one hard cap (``check_flag_cap``), compared first
-with the maximal chains, which need only the covers.
+kept as their oracle.  ``restriction_class`` keys each reduced flat's
+restriction exactly (``_restriction_key``), once per lattice, and keeps one
+number per key, for the tables that fold once per class.  ``truncation``
+reads the lattice of tr M off this one: the hyperplanes go, and the flats of
+rank r - 2 are covered by the top.  Flat membership is a closure test, so
+refusing a non-flat builds no index.  The flag walk of ``zeta`` is guarded
+by one hard cap (``check_flag_cap``), compared first with the maximal
+chains, which need only the covers.
 
 Characteristic polynomials are ascending integer coefficient tuples, like
 every polynomial in ``algebra``: the reduced one, chi-bar = chi / (q - 1), is
@@ -62,14 +63,12 @@ class LatticeOfFlats:
         matroid: Matroid,
         by_rank: tuple[tuple[int, ...], ...],
         covers: dict[int, tuple[int, ...]],
-        maximal_chains: int,
     ) -> None:
         self.matroid = matroid
         self.by_rank = by_rank
         self.flats: tuple[int, ...] = tuple(f for stratum in by_rank for f in stratum)
         self.top = matroid.full_mask
-        self.maximal_chains = maximal_chains
-        self._covers: dict[int, tuple[int, ...]] | None = covers
+        self._covers = covers
 
     def __len__(self) -> int:
         return len(self.flats)
@@ -91,10 +90,9 @@ class LatticeOfFlats:
         """For each flat, the flats strictly containing it, in (rank, mask) order.
 
         Folded from the covers in descending rank, with the up-set of each
-        flat as a bitset over flat indices; the covers are dropped after."""
+        flat as a bitset over flat indices."""
         flats = self.flats
         index = {f: i for i, f in enumerate(flats)}
-        covers, self._covers = self._covers, None
         out: dict[int, tuple[int, ...]] = {}
         up: dict[int, int] = {}  # the stratum above only
         for stratum in reversed(self.by_rank):
@@ -102,7 +100,7 @@ class LatticeOfFlats:
             for f in stratum:
                 i = index[f]
                 bits = 1 << i
-                for c in covers.get(f, ()):
+                for c in self._covers.get(f, ()):
                     bits |= up[c]
                 up_here[f] = bits
                 # digit j of the reversed binary string is flat i + 1 + j
@@ -117,19 +115,23 @@ class LatticeOfFlats:
         return out
 
     @cached_property
-    def restriction_key(self) -> dict[int, tuple]:
-        """For each reduced flat, the exact key of its restriction
-        (``_restriction_key``), computed once per lattice."""
-        ranks = self.matroid._ranks
-        return {f: _restriction_key(ranks, f) for f in self.reduced_flats()}
-
-    @cached_property
     def restriction_class(self) -> dict[int, int]:
         """For each reduced flat, a small id of its restriction: two flats
-        share an id only when their ``restriction_key`` is equal, so every
-        table folded on the lattice reads the same map."""
-        ids: dict[tuple, int] = {}
-        return {f: ids.setdefault(key, len(ids)) for f, key in self.restriction_key.items()}
+        share an id only when their exact keys (``_restriction_key``) are
+        equal.  Each flat is keyed once, and only the ids are kept."""
+        ranks, ids = self.matroid._ranks, {}
+        return {f: ids.setdefault(_restriction_key(ranks, f), len(ids)) for f in self.reduced_flats()}
+
+    def truncation(self, matroid: Matroid) -> LatticeOfFlats:
+        """The lattice of ``matroid``, the truncation of this one's, with no
+        closure and no rank: the strata of rank <= r - 2 and their covers,
+        each flat of rank r - 2 covered by the top, the hyperplanes gone."""
+        kept = self.by_rank[:-2]
+        if not kept:
+            raise LoopsError("the truncation of a rank-1 matroid has loops")
+        covers = {f: self._covers[f] for stratum in kept[:-1] for f in stratum}
+        covers.update(dict.fromkeys(kept[-1], (self.top,)))
+        return LatticeOfFlats(matroid, (*kept, (self.top,)), covers)
 
     def strict_supersets(self, f: int) -> tuple[int, ...]:
         return self._supersets[f]
@@ -237,6 +239,15 @@ class LatticeOfFlats:
     # -- the flag cap --------------------------------------------------------
 
     @cached_property
+    def maximal_chains(self) -> int:
+        """Number of chains of covers from the empty flat to the top."""
+        chains = {0: 1}
+        for f in self.flats[:-1]:  # the top is the last flat
+            for c in self._covers[f]:
+                chains[c] = chains.get(c, 0) + chains[f]
+        return chains[self.top]
+
+    @cached_property
     def flag_count(self) -> int:
         """Number of chains from the empty flat to the top, by descending DP."""
         count = {self.top: 1}
@@ -275,8 +286,7 @@ def _restriction_key(ranks: Sequence[int], f: int) -> tuple:
 
 
 def lattice_of(m: Matroid) -> LatticeOfFlats:
-    """Enumerate all flats of a loopless matroid, graded by rank, with their
-    covers and the number of maximal chains."""
+    """Enumerate all flats of a loopless matroid, graded by rank, with covers."""
     if not m.is_loopless():
         raise LoopsError(
             "matroid has loops; its lattice of flats is not built "
@@ -284,7 +294,6 @@ def lattice_of(m: Matroid) -> LatticeOfFlats:
         )
     strata: list[tuple[int, ...]] = [(0,)]
     covers: dict[int, tuple[int, ...]] = {}
-    chains = {0: 1}  # maximal chains from the bottom to each flat
     current = [0]
     for _ in range(m.rank):
         nxt = set()
@@ -300,11 +309,9 @@ def lattice_of(m: Matroid) -> LatticeOfFlats:
                 rest &= ~c
             covers[f] = tuple(above)
             nxt.update(above)
-            for c in above:
-                chains[c] = chains.get(c, 0) + chains[f]
         current = sorted(nxt)
         strata.append(tuple(current))
-    return LatticeOfFlats(m, tuple(strata), covers, chains[m.full_mask])
+    return LatticeOfFlats(m, tuple(strata), covers)
 
 
 # ---------------------------------------------------------------------------

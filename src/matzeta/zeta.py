@@ -40,7 +40,8 @@ down the column of F, which pulls through the up-set index, and
 at all; neither reads a Mobius row, so the flag routes, which sweep their
 own, stay an independent check.  ``_y_sum`` adds table entries over a set
 of flats, each distinct entry multiplied once by its count: over all flats
-of the Y table it is ``zeta_by_ysum``.
+of the Y table it is ``zeta_by_ysum``.  Each folded entry is one ``_fold``;
+the Y table of tr M is M's below rank r - 1 and one ``_fold`` at its top.
 
 Internally the big sums are accumulated as integer-coefficient polynomials
 over factored linear denominators, grouped by denominator profile, with a
@@ -52,10 +53,7 @@ linear factor that ``_reduce`` uses; the flag weights are integers read off
 the Mobius rows and need no division.  A reduced value keeps no linear factor
 that divides its numerator, so it is a constant iff it has no factor and a
 numerator of degree <= 0, which the k-derivative check reads with no
-polynomial gcd.  Memo tables live inside one computation; the one memo a
-caller may hand from one matroid to another, ``_flat_table``'s, is keyed by
-the exact restriction key, so a shared entry is the value of an equal
-restriction.
+polynomial gcd.  Memo tables live inside one computation.
 """
 
 from __future__ import annotations
@@ -266,7 +264,6 @@ def _flat_table(
     lat: LatticeOfFlats,
     row: Callable[[int, tuple[int, ...]], Sequence[int]],
     coef: Callable[[int, int, int], list[int]],
-    memo: dict[tuple, _Fct] | None = None,
 ) -> dict[int, _Fct]:
     """Fold over lower intervals in ascending rank, keyed by flat: T[0] = 1 and
     T[F] = sum over flats G < F of coef(x_G, G, F) T[G], divided by
@@ -277,50 +274,45 @@ def _flat_table(
     T[F] depends only on the restriction to F, so a proper flat whose
     ``lat.restriction_class`` was seen before takes that flat's entry, and
     its lower interval and row(F, below) are computed once per restriction
-    class.  ``memo``, if given, maps the exact ``lat.restriction_key`` of a
-    proper flat to its entry: a class whose key it holds takes that entry
-    unfolded, and every class folded is added, so a memo filled on one
-    matroid serves another whose restrictions have the same keys.  The
-    coefficients of the G with equal entries are summed first, so
-    each distinct entry below F is multiplied once; the entries are interned
-    (value -> small id) as they are reduced, and a reduced entry is unique per
-    value."""
+    class.  The coefficients of the G with equal entries are summed first, so
+    each distinct entry below F is multiplied once (``_fold``); the entries
+    are interned (value -> small id) as they are reduced, and a reduced entry
+    is unique per value."""
     ranks = lat.matroid._ranks
     vals: list[_Fct] = [_F_ONE]
     ids = {_F_ONE: 0}
     id_of = {0: 0}
     class_of = lat.restriction_class
-    exact = None if memo is None else lat.restriction_key
     classes: dict[int | None, int] = {}  # restriction class -> entry id
     for f in lat.flats[1:]:
         key = class_of.get(f)  # None for the top
         if key in classes:
             id_of[f] = classes[key]
             continue
-        known = None if exact is None or key is None else exact[f]
-        entry = None if known is None else memo.get(known)
-        if entry is None:
-            merged: dict[int, list[int]] = {}
-            below = lat.strict_subsets(f)
-            for g, x in zip(below, row(f, below)):
-                c = coef(x, g, f)
-                if c:  # zero is []: on near-Boolean lattices most chi-bar(1) are 0
-                    i = id_of[g]
-                    cur = merged.get(i)
-                    merged[i] = c if cur is None else [a + b for a, b in zip(cur, c, strict=True)]
-            acc = _Acc()
-            for i, c in merged.items():
-                num, scale, fct = vals[i]
-                acc.add(_imul(num, c), scale, fct)
-            total = acc.total()
-            c, pair = _norm_factor(f.bit_count(), ranks[f])
-            entry = _reduce(total[0], total[1] * c, tuple(sorted(total[2] + (pair,))))
-            if known is not None:
-                memo[known] = entry
+        merged: dict[int, list[int]] = {}
+        below = lat.strict_subsets(f)
+        for g, x in zip(below, row(f, below)):
+            c = coef(x, g, f)
+            if c:  # zero is []: on near-Boolean lattices most chi-bar(1) are 0
+                i = id_of[g]
+                cur = merged.get(i)
+                merged[i] = c if cur is None else [a + b for a, b in zip(cur, c, strict=True)]
+        entry = _fold(((vals[i], c) for i, c in merged.items()), f.bit_count(), ranks[f])
         i = id_of[f] = classes[key] = ids.setdefault(entry, len(vals))
         if i == len(vals):
             vals.append(entry)
     return {f: vals[i] for f, i in id_of.items()}
+
+
+def _fold(terms: Iterable[tuple[_Fct, list[int]]], size: int, rank: int) -> _Fct:
+    """The sum of c * T over the (T, c) of ``terms``, divided by
+    (size s + rank) and reduced: one entry of a lower-interval fold."""
+    acc = _Acc()
+    for (num, scale, fct), c in terms:
+        acc.add(_imul(num, c), scale, fct)
+    num, scale, fct = acc.total()
+    c, pair = _norm_factor(size, rank)
+    return _reduce(num, scale * c, tuple(sorted(fct + (pair,))))
 
 
 def _y_sum(table: dict[int, _Fct], flats: Iterable[int]) -> _Fct:
@@ -445,15 +437,24 @@ def upsilon_by_recurrence(m: Matroid) -> RationalFunction:
     return _upsilon_by_recurrence(lattice_of(m))
 
 
-def _upsilon_table(
-    lat: LatticeOfFlats, memo: dict[tuple, _Fct] | None = None
-) -> dict[int, _Fct]:
-    """Y of every restriction-to-a-flat, keyed by flat mask, ascending rank;
-    ``memo`` is ``_flat_table``'s."""
+def _upsilon_table(lat: LatticeOfFlats) -> dict[int, _Fct]:
+    """Y of every restriction-to-a-flat, keyed by flat mask, ascending rank."""
     ranks = lat.matroid._ranks
-    return _flat_table(
-        lat, lambda f, below: below, lambda g, _, f: [-ranks[g], -f.bit_count()], memo
-    )
+    return _flat_table(lat, lambda f, below: below, lambda g, _, f: [-ranks[g], -f.bit_count()])
+
+
+def _truncated_upsilon_table(lat: LatticeOfFlats, table: dict[int, _Fct]) -> dict[int, _Fct]:
+    """The Y table of tr M, read off M's lattice and Y table: tr(M)|F = M|F
+    when rk F <= r - 2, and the top is -sum of (n s + rk G) Y(M|G) over
+    those flats G, over (n s + r - 1)."""
+    m = lat.matroid
+    out = {f: table[f] for stratum in lat.by_rank[:-2] for f in stratum}
+    merged: dict[_Fct, list[int]] = {}  # equal entries summed first
+    for g, entry in out.items():
+        c0, c1 = merged.get(entry, (0, 0))
+        merged[entry] = [c0 - m._ranks[g], c1 - m.size]
+    out[lat.top] = _fold(merged.items(), m.size, m.rank - 1)
+    return out
 
 
 def _upsilon_by_recurrence(lat: LatticeOfFlats) -> RationalFunction:

@@ -26,15 +26,21 @@ from matzeta.checks import (
     run_all_checks,
     summarize,
 )
-from matzeta.lattice import LatticeOfFlats, _restriction_key, lattice_of, minor_reduced_chi
-from matzeta.matroid import graphic, iter_bits, uniform
-from matzeta.algebra import _iadd, _imul_linear, taylor_prefix
+from matzeta.cli import parse_matroid_spec
+from matzeta.lattice import LatticeOfFlats, LoopsError, lattice_of, minor_reduced_chi
+from matzeta.matroid import Matroid, graphic, iter_bits, uniform
+from matzeta.algebra import RationalFunction, _imul_linear, _iadd, taylor_prefix
 from matzeta.zeta import (
-    _expand_den,
+    _Acc,
     _factored_to_rf,
+    _norm_factor,
+    _reduce,
     _upsilon_table,
+    upsilon_by_flags,
     upsilon_by_recurrence,
+    zeta_by_flags,
     zeta_by_recurrence,
+    zeta_of_truncation_via_transfer,
 )
 from oracles import k_derivative_lemma_per_value, witness_reverifies
 
@@ -177,12 +183,14 @@ def test_run_all_checks_bounds_workers(monkeypatch, catalog4, jobs, entries, cpu
 
 
 def test_a_catalog_pass_builds_one_lattice_per_entry_and_truncation(monkeypatch, catalog7):
-    """Every check of an entry reads one lattice; Z(tr M) needs the
-    truncation's own, so each rank >= 2 entry adds one.  None outlives its
+    """Every check of an entry reads one lattice: the truncation's is read
+    off the entry's, so ``lattice_of`` sees the catalog's matroids, once
+    each and in order, and no truncation beyond them.  None outlives its
     entry."""
-    built = []
+    built, seen = [], []
 
     def recording(m):
+        seen.append(m)
         lat = lattice_of(m)
         built.append(weakref.ref(lat))
         return lat
@@ -194,9 +202,8 @@ def test_a_catalog_pass_builds_one_lattice_per_entry_and_truncation(monkeypatch,
         assert [r() for r in built] == [None] * len(built)
     finally:
         gc.enable()
-    truncations = sum(e.matroid.rank >= 2 for e in catalog7)
-    assert (len(catalog7), truncations) == (165, 158)
-    assert len(built) == len(catalog7) + truncations == 323
+    assert seen == [e.matroid for e in catalog7]
+    assert len(built) == len(catalog7) == 165
 
 
 def test_chibar_is_expanded_once_per_reduced_flat(monkeypatch, catalog5):
@@ -483,20 +490,24 @@ def _bump_constant(f):
     return ((num[0] + 1,) + num[1:], scale, fct)
 
 
-def _shift_by_one(f):
-    # + 1 as a fraction: num + scale * prod factors over the same denominator
-    num, scale, fct = f
-    return (tuple(_iadd(num, _expand_den(scale, fct))), scale, fct)
+def _offset_by(f, n, r):
+    # + 1 / (n s + r), which changes the residual by the constant 1
+    acc = _Acc()
+    acc.add(*f)
+    c, pair = _norm_factor(n, r)
+    acc.add([1], c, (pair,))
+    return _reduce(*acc.total())
 
 
 @pytest.mark.parametrize("name", ["U(2,3)", "K4", "U(2,3)+U(2,3)", "tr(U(1,2)+U(2,4))"])
 @pytest.mark.parametrize("plant", ["weight", "top", "flat", "flat-constant"])
 def test_planted_k_derivative_failures_match_the_oracle(monkeypatch, catalog7, name, plant):
-    """A planted weight or table entry makes the residual check and the
+    """A plant on what the residual reads, a chi-bar weight, Z or one Y
+    entry below a weighed class, makes the residual check and the
     per-value oracle fail at order 1 with the same witness, at every kmax;
-    shifting a flat's value by a constant changes no derivative, so both hold.
-    A table entry is planted on every flat of the victim's restriction class,
-    as the table gives them one value."""
+    ``flat-constant`` adds c / (n s + r) to Z, which changes the residual by
+    the constant c, so both hold.  A Y entry is planted on every flat of the victim's
+    restriction class, as the table gives them one value."""
     entry = entry_named(catalog7, name)
     m = entry.matroid
     lat = lattice_of(m)
@@ -514,11 +525,16 @@ def test_planted_k_derivative_failures_match_the_oracle(monkeypatch, catalog7, n
 
         monkeypatch.setattr(checks, "minor_reduced_chi", skewed)
     bundle = checks._Bundle(m)
-    if plant != "weight":
-        planted = [m.full_mask] if plant == "top" else [f for f in cls if cls[f] == cls[victim]]
-        for f in planted:
-            shift = _shift_by_one if plant == "flat-constant" else _bump_constant
-            bundle.zeta_at[f] = shift(bundle.zeta(f))
+    top = m.full_mask
+    if plant == "flat":
+        table = bundle.upsilon_table
+        for f in cls:
+            if cls[f] == cls[victim]:
+                table[f] = _bump_constant(table[f])
+    elif plant == "top":
+        bundle.zeta_at[top] = _bump_constant(bundle.zeta(top))
+    elif plant == "flat-constant":
+        bundle.zeta_at[top] = _offset_by(bundle.zeta(top), m.size, m.rank)
     report = check_k_derivative_lemma(entry, bundle)
     assert report.status == (HOLDS if plant == "flat-constant" else FAILS)
     for kmax in range(1, 7):
@@ -587,10 +603,45 @@ def test_factored_taylor_prefixes_match_the_canonical_expansion(catalog7):
             assert checks._factored_taylor(unreduced, order) == expected, entry.name
 
 
-def test_truncation_takes_every_proper_flat_from_the_memo(monkeypatch, catalog7):
-    """tr(M)|F = M|F when rk F <= r - 2, and their restriction keys are
-    equal, so the truncation's Y table built with M's memo equals its own,
-    flat by flat, and folds only its top."""
+def _truncatable(catalog):
+    """Each rank >= 2 matroid of the catalog, a shuffled K6 and two nested
+    specs."""
+    specs = ("tr(u:3,5+u:2,4)", "ext(u:2,3+u:2,3)")
+    for m in [
+        *(e.matroid for e in catalog), _shuffled_k6().matroid,
+        *map(parse_matroid_spec, specs),
+    ]:
+        if m.rank >= 2:
+            yield m
+
+
+def test_truncated_lattice_is_the_lattice_of_the_truncation(catalog7):
+    checked = 0
+    for m in _truncatable(catalog7):
+        tr = m.truncation()
+        own = lattice_of(tr)
+        lat = lattice_of(m)
+        if checked % 2:  # the covers outlive the up-set fold
+            lat.strict_supersets(0)
+        derived = lat.truncation(tr)
+        assert derived.matroid is tr
+        assert derived.by_rank == own.by_rank, m
+        assert derived._covers == own._covers, m
+        assert derived.maximal_chains == own.maximal_chains, m
+        assert derived._supersets == own._supersets, m
+        checked += 1
+    assert checked == 158 + 3
+
+
+def test_truncation_of_a_rank_1_lattice_is_refused():
+    with pytest.raises(LoopsError):
+        lattice_of(uniform(1, 3)).truncation(uniform(1, 3).truncation())
+
+
+def test_truncated_bundle_reads_no_second_lattice(monkeypatch, catalog7):
+    """The truncation's Y table equals the one folded on its own lattice,
+    flat by flat, and Z(tr M) equals the transfer formula and the flag sum;
+    the bundle takes no closure of tr M and folds only the top."""
     folded = []
     strict_subsets = LatticeOfFlats.strict_subsets
 
@@ -598,48 +649,53 @@ def test_truncation_takes_every_proper_flat_from_the_memo(monkeypatch, catalog7)
         folded.append(f)
         return strict_subsets(self, f)
 
-    checked = 0
-    for entry in catalog7:
-        m = entry.matroid
-        if m.rank < 2:
-            continue
+    for m in _truncatable(catalog7):
         tr = m.truncation()
-        own = _upsilon_table(lattice_of(tr))
         bundle = checks._Bundle(m)
         bundle.upsilon_table
         folded.clear()
         monkeypatch.setattr(LatticeOfFlats, "strict_subsets", recording)
-        shared = checks._Bundle(tr, bundle.memo).upsilon_table
+        monkeypatch.setattr(Matroid, "_closure", None)
+        truncated = bundle.truncation
+        table = truncated.upsilon_table
         monkeypatch.undo()
-        assert shared == own, entry.name
-        assert folded == [tr.full_mask], entry.name
+        assert folded == [], m
+        assert truncated.matroid == tr
+        assert "_ranks" not in vars(truncated.matroid), m
+        assert table == _upsilon_table(lattice_of(tr)), m
+        z = _factored_to_rf(truncated.zeta(truncated.lattice.top))
+        assert z == zeta_of_truncation_via_transfer(m) == zeta_by_flags(tr), m
+
+
+def test_upsilon_of_a_truncation_adds_the_hyperplanes(catalog7):
+    """Y(tr M) = Y(M) (n s + r) / (n s + r - 1) + sum over the hyperplanes H
+    of Y(M|H), with Y(tr M) from the flag product."""
+    checked = 0
+    for entry in catalog7:
+        m = entry.matroid
+        n, r = m.size, m.rank
+        if r < 2:
+            continue
+        rhs = upsilon_by_recurrence(m) * RationalFunction((r, n)) / RationalFunction((r - 1, n))
+        for h in lattice_of(m).by_rank[r - 1]:
+            rhs = rhs + upsilon_by_recurrence(m.restriction(h))
+        assert upsilon_by_flags(m.truncation()) == rhs, entry.name
         checked += 1
     assert checked == 158
 
 
-@pytest.mark.parametrize("name", ["U(3,5)", "K4", "U(2,3)+U(2,3)", "U(1,2)+U(2,4)"])
-def test_a_memo_entry_under_a_foreign_key_changes_nothing(catalog7, name):
-    m = entry_named(catalog7, name).matroid
-    tr = m.truncation()
-    own = _upsilon_table(lattice_of(tr))
-    bundle = checks._Bundle(m)
-    bundle.upsilon_table
-    keys = lattice_of(tr).restriction_key
-    planted = ((7,), 1, ())
-    # M's own key: a real restriction, on more elements than any proper flat of tr(M)
-    foreign = _restriction_key(m._ranks, m.full_mask)
-    assert foreign not in keys.values()
-    memo = {**bundle.memo, foreign: planted}
-    assert checks._Bundle(tr, memo).upsilon_table == own
-    # the same plant under a key tr(M) has is read
-    f = next(iter(keys))
-    memo = {**bundle.memo, keys[f]: planted}
-    assert checks._Bundle(tr, memo).upsilon_table[f] == planted
+def test_truncation_check_skips_a_matroid_with_loops():
+    m = uniform(2, 3).direct_sum(uniform(0, 1))
+    entry = CatalogEntry("U(2,3)+U(0,1)", m, "direct_sum(uniform(2,3), uniform(0,1))")
+    reports = run_all_checks([entry])
+    assert [r.status for r in reports] == [SKIPPED] * 5
+    (truncation,) = (r for r in reports if r.check == checks.TRUNCATION_CONJECTURE)
+    assert truncation.reason == "matroid has loops"
 
 
 def test_a_bundle_sums_z_only_where_the_checks_read_it(catalog7):
-    """Z(M) for the Taylor prefixes, and Z(M|F) only for the restriction
-    classes of nonzero summed chi-bar weight: no second Z table."""
+    """Z(M) for the Taylor prefixes and Z(tr M) for the truncation's: the
+    k-derivative lemma counts Y entries and sums no Z(M|F)."""
     for entry in catalog7:
         bundle = checks._Bundle(entry.matroid)
         for check in (
@@ -647,8 +703,9 @@ def test_a_bundle_sums_z_only_where_the_checks_read_it(catalog7):
             check_conjecture_truncation, check_conjecture_upsilon,
         ):
             assert check(entry, bundle).status != FAILS, entry.name
-        weighed = {f for f, chibar in bundle.class_chibar if sum(chibar)}
-        assert set(bundle.zeta_at) == {bundle.lattice.top} | weighed, entry.name
+        assert set(bundle.zeta_at) == {bundle.lattice.top}, entry.name
+        if entry.matroid.rank >= 2:
+            assert set(bundle.truncation.zeta_at) == {bundle.lattice.top}, entry.name
 
 
 def test_crashing_check_is_reported_not_raised(monkeypatch, catalog4):

@@ -430,7 +430,7 @@ def test_subset_expansion_reads_no_mobius_row(monkeypatch):
 def test_covers_and_maximal_chains_match_closing_every_extension(catalog7):
     for m in [*(entry.matroid for entry in catalog7), _shuffled_k6()]:
         lat = lattice_of(m)
-        covers = lat._covers  # dropped once the up-set index is folded
+        covers = lat._covers
         chains = {0: 1}
         for f in lat.flats:
             brute = covers_by_closure(m, f)

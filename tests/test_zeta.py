@@ -575,7 +575,6 @@ def test_both_tables_key_each_reduced_flat_once(monkeypatch):
     lat = lattice_of(graphic(complete_graph(5)))
     _zeta_table(lat)
     _upsilon_table(lat)
-    _upsilon_table(lat, {})  # the memo reads the same key map
     assert sorted(keys) == sorted(lat.reduced_flats())
 
 
@@ -606,12 +605,12 @@ def test_table_rows_run_once_per_restriction_class(m, classes, monkeypatch):
         lowers.append(f)
         return strict_subsets(self, f)
 
-    def counting_rows(lat, row, coef, memo=None):
+    def counting_rows(lat, row, coef):
         def counted(f, below):
             rows.append(f)
             return row(f, below)
 
-        return flat_table(lat, counted, coef, memo)
+        return flat_table(lat, counted, coef)
 
     monkeypatch.setattr(LatticeOfFlats, "chibar1_below", counting_weights)
     monkeypatch.setattr(LatticeOfFlats, "strict_subsets", counting_lowers)
