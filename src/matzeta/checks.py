@@ -1,28 +1,15 @@
 """Catalog generation and identity/conjecture verification with reports.
 
-Theorem checks (proved statements) and conjecture checks are kept in separate
-suites: a theorem failure means an implementation bug, while a conjecture
-failure is a counterexample and must be preserved verbatim in its witness.
-Entries are independent; the runner can execute them in parallel and merges
-results in catalog order.
-
-The checks of one entry share one ``_Bundle`` of its matroid, built on first
-use and dropped with the entry's reports: one lattice of flats, the Y table
-on it, chi-bar_[F, E] summed per restriction class of reduced flats F, and
-the truncation's bundle, read off these (L(tr M) is L(M) less its
-hyperplanes and tr(M)|F = M|F when rk F <= r - 2, so only the top of its Y
-table is folded).  Z(M) is the sum of the Y table, and the k-derivative lemma
-counts Y entries rather than sum any Z(M|F), so a pass builds no Z recurrence
-and no pair index.  The bundle shares plumbing, never an answer under test:
-the k-derivative lemma is the Z recurrence, tested on a Z it did not compute,
-with weights from the subset-expansion chi-bar ``minor_reduced_chi``, and
-Z(tr M) comes from the truncation's table, not the transfer formula.
-
-Each check makes one pass over its values, and a holds verdict builds no
-``RationalFunction``.  The Taylor prefixes expand Z(M) or the top entry of
-the Y table as it stands, unreduced.  ``zeta_taylor_prefix``,
-``upsilon_taylor_prefix`` and ``minor_reduced_chi`` stay module-level names
-so a test can plant a violation through them.
+A theorem failure means an implementation bug; a conjecture failure is a
+counterexample, kept verbatim in its witness.  Entries are independent, so
+the runner can check them in parallel and merge results in catalog order.
+The checks of one entry share one ``_Bundle``, one lattice and one Y table,
+which shares plumbing, never an answer under test: the k-derivative lemma
+tests the Z recurrence on a Z it did not compute, with subset-expansion
+weights, and Z(tr M) comes from the truncation's table, not the transfer
+formula.  A holds verdict builds no ``RationalFunction``.  The names
+``zeta_taylor_prefix``, ``upsilon_taylor_prefix`` and ``minor_reduced_chi``
+stay module-level so a test can plant a violation through them.
 """
 
 from __future__ import annotations
@@ -35,16 +22,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .algebra import RationalFunction, _iadd, _imul_linear, _itaylor
+from .algebra import RationalFunction, _iadd, _itaylor
 from .combinat import rising_factorial, stirling_second_rows
 from .lattice import LatticeOfFlats, lattice_of, minor_reduced_chi
 from .matroid import Matroid, graphic, iter_bits, uniform
 from .zeta import (
-    _Acc,
     _Fct,
     _expand_den,
     _factored_to_rf,
     _reduce,
+    _sum,
     _truncated_upsilon_table,
     _upsilon_table,
     _y_sum,
@@ -164,13 +151,12 @@ def build_catalog(max_ground: int = 7) -> list[CatalogEntry]:
 
 
 class _Bundle:
-    """One matroid's lattice of flats, the Y table on that lattice, Z of the
-    restrictions the checks ask for, ``class_chibar`` and the bundle of its
-    truncation, each built on first use.  A check handed none builds its own."""
+    """One matroid's lattice of flats, the Y table on that lattice, Z(M),
+    ``class_chibar`` and the bundle of its truncation, each built on first
+    use.  A check handed none builds its own."""
 
     def __init__(self, matroid: Matroid) -> None:
         self.matroid = matroid
-        self.zeta_at: dict[int, _Fct] = {}  # flat -> Z(M|F), as asked for
 
     @cached_property
     def lattice(self) -> LatticeOfFlats:
@@ -188,15 +174,11 @@ class _Bundle:
         tr.upsilon_table = _truncated_upsilon_table(self.lattice, self.upsilon_table)
         return tr
 
-    def zeta(self, f: int) -> _Fct:
-        """Z(M|F) = sum over the flats G <= F of Y(M|G), summed on first use
-        and kept: the Mobius inversion read backwards, off the Y table."""
-        z = self.zeta_at.get(f)
-        if z is None:
-            lat = self.lattice
-            below = lat.flats if f == lat.top else lat.strict_subsets(f) + (f,)
-            z = self.zeta_at[f] = _y_sum(self.upsilon_table, below)
-        return z
+    @cached_property
+    def zeta(self) -> _Fct:
+        """Z(M), the sum of the Y table over the flats: the Mobius inversion
+        read backwards."""
+        return _y_sum(self.upsilon_table, self.lattice.flats)
 
     @cached_property
     def class_chibar(self) -> list[tuple[int, list[int]]]:
@@ -214,7 +196,7 @@ class _Bundle:
 
 def zeta_taylor_prefix(b: _Bundle, k: int) -> tuple[Fraction, ...]:
     """Expansion of the zeta value around 0; the seam the checkers go through."""
-    return _factored_taylor(b.zeta(b.lattice.top), k)
+    return _factored_taylor(b.zeta, k)
 
 
 def upsilon_taylor_prefix(b: _Bundle, k: int) -> tuple[Fraction, ...]:
@@ -311,16 +293,11 @@ def check_k_derivative_lemma(
         if w := sum(chibar):
             for g in lat.strict_subsets(f) + (f,):  # the flats G <= F
                 counts[table[g]] = counts.get(table[g], 0) + w
-    acc = _Acc()
-    top = b.zeta(lat.top)
-    num, scale, fct = top
-    acc.add(_imul_linear(num, n, r), scale, fct)
-    for (num, scale, fct), k in counts.items():
-        acc.add([-k * c for c in num], scale, fct)
-    num, _, fct = _reduce(*acc.total())
+    terms = [(b.zeta, [r, n])] + [(e, [-k]) for e, k in counts.items()]
+    num, _, fct = _reduce(*_sum(terms))
     if fct or len(num) > 1:
         # D Z, and the value the order-1 identity gives it
-        z = _factored_to_rf(top)
+        z = _factored_to_rf(b.zeta)
         rhs = sum(
             (k * _factored_to_rf(e).derivative() for e, k in counts.items() if k),
             start=RationalFunction.zero(),

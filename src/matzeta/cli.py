@@ -10,7 +10,6 @@ Prefix operators bind tighter than the infix sum, and nest at most
 MAX_NESTING deep.  Exit codes: 0 success, 2 usage/parse error, 3 domain error
 (loops where disallowed, caps, bad construction), 4 theorem-check failure or
 a ``--verify`` disagreement between algorithms, 5 conjecture counterexample.
-``--verify`` runs every route on one lattice of flats: shared plumbing, never math.
 """
 
 from __future__ import annotations
@@ -31,10 +30,17 @@ from .checks import (
     summarize,
 )
 from .files import FileFormatError, _ascii_int, load_bases, load_graphic_matroid
-from .lattice import FlagCapExceeded, _minor_chi_ints, lattice_of
+from .lattice import FlagCapExceeded, lattice_of
 from .matroid import MAX_GROUND_SIZE, Matroid, iter_bits, uniform
-from . import zeta as routes
-from .zeta import UPSILON_ALGORITHMS, ZETA_ALGORITHMS, compute_upsilon, compute_zeta
+from .zeta import (
+    UPSILON_ALGORITHMS,
+    ZETA_ALGORITHMS,
+    VerificationError,
+    compute_upsilon,
+    compute_zeta,
+    verify_upsilon,
+    verify_zeta,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -147,23 +153,10 @@ def _note_loops(m: Matroid) -> None:
 def _cmd_zeta(args) -> int:
     m = parse_matroid_spec(args.spec)
     _note_loops(m)
-    if not args.verify:
-        zeta, algorithm = compute_zeta(m, args.algorithm, max_flags=args.max_flags)
-    elif m.is_trivial or not m.is_loopless():  # 1 and 0 by the routes' guards, no lattice
-        zeta, algorithm = routes.zeta_by_ysum(m), "y-sum"
+    if args.verify:
+        zeta, algorithm = verify_zeta(m, max_flags=args.max_flags)
     else:
-        lat = lattice_of(m)
-        by_flags, bottom_row = routes._zeta_by_flags(lat, args.max_flags)
-        by_recurrence = routes._zeta_by_recurrence(lat)
-        zeta, algorithm = routes._zeta_by_ysum(lat), "y-sum"
-        # the flag route reads chi from the Mobius rows; the subset expansion checks them
-        if lat.minor_chi(0, lat.top, bottom_row) != _minor_chi_ints(m, 0, lat.top):
-            print("verification failed: Mobius and subset-expansion chi disagree", file=sys.stderr)
-            return EXIT_THEOREM_FAILURE
-        for route, value in (("flag sum", by_flags), ("y-sum", zeta)):
-            if value != by_recurrence:
-                print(f"verification failed: {route} and recurrence disagree", file=sys.stderr)
-                return EXIT_THEOREM_FAILURE
+        zeta, algorithm = compute_zeta(m, args.algorithm, max_flags=args.max_flags)
     if args.format == "json":
         _emit_json({"algorithm": algorithm, **zeta.to_json()})
     else:
@@ -173,19 +166,10 @@ def _cmd_zeta(args) -> int:
 
 def _cmd_upsilon(args) -> int:
     m = parse_matroid_spec(args.spec)
-    if not args.verify:
-        upsilon, algorithm = compute_upsilon(m, args.algorithm, max_flags=args.max_flags)
-    elif m.is_trivial or not m.is_loopless():  # 1, or LoopsError, by the flag route's guard
-        upsilon, algorithm = routes.upsilon_by_flags(m), "recurrence"
+    if args.verify:
+        upsilon, algorithm = verify_upsilon(m, max_flags=args.max_flags)
     else:
-        lat = lattice_of(m)
-        # flags first: it is the only route with a cap, so a capped run fails fast
-        by_flags = routes._upsilon_by_flags(lat, args.max_flags)
-        by_mobius = routes._upsilon_by_mobius(lat)
-        upsilon, algorithm = routes._upsilon_by_recurrence(lat), "recurrence"
-        if not by_flags == by_mobius == upsilon:
-            print("verification failed: upsilon algorithms disagree", file=sys.stderr)
-            return EXIT_THEOREM_FAILURE
+        upsilon, algorithm = compute_upsilon(m, args.algorithm, max_flags=args.max_flags)
     if args.format == "json":
         _emit_json({"algorithm": algorithm, **upsilon.to_json()})
     else:
@@ -380,6 +364,9 @@ def main(argv=None) -> int:
     except (ValueError, FlagCapExceeded) as exc:  # LoopsError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    except VerificationError as exc:
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_THEOREM_FAILURE
 
 
 if __name__ == "__main__":

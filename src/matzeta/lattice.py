@@ -1,41 +1,18 @@
-"""The lattice of flats as an explicit graded poset.
+"""The lattice of flats as an explicit graded poset, built bottom-up from the
+covers, so the work scales with the lattice rather than the powerset.
 
-Flats are generated bottom-up by closing single-element extensions of the
-previous rank stratum, so the work scales with the lattice rather than the
-powerset; the distinct closures cl(F + e) are the covers of F, and as they
-partition E - F each is closed over the elements no earlier cover of F took.
-The one interval index, the up-sets ``strict_supersets``, is folded from the
-covers; a lower interval ``strict_subsets(F)`` is a subset test over the
-flats of lower rank, made only for the flats a table folds.  The Mobius row
-of a flat G (``_mobius_row``) holds two integers per flat F > G: mu(G, F)
-and the flag weight chi-bar_[G, F](1).  By Rota's
-chi_[G, F](q) = sum over H in [G, F] of mu(G, H) q^(rk F - rk H), the row
-also gives the minor characteristic polynomials (``minor_chi``) and the
-Mobius values; it is computed on demand and the lattice keeps none.  The
-Z-recurrence weights chi-bar_[G, F](1) (``chibar1_below``) are an integer
-fold down the column of F, each G < F pulling the weights of its up-set, and
-mu(G, E) (``mobius_to_top``) is a fold down the top column, one addition per
-comparable pair.  The signed subset expansion ``_minor_chi_ints``, counted
-bit-parallel on the matroid's families of subsets, reads no lattice and is
-kept as their oracle.  ``restriction_class`` keys each reduced flat's
-restriction exactly (``_restriction_key``), once per lattice, and keeps one
-number per key, for the tables that fold once per class.  ``truncation``
-reads the lattice of tr M off this one: the hyperplanes go, and the flats of
-rank r - 2 are covered by the top.  Flat membership is a closure test, so
-refusing a non-flat builds no index.  The flag walk of ``zeta`` is guarded
-by one hard cap (``check_flag_cap``), compared first with the maximal
-chains, which need only the covers.
-
-Characteristic polynomials are ascending integer coefficient tuples, like
-every polynomial in ``algebra``: the reduced one, chi-bar = chi / (q - 1), is
-``minor_reduced_chi``, the subset expansion divided exactly by q - 1.
+The one pair-sized index, the up-sets, is folded from the covers only when a
+route reads it: lower intervals, flat membership and the flag cap's first
+count need none.  Mobius rows are computed on demand and never kept, and the
+subset expansion ``_minor_chi_ints`` reads no lattice, so it checks them.
+Polynomials are ascending integer coefficient tuples, as in ``algebra``.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .algebra import InexactDivisionError, _div_linear, _poly_text
 from .matroid import Matroid, _holding, iter_bits
@@ -238,24 +215,23 @@ class LatticeOfFlats:
 
     # -- the flag cap --------------------------------------------------------
 
+    def _chains(self, steps: Callable[[int], Sequence[int]]) -> int:
+        """Chains 0 = F_0 < ... < F_k = E, each F_i in steps(F_{i-1}), counted forward."""
+        count = {0: 1}
+        for f in self.flats[:-1]:  # the top is the last flat
+            for g in steps(f):
+                count[g] = count.get(g, 0) + count[f]
+        return count[self.top]
+
     @cached_property
     def maximal_chains(self) -> int:
         """Number of chains of covers from the empty flat to the top."""
-        chains = {0: 1}
-        for f in self.flats[:-1]:  # the top is the last flat
-            for c in self._covers[f]:
-                chains[c] = chains.get(c, 0) + chains[f]
-        return chains[self.top]
+        return self._chains(self._covers.__getitem__)
 
     @cached_property
     def flag_count(self) -> int:
-        """Number of chains from the empty flat to the top, by descending DP."""
-        count = {self.top: 1}
-        for f in reversed(self.flats):
-            if f == self.top:
-                continue
-            count[f] = sum(count[g] for g in self.strict_supersets(f))
-        return count[0]
+        """Number of chains from the empty flat to the top."""
+        return self._chains(self.strict_supersets)
 
     def check_flag_cap(self, max_flags: int | None = None) -> None:
         """Refuse a flag walk over more than ``max_flags`` flags (default

@@ -1,59 +1,14 @@
 """Topological zeta functions of matroids and their Mobius inversions.
 
-Every quantity is computed by more than one independent algorithm (flag sums,
-proper-flat recurrences, Mobius sums, closed forms for uniform matroids) so
-the routes can be checked against each other exactly.  Z has three: the flag
-sum, the Z recurrence and the y-sum, Z(M) = sum over all flats F of Y(M|F),
-the Mobius inversion of Y(M) = sum over F of mu(F, E) Z(M|F) read
-backwards.  The y-sum reads the Y table, which needs no interval index, so
-it is the route ``auto`` takes; the recurrence stays a checked route.
-
-The routes share their plumbing, never their math: each is a matroid guard
-around a body on a ``LatticeOfFlats``, and ``--verify`` runs all on one lattice.
-``_flag_sum`` is the one flag sum over the flags 0 = F_0 < ... < F_k = E,
-in integers only: a forward fold over the flats in ascending rank.  Each
-route gives ``steps``, called once per flat F reached, that lists every step
-F < G out of it with an integer weight and at most one raw numerator factor;
-a flag's coefficient is the product of its weights, and each flat holds the
-flags that reach it summed by the set of raw factors they meet (the
-numerator factors and the (|F_i|, rk F_i) of the denominator), so stepping
-costs one addition per comparable pair and set, and each set reaching the
-top is expanded once at the end.  ``zeta_by_flags`` weighs a
-step by chi-bar_[F_{i-1}, F_i](1), which it reads from the Mobius row of
-F_{i-1} (two integers per flat above it: mu and that weight) rather than
-from the recurrence's weights (evaluation at 1 is a ring map, so the product
-of these is the flag's chi product over (q - 1)^k at 1), and a zero weight
-drops every flag through that step;
-``upsilon_by_flags`` steps by -1 and the factor (|F_i| s + rk F_{i-1}).
-``_flat_table`` is the one lower-interval fold: for each flat F in ascending
-rank it sums the route's own coefficient times T[G] over the flats G < F,
-summing the coefficients of equal entries first, and divides by
-(|F| s + rk F).  T[F] is a value of the restriction to F, so F is folded
-only when its restriction, relabelled densely, was not met before
-(the lattice's ``restriction_class`` map, keyed once per lattice and read by
-both tables): the fold runs once per restriction class, which on U(4,16) is
-4 of 698 flats.  The flats below a folded F come from one subset test per
-flat of lower rank (``strict_subsets``), handed to the route's row.
-``_zeta_table`` weights by chi-bar_[G, F](1), the lattice's integer fold
-down the column of F, which pulls through the up-set index, and
-``upsilon_by_recurrence`` by -(|F| s + rk G), which reads no interval index
-at all; neither reads a Mobius row, so the flag routes, which sweep their
-own, stay an independent check.  ``_y_sum`` adds table entries over a set
-of flats, each distinct entry multiplied once by its count: over all flats
-of the Y table it is ``zeta_by_ysum``.  Each folded entry is one ``_fold``;
-the Y table of tr M is M's below rank r - 1 and one ``_fold`` at its top.
-
-Internally the big sums are accumulated as integer-coefficient polynomials
-over factored linear denominators, grouped by denominator profile, with a
-single canonicalization at the end (``_factored_to_rf`` hands its integer
-lists to ``RationalFunction`` as they are); public results are always
-canonical RationalFunction values.  The coefficient arithmetic is the integer
-kernels of ``algebra``, including ``_div_linear``, the exact division by a
-linear factor that ``_reduce`` uses; the flag weights are integers read off
-the Mobius rows and need no division.  A reduced value keeps no linear factor
-that divides its numerator, so it is a constant iff it has no factor and a
-numerator of degree <= 0, which the k-derivative check reads with no
-polynomial gcd.  Memo tables live inside one computation.
+Z and Y are each computed by independent routes, so they check each other
+exactly.  The routes share their plumbing (one flag sum, one lower-interval
+fold, one ``_sum``), never their math, and neither table reads a Mobius row,
+so the flag routes, which sweep their own, stay an independent check.
+``auto`` takes routes that read no interval index.  ``verify_zeta`` and
+``verify_upsilon`` own ``--verify``: which routes run on the one lattice, in
+which order, and what counts as a disagreement.  Values are summed factored,
+num / (scale * prod (a s + b)), and reduced once per table entry; public
+results are canonical ``RationalFunction`` values; tables live inside one call.
 """
 
 from __future__ import annotations
@@ -72,7 +27,7 @@ from .algebra import (
     _itrim,
 )
 from .combinat import generalized_binomial, multichoose
-from .lattice import LatticeOfFlats, LoopsError, lattice_of
+from .lattice import LatticeOfFlats, LoopsError, _minor_chi_ints, lattice_of
 from .matroid import Matroid
 
 
@@ -304,13 +259,19 @@ def _flat_table(
     return {f: vals[i] for f, i in id_of.items()}
 
 
-def _fold(terms: Iterable[tuple[_Fct, list[int]]], size: int, rank: int) -> _Fct:
-    """The sum of c * T over the (T, c) of ``terms``, divided by
-    (size s + rank) and reduced: one entry of a lower-interval fold."""
+def _sum(terms: Iterable[tuple[_Fct, Sequence[int]]]) -> _Fct:
+    """Sum c * T over the (T, c) of ``terms``, unreduced, c a short polynomial
+    in s (one pass when constant); callers that meet equal T merge them first."""
     acc = _Acc()
     for (num, scale, fct), c in terms:
-        acc.add(_imul(num, c), scale, fct)
-    num, scale, fct = acc.total()
+        acc.add([c[0] * x for x in num] if len(c) == 1 else _imul(num, c), scale, fct)
+    return acc.total()
+
+
+def _fold(terms: Iterable[tuple[_Fct, Sequence[int]]], size: int, rank: int) -> _Fct:
+    """``_sum`` of ``terms`` divided by (size s + rank) and reduced: one entry
+    of a lower-interval fold."""
+    num, scale, fct = _sum(terms)
     c, pair = _norm_factor(size, rank)
     return _reduce(num, scale * c, tuple(sorted(fct + (pair,))))
 
@@ -318,10 +279,8 @@ def _fold(terms: Iterable[tuple[_Fct, list[int]]], size: int, rank: int) -> _Fct
 def _y_sum(table: dict[int, _Fct], flats: Iterable[int]) -> _Fct:
     """The sum of the table entries of ``flats``, reduced: the entries are
     counted first, so each distinct one is multiplied once."""
-    acc = _Acc()
-    for (num, scale, fct), c in Counter(map(table.__getitem__, flats)).items():
-        acc.add([c * x for x in num], scale, fct)
-    return _reduce(*acc.total())
+    counts = Counter(map(table.__getitem__, flats))
+    return _reduce(*_sum((e, [c]) for e, c in counts.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +308,7 @@ def _zeta_by_flags(
     lat: LatticeOfFlats, max_flags: int | None
 ) -> tuple[RationalFunction, dict[int, tuple[int, int]]]:
     """Z by the flag sum, and the Mobius row of the bottom flat it swept, for
-    ``zeta --verify`` to check chi on with no second sweep."""
+    ``verify_zeta`` to check chi on with no second sweep."""
     bottom: dict[int, tuple[int, int]] = {}
 
     def steps(f: int) -> list[tuple[int, int, None]]:
@@ -367,7 +326,9 @@ def _zeta_by_flags(
 
 def _zeta_table(lat: LatticeOfFlats) -> dict[int, _Fct]:
     """Zeta of every restriction-to-a-flat, keyed by flat mask, ascending rank:
-    Z_F = sum over G < F of chi-bar_[G, F](1) Z_G, over (|F| s + rk F)."""
+    Z_F = sum over G < F of chi-bar_[G, F](1) Z_G, over (|F| s + rk F).  The
+    weights are the lattice's column fold ``chibar1_below``, which pulls
+    through the up-set index."""
     return _flat_table(lat, lat.chibar1_below, lambda w, g, f: [w] if w else [])
 
 
@@ -420,14 +381,8 @@ def upsilon_by_mobius(m: Matroid) -> RationalFunction:
 
 def _upsilon_by_mobius(lat: LatticeOfFlats) -> RationalFunction:
     ztbl = _zeta_table(lat)
-    acc = _Acc()
-    for f in lat.flats:
-        mu = lat.mobius_to_top(f)
-        if mu == 0:
-            continue
-        num, scale, fct = ztbl[f]
-        acc.add([c * mu for c in num], scale, fct)
-    return _factored_to_rf(acc.total())
+    terms = ((ztbl[f], [mu]) for f in lat.flats if (mu := lat.mobius_to_top(f)))
+    return _factored_to_rf(_sum(terms))
 
 
 def upsilon_by_recurrence(m: Matroid) -> RationalFunction:
@@ -438,7 +393,8 @@ def upsilon_by_recurrence(m: Matroid) -> RationalFunction:
 
 
 def _upsilon_table(lat: LatticeOfFlats) -> dict[int, _Fct]:
-    """Y of every restriction-to-a-flat, keyed by flat mask, ascending rank."""
+    """Y of every restriction-to-a-flat, keyed by flat mask, ascending rank,
+    by the weights -(|F| s + rk G), which read no interval index."""
     ranks = lat.matroid._ranks
     return _flat_table(lat, lambda f, below: below, lambda g, _, f: [-ranks[g], -f.bit_count()])
 
@@ -593,3 +549,44 @@ def compute_upsilon(
     if algorithm == "flags":
         return upsilon_by_flags(m, max_flags=max_flags), "flag-product"
     return upsilon_by_recurrence(m), "recurrence"
+
+
+class VerificationError(ArithmeticError):
+    """Two routes of ``verify_zeta`` or ``verify_upsilon`` disagree: a bug."""
+
+
+def verify_zeta(
+    m: Matroid, *, max_flags: int | None = None
+) -> tuple[RationalFunction, str]:
+    """(Z, label) by the y-sum, once the flag sum and the Z recurrence on the
+    same lattice agree with it and chi of the bottom's Mobius row, which the
+    flag sum swept, agrees with the subset expansion.  The capped flag sum
+    runs first, so a run over the cap fails before the slower routes start."""
+    if m.is_trivial or not m.is_loopless():  # 1 and 0 by the routes' guards, no lattice
+        return zeta_by_ysum(m), "y-sum"
+    lat = lattice_of(m)
+    by_flags, bottom_row = _zeta_by_flags(lat, max_flags)
+    by_recurrence = _zeta_by_recurrence(lat)
+    zeta = _zeta_by_ysum(lat)
+    if lat.minor_chi(0, lat.top, bottom_row) != _minor_chi_ints(m, 0, lat.top):
+        raise VerificationError("Mobius and subset-expansion chi disagree")
+    for route, value in (("flag sum", by_flags), ("y-sum", zeta)):
+        if value != by_recurrence:
+            raise VerificationError(f"{route} and recurrence disagree")
+    return zeta, "y-sum"
+
+
+def verify_upsilon(
+    m: Matroid, *, max_flags: int | None = None
+) -> tuple[RationalFunction, str]:
+    """(Y, label) by the recurrence, once the capped flag product, run first,
+    and the Mobius definition on the same lattice agree with it."""
+    if m.is_trivial or not m.is_loopless():  # 1, or LoopsError, by the flag route's guard
+        return upsilon_by_flags(m), "recurrence"
+    lat = lattice_of(m)
+    by_flags = _upsilon_by_flags(lat, max_flags)
+    by_mobius = _upsilon_by_mobius(lat)
+    upsilon = _upsilon_by_recurrence(lat)
+    if not by_flags == by_mobius == upsilon:
+        raise VerificationError("upsilon algorithms disagree")
+    return upsilon, "recurrence"

@@ -27,6 +27,7 @@ from matzeta.zeta import (
     _factored_to_rf,
     _norm_factor,
     _reduce,
+    _y_sum,
 )
 
 
@@ -221,10 +222,10 @@ def k_derivative_lemma_per_value(entry, kmax=3, bundle=None):
     """The k-derivative lemma with each side built at every order on canonical
     values: the weights are summed flat by flat, chi-bar_[F, E] read through
     ``checks.minor_reduced_chi`` at call time (so a planted weight reaches
-    it) and never through the bundle's class sums; Z and Z(M|F) are read
-    flat by flat through the bundle's ``zeta`` seam (so a planted value
-    reaches it), and Z and every distinct
-    Z(M|F) of nonzero summed weight are differentiated k times by
+    it) and never through the bundle's class sums; Z is the bundle's
+    ``zeta`` and each Z(M|F) the sum of the bundle's Y entries on the flats
+    G <= F, flat by flat (so a planted Z or Y entry reaches it), and Z and
+    every distinct Z(M|F) of nonzero summed weight are differentiated k times by
     ``RationalFunction.derivative``, and
     D^k Z = (sum of w D^k Z(M|F) - k n D^(k-1) Z) / (n s + r) is tested order
     by order, for k = 1..kmax."""
@@ -234,14 +235,14 @@ def k_derivative_lemma_per_value(entry, kmax=3, bundle=None):
             K_DERIVATIVE_CHECK, entry.name, SKIPPED, "needs a loopless nontrivial matroid"
         )
     b = bundle or _Bundle(m)
-    top = b.lattice.top
+    lat = b.lattice
     n, r = m.size, m.rank
     weights = {}  # canonical Z(M|F) -> summed weight
-    for f in b.lattice.reduced_flats():
-        v = _factored_to_rf(b.zeta(f))
-        weights[v] = weights.get(v, 0) + sum(checks.minor_reduced_chi(m, f, top))
+    for f in lat.reduced_flats():
+        v = _factored_to_rf(_y_sum(b.upsilon_table, lat.strict_subsets(f) + (f,)))
+        weights[v] = weights.get(v, 0) + sum(checks.minor_reduced_chi(m, f, lat.top))
     weights = {v: w for v, w in weights.items() if w}
-    z = _factored_to_rf(b.zeta(top))
+    z = _factored_to_rf(b.zeta)
     derivs = {v: [v] for v in (z, *weights)}
     for k in range(1, kmax + 1):
         for chain in derivs.values():

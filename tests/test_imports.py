@@ -140,6 +140,53 @@ def test_guard_sees_an_uncalled_method():
     assert _uncalled(trees) == {"a.C.h"}
 
 
+def _package_imports(tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) of every package name the module binds by import, the
+    module relative to the package: ("zeta", "_Acc") for
+    ``from .zeta import _Acc``, ("", "zeta") for ``from . import zeta`` or
+    ``import matzeta.zeta``."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.partition(".")[0] != "matzeta":
+                    continue
+                module = module.partition(".")[2]
+            out |= {(module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                module, _, name = alias.name.rpartition(".")
+                if module.partition(".")[0] == "matzeta":
+                    out.add((module.partition(".")[2], name))
+    return out
+
+
+def test_guard_sees_a_package_import():
+    tree = ast.parse(
+        "import os\nimport matzeta.zeta\nfrom . import zeta as z\n"
+        "from .lattice import _x, y\nfrom matzeta.algebra import _k\n"
+    )
+    assert _package_imports(tree) == {
+        ("", "zeta"), ("lattice", "_x"), ("lattice", "y"), ("algebra", "_k"),
+    }
+
+
+def test_the_front_end_and_the_checks_reach_no_route_internals():
+    """``cli`` binds no private name of ``zeta`` or ``lattice`` and no
+    ``zeta`` module object, so which routes ``--verify`` runs and what counts
+    as a disagreement are decided in ``zeta``; ``checks`` folds through
+    ``zeta._sum``, never an ``_Acc`` or ``_imul_linear`` of its own."""
+    cli, checks = (
+        _package_imports(ast.parse((PACKAGE / f"{name}.py").read_text()))
+        for name in ("cli", "checks")
+    )
+    assert ("", "zeta") not in cli
+    private = {(m, n) for m, n in cli if m in ("zeta", "lattice") and n.startswith("_")}
+    assert not private, f"cli.py binds route internals: {sorted(private)}"
+    assert not {n for _, n in checks} & {"_Acc", "_imul_linear"}
+
+
 def _traced() -> tuple[tuple[str, str, str], ...]:
     """The (span, owner, attribute) triples of the benchmark tracer's
     ``TRACED``, read from its syntax tree: the tracer is neither imported nor
