@@ -168,17 +168,17 @@ class _Bundle:
 
     @cached_property
     def truncation(self) -> _Bundle:
-        """The bundle of tr M, its lattice and Y table read off this one's."""
+        """The bundle of tr M with only its Y table, read off this one's
+        lattice and table: no lattice of tr M is built."""
         tr = _Bundle(self.matroid.truncation())
-        tr.lattice = self.lattice.truncation(tr.matroid)
         tr.upsilon_table = _truncated_upsilon_table(self.lattice, self.upsilon_table)
         return tr
 
     @cached_property
     def zeta(self) -> _Fct:
-        """Z(M), the sum of the Y table over the flats: the Mobius inversion
-        read backwards."""
-        return _y_sum(self.upsilon_table, self.lattice.flats)
+        """Z(M), the sum of the Y table over the flats it is keyed by: the
+        Mobius inversion read backwards."""
+        return _y_sum(self.upsilon_table, self.upsilon_table)
 
     @cached_property
     def class_chibar(self) -> list[tuple[int, list[int]]]:
@@ -200,7 +200,7 @@ def zeta_taylor_prefix(b: _Bundle, k: int) -> tuple[Fraction, ...]:
 
 
 def upsilon_taylor_prefix(b: _Bundle, k: int) -> tuple[Fraction, ...]:
-    return _factored_taylor(b.upsilon_table[b.lattice.top], k)
+    return _factored_taylor(b.upsilon_table[b.matroid.full_mask], k)
 
 
 def _factored_taylor(f: _Fct, k: int) -> tuple[Fraction, ...]:

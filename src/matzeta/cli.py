@@ -150,30 +150,27 @@ def _note_loops(m: Matroid) -> None:
         print("note: matroid has loops; its zeta value is 0", file=sys.stderr)
 
 
-def _cmd_zeta(args) -> int:
-    m = parse_matroid_spec(args.spec)
-    _note_loops(m)
-    if args.verify:
-        zeta, algorithm = verify_zeta(m, max_flags=args.max_flags)
-    else:
-        zeta, algorithm = compute_zeta(m, args.algorithm, max_flags=args.max_flags)
+def _emit(args, payload: dict, lines) -> None:
+    """Print a command's result: ``payload`` as one JSON line, or ``lines``."""
     if args.format == "json":
-        _emit_json({"algorithm": algorithm, **zeta.to_json()})
+        _emit_json(payload)
     else:
-        print(f"Z(s) = {zeta.to_text('s')}")
-    return EXIT_OK
+        for line in lines:
+            print(line)
 
 
-def _cmd_upsilon(args) -> int:
+def _cmd_value(args) -> int:
+    """``zeta`` or ``upsilon``: the subparser binds the value's symbol and
+    its compute and verify functions."""
     m = parse_matroid_spec(args.spec)
+    symbol, compute, verify = args.value
     if args.verify:
-        upsilon, algorithm = verify_upsilon(m, max_flags=args.max_flags)
+        value, algorithm = verify(m, max_flags=args.max_flags)
     else:
-        upsilon, algorithm = compute_upsilon(m, args.algorithm, max_flags=args.max_flags)
-    if args.format == "json":
-        _emit_json({"algorithm": algorithm, **upsilon.to_json()})
-    else:
-        print(f"Y(s) = {upsilon.to_text('s')}")
+        value, algorithm = compute(m, args.algorithm, max_flags=args.max_flags)
+    _note_loops(m)  # reached with loops only by Z: every Y route raises on them
+    text = f"{symbol}(s) = {value.to_text('s')}"
+    _emit(args, {"algorithm": algorithm, **value.to_json()}, [text])
     return EXIT_OK
 
 
@@ -181,43 +178,29 @@ def _cmd_taylor(args) -> int:
     m = parse_matroid_spec(args.spec)
     _note_loops(m)
     prefix = taylor_prefix(compute_zeta(m)[0], args.order)
-    if args.format == "json":
-        _emit_json({"taylor": [str(c) for c in prefix]})
-    else:
-        for k, c in enumerate(prefix):
-            print(f"a_{k} = {c}")
+    lines = [f"a_{k} = {c}" for k, c in enumerate(prefix)]
+    _emit(args, {"taylor": [str(c) for c in prefix]}, lines)
     return EXIT_OK
 
 
 def _cmd_girth(args) -> int:
-    m = parse_matroid_spec(args.spec)
-    g = m.girth()
-    if args.format == "json":
-        _emit_json({"girth": g})
-    else:
-        print(f"girth = {g}")
+    g = parse_matroid_spec(args.spec).girth()
+    _emit(args, {"girth": g}, [f"girth = {g}"])
     return EXIT_OK
 
 
 def _cmd_lattice(args) -> int:
-    m = parse_matroid_spec(args.spec)
-    lat = lattice_of(m)
-    if args.format == "json":
-        flats = [
-            {
-                "rank": r,
-                "elements": sorted(iter_bits(f)),
-                "mobius": lat.mobius_to_top(f),
-            }
-            for r in range(m.rank + 1)
-            for f in lat.flats_by_rank(r)
-        ]
-        _emit_json({"flats": flats})
-    else:
-        for r in range(m.rank + 1):
-            for f in lat.flats_by_rank(r):
-                elems = "{" + ",".join(str(e) for e in iter_bits(f)) + "}"
-                print(f"rank {r}: {elems} mu = {lat.mobius_to_top(f)}")
+    lat = lattice_of(parse_matroid_spec(args.spec))
+    rows = [
+        (r, sorted(iter_bits(f)), lat.mobius_to_top(f))
+        for r, stratum in enumerate(lat.by_rank)
+        for f in stratum
+    ]
+    _emit(
+        args,
+        {"flats": [{"rank": r, "elements": e, "mobius": mu} for r, e, mu in rows]},
+        (f"rank {r}: {{{','.join(map(str, e))}}} mu = {mu}" for r, e, mu in rows),
+    )
     return EXIT_OK
 
 
@@ -315,11 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_zeta = sub.add_parser("zeta", help="topological zeta function")
     add_common(p_zeta, algorithms=ZETA_ALGORITHMS)
-    p_zeta.set_defaults(fn=_cmd_zeta)
+    p_zeta.set_defaults(fn=_cmd_value, value=("Z", compute_zeta, verify_zeta))
 
     p_ups = sub.add_parser("upsilon", help="Mobius inversion of the zeta function")
     add_common(p_ups, algorithms=UPSILON_ALGORITHMS)
-    p_ups.set_defaults(fn=_cmd_upsilon)
+    p_ups.set_defaults(fn=_cmd_value, value=("Y", compute_upsilon, verify_upsilon))
 
     p_taylor = sub.add_parser("taylor", help="expansion coefficients of zeta at 0")
     add_common(p_taylor)

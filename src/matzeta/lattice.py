@@ -50,12 +50,6 @@ class LatticeOfFlats:
     def __len__(self) -> int:
         return len(self.flats)
 
-    def rank_of(self, f: int) -> int:
-        return self.matroid.rank_of(f)
-
-    def flats_by_rank(self, r: int) -> tuple[int, ...]:
-        return self.by_rank[r]
-
     def reduced_flats(self) -> Iterator[int]:
         """All flats except the bottom and the top."""
         for f in self.flats:
@@ -98,17 +92,6 @@ class LatticeOfFlats:
         equal.  Each flat is keyed once, and only the ids are kept."""
         ranks, ids = self.matroid._ranks, {}
         return {f: ids.setdefault(_restriction_key(ranks, f), len(ids)) for f in self.reduced_flats()}
-
-    def truncation(self, matroid: Matroid) -> LatticeOfFlats:
-        """The lattice of ``matroid``, the truncation of this one's, with no
-        closure and no rank: the strata of rank <= r - 2 and their covers,
-        each flat of rank r - 2 covered by the top, the hyperplanes gone."""
-        kept = self.by_rank[:-2]
-        if not kept:
-            raise LoopsError("the truncation of a rank-1 matroid has loops")
-        covers = {f: self._covers[f] for stratum in kept[:-1] for f in stratum}
-        covers.update(dict.fromkeys(kept[-1], (self.top,)))
-        return LatticeOfFlats(matroid, (*kept, (self.top,)), covers)
 
     def strict_supersets(self, f: int) -> tuple[int, ...]:
         return self._supersets[f]

@@ -152,7 +152,7 @@ def flat_table_per_pair(lat, row, term):
             if num:
                 acc.add(num, scale, fct)
         total = acc.total()
-        c, pair = _norm_factor(f.bit_count(), lat.rank_of(f))
+        c, pair = _norm_factor(f.bit_count(), lat.matroid.rank_of(f))
         tbl[f] = _reduce(total[0], total[1] * c, tuple(sorted(total[2] + (pair,))))
     return tbl
 
@@ -198,7 +198,7 @@ def verify_two_flats_identity(m):
                     if term is None:
                         term = memo[(f, f2)] = minor_reduced_chi(m, f, f2)
                     rhs = _iadd(rhs, term)
-            if rhs != [1] * (lat.rank_of(f2) - lat.rank_of(f1)):
+            if rhs != [1] * (lat.matroid.rank_of(f2) - lat.matroid.rank_of(f1)):
                 return False
     return True
 

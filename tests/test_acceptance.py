@@ -153,7 +153,7 @@ def test_criterion_7_identity_suite(catalog7):
             )
             lat = lattice_of(m)
             for r in range(m.rank - 1):
-                for f in lat.flats_by_rank(r):
+                for f in lat.by_rank[r]:
                     assert tr.restriction(f) == m.restriction(f), entry.name
                     assert contraction(tr, f) == contraction(m, f).truncation(), entry.name
 

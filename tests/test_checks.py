@@ -27,7 +27,7 @@ from matzeta.checks import (
     summarize,
 )
 from matzeta.cli import parse_matroid_spec
-from matzeta.lattice import LatticeOfFlats, LoopsError, lattice_of, minor_reduced_chi
+from matzeta.lattice import LatticeOfFlats, lattice_of, minor_reduced_chi
 from matzeta.matroid import Matroid, graphic, iter_bits, uniform
 from matzeta.algebra import RationalFunction, _imul_linear, _iadd, taylor_prefix
 from matzeta.zeta import (
@@ -616,34 +616,12 @@ def _truncatable(catalog):
             yield m
 
 
-def test_truncated_lattice_is_the_lattice_of_the_truncation(catalog7):
-    checked = 0
-    for m in _truncatable(catalog7):
-        tr = m.truncation()
-        own = lattice_of(tr)
-        lat = lattice_of(m)
-        if checked % 2:  # the covers outlive the up-set fold
-            lat.strict_supersets(0)
-        derived = lat.truncation(tr)
-        assert derived.matroid is tr
-        assert derived.by_rank == own.by_rank, m
-        assert derived._covers == own._covers, m
-        assert derived.maximal_chains == own.maximal_chains, m
-        assert derived._supersets == own._supersets, m
-        checked += 1
-    assert checked == 158 + 3
-
-
-def test_truncation_of_a_rank_1_lattice_is_refused():
-    with pytest.raises(LoopsError):
-        lattice_of(uniform(1, 3)).truncation(uniform(1, 3).truncation())
-
-
 def test_truncated_bundle_reads_no_second_lattice(monkeypatch, catalog7):
     """The truncation's Y table equals the one folded on its own lattice,
-    flat by flat, and Z(tr M) equals the transfer formula and the flag sum;
-    the bundle takes no closure of tr M and folds only the top."""
-    folded = []
+    flat by flat and keyed by its flats in lattice order, and Z(tr M) equals
+    the transfer formula and the flag sum; the bundle takes no closure of
+    tr M and folds only the top."""
+    folded, checked = [], 0
     strict_subsets = LatticeOfFlats.strict_subsets
 
     def recording(self, f):
@@ -663,9 +641,13 @@ def test_truncated_bundle_reads_no_second_lattice(monkeypatch, catalog7):
         assert folded == [], m
         assert truncated.matroid == tr
         assert "_ranks" not in vars(truncated.matroid), m
-        assert table == _upsilon_table(lattice_of(tr)), m
+        own = lattice_of(tr)
+        assert list(table) == list(own.flats), m
+        assert table == _upsilon_table(own), m
         z = _factored_to_rf(truncated.zeta)
         assert z == zeta_of_truncation_via_transfer(m) == zeta_by_flags(tr), m
+        checked += 1
+    assert checked == 158 + 3
 
 
 def test_upsilon_of_a_truncation_adds_the_hyperplanes(catalog7):
@@ -695,8 +677,9 @@ def test_truncation_check_skips_a_matroid_with_loops():
 
 
 def test_a_bundle_sums_z_only_where_the_checks_read_it(monkeypatch, catalog7):
-    """One y-sum over all flats per bundle, Z(M) for the Taylor prefixes, and
-    one for the truncation's bundle, Z(tr M): the k-derivative lemma counts Y
+    """One y-sum per bundle, Z(M) for the Taylor prefixes, and one for the
+    truncation's bundle, Z(tr M), each over its own Y table's keys, and the
+    truncation's bundle holds no lattice: the k-derivative lemma counts Y
     entries and sums no Z(M|F)."""
     summed = []
     y_sum = checks._y_sum
@@ -717,7 +700,9 @@ def test_a_bundle_sums_z_only_where_the_checks_read_it(monkeypatch, catalog7):
         bundles = [bundle, bundle.truncation] if entry.matroid.rank >= 2 else [bundle]
         assert len(summed) == len(bundles), entry.name
         for (table, flats), b in zip(summed, bundles):
-            assert table is b.upsilon_table and flats is b.lattice.flats, entry.name
+            assert table is b.upsilon_table and flats is table, entry.name
+        if entry.matroid.rank >= 2:
+            assert "lattice" not in vars(bundle.truncation), entry.name
 
 
 def test_crashing_check_is_reported_not_raised(monkeypatch, catalog4):

@@ -199,7 +199,7 @@ def test_zeta_verify_catches_a_wrong_flag_weight(capsys, monkeypatch):
         # a wrong top entry in the row of one rank-1 flat: the chi of the
         # whole lattice reads only the row of the bottom, so it stays right
         row = original(self, g)
-        if g == self.flats_by_rank(1)[0]:
+        if g == self.by_rank[1][0]:
             mu, w = row[self.top]
             row[self.top] = (mu + 1, w + 1)
         return row

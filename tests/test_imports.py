@@ -34,6 +34,7 @@ UNCALLED_BY_DESIGN = {
         "perfbench reference values and criterion 10's JSON round trip"
     ),
     "matroid.Matroid.closure_of": "the checked counterpart of rank_of",
+    "matroid.Matroid.rank_of": "the public rank query, the counterpart of closure_of",
 }
 
 
@@ -67,17 +68,23 @@ def _used(tree: ast.Module) -> set[str]:
     return out
 
 
+def _attributes(node: ast.AST, inside: str = "") -> set[str]:
+    """Attribute names read under ``node``, except a read of ``.name`` inside
+    a function itself named ``name``: that delegates, it does not call."""
+    if isinstance(node, ast.FunctionDef):
+        inside = node.name
+    out = {node.attr} if isinstance(node, ast.Attribute) and node.attr != inside else set()
+    for child in ast.iter_child_nodes(node):
+        out |= _attributes(child, inside)
+    return out
+
+
 def _uncalled(trees: dict[str, ast.Module]) -> set[str]:
     """module.function for every public module-level function whose name no
     module loads or exports, and module.Class.method for every public method
-    whose name no module reads as an attribute."""
+    whose name no module reads as an attribute, delegation aside."""
     used = set().union(*map(_used, trees.values()))
-    attrs = {
-        node.attr
-        for tree in trees.values()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-    }
+    attrs = set().union(*map(_attributes, trees.values()))
     out = set()
     for module, tree in trees.items():
         for node in tree.body:
@@ -134,10 +141,11 @@ def test_guard_sees_an_uncalled_method():
             "    def h(self): pass\n"
             "    def _k(self): pass\n"
             "    def __len__(self): return 0\n"
+            "    def d(self): return self.inner.d()\n"
         ),
         "b": ast.parse("def run(c): return c.f()\n__all__ = ['run']\n"),
     }
-    assert _uncalled(trees) == {"a.C.h"}
+    assert _uncalled(trees) == {"a.C.h", "a.C.d"}
 
 
 def _package_imports(tree: ast.Module) -> set[tuple[str, str]]:

@@ -47,7 +47,7 @@ def fubini(n):
 def test_lattice_examples():
     lat = lattice_of(uniform(2, 3))
     assert len(lat) == 5
-    assert lat.flats_by_rank(1) == (0b001, 0b010, 0b100)
+    assert lat.by_rank[1] == (0b001, 0b010, 0b100)
     assert len(lattice_of(uniform(3, 3))) == 8
     assert lattice_of(uniform(1, 3)).flats == (0, 0b111)
     assert lattice_of(uniform(0, 0)).flats == (0,)
@@ -66,8 +66,8 @@ def test_uniform_strata_counts():
         for r in range(1, n + 1):
             lat = lattice_of(uniform(r, n))
             for k in range(r):
-                assert len(lat.flats_by_rank(k)) == math.comb(n, k)
-            assert lat.flats_by_rank(r) == ((1 << n) - 1,)
+                assert len(lat.by_rank[k]) == math.comb(n, k)
+            assert lat.by_rank[r] == ((1 << n) - 1,)
 
 
 def test_lattice_rejects_loops():
@@ -174,7 +174,7 @@ def test_hyperplane_contraction_chi():
     for r, n in [(2, 3), (3, 4), (2, 4)]:
         m = uniform(r, n)
         lat = lattice_of(m)
-        for h in lat.flats_by_rank(r - 1):
+        for h in lat.by_rank[r - 1]:
             assert chi(contraction(m, h)) == (-1, 1)
             assert _ieval(chibar(contraction(m, h)), 1) == 1
 

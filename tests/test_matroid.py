@@ -361,7 +361,7 @@ def test_truncation_lattice_relation(catalog4):
         if m.rank < 2:
             continue
         lat = lattice_of(m)
-        kept = {f for r in range(m.rank + 1) if r != m.rank - 1 for f in lat.flats_by_rank(r)}
+        kept = {f for r in range(m.rank + 1) if r != m.rank - 1 for f in lat.by_rank[r]}
         assert set(lattice_of(m.truncation()).flats) == kept, entry.name
 
 
@@ -405,7 +405,7 @@ def test_truncation_commutes_with_minors_at_low_flats(catalog4):
         t = m.truncation()
         lat = lattice_of(m)
         for r in range(m.rank - 1):
-            for f in lat.flats_by_rank(r):
+            for f in lat.by_rank[r]:
                 assert t.restriction(f) == m.restriction(f), entry.name
                 assert contraction(t, f) == contraction(m, f).truncation(), entry.name
 
