@@ -25,7 +25,7 @@ from functools import cached_property, lru_cache
 from .algebra import RationalFunction, _iadd, _itaylor
 from .combinat import rising_factorial, stirling_second_rows
 from .lattice import LatticeOfFlats, lattice_of, minor_reduced_chi
-from .matroid import Matroid, graphic, iter_bits, uniform
+from .matroid import Matroid, _between, _by_size, graphic, iter_bits, uniform
 from .zeta import (
     _Fct,
     _expand_den,
@@ -337,8 +337,7 @@ def check_counting_identities(
             identity=identity, params=params, lhs=side(lhs), rhs=side(rhs),
         )
 
-    ranks = m._ranks
-    counts = _rank_size_counts(ranks, m.full_mask)
+    counts = _rank_size_counts(m, m.full_mask)
     by_size = [0] * (n + 1)  # nonempty subsets by size: the sum over i of counts(i, j)
     for (_, j), c in counts.items():
         by_size[j] += c
@@ -352,7 +351,7 @@ def check_counting_identities(
     classes = [] if m.is_trivial else (bundle or _Bundle(m)).class_chibar
     flat_sums: dict[tuple[int, int], list[int]] = {}
     for f, poly in classes:
-        for key, c in _rank_size_counts(ranks, f).items():
+        for key, c in _rank_size_counts(m, f).items():
             flat_sums[key] = _iadd(flat_sums.get(key, []), [c * x for x in poly])
 
     pending = None  # the first flat-sum failure, reported once every ground power holds
@@ -387,14 +386,16 @@ def check_counting_identities(
     return pending or CheckReport(COUNTING_CHECK, entry.name, HOLDS)
 
 
-def _rank_size_counts(ranks: list[int], mask: int) -> dict[tuple[int, int], int]:
-    """Nonempty subsets of mask counted by (rank, size)."""
-    counts: dict[tuple[int, int], int] = {}
-    s = mask
-    while s:
-        key = (ranks[s], s.bit_count())
-        counts[key] = counts.get(key, 0) + 1
-        s = (s - 1) & mask
+def _rank_size_counts(m: Matroid, mask: int) -> dict[tuple[int, int], int]:
+    """Nonempty subsets of mask counted by (rank, size), one family meet per
+    count.  A nonempty set of a loopless matroid has rank >= 1."""
+    inside = _between(m.size, 0, mask)
+    counts = {}
+    for i, (even, odd) in enumerate(m._rank_strata[1:], start=1):
+        of_rank = inside & (even | odd)
+        for j, j_sets in enumerate(_by_size(m.size)):
+            if c := (of_rank & j_sets).bit_count():
+                counts[i, j] = c
     return counts
 
 

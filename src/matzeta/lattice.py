@@ -15,7 +15,7 @@ from itertools import combinations
 from typing import Callable, Iterator, Sequence
 
 from .algebra import InexactDivisionError, _div_linear, _poly_text
-from .matroid import Matroid, _holding, iter_bits
+from .matroid import Matroid, _between, iter_bits
 
 DEFAULT_FLAG_CAP = 10_000_000
 
@@ -287,14 +287,7 @@ def _minor_chi_ints(m: Matroid, low: int, high: int) -> tuple[int, ...]:
     the sign of |low|.  It reads neither the lattice nor a Mobius value, so
     it checks them."""
     ranks = m._ranks
-    holding = _holding(m.size)
-    fam = (1 << (1 << m.size)) - 1  # every subset
-    fixed = low | m.full_mask & ~high  # in every T, or in none
-    while fixed:
-        bit = fixed & -fixed
-        sets = holding[bit.bit_length() - 1]
-        fam &= sets if low & bit else ~sets
-        fixed ^= bit
+    fam = _between(m.size, low, high)
     sign = -1 if low.bit_count() & 1 else 1
     coeffs = [
         sign * ((fam & even).bit_count() - (fam & odd).bit_count())

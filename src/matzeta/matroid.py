@@ -14,11 +14,17 @@ the same way, and rk S is the number of these level families holding S.  For
 any family of equal-size sets this is max |I| over the independent I inside S
 (which is max |S & B| over the bases B), so it starts at 0 and grows by 0 or 1
 per element: the validator reads the same function whatever it is given.
+
+The constructions list their bases off families too (``_members``), and
+``graphic`` reads its cycle space as one.  ``iter_bits`` stays for element
+masks, where its shifts beat the text walk of ``_members`` about 2x; on a
+2**16-bit family each shift copies the whole int (210 ms against 9 ms).
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from functools import cache, cached_property
 from typing import Iterable, Iterator, Sequence
 
@@ -31,23 +37,6 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def mask_of(elements: Iterable[int]) -> int:
-    out = 0
-    for e in elements:
-        out |= 1 << e
-    return out
-
-
-def submasks(mask: int) -> Iterator[int]:
-    """All subsets of a mask, including 0 and the mask itself."""
-    sub = mask
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & mask
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +65,26 @@ def _by_size(size: int) -> tuple[int, ...]:
     for e in range(size):
         out = [a | b << (1 << e) for a, b in zip(out + [0], [0] + out)]
     return tuple(out)
+
+
+def _between(size: int, low: int, high: int) -> int:
+    """The family of sets T with low <= T <= high: each element of low or
+    outside high fixes one holding family, in it or out of it."""
+    holding = _holding(size)
+    fam = (1 << (1 << size)) - 1  # every subset
+    fixed = low | ((1 << size) - 1) & ~high  # in every T, or in none
+    while fixed:
+        bit = fixed & -fixed
+        sets = holding[bit.bit_length() - 1]
+        fam &= sets if low & bit else ~sets
+        fixed ^= bit
+    return fam
+
+
+def _members(fam: int) -> list[int]:
+    """The members of a family, ascending, by one walk over its reversed
+    base-2 text, where digit S is 1 iff S is a member."""
+    return [d.start() for d in re.finditer("1", f"{fam:b}"[::-1])]
 
 
 _BIT_BYTES = bytes.maketrans(b"01", b"\0\1")
@@ -258,10 +267,8 @@ class Matroid:
         """The matroid on f keeping this matroid's independence inside f,
         its elements re-indexed densely."""
         self._check_subset(f)
-        ranks = self._ranks
-        r = ranks[f]
-        bases = [_compress(s, f) for s in submasks(f) if s.bit_count() == r == ranks[s]]
-        return Matroid(f.bit_count(), bases, validate=False)
+        fam = self._independent & _by_size(self.size)[self._ranks[f]] & _between(self.size, 0, f)
+        return Matroid(f.bit_count(), [_compress(s, f) for s in _members(fam)], validate=False)
 
     def direct_sum(self, other: "Matroid") -> "Matroid":
         size = self.size + other.size
@@ -275,9 +282,7 @@ class Matroid:
         """Drop the rank by one: bases become the independent (r-1)-subsets."""
         if self.rank < 1:
             raise ValueError("cannot truncate a rank-0 matroid")
-        ranks = self._ranks
-        target = self.rank - 1
-        bases = [m for m in range(1 << self.size) if m.bit_count() == target == ranks[m]]
+        bases = _members(self._independent & _by_size(self.size)[self.rank - 1])
         return Matroid(self.size, bases, validate=False)
 
     def free_extension(self) -> "Matroid":
@@ -326,48 +331,38 @@ def _compress(sub: int, within: int) -> int:
 
 def uniform(r: int, n: int) -> Matroid:
     """The uniform matroid: every r-subset of an n-set is a basis."""
-    if not 0 <= r <= n <= MAX_GROUND_SIZE:  # before enumerating C(n, r) subsets
+    if not 0 <= r <= n <= MAX_GROUND_SIZE:  # before building the 2**n-bit family
         raise ValueError(f"uniform matroid needs 0 <= r <= n <= {MAX_GROUND_SIZE}: r={r}, n={n}")
-    bases = [mask_of(c) for c in itertools.combinations(range(n), r)]
-    return Matroid(n, bases, validate=False)
+    return Matroid(n, _members(_by_size(n)[r]), validate=False)
 
 
 def graphic(edges: Sequence[tuple[int, int]], vertices: int | None = None) -> Matroid:
     """The cycle matroid of a graph: ground elements are edge indices, bases
     are maximal spanning forests.  Parallel edges and self-loops are allowed.
+
+    An edge set is dependent iff it holds a nonempty even subgraph: a set
+    meeting every endpoint's edges an even number of times.  Only endpoints
+    enter that family, so isolated vertices cost nothing.
     """
-    if len(edges) > MAX_GROUND_SIZE:
+    n = len(edges)
+    if n > MAX_GROUND_SIZE:
         raise ValueError(f"more than {MAX_GROUND_SIZE} edges")
+    if vertices is not None and vertices < 0:
+        raise ValueError(f"negative vertex count {vertices}")
     seen = max((max(u, w) for u, w in edges), default=-1) + 1
-    if vertices is not None and vertices < seen:
+    if any(min(u, w) < 0 for u, w in edges) or vertices is not None and vertices < seen:
         raise ValueError("edge endpoint outside the declared vertex range")
-    forest_size = _union_count(edges)
-    bases = [
-        mask_of(combo)
-        for combo in itertools.combinations(range(len(edges)), forest_size)
-        if _union_count([edges[i] for i in combo]) == forest_size
-    ]
-    return Matroid(len(edges), bases, validate=False)
-
-
-def _union_count(edges: Sequence[tuple[int, int]]) -> int:
-    """Edges that join two different components when added in turn: the
-    endpoints minus the component count of the edge set, and len(edges)
-    exactly for a forest.  Only the endpoints enter the union-find, so
-    isolated vertices cost nothing."""
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    unions = 0
-    for u, w in edges:
-        ru, rw = find(u), find(w)
-        if ru != rw:
-            parent[ru] = rw
-            unions += 1
-    return unions
+    holding = _holding(n)
+    odd: dict[int, int] = {}  # per endpoint x, the sets meeting its edges an odd number of times
+    for e, (u, w) in enumerate(edges):
+        for x in (u, w):  # a self-loop meets its vertex twice, so it cancels
+            odd[x] = odd.get(x, 0) ^ holding[e]
+    full = (1 << (1 << n)) - 1
+    dependent = full & ~1  # the nonempty sets, cut down to the even subgraphs
+    for fam in odd.values():
+        dependent &= ~fam
+    for e, h in enumerate(holding):
+        dependent |= dependent << (1 << e) & h
+    forests = full & ~dependent
+    k = max(k for k, k_sets in enumerate(_by_size(n)) if forests & k_sets)
+    return Matroid(n, _members(forests & _by_size(n)[k]), validate=False)

@@ -1,4 +1,6 @@
-"""Literal routes kept only as test oracles: the rank table by every single
+"""Literal routes kept only as test oracles: the subset helpers ``mask_of``
+and ``submasks``, the cycle matroid by a union-find over every edge subset of
+the forest size (``graphic_by_union_find``), the rank table by every single
 deletion and the rank as max |S & B| over the bases, the girth by a scan of
 every subset (``girth_by_scan``), the least witness against the local rank
 axiom by trying every X, e and f (``exchange_witness``), long division over Fraction,
@@ -13,6 +15,7 @@ lemma checked term by term, the k-derivative lemma with each canonical value
 differentiated to every order (``k_derivative_lemma_per_value``), and the
 re-evaluation of a failure witness (``witness_reverifies``)."""
 
+import itertools
 from fractions import Fraction
 
 from matzeta.algebra import RationalFunction, _iadd, _itrim
@@ -20,7 +23,7 @@ from matzeta import checks
 from matzeta.checks import FAILS, HOLDS, K_DERIVATIVE_CHECK, SKIPPED, CheckReport, _Bundle, _fails
 from matzeta.combinat import stirling_first, stirling_second_rows
 from matzeta.lattice import lattice_of, minor_reduced_chi
-from matzeta.matroid import Matroid, _compress, iter_bits, submasks, uniform
+from matzeta.matroid import Matroid, _compress, iter_bits, uniform
 from matzeta.zeta import (
     _F_ONE,
     _Acc,
@@ -29,6 +32,57 @@ from matzeta.zeta import (
     _reduce,
     _y_sum,
 )
+
+
+def mask_of(elements):
+    out = 0
+    for e in elements:
+        out |= 1 << e
+    return out
+
+
+def submasks(mask):
+    """All subsets of a mask, including 0 and the mask itself."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
+
+
+def _union_count(edges):
+    """Edges that join two different components when added in turn: the
+    endpoints minus the component count of the edge set, and len(edges)
+    exactly for a forest."""
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    unions = 0
+    for u, w in edges:
+        ru, rw = find(u), find(w)
+        if ru != rw:
+            parent[ru] = rw
+            unions += 1
+    return unions
+
+
+def graphic_by_union_find(edges):
+    """The cycle matroid with a union-find run on every edge subset of the
+    forest size: the subsets it finds to be forests are the bases."""
+    forest_size = _union_count(edges)
+    bases = [
+        mask_of(combo)
+        for combo in itertools.combinations(range(len(edges)), forest_size)
+        if _union_count([edges[i] for i in combo]) == forest_size
+    ]
+    return Matroid(len(edges), bases, validate=False)
 
 
 def ranks_by_all_deletions(size, bases):

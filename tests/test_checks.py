@@ -550,7 +550,7 @@ def _per_flat_sums(entry):
     counts, powers = {}, {}
     for f in lattice_of(m).reduced_flats():
         poly = minor_reduced_chi(m, f, m.full_mask)
-        for key, c in checks._rank_size_counts(m._ranks, f).items():
+        for key, c in checks._rank_size_counts(m, f).items():
             counts[key] = _iadd(counts.get(key, []), [c * x for x in poly])
         for k in range(1, 7):
             powers[k] = _iadd(powers.get(k, []), [f.bit_count() ** k * x for x in poly])
@@ -563,7 +563,7 @@ def test_class_grouped_counting_sums_match_per_flat_sums(catalog7):
         classes = checks._Bundle(m).class_chibar
         counts, powers = {}, {}
         for f, poly in classes:
-            for key, c in checks._rank_size_counts(m._ranks, f).items():
+            for key, c in checks._rank_size_counts(m, f).items():
                 counts[key] = _iadd(counts.get(key, []), [c * x for x in poly])
             for k in range(1, 7):
                 powers[k] = _iadd(powers.get(k, []), [f.bit_count() ** k * x for x in poly])
@@ -574,9 +574,9 @@ def test_subsets_are_counted_once_per_restriction_class(monkeypatch, catalog7):
     counted = []
     original = checks._rank_size_counts
 
-    def counting(ranks, mask):
+    def counting(m, mask):
         counted.append(mask)
-        return original(ranks, mask)
+        return original(m, mask)
 
     monkeypatch.setattr(checks, "_rank_size_counts", counting)
     for entry in [*catalog7, _shuffled_k6()]:

@@ -11,7 +11,8 @@ from matzeta.files import (
     load_graph,
     load_graphic_matroid,
 )
-from matzeta.matroid import MAX_GROUND_SIZE, graphic, mask_of, uniform
+from matzeta.matroid import MAX_GROUND_SIZE, graphic, uniform
+from oracles import mask_of
 
 TRIANGLE_TEXT = """\
 # the 3-cycle

@@ -148,6 +148,52 @@ def test_guard_sees_an_uncalled_method():
     assert _uncalled(trees) == {"a.C.h", "a.C.d"}
 
 
+def _subset_scans(tree: ast.Module) -> list[int]:
+    """Lines that iterate ``range(1 << ...)`` or call ``submasks``: a Python
+    loop over subsets, which the bit-parallel families replace."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.comprehension)):
+            it = node.iter
+            if (
+                isinstance(it, ast.Call)
+                and isinstance(it.func, ast.Name)
+                and it.func.id == "range"
+                and any(
+                    isinstance(a, ast.BinOp) and isinstance(a.op, ast.LShift)
+                    and isinstance(a.left, ast.Constant) and a.left.value == 1
+                    for a in it.args
+                )
+            ):
+                out.append(it.lineno)
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", None) == "submasks" or getattr(func, "attr", None) == "submasks":
+                out.append(node.lineno)
+    return sorted(out)
+
+
+def test_the_package_scans_no_subsets_one_at_a_time():
+    scans = {
+        path.name: lines
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (lines := _subset_scans(ast.parse(path.read_text(), str(path))))
+    }
+    assert not scans, f"Python loops over subsets (file: lines): {scans}"
+
+
+def test_guard_sees_a_subset_scan():
+    tree = ast.parse(
+        "for s in range(1 << n): pass\n"
+        "out = [m for m in range(0, 1 << n)]\n"
+        "t = [x for x in submasks(f)]\n"
+        "u = list(mz.submasks(f))\n"
+        "for e in range(n): pass\n"
+        "v = range(1 << n)\n"
+    )
+    assert _subset_scans(tree) == [1, 2, 3, 4]
+
+
 def _package_imports(tree: ast.Module) -> set[tuple[str, str]]:
     """(module, name) of every package name the module binds by import, the
     module relative to the package: ("zeta", "_Acc") for

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from matzeta.matroid import (
     MAX_GROUND_SIZE,
     Matroid,
+    _compress,
     graphic,
     iter_bits,
-    mask_of,
     uniform,
 )
 from oracles import (
@@ -19,8 +19,11 @@ from oracles import (
     exchange_witness,
     flags,
     girth_by_scan,
+    graphic_by_union_find,
+    mask_of,
     rank_by_bases,
     ranks_by_all_deletions,
+    submasks,
 )
 
 TRIANGLE = [(0, 1), (1, 2), (0, 2)]
@@ -285,10 +288,53 @@ def test_graphic_matroids():
 
 
 def test_graphic_ignores_isolated_vertices():
-    # the union-find holds only the endpoints, so a huge vertex count is free
+    # only the endpoints enter the cycle-space family, so a huge vertex count is free
     assert graphic(K4, 10**6) == graphic(K4)
     with pytest.raises(ValueError, match="vertex range"):
         graphic(K4, 3)
+
+
+def test_graphic_refuses_negative_vertices():
+    for edges, vertices in (([(-1, 0)], 1), ([(0, -2)], None), ([(1, 1), (0, -1)], 2)):
+        with pytest.raises(ValueError, match="vertex range"):
+            graphic(edges, vertices)
+    with pytest.raises(ValueError, match="negative vertex count"):
+        graphic([], -1)
+    assert graphic([], 0) == uniform(0, 0)
+
+
+def _random_multigraph(rng, edges):
+    """Up to 8 vertices, some of them isolated, with self-loops and parallel
+    edges drawn often."""
+    v = rng.randint(1, 8)
+    out = []
+    for _ in range(edges):
+        roll = rng.random()
+        if out and roll < 0.15:
+            out.append(rng.choice(out))  # a parallel edge
+        elif roll < 0.25:
+            x = rng.randrange(v)
+            out.append((x, x))
+        else:
+            out.append((rng.randrange(v), rng.randrange(v)))
+    return out
+
+
+def test_graphic_matches_the_union_find_oracle():
+    rng = random.Random(27)
+    k6 = list(itertools.combinations(range(6), 2))
+    rng.shuffle(k6)
+    labels = rng.sample(range(6), 6)
+    cases = [
+        [],
+        [(0, 0)],
+        [(labels[u], labels[w]) for u, w in k6],
+        [(a, b) for a in range(4) for b in range(4, 8)],
+    ]
+    cases += [_random_multigraph(rng, rng.randint(0, 12)) for _ in range(150)]
+    cases += [_random_multigraph(rng, rng.randint(13, 16)) for _ in range(6)]
+    for edges in cases:
+        assert graphic(edges) == graphic_by_union_find(edges), edges
 
 
 def test_graphic_girth_against_bfs():
@@ -351,6 +397,33 @@ def test_truncation():
     # rank-1 truncation turns every element into a loop
     t = uniform(1, 3).truncation()
     assert t.rank == 0 and t.loops() == 0b111
+
+
+def test_families_at_the_ground_bound():
+    from math import comb
+
+    from matzeta.checks import _rank_size_counts
+
+    m = uniform(8, 16)
+    assert len(m.bases) == comb(16, 8)
+    assert m.truncation() == uniform(7, 16)
+    assert m.restriction(0b0111_1101_1110_0101) == uniform(8, 11)
+    assert _rank_size_counts(m, m.full_mask) == {(min(j, 8), j): comb(16, j) for j in range(1, 17)}
+    assert uniform(4, 14).free_extension() == uniform(4, 15)
+
+
+def test_restriction_and_truncation_match_a_subset_scan(catalog7):
+    for entry in catalog7:
+        m = entry.matroid
+        ranks = m._ranks
+        if m.rank:
+            scan = {s for s in submasks(m.full_mask) if s.bit_count() == m.rank - 1 == ranks[s]}
+            assert m.truncation().bases == scan, entry.name
+        for f in submasks(m.full_mask):
+            scan = {
+                _compress(s, f) for s in submasks(f) if s.bit_count() == ranks[f] == ranks[s]
+            }
+            assert m.restriction(f).bases == scan, entry.name
 
 
 def test_truncation_lattice_relation(catalog4):
@@ -435,11 +508,11 @@ def test_count_sets_by_rank_size(catalog4):
     from matzeta.checks import _rank_size_counts
 
     m = uniform(2, 4)
-    counts = _rank_size_counts(m._ranks, m.full_mask)
+    counts = _rank_size_counts(m, m.full_mask)
     assert counts[(2, 3)] == 4 and (1, 2) not in counts
     for entry in catalog4:
         m = entry.matroid
-        counts = _rank_size_counts(m._ranks, m.full_mask)
+        counts = _rank_size_counts(m, m.full_mask)
         oracle = Counter(
             (m.rank_of(mask_of(combo)), size)
             for size in range(1, m.size + 1)
@@ -455,7 +528,7 @@ def test_count_sets_partition_binomial(catalog4):
 
     for entry in catalog4:
         m = entry.matroid
-        counts = _rank_size_counts(m._ranks, m.full_mask)
+        counts = _rank_size_counts(m, m.full_mask)
         for s in range(1, m.size + 1):
             total = sum(counts.get((r, s), 0) for r in range(1, s + 1))
             assert total == math.comb(m.size, s), entry.name
