@@ -2,9 +2,9 @@
 covers, so the work scales with the lattice rather than the powerset.
 
 The one pair-sized index, the up-sets, is folded from the covers only when a
-route reads it: lower intervals, flat membership and the flag cap's first
-count need none.  Mobius rows are computed on demand and never kept, and the
-subset expansion ``_minor_chi_ints`` reads no lattice, so it checks them.
+route reads it: lower intervals, flat membership, mu(F, E) and the flag
+cap's first count need none.  Mobius rows are computed on demand, never kept,
+and checked by the subset expansion ``_minor_chi_ints``, which reads no lattice.
 Polynomials are ascending integer coefficient tuples, as in ``algebra``.
 """
 
@@ -149,16 +149,6 @@ class LatticeOfFlats:
             w[g] = rf - ranks[g] - sum(map(w.__getitem__, sup[g]))
         return [w[g] for g in below]
 
-    @cached_property
-    def _mobius_column(self) -> dict[int, int]:
-        """mu(G, E) for every flat G, by mu(G, E) = -sum over H > G of mu(H, E)
-        in descending rank: one addition per comparable pair."""
-        sup = self._supersets
-        mu = {self.top: 1}
-        for g in reversed(self.flats[:-1]):  # the top is the last flat
-            mu[g] = -sum(mu[h] for h in sup[g])
-        return mu
-
     def minor_chi(
         self, low: int, high: int, row: dict[int, tuple[int, int]] | None = None
     ) -> tuple[int, ...]:
@@ -193,8 +183,14 @@ class LatticeOfFlats:
             raise ValueError("Mobius arguments must be nested")
 
     def mobius_to_top(self, f: int) -> int:
-        """mu(f, E), from the top column fold."""
-        return self._mobius_column[f]
+        """mu(f, E) = chi_{M/f}(0): the sum over spanning T >= f of
+        (-1)^|T - f|, the constant term of ``_minor_chi_ints(m, f, E)``, read
+        off the top rank stratum only, so it reads no interval index."""
+        m = self.matroid
+        fam = _between(m.size, f, self.top)
+        even, odd = m._rank_strata[m.rank]
+        mu = (fam & even).bit_count() - (fam & odd).bit_count()
+        return -mu if f.bit_count() & 1 else mu
 
     # -- the flag cap --------------------------------------------------------
 

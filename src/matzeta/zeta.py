@@ -181,9 +181,7 @@ def _flag_sum(
     bit_of: dict[tuple, int] = {}  # ("den" | "num", a, b) -> bit
     folds: dict[int, dict[int, int]] = {0: {0: 1}}
     for f in lat.flats[:-1]:  # the top is the last flat
-        here = folds.pop(f, None)
-        if here is None:
-            continue
+        here = folds.pop(f)  # reached through its covers, which weigh 1 (Z) or -1 (Y)
         for g, w, num in steps(f):
             if not w:
                 continue
@@ -381,8 +379,10 @@ def upsilon_by_mobius(m: Matroid) -> RationalFunction:
 
 def _upsilon_by_mobius(lat: LatticeOfFlats) -> RationalFunction:
     ztbl = _zeta_table(lat)
-    terms = ((ztbl[f], [mu]) for f in lat.flats if (mu := lat.mobius_to_top(f)))
-    return _factored_to_rf(_sum(terms))
+    mu = {lat.top: 1}  # mu(G, E) = -sum over H > G of mu(H, E), in descending rank
+    for g in reversed(lat.flats[:-1]):  # the top is the last flat
+        mu[g] = -sum(map(mu.__getitem__, lat.strict_supersets(g)))
+    return _factored_to_rf(_sum((ztbl[f], [x]) for f, x in mu.items() if x))
 
 
 def upsilon_by_recurrence(m: Matroid) -> RationalFunction:
@@ -496,26 +496,28 @@ def _check_uniform_args(r: int, n: int) -> None:
 # Transfer formulas
 
 
+def _transfer_inputs(m: Matroid, name: str, min_rank: int) -> tuple[RationalFunction, ...]:
+    """(Z(M), Y(M)) for the ``name`` transfer, off one Y table: Z as its sum
+    over the flats, Y as its top entry."""
+    if not m.is_loopless():
+        raise LoopsError(f"{name} transfer needs a loopless matroid")
+    if m.rank < min_rank:
+        raise ValueError(f"{name} transfer needs rank >= {min_rank}")
+    lat = lattice_of(m)
+    table = _upsilon_table(lat)
+    return _factored_to_rf(_y_sum(table, lat.flats)), _factored_to_rf(table[lat.top])
+
+
 def zeta_of_truncation_via_transfer(m: Matroid) -> RationalFunction:
     """Zeta of the truncation from the original zeta and Mobius inversion:
     add Y / (|E| s + rk - 1)."""
-    if not m.is_loopless():
-        raise LoopsError("truncation transfer needs a loopless matroid")
-    if m.rank < 2:
-        raise ValueError("truncation transfer needs rank >= 2")
-    lat = lattice_of(m)
-    z, y = _zeta_by_recurrence(lat), _upsilon_by_recurrence(lat)
+    z, y = _transfer_inputs(m, "truncation", 2)
     return z + y / RationalFunction((m.rank - 1, m.size))
 
 
 def zeta_of_free_extension_via_transfer(m: Matroid) -> RationalFunction:
     """Zeta of the free extension: (Z - s Y / ((|E|+1) s + rk)) / (s + 1)."""
-    if not m.is_loopless():
-        raise LoopsError("free-extension transfer needs a loopless matroid")
-    if m.rank < 1:
-        raise ValueError("free-extension transfer needs rank >= 1")
-    lat = lattice_of(m)
-    z, y = _zeta_by_recurrence(lat), _upsilon_by_recurrence(lat)
+    z, y = _transfer_inputs(m, "free-extension", 1)
     s = RationalFunction((0, 1))
     lin = RationalFunction((m.rank, m.size + 1))
     return (z - s / lin * y) / RationalFunction((1, 1))

@@ -366,6 +366,23 @@ def _sympy_canonical(sympy, num, den):
     )
 
 
+def test_reflected_operators_truth_and_text():
+    f = rf([1, 1], [2, 0, 1])  # (s + 1) / (s^2 + 2)
+    assert 1 - f == rf([1, -1, 1], [2, 0, 1])
+    assert 1 / f == rf([2, 0, 1], [1, 1])
+    assert bool(f) and not bool(rf(0))
+    assert str(f) == "(s + 1) / (s^2 + 2)"
+    assert repr(f) == "RationalFunction((1, 1), (2, 0, 1))"
+    with pytest.raises(ValueError, match="^negative expansion order$"):
+        taylor_prefix(f, -1)
+
+
+@pytest.mark.parametrize("make", [lambda: rf(1) + "x", lambda: rf(1.5)], ids=["add-str", "float"])
+def test_inexact_operands_are_type_errors(make):
+    with pytest.raises(TypeError):
+        make()
+
+
 def test_canonical_form_matches_sympy_cancel():
     sympy = pytest.importorskip("sympy")
 

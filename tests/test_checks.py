@@ -351,6 +351,40 @@ _U23 = CatalogEntry("U(2,3)", uniform(2, 3), "uniform(2,3)")
 _U24 = CatalogEntry("U(2,4)", uniform(2, 4), "uniform(2,4)")
 
 
+def _counting_failure(report):
+    assert report.status == FAILS
+    w = report.witness
+    return w["identity"], w["params"], w["lhs"], w["rhs"]
+
+
+def test_planted_rank_size_count_fails_the_partition(monkeypatch):
+    original = checks._rank_size_counts
+
+    def skewed(m, mask):
+        counts = original(m, mask)
+        if mask == m.full_mask:
+            counts[1, 1] += 1  # four singletons of rank 1 on three elements
+        return counts
+
+    monkeypatch.setattr(checks, "_rank_size_counts", skewed)
+    report = check_counting_identities(_U23)
+    assert _counting_failure(report) == ("rank-size-partition", {"s": 1}, "3", "4")
+
+
+def test_planted_stirling_row_fails_the_ground_powers(monkeypatch):
+    original = checks.stirling_second_rows
+
+    def skewed(nmax, width=None):
+        for k, row in enumerate(original(nmax, width), start=1):
+            # S(2, 2) = 1 read as 2
+            yield [x + 1 if (k, j) == (2, 2) else x for j, x in enumerate(row)]
+
+    monkeypatch.setattr(checks, "stirling_second_rows", skewed)
+    report = check_counting_identities(_U23)
+    # 3^2 against 1! S(2, 1) 3 + 2! 2 3, over the three singletons and three pairs
+    assert _counting_failure(report) == ("ground-power-surjections", {"k": 2}, "9", "15")
+
+
 def _planted_girth(monkeypatch):
     monkeypatch.setattr(
         checks, "zeta_taylor_prefix", _perturbing(checks.zeta_taylor_prefix, _U23.matroid, 1)

@@ -30,8 +30,8 @@ from matzeta.cli import (
     parse_matroid_spec,
 )
 from matzeta.files import dump_bases, dump_graph
-from matzeta.lattice import LatticeOfFlats
-from matzeta.matroid import graphic, uniform
+from matzeta.lattice import LatticeOfFlats, lattice_of
+from matzeta.matroid import graphic, iter_bits, uniform
 from matzeta.zeta import (
     compute_upsilon,
     compute_zeta,
@@ -39,6 +39,8 @@ from matzeta.zeta import (
     upsilon_by_flags,
     zeta_by_flags,
     zeta_by_recurrence,
+    zeta_of_free_extension_via_transfer,
+    zeta_of_truncation_via_transfer,
     zeta_uniform_closed,
 )
 
@@ -256,10 +258,26 @@ def test_verify_builds_one_lattice_and_keeps_none(capsys, monkeypatch, argv, bui
 
 
 def test_plain_paths_build_no_pair_index(capsys, monkeypatch, catalog6, catalog7):
-    """Plain zeta, upsilon and taylor and a whole catalog pass read the Y
-    table, never the up-set index: 3^16 - 2^16 pairs on U(16,16)."""
+    """Plain zeta, upsilon, taylor and lattice, mu(F, E), both transfer
+    formulas and a whole catalog pass read the Y table and the subset
+    families, never the up-set index: 3^16 - 2^16 pairs on U(16,16)."""
     matroids = [e.matroid for e in catalog6]
     expected = [(zeta_by_flags(m), upsilon_by_flags(m)) for m in matroids]
+    lattices = [lattice_of(m) for m in matroids if m.is_loopless()]
+    mus = [[lat.mobius(f, lat.top) for f in lat.flats] for lat in lattices]
+    transferred = [
+        (m, zeta_by_recurrence(m.truncation()) if m.rank >= 2 else None,
+         zeta_by_recurrence(m.free_extension()))
+        for m in matroids if m.is_loopless() and m.rank >= 1
+    ]
+    lattice_rows = {}  # spec -> [(rank, elements, mu)] by the Mobius rows
+    for spec in ("u:2,3+u:1,1", "u:3,7+u:3,7", "ext(u:4,14)"):
+        lat = lattice_of(parse_matroid_spec(spec))
+        lattice_rows[spec] = [
+            (r, sorted(iter_bits(f)), lat.mobius(f, lat.top))
+            for r, stratum in enumerate(lat.by_rank)
+            for f in stratum
+        ]
 
     def refuse(self):
         raise AssertionError("a plain path built the pair index")
@@ -267,6 +285,23 @@ def test_plain_paths_build_no_pair_index(capsys, monkeypatch, catalog6, catalog7
     monkeypatch.setattr(LatticeOfFlats, "_supersets", property(refuse))
     for m, (z, y) in zip(matroids, expected):
         assert (compute_zeta(m), compute_upsilon(m)) == ((z, "y-sum"), (y, "recurrence"))
+    for lat, column in zip(lattices, mus):
+        assert [lat.mobius_to_top(f) for f in lat.flats] == column
+    for m, truncated, extended in transferred:
+        if truncated is not None:
+            assert zeta_of_truncation_via_transfer(m) == truncated
+        assert zeta_of_free_extension_via_transfer(m) == extended
+    for spec, rows in lattice_rows.items():
+        code, out, err = run_cli(capsys, "lattice", spec)
+        assert (code, err) == (EXIT_OK, "")
+        assert out.splitlines() == [
+            f"rank {r}: {{{','.join(map(str, e))}}} mu = {mu}" for r, e, mu in rows
+        ]
+        code, out, err = run_cli(capsys, "lattice", spec, "--format", "json")
+        assert (code, err) == (EXIT_OK, "")
+        assert json.loads(out) == {
+            "flats": [{"rank": r, "elements": e, "mobius": mu} for r, e, mu in rows]
+        }
     # the runner reports a raised AssertionError as a failure
     counts = summarize(run_all_checks(catalog7))
     assert counts == {"holds": 818, "fails": 0, "skipped": 7}

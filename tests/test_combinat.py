@@ -174,6 +174,20 @@ def test_stirling_both_kinds_identity_corrected():
             assert lhs == math.comb(n, m) * math.perm(n - 1, n - m)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: stirling_first(-1, 0), "Stirling numbers need nonnegative arguments"),
+    (lambda: stirling_second(2, -1), "Stirling numbers need nonnegative arguments"),
+    (lambda: rising_factorial(3, -1), "negative factorial length"),
+    (lambda: generalized_binomial(3, -1), "negative lower index"),
+    (lambda: multichoose(-1, 2), "negative multichoose argument"),
+    (lambda: multichoose(2, -1), "negative multichoose argument"),
+], ids=["stirling-first", "stirling-second", "rising", "binomial", "multichoose-n",
+        "multichoose-k"])
+def test_negative_arguments_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_stirling_lemma():
     # the worked instance k=3, j=2: both sides are 12
     lhs = 2 * (stirling_first(3, 2) * stirling_second(2, 2)

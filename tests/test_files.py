@@ -120,6 +120,13 @@ def test_graph_roundtrip(tmp_path):
     assert load_graph(io.StringIO(dump_graph(vertices, edges))) == (vertices, edges)
 
 
+def test_writers_write_to_a_file_object():
+    bases, graph = io.StringIO(), io.StringIO()
+    text = dump_bases(uniform(2, 3), bases)
+    assert bases.getvalue() == text == "n 3\nb 0 1\nb 0 2\nb 1 2\n"
+    assert dump_graph(3, [(0, 1), (1, 2)], graph) == graph.getvalue() == "v 3\ne 0 1\ne 1 2\n"
+
+
 def test_graphic_matroid_from_file():
     m = load_graphic_matroid(io.StringIO(TRIANGLE_TEXT))
     assert m == graphic([(0, 1), (1, 2), (0, 2)])

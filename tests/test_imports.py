@@ -23,7 +23,9 @@ UNCALLED_BY_DESIGN = {
     "zeta.upsilon_uniform_closed": "perfbench large-verify reference value",
     "zeta.zeta_of_free_extension_via_transfer": "perfbench large-verify reference value",
     "zeta.zeta_of_truncation_via_transfer": "paper formula checked by criterion 4",
-    "zeta.uniform_taylor_coefficients": "paper formula checked by criterion 3",
+    "zeta.uniform_taylor_coefficients": (
+        "paper formula checked by test_cli.py::test_plain_paths_build_no_pair_index"
+    ),
     "combinat.stirling_first": "Stirling numbers checked by criterion 8",
     "combinat.stirling_second": "Stirling numbers checked by criterion 8",
     "files.dump_bases": "bases-file writer documented in the README",

@@ -80,6 +80,11 @@ def test_uniform_counts():
         uniform(1, MAX_GROUND_SIZE + 1)
 
 
+def test_constructor_refuses_a_ground_set_over_the_bound():
+    with pytest.raises(ValueError, match="^ground size 17 outside 0..16$"):
+        Matroid(MAX_GROUND_SIZE + 1, [0])
+
+
 def test_validation_rejects_non_matroid():
     # two disjoint pairs on 4 elements: exchange fails
     with pytest.raises(ValueError, match="exchange"):

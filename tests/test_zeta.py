@@ -487,6 +487,24 @@ def test_transfer_free_extension_matches_direct(catalog4):
         ), entry.name
 
 
+@pytest.mark.parametrize("call, m, error, message", [
+    (zeta_of_truncation_via_transfer, Matroid(3, [0b011]), LoopsError,
+     "truncation transfer needs a loopless matroid"),
+    (zeta_of_truncation_via_transfer, uniform(1, 3), ValueError,
+     "truncation transfer needs rank >= 2"),
+    (zeta_of_free_extension_via_transfer, Matroid(3, [0b011]), LoopsError,
+     "free-extension transfer needs a loopless matroid"),
+    (zeta_of_free_extension_via_transfer, uniform(0, 0), ValueError,
+     "free-extension transfer needs rank >= 1"),
+    (lambda m: uniform_taylor_coefficients(2, 3, -1), None, ValueError,
+     "negative expansion order"),
+], ids=["truncation-loops", "truncation-rank", "extension-loops", "extension-rank",
+        "uniform-taylor-order"])
+def test_refusals(call, m, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call(m)
+
+
 def test_flag_cap_enforced():
     with pytest.raises(FlagCapExceeded):
         zeta_by_flags(uniform(3, 3), max_flags=5)
