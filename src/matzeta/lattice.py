@@ -1,23 +1,27 @@
 """The lattice of flats as an explicit graded poset, built bottom-up from the
 covers, so the work scales with the lattice rather than the powerset.
 
-The one pair-sized index, the up-sets, is folded from the covers only when a
-route reads it: lower intervals, flat membership, mu(F, E) and the flag
-cap's first count need none.  Mobius rows are computed on demand, never kept,
-and checked by the subset expansion ``_minor_chi_ints``, which reads no lattice.
+The one pair-sized index, the up-sets, is keyed by a flat's position in
+``flats`` and folded from the covers only when a route reads it: lower
+intervals, flat membership, mu(F, E) and the flag cap's first count need
+none.  Mobius rows are swept on demand over integer lists by position, never
+kept, and checked by the subset expansion ``_minor_chi_ints``, which reads no
+lattice.
 Polynomials are ascending integer coefficient tuples, as in ``algebra``.
 """
 
 from __future__ import annotations
 
+import re
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .algebra import InexactDivisionError, _div_linear, _poly_text
 from .matroid import Matroid, _between, iter_bits
 
 DEFAULT_FLAG_CAP = 10_000_000
+_ONE = re.compile("1")
 
 
 class LoopsError(ValueError):
@@ -57,31 +61,29 @@ class LatticeOfFlats:
                 yield f
 
     @cached_property
-    def _supersets(self) -> dict[int, tuple[int, ...]]:
-        """For each flat, the flats strictly containing it, in (rank, mask) order.
+    def _supersets(self) -> list[tuple[int, ...]]:
+        """For each flat position, the positions strictly above it, ascending,
+        which is the (rank, mask) order.
 
         Folded from the covers in descending rank, with the up-set of each
-        flat as a bitset over flat indices."""
+        flat as a bitset over positions, decoded by one walk over its reversed
+        base-2 text; every entry is taken from one shared list of positions."""
         flats = self.flats
-        index = {f: i for i, f in enumerate(flats)}
-        out: dict[int, tuple[int, ...]] = {}
-        up: dict[int, int] = {}  # the stratum above only
+        pos = list(range(len(flats)))
+        out: list[tuple[int, ...]] = [()] * len(flats)
+        up: dict[int, int] = {}  # the stratum above only, by mask
+        i = len(flats)
         for stratum in reversed(self.by_rank):
+            i -= len(stratum)
             up_here: dict[int, int] = {}
-            for f in stratum:
-                i = index[f]
-                bits = 1 << i
+            for j, f in enumerate(stratum, i):
+                bits = 1 << j
                 for c in self._covers.get(f, ()):
                     bits |= up[c]
                 up_here[f] = bits
-                # digit j of the reversed binary string is flat i + 1 + j
-                digits = f"{bits >> i + 1:b}"[::-1]
-                above = []
-                j = digits.find("1")
-                while j >= 0:
-                    above.append(flats[i + 1 + j])
-                    j = digits.find("1", j + 1)
-                out[f] = tuple(above)
+                # digit k of the reversed text is position j + k, and k = 0 is j
+                text = f"{bits >> j:b}"[::-1]
+                out[j] = tuple([pos[j + d.start()] for d in _ONE.finditer(text, 1)])
             up = up_here
         return out
 
@@ -92,9 +94,6 @@ class LatticeOfFlats:
         equal.  Each flat is keyed once, and only the ids are kept."""
         ranks, ids = self.matroid._ranks, {}
         return {f: ids.setdefault(_restriction_key(ranks, f), len(ids)) for f in self.reduced_flats()}
-
-    def strict_supersets(self, f: int) -> tuple[int, ...]:
-        return self._supersets[f]
 
     def strict_subsets(self, f: int) -> tuple[int, ...]:
         """The flats strictly inside f, in (rank, mask) order: one subset
@@ -109,28 +108,34 @@ class LatticeOfFlats:
 
     # -- Mobius rows and columns --------------------------------------------
 
-    def _mobius_row(self, g: int) -> dict[int, tuple[int, int]]:
-        """For every flat F > g, (mu(g, F), chi-bar_[g, F](1)): the one Mobius
-        recurrence, in scalars.  Each F keeps two integer sums over [g, F),
-        of mu(g, H) and of mu(g, H) rk H, which every H of the upper interval
-        of g, in ascending rank, adds to each F > H; when F is reached,
-        mu(g, F) is minus the first, and since chi_[g, F](1) = 0 the weight
-        chi-bar_[g, F](1) = chi'_[g, F](1) is minus the second with F's own
-        term added."""
-        ranks = self.matroid._ranks
+    def _mobius_rows(self) -> Callable[[int], list[tuple[int, int, int]]]:
+        """Open a sweep of Mobius rows: a function from the position of a flat
+        G to [(position of F, mu(G, F), chi-bar_[G, F](1))] for every flat
+        F > G, ascending: the one Mobius recurrence, in scalars.  Two integer
+        lists by position, allocated once per sweep and reset on each row's
+        up-set, sum mu(G, H) and mu(G, H) rk H over [G, F), as every H of the
+        upper interval of G, in ascending rank, adds to each F > H; when F is
+        reached, mu(G, F) is minus the first sum, and since chi_[G, F](1) = 0
+        chi-bar_[G, F](1) = chi'_[G, F](1) is minus the second with F's term."""
         sup = self._supersets
-        up = sup[g]
-        mus = dict.fromkeys(up, 1)  # mu(g, g) = 1 opens both sums
-        sums = dict.fromkeys(up, ranks[g])
-        row = {}
-        for h in up:
-            rh = ranks[h]
-            mu = -mus[h]
-            row[h] = (mu, -sums[h] - mu * rh)
-            step = mu * rh
-            for f in sup[h]:
-                mus[f] += mu
-                sums[f] += step
+        rk = [r for r, stratum in enumerate(self.by_rank) for _ in stratum]
+        mus, sums = [0] * len(sup), [0] * len(sup)
+
+        def row(g: int) -> list[tuple[int, int, int]]:
+            up, rg = sup[g], rk[g]
+            for f in up:  # mu(G, G) = 1 opens both sums
+                mus[f], sums[f] = 1, rg
+            out = []
+            for h in up:
+                rh = rk[h]
+                mu = -mus[h]
+                out.append((h, mu, -sums[h] - mu * rh))
+                step = mu * rh
+                for f in sup[h]:
+                    mus[f] += mu
+                    sums[f] += step
+            return out
+
         return row
 
     def chibar1_below(self, f: int, below: Sequence[int]) -> list[int]:
@@ -140,17 +145,19 @@ class LatticeOfFlats:
         Differentiating q^(rk f - rk G) = sum over H in [G, f] of chi_[H, f](q)
         at q = 1 gives w(G) = (rk f - rk G) - sum over G < H < f of w(H), since
         chi = (q - 1) chi-bar.  The G are taken in descending rank, and each
-        pulls the w(H) of its up-set; the flats not below f weigh 0."""
+        pulls the w(H) of its up-set from a list by position; the flats not
+        below f weigh 0."""
         ranks = self.matroid._ranks
         sup = self._supersets
         rf = ranks[f]
-        w = dict.fromkeys(self.flats, 0)
-        for g in reversed(below):
-            w[g] = rf - ranks[g] - sum(map(w.__getitem__, sup[g]))
-        return [w[g] for g in below]
+        at = [i for i in range(sum(map(len, self.by_rank[:rf]))) if not self.flats[i] & ~f]
+        w = [0] * len(sup)
+        for i, g in zip(reversed(at), reversed(below)):
+            w[i] = rf - ranks[g] - sum(map(w.__getitem__, sup[i]))
+        return [w[i] for i in at]
 
     def minor_chi(
-        self, low: int, high: int, row: dict[int, tuple[int, int]] | None = None
+        self, low: int, high: int, row: list[tuple[int, int, int]] | None = None
     ) -> tuple[int, ...]:
         """Integer coefficients of the characteristic polynomial of
         restriction(high)/low (flats, low <= high), by Rota's formula over
@@ -161,17 +168,17 @@ class LatticeOfFlats:
         rh = ranks[high]
         coeffs = [0] * (rh - ranks[low] + 1)
         coeffs[-1] = 1  # mu(low, low) at q^(rk high - rk low)
+        flats = self.flats
         if row is None:
-            row = self._mobius_row(low)
-        for h, (mu, _) in row.items():
-            if not h & ~high:
-                coeffs[rh - ranks[h]] += mu
+            row = self._mobius_rows()(flats.index(low))
+        for h, mu, _ in row:
+            if not flats[h] & ~high:
+                coeffs[rh - ranks[flats[h]]] += mu
         return tuple(coeffs)
 
     def mobius(self, f: int, g: int) -> int:
-        """Mobius value of the interval [f, g] in the lattice."""
-        self._check_interval(f, g)
-        return 1 if f == g else self._mobius_row(f)[g][0]
+        """Mobius value of the interval [f, g] in the lattice: chi_[f, g](0)."""
+        return self.minor_chi(f, g)[0]
 
     def _check_interval(self, f: int, g: int) -> None:
         """Raise unless f <= g are flats: a flat is a set inside E equal to
@@ -194,23 +201,27 @@ class LatticeOfFlats:
 
     # -- the flag cap --------------------------------------------------------
 
-    def _chains(self, steps: Callable[[int], Sequence[int]]) -> int:
-        """Chains 0 = F_0 < ... < F_k = E, each F_i in steps(F_{i-1}), counted forward."""
-        count = {0: 1}
-        for f in self.flats[:-1]:  # the top is the last flat
-            for g in steps(f):
-                count[g] = count.get(g, 0) + count[f]
-        return count[self.top]
+    def _chains(self, steps: Callable[[int], Iterable[int]]) -> int:
+        """Chains 0 = F_0 < ... < F_k = E, each F_i in steps(F_{i-1}), by
+        position, counted forward."""
+        count = [1] + [0] * (len(self.flats) - 1)
+        for i in range(len(count) - 1):  # the top is the last flat
+            c = count[i]
+            for j in steps(i):
+                count[j] += c
+        return count[-1]
 
     @cached_property
     def maximal_chains(self) -> int:
         """Number of chains of covers from the empty flat to the top."""
-        return self._chains(self._covers.__getitem__)
+        flats, covers = self.flats, self._covers
+        at = {f: i for i, f in enumerate(flats)}
+        return self._chains(lambda i: map(at.__getitem__, covers[flats[i]]))
 
     @cached_property
     def flag_count(self) -> int:
         """Number of chains from the empty flat to the top."""
-        return self._chains(self.strict_supersets)
+        return self._chains(self._supersets.__getitem__)
 
     def check_flag_cap(self, max_flags: int | None = None) -> None:
         """Refuse a flag walk over more than ``max_flags`` flags (default
@@ -235,6 +246,8 @@ def _restriction_key(ranks: Sequence[int], f: int) -> tuple:
     their restrictions are equal after dense relabelling; this is no
     isomorphism test."""
     r = ranks[f]
+    if r == f.bit_count():  # an independent flat restricts to the free matroid
+        return (r, r, (0,))
     elems = [1 << e for e in iter_bits(f)]
     bases = tuple(i for i, c in enumerate(combinations(elems, r)) if ranks[sum(c)] == r)
     return (len(elems), r, bases)

@@ -159,13 +159,12 @@ def _factored_to_rf(f: _Fct) -> RationalFunction:
 def _flag_sum(
     lat: LatticeOfFlats,
     max_flags: int | None,
-    steps: Callable[[int], list[tuple[int, int, tuple[int, int] | None]]],
+    steps: Callable[[int], list[tuple[int, int, int | None]]],
 ) -> RationalFunction:
     """Sum over all flags 0 = F_0 < ... < F_k = E of
     prod_i w_i p_i / prod_{i >= 1} (|F_i| s + rk F_i),
-    where (F_i, w_i, p_i) is in steps(F_{i-1}), which lists every flat G
-    strictly above F_{i-1}: an integer weight and a raw numerator factor
-    (a, b) standing for a s + b, or None for 1.
+    where (F_i, w_i, b_i) is in steps(F_{i-1}), by position, for every flat
+    above F_{i-1}: a weight, and b in p_i = |F_i| s + b, or None for p_i = 1.
 
     A forward fold over the flats in ascending rank, which is the same sum
     regrouped by distributivity: each flat F reached holds the flags from 0
@@ -173,29 +172,33 @@ def _flag_sum(
     dense index, to the sum of their weight products (|F_i| strictly
     increases, so no factor repeats in a flag).  Stepping F -> G adds
     coef * w under mask | bits to G's dict, F's dict is dropped once pushed,
-    and each key of the top's dict is expanded once at the end.  ``steps``
-    runs once per flat reached, and a zero weight drops every flag through
-    that step."""
+    and each key of the top's dict is expanded once at the end.  Each flat's
+    denominator bit is found once; a numerator's bit is cached by (|G|, b).
+    ``steps`` runs once per flat reached, the bottom first, and a zero
+    weight drops every flag through that step."""
     lat.check_flag_cap(max_flags)
     ranks = lat.matroid._ranks
     bit_of: dict[tuple, int] = {}  # ("den" | "num", a, b) -> bit
-    folds: dict[int, dict[int, int]] = {0: {0: 1}}
-    for f in lat.flats[:-1]:  # the top is the last flat
-        here = folds.pop(f)  # reached through its covers, which weigh 1 (Z) or -1 (Y)
-        for g, w, num in steps(f):
+    sizes = [f.bit_count() for f in lat.flats]
+    dens = [
+        1 << bit_of.setdefault(("den", n, ranks[f]), len(bit_of)) for n, f in zip(sizes, lat.flats)
+    ]
+    folds: list[dict[int, int]] = [{0: 1}] + [{} for _ in dens[1:]]
+    for i in range(len(dens) - 1):  # the top is the last flat
+        here, folds[i] = folds[i], {}
+        for j, w, b in steps(i):
             if not w:
                 continue
-            bits = 1 << bit_of.setdefault(("den", g.bit_count(), ranks[g]), len(bit_of))
-            if num is not None:
-                bits |= 1 << bit_of.setdefault(("num",) + num, len(bit_of))
-            there = folds.setdefault(g, {})
+            bits = dens[j]
+            if b is not None:
+                bits |= 1 << bit_of.setdefault(("num", sizes[j], b), len(bit_of))
+            there = folds[j]
             for mask, coef in here.items():
                 key = mask | bits
                 there[key] = there.get(key, 0) + coef * w
-    sums = folds.get(lat.top, {})
     factors = list(bit_of)
     acc = _Acc()
-    for mask, coef in sums.items():
+    for mask, coef in folds[-1].items():
         if not coef:
             continue
         num, scale, den = [coef], 1, []
@@ -304,18 +307,21 @@ def zeta_by_flags(m: Matroid, *, max_flags: int | None = None) -> RationalFuncti
 
 def _zeta_by_flags(
     lat: LatticeOfFlats, max_flags: int | None
-) -> tuple[RationalFunction, dict[int, tuple[int, int]]]:
+) -> tuple[RationalFunction, list[tuple[int, int, int]]]:
     """Z by the flag sum, and the Mobius row of the bottom flat it swept, for
-    ``verify_zeta`` to check chi on with no second sweep."""
-    bottom: dict[int, tuple[int, int]] = {}
+    ``verify_zeta`` to check chi on with no second sweep.  The sweep opens on
+    the first step, the bottom's, once the flag cap is checked."""
+    sweep: list = []  # the row function, then the bottom's row
 
-    def steps(f: int) -> list[tuple[int, int, None]]:
-        row = lat._mobius_row(f)
-        if f == 0:
-            bottom.update(row)
-        return [(g, w, None) for g, (_, w) in row.items()]
+    def steps(i: int) -> list[tuple[int, int, None]]:
+        if not sweep:
+            sweep.append(lat._mobius_rows())
+        row = sweep[0](i)
+        if i == 0:
+            sweep.append(row)
+        return [(j, w, None) for j, _, w in row]
 
-    return _flag_sum(lat, max_flags, steps), bottom
+    return _flag_sum(lat, max_flags, steps), sweep[1]
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +385,12 @@ def upsilon_by_mobius(m: Matroid) -> RationalFunction:
 
 def _upsilon_by_mobius(lat: LatticeOfFlats) -> RationalFunction:
     ztbl = _zeta_table(lat)
-    mu = {lat.top: 1}  # mu(G, E) = -sum over H > G of mu(H, E), in descending rank
-    for g in reversed(lat.flats[:-1]):  # the top is the last flat
-        mu[g] = -sum(map(mu.__getitem__, lat.strict_supersets(g)))
-    return _factored_to_rf(_sum((ztbl[f], [x]) for f, x in mu.items() if x))
+    sup = lat._supersets
+    mu = [0] * len(sup)  # mu(G, E) = -sum over H > G of mu(H, E), by position
+    mu[-1] = 1  # the top is the last flat
+    for i in reversed(range(len(mu) - 1)):
+        mu[i] = -sum(map(mu.__getitem__, sup[i]))
+    return _factored_to_rf(_sum((ztbl[f], [x]) for f, x in zip(lat.flats, mu) if x))
 
 
 def upsilon_by_recurrence(m: Matroid) -> RationalFunction:
@@ -427,12 +435,11 @@ def upsilon_by_flags(m: Matroid, *, max_flags: int | None = None) -> RationalFun
 
 
 def _upsilon_by_flags(lat: LatticeOfFlats, max_flags: int | None) -> RationalFunction:
-    ranks = lat.matroid._ranks
-    return _flag_sum(
-        lat,
-        max_flags,
-        lambda f: [(g, -1, (g.bit_count(), ranks[f])) for g in lat.strict_supersets(f)],
-    )
+    def steps(i: int) -> list[tuple[int, int, int]]:
+        b = lat.matroid._ranks[lat.flats[i]]
+        return [(j, -1, b) for j in lat._supersets[i]]
+
+    return _flag_sum(lat, max_flags, steps)
 
 
 # ---------------------------------------------------------------------------

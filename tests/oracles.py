@@ -4,8 +4,10 @@ the forest size (``graphic_by_union_find``), the rank table by every single
 deletion and the rank as max |S & B| over the bases, the girth by a scan of
 every subset (``girth_by_scan``), the least witness against the local rank
 axiom by trying every X, e and f (``exchange_witness``), long division over Fraction,
-the Taylor recurrence over Fraction (``taylor_prefix_by_fractions``), the flag
-walk over strict_supersets, the contraction at a set and the degeneration
+the Taylor recurrence over Fraction (``taylor_prefix_by_fractions``), the mask
+view of the up-set index (``strict_supersets``) and the flag walk over it, the
+restriction key of a flat by every (rk F)-subset of F
+(``restriction_key_by_combinations``), the contraction at a set and the degeneration
 along a flag, the lower-interval fold one comparable pair at a time
 (``flat_table_per_pair``), the characteristic polynomial of a minor by a
 loop over the signed subset expansion (``chi_by_subsets``, and ``chi`` for
@@ -156,6 +158,13 @@ def taylor_prefix_by_fractions(f, k):
     return tuple(out)
 
 
+def strict_supersets(lat, f):
+    """The flats strictly containing the flat f, as masks in (rank, mask)
+    order: the up-set index, which is kept by position, read by mask."""
+    flats = lat.flats
+    return tuple(flats[j] for j in lat._supersets[flats.index(f)])
+
+
 def flags(lat):
     """Every chain of flats 0 = F_0 < ... < F_k = E, as a tuple of masks."""
     open_chains, out = [(0,)], []
@@ -164,8 +173,18 @@ def flags(lat):
         if chain[-1] == lat.top:
             out.append(chain)
         else:
-            open_chains += [chain + (g,) for g in lat.strict_supersets(chain[-1])]
+            open_chains += [chain + (g,) for g in strict_supersets(lat, chain[-1])]
     return out
+
+
+def restriction_key_by_combinations(ranks, f):
+    """The exact key of the restriction to the flat f in its long form: |f|,
+    rk f and the positions of its bases among the (rk f)-subsets of f, in
+    ``itertools.combinations`` order, enumerated for every flat."""
+    r = ranks[f]
+    elems = [1 << e for e in iter_bits(f)]
+    combos = itertools.combinations(elems, r)
+    return (len(elems), r, tuple(i for i, c in enumerate(combos) if ranks[sum(c)] == r))
 
 
 def contraction(m, f):

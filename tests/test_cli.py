@@ -164,15 +164,16 @@ def test_zeta_verify(capsys):
 
 
 def test_zeta_verify_checks_chi_against_the_subset_expansion(capsys, monkeypatch):
-    original = LatticeOfFlats._mobius_row
+    original = LatticeOfFlats._mobius_rows
 
-    def skewed(self, g):
-        # add 1 to every mu(g, F) with F > g and keep the flag weights, so
+    def skewed(self):
+        # add 1 to every mu(G, F) with F > G and keep the flag weights, so
         # the flag sum still agrees with the recurrence and only the
         # cross-check can fail
-        return {f: (mu + 1, w) for f, (mu, w) in original(self, g).items()}
+        row = original(self)
+        return lambda g: [(f, mu + 1, w) for f, mu, w in row(g)]
 
-    monkeypatch.setattr(LatticeOfFlats, "_mobius_row", skewed)
+    monkeypatch.setattr(LatticeOfFlats, "_mobius_rows", skewed)
     code, out, err = run_cli(capsys, "zeta", "u:3,6", "--verify")
     assert code == EXIT_THEOREM_FAILURE and out == ""
     assert "verification failed: Mobius and subset-expansion chi disagree" in err
@@ -181,32 +182,41 @@ def test_zeta_verify_checks_chi_against_the_subset_expansion(capsys, monkeypatch
 @pytest.mark.parametrize("spec", ["u:3,6", "u:3,7+u:3,7"])
 def test_zeta_verify_sweeps_the_bottom_row_once(capsys, monkeypatch, spec):
     """The chi check reads the row of the bottom flat the flag route swept."""
-    original = LatticeOfFlats._mobius_row
+    original = LatticeOfFlats._mobius_rows
     swept = Counter()
 
-    def counting(self, g):
-        swept[g] += 1
-        return original(self, g)
+    def counting(self):
+        row = original(self)
 
-    monkeypatch.setattr(LatticeOfFlats, "_mobius_row", counting)
+        def counted(g):
+            swept[self.flats[g]] += 1
+            return row(g)
+
+        return counted
+
+    monkeypatch.setattr(LatticeOfFlats, "_mobius_rows", counting)
     code, out, _ = run_cli(capsys, "zeta", spec, "--verify")
     assert code == EXIT_OK and out.startswith("Z(s) = ")
     assert swept[0] == 1 and set(swept.values()) == {1}
 
 
 def test_zeta_verify_catches_a_wrong_flag_weight(capsys, monkeypatch):
-    original = LatticeOfFlats._mobius_row
+    original = LatticeOfFlats._mobius_rows
 
-    def skewed(self, g):
+    def skewed(self):
         # a wrong top entry in the row of one rank-1 flat: the chi of the
         # whole lattice reads only the row of the bottom, so it stays right
-        row = original(self, g)
-        if g == self.by_rank[1][0]:
-            mu, w = row[self.top]
-            row[self.top] = (mu + 1, w + 1)
-        return row
+        row, first, top = original(self), self.flats.index(self.by_rank[1][0]), len(self) - 1
 
-    monkeypatch.setattr(LatticeOfFlats, "_mobius_row", skewed)
+        def skewed_row(g):
+            out = row(g)
+            if g == first:
+                out = [(f, mu + 1, w + 1) if f == top else (f, mu, w) for f, mu, w in out]
+            return out
+
+        return skewed_row
+
+    monkeypatch.setattr(LatticeOfFlats, "_mobius_rows", skewed)
     code, out, err = run_cli(capsys, "zeta", "u:3,5", "--verify")
     assert code == EXIT_THEOREM_FAILURE and out == ""
     assert "verification failed: flag sum and recurrence disagree" in err

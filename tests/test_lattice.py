@@ -23,6 +23,8 @@ from oracles import (
     covers_by_closure,
     flags,
     poly_divmod,
+    restriction_key_by_combinations,
+    strict_supersets,
     verify_two_flats_identity,
 )
 
@@ -290,7 +292,7 @@ def test_interval_indexes_match_containment(catalog5):
         lat = lattice_of(m)
         order = {g: i for i, g in enumerate(lat.flats)}
         for f in lat.flats:
-            below, above = lat.strict_subsets(f), lat.strict_supersets(f)
+            below, above = lat.strict_subsets(f), strict_supersets(lat, f)
             assert list(below) == sorted(below, key=order.__getitem__), name
             assert list(above) == sorted(above, key=order.__getitem__), name
             assert set(below) == {g for g in lat.flats if g != f and g & ~f == 0}, name
@@ -417,14 +419,28 @@ def test_minor_chi_from_the_mobius_row_matches_the_subset_loop(catalog6):
 
 
 def test_subset_expansion_reads_no_mobius_row(monkeypatch):
-    def never(self, g):
+    def never(self):
         raise AssertionError("the subset expansion read a Mobius row")
 
-    monkeypatch.setattr(LatticeOfFlats, "_mobius_row", never)
+    monkeypatch.setattr(LatticeOfFlats, "_mobius_rows", never)
     for m in (uniform(3, 6), _shuffled_k6()):
         lat = lattice_of(m)
         for f, g in _nested_pairs(lat):
             assert _minor_chi_ints(m, f, g) == chi_by_subsets(m, f, g)
+
+
+def test_restriction_key_matches_the_long_form(catalog7):
+    """An independent flat is keyed as the free matroid without enumerating
+    its subsets: the key is the one every (rk F)-subset gives."""
+    independent = 0
+    for m in [*(entry.matroid for entry in catalog7), uniform(4, 16), K6]:
+        if not m.is_loopless():
+            continue
+        for f in lattice_of(m).flats:
+            key = lattice._restriction_key(m._ranks, f)
+            assert key == restriction_key_by_combinations(m._ranks, f), (m, f)
+            independent += m.rank_of(f) == f.bit_count()
+    assert independent > 0
 
 
 def test_covers_and_maximal_chains_match_closing_every_extension(catalog7):

@@ -49,7 +49,14 @@ from matzeta.zeta import (
     zeta_of_truncation_via_transfer,
     zeta_uniform_closed,
 )
-from oracles import chi, degeneration, flags, flat_table_per_pair, poly_divmod
+from oracles import (
+    chi,
+    degeneration,
+    flags,
+    flat_table_per_pair,
+    poly_divmod,
+    strict_supersets,
+)
 
 Z23 = RationalFunction((2, -1), (2, 5, 3))
 Y23 = RationalFunction((0, 0, 6), (2, 5, 3))
@@ -209,6 +216,45 @@ def test_flag_folds_match_literal_flag_products(catalog5):
         assert upsilon_by_flags(m) == y, entry.name
 
 
+def _derived(m):
+    """m, its free extension and, at rank >= 2 (so loopless), its truncation."""
+    return st.sampled_from([m, m.free_extension()] + ([m.truncation()] if m.rank >= 2 else []))
+
+
+_edges = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda e: e[0] != e[1])
+small_matroids = st.one_of(
+    st.lists(_edges, min_size=1, max_size=7).map(graphic),
+    st.integers(1, 5).flatmap(lambda n: st.integers(1, min(n, 4)).map(lambda r: uniform(r, n))),
+).flatmap(_derived)
+
+
+def mobius_by_definition(lat, low):
+    """mu(low, F) for every flat F >= low: 1 at low, and minus the sum of
+    mu(low, H) over the flats low <= H < F, by containment."""
+    mu = {low: 1}
+    for f in lat.flats:
+        if f != low and not low & ~f:
+            mu[f] = -sum(x for h, x in mu.items() if not h & ~f)
+    return mu
+
+
+@given(small_matroids)
+def test_position_sweeps_match_the_literal_folds(m):
+    """The flag sums and the Mobius rows, which run on position lists,
+    against per-flag products and the definition of mu over containment."""
+    z, y = literal_flag_folds(m)
+    assert (zeta_by_flags(m), upsilon_by_flags(m)) == (z, y)
+    lat = lattice_of(m)
+    row = lat._mobius_rows()
+    for i, low in enumerate(lat.flats):
+        mu = mobius_by_definition(lat, low)
+        got = {lat.flats[j]: (x, w) for j, x, w in row(i)}
+        assert got.keys() == mu.keys() - {low}
+        for f, (x, w) in got.items():
+            chi = _minor_chi_ints(m, low, f)
+            assert (x, w) == (mu[f], sum(k * c for k, c in enumerate(chi))), (low, f)
+
+
 @pytest.mark.parametrize("m", PRUNED_SUMS, ids=PRUNED_IDS)
 def test_flag_folds_match_literal_flag_products_where_weights_vanish(m):
     lat = lattice_of(m)
@@ -229,7 +275,7 @@ def test_many_flags_fold_to_the_closed_forms():
 
 
 def comparable_pairs(lat):
-    return {(f, g) for f in lat.flats for g in lat.strict_supersets(f)}
+    return {(f, g) for f in lat.flats for g in strict_supersets(lat, f)}
 
 
 @pytest.mark.parametrize(
@@ -241,22 +287,27 @@ def test_flag_step_runs_once_per_comparable_pair(m, monkeypatch):
     lat = lattice_of(m)
     reached = []
 
-    def steps(f):
-        reached.append(f)
-        return [(g, 1, None) for g in lat.strict_supersets(f)]
+    def steps(i):
+        reached.append(lat.flats[i])
+        return [(j, 1, None) for j in lat._supersets[i]]
 
     _flag_sum(lat, None, steps)
     # every flat below the top is reached, once, so each pair is stepped once
     assert sorted(reached) == sorted(set(lat.flats) - {lat.top})
 
     rows = []
-    original = LatticeOfFlats._mobius_row
+    original = LatticeOfFlats._mobius_rows
 
-    def counting(self, low):
-        rows.append(low)
-        return original(self, low)
+    def counting(self):
+        row = original(self)
 
-    monkeypatch.setattr(LatticeOfFlats, "_mobius_row", counting)
+        def counted(low):
+            rows.append(self.flats[low])
+            return row(low)
+
+        return counted
+
+    monkeypatch.setattr(LatticeOfFlats, "_mobius_rows", counting)
     by_flags = zeta_by_flags(m)
     assert rows and len(rows) == len(set(rows))
     assert set(rows) <= set(lat.flats) - {lat.top}
@@ -528,17 +579,51 @@ def complete_graph(k):
     return [(a, b) for a in range(k) for b in range(a + 1, k)]
 
 
+@pytest.mark.parametrize("route", [zeta_by_flags, upsilon_by_flags])
+def test_flag_routes_check_the_cap_before_the_pair_index(route, monkeypatch):
+    def refuse(self):
+        raise AssertionError("the pair index was built before the flag cap was checked")
+
+    monkeypatch.setattr(LatticeOfFlats, "_supersets", property(refuse))
+    # 12! maximal chains: refused on the covers
+    with pytest.raises(FlagCapExceeded, match="^at least 479001600 flags exceed"):
+        route(uniform(12, 12))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [uniform(3, 6), graphic(complete_graph(4))] + PRUNED_SUMS,
+    ids=["U36", "K4"] + PRUNED_IDS,
+)
+def test_flag_routes_read_no_restriction_class_and_no_table(m, monkeypatch):
+    """The recurrences share the class memo and the tables; the flag routes,
+    their oracle, read neither."""
+    expected = (zeta_by_recurrence(m), upsilon_by_recurrence(m))
+
+    def refuse(*args):
+        raise AssertionError("a flag route read the recurrences' memo or tables")
+
+    monkeypatch.setattr(LatticeOfFlats, "restriction_class", property(refuse))
+    monkeypatch.setattr(zeta, "_flat_table", refuse)
+    assert (zeta_by_flags(m), upsilon_by_flags(m)) == expected
+
+
 def test_table_routes_read_no_mobius_row(monkeypatch):
     # the recurrences and mu(F, E) fold columns; only the flag route and
     # mobius/minor_chi divide Mobius rows, so --verify compares two computations
     rows = []
-    original = LatticeOfFlats._mobius_row
+    original = LatticeOfFlats._mobius_rows
 
-    def counting(self, g):
-        rows.append(g)
-        return original(self, g)
+    def counting(self):
+        row = original(self)
 
-    monkeypatch.setattr(LatticeOfFlats, "_mobius_row", counting)
+        def counted(g):
+            rows.append(g)
+            return row(g)
+
+        return counted
+
+    monkeypatch.setattr(LatticeOfFlats, "_mobius_rows", counting)
     for m in (uniform(3, 6), graphic(complete_graph(4))):
         assert upsilon_by_mobius(m) == upsilon_by_recurrence(m)
         zeta_by_recurrence(m)
