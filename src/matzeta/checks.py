@@ -163,7 +163,7 @@ class _Bundle:
         return lattice_of(self.matroid)
 
     @cached_property
-    def upsilon_table(self) -> dict[int, _Fct]:
+    def upsilon_table(self) -> list[_Fct]:
         return _upsilon_table(self.lattice)
 
     @cached_property
@@ -176,21 +176,21 @@ class _Bundle:
 
     @cached_property
     def zeta(self) -> _Fct:
-        """Z(M), the sum of the Y table over the flats it is keyed by: the
-        Mobius inversion read backwards."""
-        return _y_sum(self.upsilon_table, self.upsilon_table)
+        """Z(M), the sum of the Y table over the flats: the Mobius inversion
+        read backwards."""
+        return _y_sum(self.upsilon_table)
 
     @cached_property
     def class_chibar(self) -> list[tuple[int, list[int]]]:
-        """One (flat, sum of chi-bar_[F, E] over the flats F of its
+        """One (flat position, sum of chi-bar_[F, E] over the flats F of its
         restriction class) per class of reduced flats, in ``restriction_class``
         order: the flats of one class share Z(M|F) and their subset counts,
         so the flat stands for its class in both checks."""
         m, lat = self.matroid, self.lattice
         sums: dict[int, tuple[int, list[int]]] = {}
-        for f, cls in lat.restriction_class.items():
-            rep, total = sums.get(cls, (f, []))
-            sums[cls] = (rep, _iadd(total, minor_reduced_chi(m, f, lat.top)))
+        for i, cls in lat.restriction_class.items():
+            rep, total = sums.get(cls, (i, []))
+            sums[cls] = (rep, _iadd(total, minor_reduced_chi(m, lat.flats[i], lat.top)))
         return list(sums.values())
 
 
@@ -200,7 +200,7 @@ def zeta_taylor_prefix(b: _Bundle, k: int) -> tuple[Fraction, ...]:
 
 
 def upsilon_taylor_prefix(b: _Bundle, k: int) -> tuple[Fraction, ...]:
-    return _factored_taylor(b.upsilon_table[b.matroid.full_mask], k)
+    return _factored_taylor(b.upsilon_table[-1], k)
 
 
 def _factored_taylor(f: _Fct, k: int) -> tuple[Fraction, ...]:
@@ -289,10 +289,10 @@ def check_k_derivative_lemma(
     n, r = m.size, m.rank
     lat, table = b.lattice, b.upsilon_table
     counts: dict[tuple, int] = {}  # Y(M|G) -> K
-    for f, chibar in b.class_chibar:
+    for i, chibar in b.class_chibar:
         if w := sum(chibar):
-            for g in lat.strict_subsets(f) + (f,):  # the flats G <= F
-                counts[table[g]] = counts.get(table[g], 0) + w
+            for j in lat.strict_subsets(i) + [i]:  # the flats G <= F
+                counts[table[j]] = counts.get(table[j], 0) + w
     terms = [(b.zeta, [r, n])] + [(e, [-k]) for e, k in counts.items()]
     num, _, fct = _reduce(*_sum(terms))
     if fct or len(num) > 1:
@@ -348,7 +348,8 @@ def check_counting_identities(
             return fail("rank-size-partition", {"s": s}, lhs, by_size[s])
 
     # q-polynomials as trimmed integer coefficient lists; [1] * d is [d]_q
-    classes = [] if m.is_trivial else (bundle or _Bundle(m)).class_chibar
+    b = bundle or _Bundle(m)  # each class by its flat's mask, for |F| and the subset counts
+    classes = [] if m.is_trivial else [(b.lattice.flats[i], c) for i, c in b.class_chibar]
     flat_sums: dict[tuple[int, int], list[int]] = {}
     for f, poly in classes:
         for key, c in _rank_size_counts(m, f).items():

@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from functools import cached_property
 from itertools import combinations
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .algebra import InexactDivisionError, _div_linear, _poly_text
 from .matroid import Matroid, _between, iter_bits
@@ -54,12 +54,6 @@ class LatticeOfFlats:
     def __len__(self) -> int:
         return len(self.flats)
 
-    def reduced_flats(self) -> Iterator[int]:
-        """All flats except the bottom and the top."""
-        for f in self.flats:
-            if f != 0 and f != self.top:
-                yield f
-
     @cached_property
     def _supersets(self) -> list[tuple[int, ...]]:
         """For each flat position, the positions strictly above it, ascending,
@@ -89,22 +83,19 @@ class LatticeOfFlats:
 
     @cached_property
     def restriction_class(self) -> dict[int, int]:
-        """For each reduced flat, a small id of its restriction: two flats
-        share an id only when their exact keys (``_restriction_key``) are
-        equal.  Each flat is keyed once, and only the ids are kept."""
+        """For each reduced flat's position, 1 to len - 2, a small id of its
+        restriction: two flats share an id only when their exact keys
+        (``_restriction_key``) are equal.  Only the ids are kept."""
         ranks, ids = self.matroid._ranks, {}
-        return {f: ids.setdefault(_restriction_key(ranks, f), len(ids)) for f in self.reduced_flats()}
+        keys = (_restriction_key(ranks, f) for f in self.flats[1:-1])
+        return {i: ids.setdefault(key, len(ids)) for i, key in enumerate(keys, 1)}
 
-    def strict_subsets(self, f: int) -> tuple[int, ...]:
-        """The flats strictly inside f, in (rank, mask) order: one subset
-        test per flat of lower rank, so the lattice keeps no lower-interval
-        index."""
-        return tuple(
-            g
-            for stratum in self.by_rank[: self.matroid._ranks[f]]
-            for g in stratum
-            if not g & ~f
-        )
+    def strict_subsets(self, i: int) -> list[int]:
+        """The positions of the flats strictly inside flat i, ascending: one
+        subset test per flat of lower rank, and no lower-interval index."""
+        f = self.flats[i]
+        below = sum(map(len, self.by_rank[: self.matroid._ranks[f]]))
+        return [j for j, g in enumerate(self.flats[:below]) if g | f == f]
 
     # -- Mobius rows and columns --------------------------------------------
 
@@ -138,23 +129,22 @@ class LatticeOfFlats:
 
         return row
 
-    def chibar1_below(self, f: int, below: Sequence[int]) -> list[int]:
-        """The Z-recurrence weights w(G) = chi-bar_[G, f](1), for G in
-        below = strict_subsets(f): an integer fold down the column of f.
+    def chibar1_below(self, i: int, below: Sequence[int]) -> list[int]:
+        """The Z-recurrence weights w(G) = chi-bar_[G, F](1) of the flat F at
+        position i, for G in below = strict_subsets(i): an integer fold down
+        the column of F.
 
-        Differentiating q^(rk f - rk G) = sum over H in [G, f] of chi_[H, f](q)
-        at q = 1 gives w(G) = (rk f - rk G) - sum over G < H < f of w(H), since
+        Differentiating q^(rk F - rk G) = sum over H in [G, F] of chi_[H, F](q)
+        at q = 1 gives w(G) = (rk F - rk G) - sum over G < H < F of w(H), since
         chi = (q - 1) chi-bar.  The G are taken in descending rank, and each
         pulls the w(H) of its up-set from a list by position; the flats not
-        below f weigh 0."""
-        ranks = self.matroid._ranks
-        sup = self._supersets
-        rf = ranks[f]
-        at = [i for i in range(sum(map(len, self.by_rank[:rf]))) if not self.flats[i] & ~f]
+        below F weigh 0."""
+        ranks, flats, sup = self.matroid._ranks, self.flats, self._supersets
+        rf = ranks[flats[i]]
         w = [0] * len(sup)
-        for i, g in zip(reversed(at), reversed(below)):
-            w[i] = rf - ranks[g] - sum(map(w.__getitem__, sup[i]))
-        return [w[i] for i in at]
+        for j in reversed(below):
+            w[j] = rf - ranks[flats[j]] - sum(map(w.__getitem__, sup[j]))
+        return [w[j] for j in below]
 
     def minor_chi(
         self, low: int, high: int, row: list[tuple[int, int, int]] | None = None

@@ -217,47 +217,43 @@ def _flag_sum(
 
 
 def _flat_table(
-    lat: LatticeOfFlats,
-    row: Callable[[int, tuple[int, ...]], Sequence[int]],
-    coef: Callable[[int, int, int], list[int]],
-) -> dict[int, _Fct]:
-    """Fold over lower intervals in ascending rank, keyed by flat: T[0] = 1 and
-    T[F] = sum over flats G < F of coef(x_G, G, F) T[G], divided by
-    (|F| s + rk F), where coef gives a short polynomial in s ([] for zero) and
-    x_G is G's entry in row(F, below), a sequence parallel to
-    below = lat.strict_subsets(F).
+    lat: LatticeOfFlats, coefs: Callable[[int, list[int]], Iterable[list[int]]]
+) -> list[_Fct]:
+    """Fold over lower intervals in ascending rank into a list parallel to
+    ``lat.flats``: T[0] = 1, and T[F] = sum over G < F of c_G T[G] over
+    (|F| s + rk F), c_G a short polynomial in s ([] for zero), G's entry in
+    coefs(F, below), parallel to below = lat.strict_subsets(F).
 
     T[F] depends only on the restriction to F, so a proper flat whose
     ``lat.restriction_class`` was seen before takes that flat's entry, and
-    its lower interval and row(F, below) are computed once per restriction
+    its lower interval and coefs(F, below) are computed once per restriction
     class.  The coefficients of the G with equal entries are summed first, so
     each distinct entry below F is multiplied once (``_fold``); the entries
     are interned (value -> small id) as they are reduced, and a reduced entry
     is unique per value."""
-    ranks = lat.matroid._ranks
+    ranks, flats = lat.matroid._ranks, lat.flats
     vals: list[_Fct] = [_F_ONE]
     ids = {_F_ONE: 0}
-    id_of = {0: 0}
+    id_of = [0] * len(flats)
     class_of = lat.restriction_class
     classes: dict[int | None, int] = {}  # restriction class -> entry id
-    for f in lat.flats[1:]:
-        key = class_of.get(f)  # None for the top
+    for i in range(1, len(flats)):
+        key = class_of.get(i)  # None for the top
         if key in classes:
-            id_of[f] = classes[key]
+            id_of[i] = classes[key]
             continue
         merged: dict[int, list[int]] = {}
-        below = lat.strict_subsets(f)
-        for g, x in zip(below, row(f, below)):
-            c = coef(x, g, f)
+        below = lat.strict_subsets(i)
+        for j, c in zip(below, coefs(i, below)):
             if c:  # zero is []: on near-Boolean lattices most chi-bar(1) are 0
-                i = id_of[g]
-                cur = merged.get(i)
-                merged[i] = c if cur is None else [a + b for a, b in zip(cur, c, strict=True)]
-        entry = _fold(((vals[i], c) for i, c in merged.items()), f.bit_count(), ranks[f])
-        i = id_of[f] = classes[key] = ids.setdefault(entry, len(vals))
-        if i == len(vals):
+                cur = merged.get(k := id_of[j])
+                merged[k] = c if cur is None else [a + b for a, b in zip(cur, c, strict=True)]
+        f = flats[i]
+        entry = _fold(((vals[k], c) for k, c in merged.items()), f.bit_count(), ranks[f])
+        k = id_of[i] = classes[key] = ids.setdefault(entry, len(vals))
+        if k == len(vals):
             vals.append(entry)
-    return {f: vals[i] for f, i in id_of.items()}
+    return [vals[k] for k in id_of]
 
 
 def _sum(terms: Iterable[tuple[_Fct, Sequence[int]]]) -> _Fct:
@@ -277,10 +273,10 @@ def _fold(terms: Iterable[tuple[_Fct, Sequence[int]]], size: int, rank: int) -> 
     return _reduce(num, scale * c, tuple(sorted(fct + (pair,))))
 
 
-def _y_sum(table: dict[int, _Fct], flats: Iterable[int]) -> _Fct:
-    """The sum of the table entries of ``flats``, reduced: the entries are
-    counted first, so each distinct one is multiplied once."""
-    counts = Counter(map(table.__getitem__, flats))
+def _y_sum(entries: Iterable[_Fct]) -> _Fct:
+    """The sum of ``entries``, reduced: they are counted first, so each
+    distinct one is multiplied once."""
+    counts = Counter(entries)
     return _reduce(*_sum((e, [c]) for e, c in counts.items()))
 
 
@@ -298,7 +294,7 @@ def zeta_by_flags(m: Matroid, *, max_flags: int | None = None) -> RationalFuncti
     chi-bar_[F_{i-1}, F_i](1), each read from the Mobius row of F_{i-1},
     which is computed once per flat and dropped after, but for the bottom's.
     """
-    if m.is_trivial:
+    if m.is_trivial:  # 1 before the cap is checked: its one flag may exceed a cap of 0
         return RationalFunction.one()
     if not m.is_loopless():
         return RationalFunction.zero()
@@ -309,31 +305,29 @@ def _zeta_by_flags(
     lat: LatticeOfFlats, max_flags: int | None
 ) -> tuple[RationalFunction, list[tuple[int, int, int]]]:
     """Z by the flag sum, and the Mobius row of the bottom flat it swept, for
-    ``verify_zeta`` to check chi on with no second sweep.  The sweep opens on
-    the first step, the bottom's, once the flag cap is checked."""
-    sweep: list = []  # the row function, then the bottom's row
+    ``verify_zeta`` to check chi on with no second sweep.  The cap is checked
+    before the sweep opens, as the sweep reads the up-set index."""
+    lat.check_flag_cap(max_flags)
+    row = lat._mobius_rows()
+    bottom = row(0)
 
     def steps(i: int) -> list[tuple[int, int, None]]:
-        if not sweep:
-            sweep.append(lat._mobius_rows())
-        row = sweep[0](i)
-        if i == 0:
-            sweep.append(row)
-        return [(j, w, None) for j, _, w in row]
+        return [(j, w, None) for j, _, w in (row(i) if i else bottom)]
 
-    return _flag_sum(lat, max_flags, steps), sweep[1]
+    return _flag_sum(lat, max_flags, steps), bottom
 
 
 # ---------------------------------------------------------------------------
 # Zeta: proper-flat recurrence
 
 
-def _zeta_table(lat: LatticeOfFlats) -> dict[int, _Fct]:
-    """Zeta of every restriction-to-a-flat, keyed by flat mask, ascending rank:
+def _zeta_table(lat: LatticeOfFlats) -> list[_Fct]:
+    """Zeta of every restriction-to-a-flat, by flat position:
     Z_F = sum over G < F of chi-bar_[G, F](1) Z_G, over (|F| s + rk F).  The
     weights are the lattice's column fold ``chibar1_below``, which pulls
     through the up-set index."""
-    return _flat_table(lat, lat.chibar1_below, lambda w, g, f: [w] if w else [])
+    weights = lat.chibar1_below
+    return _flat_table(lat, lambda i, below: [[w] if w else [] for w in weights(i, below)])
 
 
 def zeta_by_recurrence(m: Matroid) -> RationalFunction:
@@ -345,7 +339,7 @@ def zeta_by_recurrence(m: Matroid) -> RationalFunction:
 
 
 def _zeta_by_recurrence(lat: LatticeOfFlats) -> RationalFunction:
-    return _factored_to_rf(_zeta_table(lat)[lat.top])
+    return _factored_to_rf(_zeta_table(lat)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +350,7 @@ def zeta_by_ysum(m: Matroid) -> RationalFunction:
     """Zeta as the sum over all flats F of Y(M|F): the Mobius inversion of
     Y(M) = sum over F of mu(F, E) Z(M|F), read off the Y table, so it takes
     no Mobius value, no Z weight and no interval index."""
-    if m.is_trivial:
+    if m.is_trivial:  # 1 with no lattice built, which verify_zeta relies on
         return RationalFunction.one()
     if not m.is_loopless():
         return RationalFunction.zero()
@@ -364,7 +358,7 @@ def zeta_by_ysum(m: Matroid) -> RationalFunction:
 
 
 def _zeta_by_ysum(lat: LatticeOfFlats) -> RationalFunction:
-    return _factored_to_rf(_y_sum(_upsilon_table(lat), lat.flats))
+    return _factored_to_rf(_y_sum(_upsilon_table(lat)))
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +378,12 @@ def upsilon_by_mobius(m: Matroid) -> RationalFunction:
 
 
 def _upsilon_by_mobius(lat: LatticeOfFlats) -> RationalFunction:
-    ztbl = _zeta_table(lat)
     sup = lat._supersets
     mu = [0] * len(sup)  # mu(G, E) = -sum over H > G of mu(H, E), by position
     mu[-1] = 1  # the top is the last flat
     for i in reversed(range(len(mu) - 1)):
         mu[i] = -sum(map(mu.__getitem__, sup[i]))
-    return _factored_to_rf(_sum((ztbl[f], [x]) for f, x in zip(lat.flats, mu) if x))
+    return _factored_to_rf(_sum((z, [x]) for z, x in zip(_zeta_table(lat), mu) if x))
 
 
 def upsilon_by_recurrence(m: Matroid) -> RationalFunction:
@@ -400,36 +393,37 @@ def upsilon_by_recurrence(m: Matroid) -> RationalFunction:
     return _upsilon_by_recurrence(lattice_of(m))
 
 
-def _upsilon_table(lat: LatticeOfFlats) -> dict[int, _Fct]:
-    """Y of every restriction-to-a-flat, keyed by flat mask, ascending rank,
-    by the weights -(|F| s + rk G), which read no interval index."""
-    ranks = lat.matroid._ranks
-    return _flat_table(lat, lambda f, below: below, lambda g, _, f: [-ranks[g], -f.bit_count()])
+def _upsilon_table(lat: LatticeOfFlats) -> list[_Fct]:
+    """Y of every restriction-to-a-flat, by flat position, by the weights
+    -(|F| s + rk G), which read no interval index."""
+    rk = [r for r, stratum in enumerate(lat.by_rank) for _ in stratum]
+    size = [f.bit_count() for f in lat.flats]
+    return _flat_table(lat, lambda i, below: [[-rk[j], -size[i]] for j in below])
 
 
-def _truncated_upsilon_table(lat: LatticeOfFlats, table: dict[int, _Fct]) -> dict[int, _Fct]:
+def _truncated_upsilon_table(lat: LatticeOfFlats, table: list[_Fct]) -> list[_Fct]:
     """The Y table of tr M, read off M's lattice and Y table: tr(M)|F = M|F
-    when rk F <= r - 2, and the top is -sum of (n s + rk G) Y(M|G) over
-    those flats G, over (n s + r - 1)."""
+    when rk F <= r - 2, a prefix of the table, and the top is -sum of
+    (n s + rk G) Y(M|G) over those flats G, over (n s + r - 1)."""
     m = lat.matroid
-    out = {f: table[f] for stratum in lat.by_rank[:-2] for f in stratum}
+    out = table[: len(table) - len(lat.by_rank[-1]) - len(lat.by_rank[-2])]
     merged: dict[_Fct, list[int]] = {}  # equal entries summed first
-    for g, entry in out.items():
+    for g, entry in zip(lat.flats, out):
         c0, c1 = merged.get(entry, (0, 0))
         merged[entry] = [c0 - m._ranks[g], c1 - m.size]
-    out[lat.top] = _fold(merged.items(), m.size, m.rank - 1)
+    out.append(_fold(merged.items(), m.size, m.rank - 1))
     return out
 
 
 def _upsilon_by_recurrence(lat: LatticeOfFlats) -> RationalFunction:
-    return _factored_to_rf(_upsilon_table(lat)[lat.top])
+    return _factored_to_rf(_upsilon_table(lat)[-1])
 
 
 def upsilon_by_flags(m: Matroid, *, max_flags: int | None = None) -> RationalFunction:
     """Mobius inversion as a flag sum of step products
     -(|F_i| s + rk F_{i-1}) / (|F_i| s + rk F_i)."""
     _require_upsilon_input(m)
-    if m.is_trivial:
+    if m.is_trivial:  # 1 before the cap is checked: its one flag may exceed a cap of 0
         return RationalFunction.one()
     return _upsilon_by_flags(lattice_of(m), max_flags)
 
@@ -512,7 +506,7 @@ def _transfer_inputs(m: Matroid, name: str, min_rank: int) -> tuple[RationalFunc
         raise ValueError(f"{name} transfer needs rank >= {min_rank}")
     lat = lattice_of(m)
     table = _upsilon_table(lat)
-    return _factored_to_rf(_y_sum(table, lat.flats)), _factored_to_rf(table[lat.top])
+    return _factored_to_rf(_y_sum(table)), _factored_to_rf(table[-1])
 
 
 def zeta_of_truncation_via_transfer(m: Matroid) -> RationalFunction:
@@ -571,7 +565,7 @@ def verify_zeta(
     same lattice agree with it and chi of the bottom's Mobius row, which the
     flag sum swept, agrees with the subset expansion.  The capped flag sum
     runs first, so a run over the cap fails before the slower routes start."""
-    if m.is_trivial or not m.is_loopless():  # 1 and 0 by the routes' guards, no lattice
+    if m.is_trivial or not m.is_loopless():  # 1 and 0 with no lattice and no cap to exceed
         return zeta_by_ysum(m), "y-sum"
     lat = lattice_of(m)
     by_flags, bottom_row = _zeta_by_flags(lat, max_flags)
@@ -590,7 +584,7 @@ def verify_upsilon(
 ) -> tuple[RationalFunction, str]:
     """(Y, label) by the recurrence, once the capped flag product, run first,
     and the Mobius definition on the same lattice agree with it."""
-    if m.is_trivial or not m.is_loopless():  # 1, or LoopsError, by the flag route's guard
+    if m.is_trivial or not m.is_loopless():  # 1, or LoopsError, before any cap is checked
         return upsilon_by_flags(m), "recurrence"
     lat = lattice_of(m)
     by_flags = _upsilon_by_flags(lat, max_flags)

@@ -8,7 +8,8 @@ the Taylor recurrence over Fraction (``taylor_prefix_by_fractions``), the mask
 view of the up-set index (``strict_supersets``) and the flag walk over it, the
 restriction key of a flat by every (rk F)-subset of F
 (``restriction_key_by_combinations``), the contraction at a set and the degeneration
-along a flag, the lower-interval fold one comparable pair at a time
+along a flag, lower intervals by containment (``lower_interval``), the
+lower-interval fold one comparable pair at a time, keyed by mask
 (``flat_table_per_pair``), the characteristic polynomial of a minor by a
 loop over the signed subset expansion (``chi_by_subsets``, and ``chi`` for
 the whole matroid), the covers of a flat by closing every one-element
@@ -209,16 +210,23 @@ def degeneration(m, flag):
     return out
 
 
+def lower_interval(lat, f):
+    """The flats strictly inside the flat f, as masks, by a containment test
+    on every flat: not ``lat.strict_subsets``, which the oracles check."""
+    return [g for g in lat.flats if g != f and not g & ~f]
+
+
 def flat_table_per_pair(lat, row, term):
-    """The lower-interval fold with one term per comparable pair: T[0] = 1 and
+    """The lower-interval fold with one term per comparable pair, keyed by
+    mask: T[0] = 1 and
     T[F] = sum over flats G < F of term(num_G, x_G, F) / (scale_G * prod fct_G),
     divided by (|F| s + rk F), where T[G] = (num_G, scale_G, fct_G) and x_G is
     G's entry in row(F, below), a sequence parallel to
-    below = lat.strict_subsets(F)."""
+    below = lower_interval(lat, F)."""
     tbl = {0: _F_ONE}
     for f in lat.flats[1:]:
         acc = _Acc()
-        below = lat.strict_subsets(f)
+        below = lower_interval(lat, f)
         for g, x in zip(below, row(f, below)):
             num, scale, fct = tbl[g]
             num = term(num, x, f)
@@ -262,8 +270,8 @@ def verify_two_flats_identity(m):
     lat = lattice_of(m)
     memo = {}
     for f2 in lat.flats:
-        below = lat.strict_subsets(f2)
-        for f1 in below + (f2,):
+        below = lower_interval(lat, f2)
+        for f1 in below + [f2]:
             rhs = []
             for f in below:
                 if f1 & ~f == 0:
@@ -297,7 +305,8 @@ def k_derivative_lemma_per_value(entry, kmax=3, bundle=None):
     ``checks.minor_reduced_chi`` at call time (so a planted weight reaches
     it) and never through the bundle's class sums; Z is the bundle's
     ``zeta`` and each Z(M|F) the sum of the bundle's Y entries on the flats
-    G <= F, flat by flat (so a planted Z or Y entry reaches it), and Z and
+    G <= F, found by containment, flat by flat (so a planted Z or Y entry
+    reaches it), and Z and
     every distinct Z(M|F) of nonzero summed weight are differentiated k times by
     ``RationalFunction.derivative``, and
     D^k Z = (sum of w D^k Z(M|F) - k n D^(k-1) Z) / (n s + r) is tested order
@@ -311,8 +320,9 @@ def k_derivative_lemma_per_value(entry, kmax=3, bundle=None):
     lat = b.lattice
     n, r = m.size, m.rank
     weights = {}  # canonical Z(M|F) -> summed weight
-    for f in lat.reduced_flats():
-        v = _factored_to_rf(_y_sum(b.upsilon_table, lat.strict_subsets(f) + (f,)))
+    for f in lat.flats[1:-1]:  # the reduced flats
+        entries = [e for g, e in zip(lat.flats, b.upsilon_table) if not g & ~f]  # G <= F
+        v = _factored_to_rf(_y_sum(entries))
         weights[v] = weights.get(v, 0) + sum(checks.minor_reduced_chi(m, f, lat.top))
     weights = {v: w for v, w in weights.items() if w}
     z = _factored_to_rf(b.zeta)

@@ -219,7 +219,7 @@ def test_chibar_is_expanded_once_per_reduced_flat(monkeypatch, catalog5):
     assert calls == Counter(
         (e.matroid, f, e.matroid.full_mask)
         for e in catalog5
-        for f in lattice_of(e.matroid).reduced_flats()
+        for f in lattice_of(e.matroid).flats[1:-1]  # the reduced flats
     )
 
 
@@ -242,7 +242,7 @@ def test_one_bundle_expands_chibar_once_per_reduced_flat(monkeypatch, catalog5):
         calls.clear()
         assert check_k_derivative_lemma(entry, bundle).status == HOLDS
         assert check_counting_identities(entry, bundle=bundle).status == HOLDS
-        assert calls == Counter((m, f, m.full_mask) for f in bundle.lattice.reduced_flats())
+        assert calls == Counter((m, f, m.full_mask) for f in bundle.lattice.flats[1:-1])
         checked += bool(calls)
     assert checked > 0
 
@@ -546,13 +546,14 @@ def test_planted_k_derivative_failures_match_the_oracle(monkeypatch, catalog7, n
     entry = entry_named(catalog7, name)
     m = entry.matroid
     lat = lattice_of(m)
-    cls = lat.restriction_class
+    cls = lat.restriction_class  # by the positions of the reduced flats
     weight = Counter()
-    for f in lat.reduced_flats():
-        weight[cls[f]] += sum(minor_reduced_chi(m, f, m.full_mask))
-    victim = next(  # in a class of nonzero weight, so a planted entry shows
-        f for f in lat.reduced_flats() if weight[cls[f]]
+    for i in cls:
+        weight[cls[i]] += sum(minor_reduced_chi(m, lat.flats[i], m.full_mask))
+    at = next(  # in a class of nonzero weight, so a planted entry shows
+        i for i in cls if weight[cls[i]]
     )
+    victim = lat.flats[at]
     if plant == "weight":
         def skewed(matroid, low, high):
             chibar = minor_reduced_chi(matroid, low, high)
@@ -563,9 +564,9 @@ def test_planted_k_derivative_failures_match_the_oracle(monkeypatch, catalog7, n
     top = m.full_mask
     if plant == "flat":
         table = bundle.upsilon_table
-        for f in cls:
-            if cls[f] == cls[victim]:
-                table[f] = _bump_constant(table[f])
+        for i in cls:
+            if cls[i] == cls[at]:
+                table[i] = _bump_constant(table[i])
     elif plant == "top":
         bundle.zeta = _bump_constant(bundle.zeta)
     elif plant == "flat-constant":
@@ -582,7 +583,7 @@ def _per_flat_sums(entry):
     """The counting sums of the flat identities, one flat at a time."""
     m = entry.matroid
     counts, powers = {}, {}
-    for f in lattice_of(m).reduced_flats():
+    for f in lattice_of(m).flats[1:-1]:  # the reduced flats
         poly = minor_reduced_chi(m, f, m.full_mask)
         for key, c in checks._rank_size_counts(m, f).items():
             counts[key] = _iadd(counts.get(key, []), [c * x for x in poly])
@@ -594,9 +595,9 @@ def _per_flat_sums(entry):
 def test_class_grouped_counting_sums_match_per_flat_sums(catalog7):
     for entry in [*catalog7, _shuffled_k6()]:
         m = entry.matroid
-        classes = checks._Bundle(m).class_chibar
+        bundle = checks._Bundle(m)
         counts, powers = {}, {}
-        for f, poly in classes:
+        for f, poly in ((bundle.lattice.flats[i], c) for i, c in bundle.class_chibar):
             for key, c in checks._rank_size_counts(m, f).items():
                 counts[key] = _iadd(counts.get(key, []), [c * x for x in poly])
             for k in range(1, 7):
@@ -628,7 +629,7 @@ def test_factored_taylor_prefixes_match_the_canonical_expansion(catalog7):
         lat = bundle.lattice
         for seam, top in (
             (checks.zeta_taylor_prefix, bundle.zeta),
-            (checks.upsilon_taylor_prefix, _upsilon_table(lat)[lat.top]),
+            (checks.upsilon_taylor_prefix, _upsilon_table(lat)[-1]),
         ):
             num, scale, fct = top
             expected = taylor_prefix(_factored_to_rf(top), order)
@@ -652,7 +653,7 @@ def _truncatable(catalog):
 
 def test_truncated_bundle_reads_no_second_lattice(monkeypatch, catalog7):
     """The truncation's Y table equals the one folded on its own lattice,
-    flat by flat and keyed by its flats in lattice order, and Z(tr M) equals
+    flat by flat, in lattice order, and Z(tr M) equals
     the transfer formula and the flag sum; the bundle takes no closure of
     tr M and folds only the top."""
     folded, checked = [], 0
@@ -676,8 +677,8 @@ def test_truncated_bundle_reads_no_second_lattice(monkeypatch, catalog7):
         assert truncated.matroid == tr
         assert "_ranks" not in vars(truncated.matroid), m
         own = lattice_of(tr)
-        assert list(table) == list(own.flats), m
-        assert table == _upsilon_table(own), m
+        assert len(table) == len(own.flats), m
+        assert table == _upsilon_table(own), m  # position by position
         z = _factored_to_rf(truncated.zeta)
         assert z == zeta_of_truncation_via_transfer(m) == zeta_by_flags(tr), m
         checked += 1
@@ -712,15 +713,15 @@ def test_truncation_check_skips_a_matroid_with_loops():
 
 def test_a_bundle_sums_z_only_where_the_checks_read_it(monkeypatch, catalog7):
     """One y-sum per bundle, Z(M) for the Taylor prefixes, and one for the
-    truncation's bundle, Z(tr M), each over its own Y table's keys, and the
+    truncation's bundle, Z(tr M), each over its own whole Y table, and the
     truncation's bundle holds no lattice: the k-derivative lemma counts Y
     entries and sums no Z(M|F)."""
     summed = []
     y_sum = checks._y_sum
 
-    def recording(table, flats):
-        summed.append((table, flats))
-        return y_sum(table, flats)
+    def recording(entries):
+        summed.append(entries)
+        return y_sum(entries)
 
     monkeypatch.setattr(checks, "_y_sum", recording)
     for entry in catalog7:
@@ -733,8 +734,8 @@ def test_a_bundle_sums_z_only_where_the_checks_read_it(monkeypatch, catalog7):
             assert check(entry, bundle).status != FAILS, entry.name
         bundles = [bundle, bundle.truncation] if entry.matroid.rank >= 2 else [bundle]
         assert len(summed) == len(bundles), entry.name
-        for (table, flats), b in zip(summed, bundles):
-            assert table is b.upsilon_table and flats is table, entry.name
+        for entries, b in zip(summed, bundles):
+            assert entries is b.upsilon_table, entry.name
         if entry.matroid.rank >= 2:
             assert "lattice" not in vars(bundle.truncation), entry.name
 

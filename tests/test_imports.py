@@ -30,7 +30,9 @@ UNCALLED_BY_DESIGN = {
     "combinat.stirling_second": "Stirling numbers checked by criterion 8",
     "files.dump_bases": "bases-file writer documented in the README",
     "files.dump_graph": "graph-file writer documented in the README",
-    "lattice.LatticeOfFlats.mobius": "perfbench span lattice.mobius",
+    "lattice.LatticeOfFlats.mobius": (
+        "the row-based Mobius oracle of test_cli.py::test_plain_paths_build_no_pair_index"
+    ),
     "matroid.Matroid.restriction": "perfbench span matroid.restriction",
     "algebra.RationalFunction.from_json": (
         "perfbench reference values and criterion 10's JSON round trip"

@@ -240,8 +240,10 @@ def mobius_by_definition(lat, low):
 
 @given(small_matroids)
 def test_position_sweeps_match_the_literal_folds(m):
-    """The flag sums and the Mobius rows, which run on position lists,
-    against per-flag products and the definition of mu over containment."""
+    """The flag sums, the Mobius rows, the lower intervals and the Z and Y
+    tables, which run on position lists, against per-flag products, the
+    definition of mu over containment, containment itself and the flag
+    routes on the restriction to each flat."""
     z, y = literal_flag_folds(m)
     assert (zeta_by_flags(m), upsilon_by_flags(m)) == (z, y)
     lat = lattice_of(m)
@@ -253,13 +255,21 @@ def test_position_sweeps_match_the_literal_folds(m):
         for f, (x, w) in got.items():
             chi = _minor_chi_ints(m, low, f)
             assert (x, w) == (mu[f], sum(k * c for k, c in enumerate(chi))), (low, f)
+    ztbl, ytbl = _zeta_table(lat), _upsilon_table(lat)
+    assert len(ztbl) == len(ytbl) == len(lat)
+    for i, f in enumerate(lat.flats):
+        inside = [j for j, g in enumerate(lat.flats) if g != f and not g & ~f]
+        assert lat.strict_subsets(i) == inside, f
+        sub = m.restriction(f)
+        assert _factored_to_rf(ztbl[i]) == zeta_by_flags(sub), f
+        assert _factored_to_rf(ytbl[i]) == upsilon_by_flags(sub), f
 
 
 @pytest.mark.parametrize("m", PRUNED_SUMS, ids=PRUNED_IDS)
 def test_flag_folds_match_literal_flag_products_where_weights_vanish(m):
     lat = lattice_of(m)
     # a disconnected interval has beta = 0, so some step weight is zero
-    assert any(0 in lat.chibar1_below(f, lat.strict_subsets(f)) for f in lat.flats)
+    assert any(0 in lat.chibar1_below(i, lat.strict_subsets(i)) for i in range(len(lat)))
     z, y = literal_flag_folds(m)
     assert zeta_by_flags(m) == z == zeta_by_recurrence(m)
     assert upsilon_by_flags(m) == y == upsilon_by_recurrence(m)
@@ -638,11 +648,10 @@ def _table_mismatches(m):
     """The flats whose Z or Y table entry is not the flag route's value on
     the restriction to that flat."""
     lat = lattice_of(m)
-    ztbl, ytbl = _zeta_table(lat), _upsilon_table(lat)
     bad = []
-    for f in lat.flats:
+    for f, z, y in zip(lat.flats, _zeta_table(lat), _upsilon_table(lat), strict=True):
         sub = m.restriction(f)
-        if (_factored_to_rf(ztbl[f]), _factored_to_rf(ytbl[f])) != (
+        if (_factored_to_rf(z), _factored_to_rf(y)) != (
             zeta_by_flags(sub),
             upsilon_by_flags(sub),
         ):
@@ -678,7 +687,7 @@ def test_both_tables_key_each_reduced_flat_once(monkeypatch):
     lat = lattice_of(graphic(complete_graph(5)))
     _zeta_table(lat)
     _upsilon_table(lat)
-    assert sorted(keys) == sorted(lat.reduced_flats())
+    assert sorted(keys) == sorted(lat.flats[1:-1])  # the reduced flats
 
 
 @pytest.mark.parametrize(
@@ -693,27 +702,27 @@ def test_both_tables_key_each_reduced_flat_once(monkeypatch):
 )
 def test_table_rows_run_once_per_restriction_class(m, classes, monkeypatch):
     lat = lattice_of(m)
-    distinct = {m.restriction(f) for f in lat.reduced_flats()}
+    distinct = {m.restriction(f) for f in lat.flats[1:-1]}  # of the reduced flats
     assert classes in (None, len(distinct) + 1)
     weights, rows, lowers = [], [], []
     chibar1_below = LatticeOfFlats.chibar1_below
     strict_subsets = LatticeOfFlats.strict_subsets
     flat_table = zeta._flat_table
 
-    def counting_weights(self, f, below):
-        weights.append(f)
-        return chibar1_below(self, f, below)
+    def counting_weights(self, i, below):
+        weights.append(i)
+        return chibar1_below(self, i, below)
 
-    def counting_lowers(self, f):
-        lowers.append(f)
-        return strict_subsets(self, f)
+    def counting_lowers(self, i):
+        lowers.append(i)
+        return strict_subsets(self, i)
 
-    def counting_rows(lat, row, coef):
-        def counted(f, below):
-            rows.append(f)
-            return row(f, below)
+    def counting_rows(lat, coefs):
+        def counted(i, below):
+            rows.append(i)
+            return coefs(i, below)
 
-        return flat_table(lat, counted, coef)
+        return flat_table(lat, counted)
 
     monkeypatch.setattr(LatticeOfFlats, "chibar1_below", counting_weights)
     monkeypatch.setattr(LatticeOfFlats, "strict_subsets", counting_lowers)
@@ -820,16 +829,23 @@ def test_zeta_table_entries_are_restriction_zetas(catalog5):
         m = entry.matroid
         lat = lattice_of(m)
         tbl = _zeta_table(lat)
-        for f in lat.flats:
-            assert _factored_to_rf(tbl[f]) == zeta_by_recurrence(m.restriction(f)), (
+        assert len(tbl) == len(lat.flats)
+        for f, value in zip(lat.flats, tbl):
+            assert _factored_to_rf(value) == zeta_by_recurrence(m.restriction(f)), (
                 entry.name,
                 f,
             )
 
 
 def _per_pair_tables(lat):
-    """(Z table, Y table) folded one comparable pair at a time."""
-    ranks = lat.matroid._ranks
+    """(Z table, Y table) folded one comparable pair at a time, keyed by mask,
+    the Z weights chi-bar_[G, F](1) = chi'_[G, F](1) from the subset
+    expansion."""
+    m = lat.matroid
+    ranks = m._ranks
+
+    def z_weights(f, below):
+        return [sum(k * c for k, c in enumerate(_minor_chi_ints(m, g, f))) for g in below]
 
     def z_term(num, w, f):
         return [c * w for c in num] if w else []
@@ -838,7 +854,7 @@ def _per_pair_tables(lat):
         return _imul_linear([-c for c in num], f.bit_count(), ranks[g])
 
     return (
-        flat_table_per_pair(lat, lat.chibar1_below, z_term),
+        flat_table_per_pair(lat, z_weights, z_term),
         flat_table_per_pair(lat, lambda f, below: below, y_term),
     )
 
@@ -854,9 +870,9 @@ def test_flat_tables_match_the_per_pair_fold(family, request):
             continue
         lat = lattice_of(m)
         for got, want in zip((_zeta_table(lat), _upsilon_table(lat)), _per_pair_tables(lat)):
-            assert got.keys() == want.keys()
-            for f in lat.flats:
-                assert _factored_to_rf(got[f]) == _factored_to_rf(want[f]), (m, f)
+            assert len(got) == len(want) == len(lat.flats)
+            for f, entry in zip(lat.flats, got):
+                assert _factored_to_rf(entry) == _factored_to_rf(want[f]), (m, f)
 
 
 # few pairs, so keys repeat factors and groups collide
