@@ -275,10 +275,10 @@ def check_k_derivative_lemma(
     weights are chi-bar(1), coefficient sums of the chi-bar division, summed
     to W per restriction class.  As Z(M|F) = sum over the flats G <= F of
     Y(M|G), the weighted sum is that of K_e e over the Y entries e, K_e adding
-    the W of each class above a flat with entry e: one integer count and one
-    fold, reduced, which strips every linear factor dividing the numerator,
-    so R is a constant iff no factor is left and the numerator has degree
-    <= 0.  Only a failing R is differentiated, for the order-1 witness.
+    the W of each class above a flat with entry e, as ``_sum`` counts them:
+    one fold, reduced, which strips every linear factor dividing the
+    numerator, so R is a constant iff no factor is left and the numerator has
+    degree <= 0.  Only a failing R is differentiated, for the order-1 witness.
     """
     m = entry.matroid
     if m.is_trivial or not m.is_loopless():
@@ -288,20 +288,17 @@ def check_k_derivative_lemma(
     b = bundle or _Bundle(m)
     n, r = m.size, m.rank
     lat, table = b.lattice, b.upsilon_table
-    counts: dict[tuple, int] = {}  # Y(M|G) -> K
-    for i, chibar in b.class_chibar:
-        if w := sum(chibar):
-            for j in lat.strict_subsets(i) + [i]:  # the flats G <= F
-                counts[table[j]] = counts.get(table[j], 0) + w
-    terms = [(b.zeta, [r, n])] + [(e, [-k]) for e, k in counts.items()]
-    num, _, fct = _reduce(*_sum(terms))
+    weighted = [  # -W Y(M|G) for the flats G <= F
+        (table[j], [-w])
+        for i, chibar in b.class_chibar
+        if (w := sum(chibar))
+        for j in lat.strict_subsets(i) + [i]
+    ]
+    num, _, fct = _reduce(*_sum([(b.zeta, [r, n])] + weighted))
     if fct or len(num) > 1:
         # D Z, and the value the order-1 identity gives it
         z = _factored_to_rf(b.zeta)
-        rhs = sum(
-            (k * _factored_to_rf(e).derivative() for e, k in counts.items() if k),
-            start=RationalFunction.zero(),
-        )
+        rhs = -_factored_to_rf(_sum(weighted)).derivative()
         rhs = (rhs - n * z) / RationalFunction((r, n))
         return _fails(
             K_DERIVATIVE_CHECK, entry, "order 1 mismatch",

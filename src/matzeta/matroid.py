@@ -286,14 +286,10 @@ class Matroid:
         return Matroid(self.size, bases, validate=False)
 
     def free_extension(self) -> "Matroid":
-        """Add one new element as freely as possible (it joins every near-basis)."""
+        """Add one new element, last, as freely as possible: tr(M + U(1,1))."""
         if self.size + 1 > MAX_GROUND_SIZE:
             raise ValueError(f"free extension exceeds the ground-size bound {MAX_GROUND_SIZE}")
-        e = 1 << self.size
-        bases = list(self.bases)
-        if self.rank >= 1:
-            bases += [b | e for b in self.truncation().bases]
-        return Matroid(self.size + 1, bases, validate=False)
+        return self.direct_sum(uniform(1, 1)).truncation()
 
     # -- identity ------------------------------------------------------------
 

@@ -7,14 +7,15 @@ so the flag routes, which sweep their own, stay an independent check.
 ``auto`` takes routes that read no interval index.  ``verify_zeta`` and
 ``verify_upsilon`` own ``--verify``: which routes run on the one lattice, in
 which order, and what counts as a disagreement.  Values are summed factored,
-num / (scale * prod (a s + b)), and reduced once per table entry; public
-results are canonical ``RationalFunction`` values; tables live inside one call.
+num / (scale * prod (a s + b)), by ``_sum`` alone, which multiplies each
+distinct entry once, and reduced once per table entry; public results are
+canonical ``RationalFunction`` values; tables live inside one call.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from itertools import repeat, zip_longest
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -50,60 +51,65 @@ def _norm_factor(a: int, b: int) -> tuple[int, tuple[int, int]]:
     return g, (a // g, b // g)
 
 
-class _Acc:
-    """Sum of terms num/(scale * prod factors), grouped by factor profile,
-    a sorted tuple of factor pairs, as every factored value keeps them."""
+def _sum(terms: Iterable[tuple[_Fct, Sequence[int]]]) -> _Fct:
+    """Sum c * T over the (T, c) of ``terms``, unreduced, c a short polynomial
+    in s ([] for zero, which is skipped: on near-Boolean lattices most
+    chi-bar(1) are 0).
 
-    __slots__ = ("groups",)
-
-    def __init__(self) -> None:
-        self.groups: dict[tuple, tuple[list[int], int]] = {}
-
-    def add(self, num: Sequence[int], scale: int, key: tuple) -> None:
-        cur = self.groups.get(key)
+    The coefficients of the terms that carry the same entry object are summed
+    first, so each distinct entry is multiplied once (one pass when c is
+    constant); the tables intern their entries, so equal entries are one
+    object.  The products are grouped by factor profile, a sorted tuple of
+    factor pairs, as every factored value keeps them, and the groups are put
+    over their least common denominator, left unreduced: ``_fold`` reduces
+    once after appending its own factor, and RationalFunction canonicalises a
+    total it is handed."""
+    merged: dict[int, tuple[_Fct, list]] = {}  # holds T, so no id is reused
+    for t, c in terms:
+        if c:
+            cur = merged.get(id(t))
+            if cur is None:
+                merged[id(t)] = (t, [c])
+            else:
+                cur[1].append(c)
+    groups: dict[tuple, tuple[list[int], int]] = {}
+    for (num, scale, key), cs in merged.values():
+        c = cs[0] if len(cs) == 1 else _itrim([sum(x) for x in zip_longest(*cs, fillvalue=0)])
+        num = [c[0] * x for x in num] if len(c) == 1 else _imul(num, c)
+        cur = groups.get(key)
         if cur is None:
-            self.groups[key] = (_itrim(list(num)), scale)
-            return
-        cnum, cscale = cur
-        if cscale == scale:
-            self.groups[key] = (_iadd(cnum, num), scale)
+            groups[key] = (_itrim(num), scale)
+        elif cur[1] == scale:
+            groups[key] = (_iadd(cur[0], num), scale)
         else:
-            g = math.gcd(cscale, scale)
-            mc, mn = scale // g, cscale // g
-            merged = _iadd([c * mc for c in cnum], [c * mn for c in num])
-            self.groups[key] = (merged, cscale * mc)
-
-    def total(self) -> _Fct:
-        """All groups over their least common denominator, left unreduced:
-        ``_flat_table`` reduces once after appending its own factor, and
-        RationalFunction canonicalises a total it is handed."""
-        live = [(k, v) for k, v in self.groups.items() if v[0]]
-        if not live:
-            return _F_ZERO
-        if len(live) == 1:  # one group is its own total
-            key, (num, scale) = live[0]
-            return (tuple(num), scale, key)
-        profile: dict[tuple[int, int], int] = {}
-        for key, _ in live:
-            for pair, mult in _mults(key).items():
-                if profile.get(pair, 0) < mult:
-                    profile[pair] = mult
-        scale_lcm = math.lcm(*(scale for _, (_, scale) in live))
-        factors = tuple(
-            sorted(pair for pair, mult in profile.items() for _ in range(mult))
-        )
-        num_total: list[int] = []
-        for key, (num, scale) in live:
-            if scale != scale_lcm:
-                num = [c * (scale_lcm // scale) for c in num]
-            i = 0  # key and factors are sorted: walk both, multiply by what key lacks
-            for pair in factors:
-                if i < len(key) and key[i] == pair:
-                    i += 1
-                else:
-                    num = _imul_linear(num, *pair)
-            num_total = _iadd(num_total, num)
-        return (tuple(num_total), scale_lcm, factors)
+            g = math.gcd(cur[1], scale)
+            mc, mn = scale // g, cur[1] // g
+            groups[key] = (_iadd([x * mc for x in cur[0]], [x * mn for x in num]), cur[1] * mc)
+    live = [(k, v) for k, v in groups.items() if v[0]]
+    if not live:
+        return _F_ZERO
+    if len(live) == 1:  # one group is its own total
+        key, (num, scale) = live[0]
+        return (tuple(num), scale, key)
+    profile: dict[tuple[int, int], int] = {}
+    for key, _ in live:
+        for pair, mult in _mults(key).items():
+            if profile.get(pair, 0) < mult:
+                profile[pair] = mult
+    scale_lcm = math.lcm(*(scale for _, (_, scale) in live))
+    factors = tuple(sorted(pair for pair, mult in profile.items() for _ in range(mult)))
+    num_total: list[int] = []
+    for key, (num, scale) in live:
+        if scale != scale_lcm:
+            num = [c * (scale_lcm // scale) for c in num]
+        i = 0  # key and factors are sorted: walk both, multiply by what key lacks
+        for pair in factors:
+            if i < len(key) and key[i] == pair:
+                i += 1
+            else:
+                num = _imul_linear(num, *pair)
+        num_total = _iadd(num_total, num)
+    return (tuple(num_total), scale_lcm, factors)
 
 
 def _mults(factors: tuple) -> dict[tuple[int, int], int]:
@@ -158,7 +164,6 @@ def _factored_to_rf(f: _Fct) -> RationalFunction:
 
 def _flag_sum(
     lat: LatticeOfFlats,
-    max_flags: int | None,
     steps: Callable[[int], list[tuple[int, int, int | None]]],
 ) -> RationalFunction:
     """Sum over all flags 0 = F_0 < ... < F_k = E of
@@ -175,8 +180,8 @@ def _flag_sum(
     and each key of the top's dict is expanded once at the end.  Each flat's
     denominator bit is found once; a numerator's bit is cached by (|G|, b).
     ``steps`` runs once per flat reached, the bottom first, and a zero
-    weight drops every flag through that step."""
-    lat.check_flag_cap(max_flags)
+    weight drops every flag through that step.  The callers check the flag
+    cap, before anything reads the up-set index."""
     ranks = lat.matroid._ranks
     bit_of: dict[tuple, int] = {}  # ("den" | "num", a, b) -> bit
     sizes = [f.bit_count() for f in lat.flats]
@@ -197,11 +202,11 @@ def _flag_sum(
                 key = mask | bits
                 there[key] = there.get(key, 0) + coef * w
     factors = list(bit_of)
-    acc = _Acc()
+    terms = []
     for mask, coef in folds[-1].items():
         if not coef:
             continue
-        num, scale, den = [coef], 1, []
+        num, scale, den = [1], 1, []
         while mask:
             low = mask & -mask
             kind, a, b = factors[low.bit_length() - 1]
@@ -212,8 +217,8 @@ def _flag_sum(
                 scale *= c
                 den.append(pair)
             mask ^= low
-        acc.add(num, scale, tuple(sorted(den)))
-    return _factored_to_rf(acc.total())
+        terms.append(((num, scale, tuple(sorted(den))), [coef]))
+    return _factored_to_rf(_sum(terms))
 
 
 def _flat_table(
@@ -227,42 +232,24 @@ def _flat_table(
     T[F] depends only on the restriction to F, so a proper flat whose
     ``lat.restriction_class`` was seen before takes that flat's entry, and
     its lower interval and coefs(F, below) are computed once per restriction
-    class.  The coefficients of the G with equal entries are summed first, so
-    each distinct entry below F is multiplied once (``_fold``); the entries
-    are interned (value -> small id) as they are reduced, and a reduced entry
-    is unique per value."""
+    class.  The entries are interned as they are reduced, and a reduced entry
+    is unique per value, so equal entries are one object, which ``_sum``
+    multiplies once per fold."""
     ranks, flats = lat.matroid._ranks, lat.flats
-    vals: list[_Fct] = [_F_ONE]
-    ids = {_F_ONE: 0}
-    id_of = [0] * len(flats)
+    table: list[_Fct] = [_F_ONE]
+    intern: dict[_Fct, _Fct] = {}
     class_of = lat.restriction_class
-    classes: dict[int | None, int] = {}  # restriction class -> entry id
+    classes: dict[int | None, _Fct] = {}  # restriction class -> entry
     for i in range(1, len(flats)):
         key = class_of.get(i)  # None for the top
-        if key in classes:
-            id_of[i] = classes[key]
-            continue
-        merged: dict[int, list[int]] = {}
-        below = lat.strict_subsets(i)
-        for j, c in zip(below, coefs(i, below)):
-            if c:  # zero is []: on near-Boolean lattices most chi-bar(1) are 0
-                cur = merged.get(k := id_of[j])
-                merged[k] = c if cur is None else [a + b for a, b in zip(cur, c, strict=True)]
-        f = flats[i]
-        entry = _fold(((vals[k], c) for k, c in merged.items()), f.bit_count(), ranks[f])
-        k = id_of[i] = classes[key] = ids.setdefault(entry, len(vals))
-        if k == len(vals):
-            vals.append(entry)
-    return [vals[k] for k in id_of]
-
-
-def _sum(terms: Iterable[tuple[_Fct, Sequence[int]]]) -> _Fct:
-    """Sum c * T over the (T, c) of ``terms``, unreduced, c a short polynomial
-    in s (one pass when constant); callers that meet equal T merge them first."""
-    acc = _Acc()
-    for (num, scale, fct), c in terms:
-        acc.add([c[0] * x for x in num] if len(c) == 1 else _imul(num, c), scale, fct)
-    return acc.total()
+        if key not in classes:
+            below = lat.strict_subsets(i)
+            f = flats[i]
+            terms = zip(map(table.__getitem__, below), coefs(i, below))
+            entry = _fold(terms, f.bit_count(), ranks[f])
+            classes[key] = intern.setdefault(entry, entry)
+        table.append(classes[key])
+    return table
 
 
 def _fold(terms: Iterable[tuple[_Fct, Sequence[int]]], size: int, rank: int) -> _Fct:
@@ -274,10 +261,8 @@ def _fold(terms: Iterable[tuple[_Fct, Sequence[int]]], size: int, rank: int) -> 
 
 
 def _y_sum(entries: Iterable[_Fct]) -> _Fct:
-    """The sum of ``entries``, reduced: they are counted first, so each
-    distinct one is multiplied once."""
-    counts = Counter(entries)
-    return _reduce(*_sum((e, [c]) for e, c in counts.items()))
+    """The sum of ``entries``, reduced."""
+    return _reduce(*_sum(zip(entries, repeat((1,)))))
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +299,7 @@ def _zeta_by_flags(
     def steps(i: int) -> list[tuple[int, int, None]]:
         return [(j, w, None) for j, _, w in (row(i) if i else bottom)]
 
-    return _flag_sum(lat, max_flags, steps), bottom
+    return _flag_sum(lat, steps), bottom
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +392,8 @@ def _truncated_upsilon_table(lat: LatticeOfFlats, table: list[_Fct]) -> list[_Fc
     (n s + rk G) Y(M|G) over those flats G, over (n s + r - 1)."""
     m = lat.matroid
     out = table[: len(table) - len(lat.by_rank[-1]) - len(lat.by_rank[-2])]
-    merged: dict[_Fct, list[int]] = {}  # equal entries summed first
-    for g, entry in zip(lat.flats, out):
-        c0, c1 = merged.get(entry, (0, 0))
-        merged[entry] = [c0 - m._ranks[g], c1 - m.size]
-    out.append(_fold(merged.items(), m.size, m.rank - 1))
-    return out
+    terms = [(e, [-m._ranks[g], -m.size]) for g, e in zip(lat.flats, out)]
+    return out + [_fold(terms, m.size, m.rank - 1)]
 
 
 def _upsilon_by_recurrence(lat: LatticeOfFlats) -> RationalFunction:
@@ -429,11 +410,13 @@ def upsilon_by_flags(m: Matroid, *, max_flags: int | None = None) -> RationalFun
 
 
 def _upsilon_by_flags(lat: LatticeOfFlats, max_flags: int | None) -> RationalFunction:
+    lat.check_flag_cap(max_flags)
+
     def steps(i: int) -> list[tuple[int, int, int]]:
         b = lat.matroid._ranks[lat.flats[i]]
         return [(j, -1, b) for j in lat._supersets[i]]
 
-    return _flag_sum(lat, max_flags, steps)
+    return _flag_sum(lat, steps)
 
 
 # ---------------------------------------------------------------------------

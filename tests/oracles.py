@@ -29,10 +29,10 @@ from matzeta.lattice import lattice_of, minor_reduced_chi
 from matzeta.matroid import Matroid, _compress, iter_bits, uniform
 from matzeta.zeta import (
     _F_ONE,
-    _Acc,
     _factored_to_rf,
     _norm_factor,
     _reduce,
+    _sum,
     _y_sum,
 )
 
@@ -225,17 +225,24 @@ def flat_table_per_pair(lat, row, term):
     below = lower_interval(lat, F)."""
     tbl = {0: _F_ONE}
     for f in lat.flats[1:]:
-        acc = _Acc()
         below = lower_interval(lat, f)
+        terms = []
         for g, x in zip(below, row(f, below)):
             num, scale, fct = tbl[g]
-            num = term(num, x, f)
-            if num:
-                acc.add(num, scale, fct)
-        total = acc.total()
+            terms.append(((term(num, x, f), scale, fct), [1]))  # one object per term
+        total = _sum(terms)
         c, pair = _norm_factor(f.bit_count(), lat.matroid.rank_of(f))
         tbl[f] = _reduce(total[0], total[1] * c, tuple(sorted(total[2] + (pair,))))
     return tbl
+
+
+def free_extension_by_near_bases(m):
+    """The free extension by its definition, the new element last: the bases
+    of M, and the new element joined to every independent (r - 1)-set, each
+    a basis less one element."""
+    e = 1 << m.size
+    near = {b & ~(1 << x) for b in m.bases for x in iter_bits(b)}
+    return Matroid(m.size + 1, list(m.bases) + [b | e for b in near], validate=False)
 
 
 def chi_by_subsets(m, low, high):

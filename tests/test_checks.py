@@ -31,10 +31,10 @@ from matzeta.lattice import LatticeOfFlats, lattice_of, minor_reduced_chi
 from matzeta.matroid import Matroid, graphic, iter_bits, uniform
 from matzeta.algebra import RationalFunction, _imul_linear, _iadd, taylor_prefix
 from matzeta.zeta import (
-    _Acc,
     _factored_to_rf,
     _norm_factor,
     _reduce,
+    _sum,
     _upsilon_table,
     upsilon_by_flags,
     upsilon_by_recurrence,
@@ -527,11 +527,8 @@ def _bump_constant(f):
 
 def _offset_by(f, n, r):
     # + 1 / (n s + r), which changes the residual by the constant 1
-    acc = _Acc()
-    acc.add(*f)
     c, pair = _norm_factor(n, r)
-    acc.add([1], c, (pair,))
-    return _reduce(*acc.total())
+    return _reduce(*_sum([(f, [1]), (((1,), c, (pair,)), [1])]))
 
 
 @pytest.mark.parametrize("name", ["U(2,3)", "K4", "U(2,3)+U(2,3)", "tr(U(1,2)+U(2,4))"])

@@ -28,11 +28,11 @@ from matzeta.lattice import (
 )
 from matzeta.matroid import Matroid, graphic, uniform
 from matzeta.zeta import (
-    _Acc,
     _div_linear,
     _factored_to_rf,
     _flag_sum,
     _reduce,
+    _sum,
     _upsilon_table,
     _zeta_table,
     compute_upsilon,
@@ -301,7 +301,7 @@ def test_flag_step_runs_once_per_comparable_pair(m, monkeypatch):
         reached.append(lat.flats[i])
         return [(j, 1, None) for j in lat._supersets[i]]
 
-    _flag_sum(lat, None, steps)
+    _flag_sum(lat, steps)
     # every flat below the top is reached, once, so each pair is stepped once
     assert sorted(reached) == sorted(set(lat.flats) - {lat.top})
 
@@ -882,17 +882,30 @@ factor_keys = st.lists(st.sampled_from(PRIMITIVE_PAIRS[:3]), max_size=4).map(
 acc_terms = st.lists(st.tuples(int_polys, st.integers(1, 6), factor_keys), max_size=6)
 
 
-@given(acc_terms, st.sampled_from(PRIMITIVE_PAIRS[:6]), st.integers(1, 4))
-@example([], (1, 1), 1)
-@example([((1, 2), 2, ((1, 1), (1, 1)))], (1, 1), 1)  # one live group
-@example([((1,), 2, ((1, 1),)), ((-1,), 2, ((1, 1),)), ((), 3, ())], (1, 0), 2)  # all zero
-@example([((1,), 2, ((1, 0),)), ((1,), 3, ((1, 0),)), ((2,), 1, ())], (1, 0), 1)
-def test_acc_total_and_reduce_keep_the_plain_sum(terms, pair, k):
-    acc = _Acc()
-    for num, scale, key in terms:
-        acc.add(num, scale, key)
-    plain = sum((_factored_to_rf(t) for t in terms), RationalFunction.zero())
-    total = acc.total()
+# (index into the terms, same object?, coefficient): a term repeated
+repeats = st.lists(st.tuples(st.integers(0, 5), st.booleans(), int_polys), max_size=4)
+
+
+@given(acc_terms, repeats, st.sampled_from(PRIMITIVE_PAIRS[:6]), st.integers(1, 4))
+@example([], [], (1, 1), 1)
+@example([((1, 2), 2, ((1, 1), (1, 1)))], [], (1, 1), 1)  # one live group
+@example([((1,), 2, ((1, 1),)), ((-1,), 2, ((1, 1),)), ((), 3, ())], [], (1, 0), 2)  # all zero
+@example([((1,), 2, ((1, 0),)), ((1,), 3, ((1, 0),)), ((2,), 1, ())], [], (1, 0), 1)
+@example([((1, 2), 3, ((1, 1),))], [(0, True, (-1,)), (0, False, (2, 1))], (1, 1), 1)
+@example([((1,), 1, ())], [(0, True, (1,)), (0, True, (-2,))], (1, 0), 1)  # cancels to 0
+def test_acc_total_and_reduce_keep_the_plain_sum(terms, repeats, pair, k):
+    """``_sum`` is the plain sum whether a term repeats another's entry
+    object, which it merges, or an equal but distinct object, which it
+    does not."""
+    summands = [(t, (1,)) for t in terms]
+    for i, same, c in repeats if terms else ():
+        t = terms[i % len(terms)]
+        summands.append((t if same else (t[0], t[1], t[2]), c))
+    plain = sum(
+        (_factored_to_rf(t) * RationalFunction(c or 0) for t, c in summands),
+        RationalFunction.zero(),
+    )
+    total = _sum(summands)
     assert _factored_to_rf(total) == plain
     reduced = _reduce(*total)
     assert _factored_to_rf(reduced) == plain
@@ -900,3 +913,25 @@ def test_acc_total_and_reduce_keep_the_plain_sum(terms, pair, k):
     a, b = pair
     padded = _imul_linear([k * c for c in reduced[0]], a, b)
     assert _reduce(padded, k * reduced[1], tuple(sorted(reduced[2] + (pair,)))) == reduced
+
+
+def test_the_sum_multiplies_each_distinct_entry_once(monkeypatch):
+    """The Mobius definition sums mu(F, E) Z(M|F) over the 698 flats of
+    U(4,16), whose Z(M|F) take 5 values, one per rank: ``_sum`` reads the
+    numerator of each distinct table entry once, not once per flat."""
+    reads = []
+
+    class Counted(tuple):
+        def __iter__(self):
+            reads.append(self)
+            return super().__iter__()
+
+    table = zeta._zeta_table
+
+    def counted(lat):
+        wrapped = {}  # one wrapped entry per table object, as the table shares them
+        return [wrapped.setdefault(id(e), (Counted(e[0]),) + e[1:]) for e in table(lat)]
+
+    monkeypatch.setattr(zeta, "_zeta_table", counted)
+    assert upsilon_by_mobius(uniform(4, 16)) == upsilon_uniform_closed(4, 16)
+    assert len(reads) == 5
