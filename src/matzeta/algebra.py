@@ -62,7 +62,7 @@ class RationalFunction:
     den: tuple[int, ...]
 
     def __init__(self, num, den=1) -> None:
-        """num and den: each an int, a Fraction or an ascending sequence of them."""
+        """num and den: each an int, a Fraction or an ascending list or tuple of them."""
         num, den = _canonical(*_clear_denominators(num, den))
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -212,8 +212,8 @@ def _as_rf(x):
 def _clear_denominators(num, den) -> tuple[list[int], list[int]]:
     """num and den as int lists, both multiplied by the lcm of the
     denominators of their coefficients."""
-    num = [num] if isinstance(num, (int, Fraction)) else list(num)
-    den = [den] if isinstance(den, (int, Fraction)) else list(den)
+    num = list(num) if isinstance(num, (list, tuple)) else [num]
+    den = list(den) if isinstance(den, (list, tuple)) else [den]
     for c in num + den:
         if not isinstance(c, (int, Fraction)):
             raise TypeError(f"expected an exact rational coefficient, got {type(c).__name__}")

@@ -59,11 +59,9 @@ def _sum(terms: Iterable[tuple[_Fct, Sequence[int]]]) -> _Fct:
     The coefficients of the terms that carry the same entry object are summed
     first, so each distinct entry is multiplied once (one pass when c is
     constant); the tables intern their entries, so equal entries are one
-    object.  The products are grouped by factor profile, a sorted tuple of
-    factor pairs, as every factored value keeps them, and the groups are put
-    over their least common denominator, left unreduced: ``_fold`` reduces
-    once after appending its own factor, and RationalFunction canonicalises a
-    total it is handed."""
+    object.  The nonzero products are put over their least common
+    denominator, left unreduced: ``_fold`` reduces once after appending its
+    own factor, and RationalFunction canonicalises a total it is handed."""
     merged: dict[int, tuple[_Fct, list]] = {}  # holds T, so no id is reused
     for t, c in terms:
         if c:
@@ -72,34 +70,21 @@ def _sum(terms: Iterable[tuple[_Fct, Sequence[int]]]) -> _Fct:
                 merged[id(t)] = (t, [c])
             else:
                 cur[1].append(c)
-    groups: dict[tuple, tuple[list[int], int]] = {}
+    live = []
     for (num, scale, key), cs in merged.values():
         c = cs[0] if len(cs) == 1 else _itrim([sum(x) for x in zip_longest(*cs, fillvalue=0)])
-        num = [c[0] * x for x in num] if len(c) == 1 else _imul(num, c)
-        cur = groups.get(key)
-        if cur is None:
-            groups[key] = (_itrim(num), scale)
-        elif cur[1] == scale:
-            groups[key] = (_iadd(cur[0], num), scale)
-        else:
-            g = math.gcd(cur[1], scale)
-            mc, mn = scale // g, cur[1] // g
-            groups[key] = (_iadd([x * mc for x in cur[0]], [x * mn for x in num]), cur[1] * mc)
-    live = [(k, v) for k, v in groups.items() if v[0]]
-    if not live:
-        return _F_ZERO
-    if len(live) == 1:  # one group is its own total
-        key, (num, scale) = live[0]
-        return (tuple(num), scale, key)
+        num = _itrim([c[0] * x for x in num] if len(c) == 1 else _imul(num, c))
+        if num:
+            live.append((num, scale, key))
     profile: dict[tuple[int, int], int] = {}
-    for key, _ in live:
+    for _, _, key in live:
         for pair, mult in _mults(key).items():
             if profile.get(pair, 0) < mult:
                 profile[pair] = mult
-    scale_lcm = math.lcm(*(scale for _, (_, scale) in live))
+    scale_lcm = math.lcm(*(scale for _, scale, _ in live))
     factors = tuple(sorted(pair for pair, mult in profile.items() for _ in range(mult)))
     num_total: list[int] = []
-    for key, (num, scale) in live:
+    for num, scale, key in live:
         if scale != scale_lcm:
             num = [c * (scale_lcm // scale) for c in num]
         i = 0  # key and factors are sorted: walk both, multiply by what key lacks
@@ -204,8 +189,6 @@ def _flag_sum(
     factors = list(bit_of)
     terms = []
     for mask, coef in folds[-1].items():
-        if not coef:
-            continue
         num, scale, den = [1], 1, []
         while mask:
             low = mask & -mask

@@ -377,9 +377,13 @@ def test_reflected_operators_truth_and_text():
         taylor_prefix(f, -1)
 
 
-@pytest.mark.parametrize("make", [lambda: rf(1) + "x", lambda: rf(1.5)], ids=["add-str", "float"])
-def test_inexact_operands_are_type_errors(make):
-    with pytest.raises(TypeError):
+@pytest.mark.parametrize("make, message", [
+    (lambda: rf(1) + "x", "unsupported operand"),
+    (lambda: rf(1.5), "^expected an exact rational coefficient, got float$"),
+    (lambda: rf([1, 1.5]), "^expected an exact rational coefficient, got float$"),
+], ids=["add-str", "float", "float-in-list"])
+def test_inexact_operands_are_type_errors(make, message):
+    with pytest.raises(TypeError, match=message):
         make()
 
 

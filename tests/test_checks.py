@@ -411,6 +411,19 @@ def _planted_flat_sum(monkeypatch):
     return check_counting_identities(_U23)
 
 
+def _planted_powers(monkeypatch):
+    original = checks.stirling_second_rows
+
+    def skewed(nmax, width=None):
+        for k, row in enumerate(original(nmax, width), start=1):
+            # S(2, .) = [0, 1, 1] read as [0, 3, 0]: 1! 3 C(3, 1) = 1! 1 C(3, 1)
+            # + 2! 1 C(3, 2), so 3^2 still holds, but the flat sum moves
+            yield [0, 3, 0] if k == 2 else row
+
+    monkeypatch.setattr(checks, "stirling_second_rows", skewed)
+    return check_counting_identities(_U23)
+
+
 def _planted_truncation(monkeypatch):
     victim = _U24.matroid.truncation()
     monkeypatch.setattr(
@@ -447,6 +460,9 @@ def _planted_crash(monkeypatch):
         "identity": "flat-sum-of-counts", "params": {"i": 1, "j": 1}, "lhs": ["6"],
         "rhs": ["3"],
     }),
+    (_planted_powers, _U23, "flat-sum-of-powers {'k': 2}", {
+        "identity": "flat-sum-of-powers", "params": {"k": 2}, "lhs": ["3"], "rhs": ["9"],
+    }),
     (_planted_truncation, _U24, "coefficients diverge at order 1", {
         "first_divergence": 1, "lhs": None, "rhs": None, "prefix": None,
         "truncation_prefix": None,
@@ -457,7 +473,7 @@ def _planted_crash(monkeypatch):
      {"coefficient_index": 2, "lhs": "4", "rhs": "3", "prefix": None}),
     (_planted_crash, _U23, "check raised an exception",
      {"error": "RuntimeError: injected failure"}),
-], ids=["girth", "k-derivative", "counting", "truncation", "upsilon-below-rank",
+], ids=["girth", "k-derivative", "counting", "powers", "truncation", "upsilon-below-rank",
         "upsilon-leading", "raised"])
 def test_failure_witness_fields(monkeypatch, plant, entry, reason, found):
     """Every failure site records the entry, its bases and exactly its own

@@ -875,7 +875,7 @@ def test_flat_tables_match_the_per_pair_fold(family, request):
                 assert _factored_to_rf(entry) == _factored_to_rf(want[f]), (m, f)
 
 
-# few pairs, so keys repeat factors and groups collide
+# few pairs, so keys repeat factors and share them with other keys
 factor_keys = st.lists(st.sampled_from(PRIMITIVE_PAIRS[:3]), max_size=4).map(
     lambda pairs: tuple(sorted(pairs))
 )
@@ -888,7 +888,7 @@ repeats = st.lists(st.tuples(st.integers(0, 5), st.booleans(), int_polys), max_s
 
 @given(acc_terms, repeats, st.sampled_from(PRIMITIVE_PAIRS[:6]), st.integers(1, 4))
 @example([], [], (1, 1), 1)
-@example([((1, 2), 2, ((1, 1), (1, 1)))], [], (1, 1), 1)  # one live group
+@example([((1, 2), 2, ((1, 1), (1, 1)))], [], (1, 1), 1)  # one live value
 @example([((1,), 2, ((1, 1),)), ((-1,), 2, ((1, 1),)), ((), 3, ())], [], (1, 0), 2)  # all zero
 @example([((1,), 2, ((1, 0),)), ((1,), 3, ((1, 0),)), ((2,), 1, ())], [], (1, 0), 1)
 @example([((1, 2), 3, ((1, 1),))], [(0, True, (-1,)), (0, False, (2, 1))], (1, 1), 1)
