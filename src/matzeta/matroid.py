@@ -252,6 +252,29 @@ class Matroid:
     def is_trivial(self) -> bool:
         return self.size == 0
 
+    def components(self) -> list[int]:
+        """The connected components as masks, ordered by least element.
+
+        Two elements share a component iff a chain of fundamental circuits of
+        one basis B links them, C(x, B) = x + {b in B : rk(B - b + x) = r}
+        for each x outside B: about size * rank rank-table reads.  A loop is
+        its own circuit, and an element of B in no circuit is a coloop."""
+        ranks, r, basis = self._ranks, self.rank, next(iter(self.bases))
+        found = [1 << b for b in iter_bits(basis)]
+        for x in iter_bits(self.full_mask & ~basis):
+            c = 1 << x
+            for b in iter_bits(basis):
+                if ranks[(basis ^ 1 << b) | 1 << x] == r:
+                    c |= 1 << b
+            found.append(c)
+        out: list[int] = []
+        for c in found:  # merge each circuit with every part it meets
+            for part in [p for p in out if p & c]:
+                out.remove(part)
+                c |= part
+            out.append(c)
+        return sorted(out, key=lambda part: part & -part)
+
     def girth(self) -> int:
         """Size of the smallest circuit: the least k with a dependent k-set;
         |E| + 1 when there are none."""

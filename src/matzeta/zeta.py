@@ -15,7 +15,9 @@ canonical ``RationalFunction`` values; tables live inside one call.
 from __future__ import annotations
 
 import math
+from functools import reduce
 from itertools import repeat, zip_longest
+from operator import mul
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -29,7 +31,7 @@ from .algebra import (
 )
 from .combinat import generalized_binomial, multichoose
 from .lattice import LatticeOfFlats, LoopsError, _minor_chi_ints, lattice_of
-from .matroid import Matroid
+from .matroid import Matroid, iter_bits
 
 
 ZETA_ALGORITHMS = ("flags", "recurrence", "y-sum", "auto")
@@ -494,34 +496,63 @@ def zeta_of_free_extension_via_transfer(m: Matroid) -> RationalFunction:
 # Dispatch
 
 
+def _parts(m: Matroid) -> list[Matroid]:
+    """The connected components of a loopless m as matroids, whose Z and Y
+    multiply to m's; [m] when m is connected, of size 0 or has loops.  The
+    split is checked: the parts must partition E with ranks summing to rk E,
+    which holds iff m is their direct sum."""
+    masks = m.components() if m.is_loopless() else []
+    if len(masks) < 2:
+        return [m]
+    parts = [m.restriction(c) for c in masks]
+    covered = sorted(e for c in masks for e in iter_bits(c))
+    if covered != list(range(m.size)) or sum(p.rank for p in parts) != m.rank:
+        raise VerificationError("the components found are not a direct sum")
+    return parts
+
+
 def compute_zeta(
     m: Matroid, algorithm: str = "auto", *, max_flags: int | None = None
 ) -> tuple[RationalFunction, str]:
-    """(Z, label of the route that computed it)."""
+    """(Z, label of the route that computed it), per connected component but
+    by the flag sum, which walks M's own lattice under ``max_flags``."""
     if algorithm not in ZETA_ALGORITHMS:
         raise ValueError(f"unknown zeta algorithm {algorithm!r}")
     if algorithm == "flags":
         return zeta_by_flags(m, max_flags=max_flags), "flag-sum"
     if algorithm == "recurrence":
-        return zeta_by_recurrence(m), "recurrence"
-    return zeta_by_ysum(m), "y-sum"
+        return reduce(mul, map(zeta_by_recurrence, _parts(m))), "recurrence"
+    return reduce(mul, map(zeta_by_ysum, _parts(m))), "y-sum"
 
 
 def compute_upsilon(
     m: Matroid, algorithm: str = "auto", *, max_flags: int | None = None
 ) -> tuple[RationalFunction, str]:
-    """(Y, label of the route that computed it)."""
+    """(Y, label of the route that computed it), per connected component but
+    by the flag product, which walks M's own lattice under ``max_flags``."""
     if algorithm not in UPSILON_ALGORITHMS:
         raise ValueError(f"unknown upsilon algorithm {algorithm!r}")
     if algorithm == "mobius":
-        return upsilon_by_mobius(m), "mobius-def"
+        return reduce(mul, map(upsilon_by_mobius, _parts(m))), "mobius-def"
     if algorithm == "flags":
         return upsilon_by_flags(m, max_flags=max_flags), "flag-product"
-    return upsilon_by_recurrence(m), "recurrence"
+    return reduce(mul, map(upsilon_by_recurrence, _parts(m))), "recurrence"
 
 
 class VerificationError(ArithmeticError):
-    """Two routes of ``verify_zeta`` or ``verify_upsilon`` disagree: a bug."""
+    """Two routes of ``verify_zeta`` or ``verify_upsilon`` disagree, or a
+    split into components is no direct sum: a bug."""
+
+
+def _capped_lattices(m: Matroid, max_flags: int | None) -> list[LatticeOfFlats]:
+    """The lattice of each connected component, each checked against the flag
+    cap as it is built, so a sum with one part over the cap fails before any
+    route runs."""
+    lats = []
+    for part in _parts(m):
+        lats.append(lattice_of(part))
+        lats[-1].check_flag_cap(max_flags)
+    return lats
 
 
 def verify_zeta(
@@ -529,33 +560,43 @@ def verify_zeta(
 ) -> tuple[RationalFunction, str]:
     """(Z, label) by the y-sum, once the flag sum and the Z recurrence on the
     same lattice agree with it and chi of the bottom's Mobius row, which the
-    flag sum swept, agrees with the subset expansion.  The capped flag sum
-    runs first, so a run over the cap fails before the slower routes start."""
+    flag sum swept, agrees with the subset expansion; per connected
+    component.  The capped flag sum runs first, so a run over the cap fails
+    before the slower routes start."""
     if m.is_trivial or not m.is_loopless():  # 1 and 0 with no lattice and no cap to exceed
         return zeta_by_ysum(m), "y-sum"
-    lat = lattice_of(m)
+    lats = _capped_lattices(m, max_flags)
+    return reduce(mul, (_verified_zeta(lat, max_flags) for lat in lats)), "y-sum"
+
+
+def _verified_zeta(lat: LatticeOfFlats, max_flags: int | None) -> RationalFunction:
     by_flags, bottom_row = _zeta_by_flags(lat, max_flags)
     by_recurrence = _zeta_by_recurrence(lat)
     zeta = _zeta_by_ysum(lat)
-    if lat.minor_chi(0, lat.top, bottom_row) != _minor_chi_ints(m, 0, lat.top):
+    if lat.minor_chi(0, lat.top, bottom_row) != _minor_chi_ints(lat.matroid, 0, lat.top):
         raise VerificationError("Mobius and subset-expansion chi disagree")
     for route, value in (("flag sum", by_flags), ("y-sum", zeta)):
         if value != by_recurrence:
             raise VerificationError(f"{route} and recurrence disagree")
-    return zeta, "y-sum"
+    return zeta
 
 
 def verify_upsilon(
     m: Matroid, *, max_flags: int | None = None
 ) -> tuple[RationalFunction, str]:
     """(Y, label) by the recurrence, once the capped flag product, run first,
-    and the Mobius definition on the same lattice agree with it."""
+    and the Mobius definition on the same lattice agree with it; per
+    connected component."""
     if m.is_trivial or not m.is_loopless():  # 1, or LoopsError, before any cap is checked
         return upsilon_by_flags(m), "recurrence"
-    lat = lattice_of(m)
+    lats = _capped_lattices(m, max_flags)
+    return reduce(mul, (_verified_upsilon(lat, max_flags) for lat in lats)), "recurrence"
+
+
+def _verified_upsilon(lat: LatticeOfFlats, max_flags: int | None) -> RationalFunction:
     by_flags = _upsilon_by_flags(lat, max_flags)
     by_mobius = _upsilon_by_mobius(lat)
     upsilon = _upsilon_by_recurrence(lat)
     if not by_flags == by_mobius == upsilon:
         raise VerificationError("upsilon algorithms disagree")
-    return upsilon, "recurrence"
+    return upsilon

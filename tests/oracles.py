@@ -15,8 +15,10 @@ loop over the signed subset expansion (``chi_by_subsets``, and ``chi`` for
 the whole matroid), the covers of a flat by closing every one-element
 extension (``covers_by_closure``), the two-flats identity and the Stirling
 lemma checked term by term, the k-derivative lemma with each canonical value
-differentiated to every order (``k_derivative_lemma_per_value``), and the
-re-evaluation of a failure witness (``witness_reverifies``)."""
+differentiated to every order (``k_derivative_lemma_per_value``), the
+re-evaluation of a failure witness (``witness_reverifies``), and the
+connected components by every circuit of the rank table
+(``components_by_circuits``)."""
 
 import itertools
 from fractions import Fraction
@@ -104,6 +106,27 @@ def ranks_by_all_deletions(size, bases):
 def rank_by_bases(bases, s):
     """rk S = max |S & B| over the bases B."""
     return max((s & b).bit_count() for b in bases)
+
+
+def components_by_circuits(m):
+    """The connected components as masks, ordered by least element: e and f
+    share one iff some circuit holds both, the circuits taken as the minimal
+    dependent sets of the rank table."""
+    ranks = m._ranks
+    circuits = [
+        s for s in range(1 << m.size)
+        if ranks[s] < s.bit_count()
+        and all(ranks[s & ~(1 << e)] == s.bit_count() - 1 for e in iter_bits(s))
+    ]
+    out = []
+    for e in range(m.size):
+        part = 1 << e
+        for c in circuits:
+            if c >> e & 1:
+                part |= c
+        if part not in out:
+            out.append(part)
+    return out
 
 
 def girth_by_scan(m):

@@ -31,12 +31,13 @@ from matzeta.cli import (
 )
 from matzeta.files import dump_bases, dump_graph
 from matzeta.lattice import LatticeOfFlats, lattice_of
-from matzeta.matroid import graphic, iter_bits, uniform
+from matzeta.matroid import Matroid, graphic, iter_bits, uniform
 from matzeta.zeta import (
     compute_upsilon,
     compute_zeta,
     uniform_taylor_coefficients,
     upsilon_by_flags,
+    upsilon_uniform_closed,
     zeta_by_flags,
     zeta_by_recurrence,
     zeta_of_free_extension_via_transfer,
@@ -181,15 +182,16 @@ def test_zeta_verify_checks_chi_against_the_subset_expansion(capsys, monkeypatch
 
 @pytest.mark.parametrize("spec", ["u:3,6", "u:3,7+u:3,7"])
 def test_zeta_verify_sweeps_the_bottom_row_once(capsys, monkeypatch, spec):
-    """The chi check reads the row of the bottom flat the flag route swept."""
+    """The chi check reads the row of the bottom flat the flag route swept:
+    on each component's lattice, every row is swept once."""
     original = LatticeOfFlats._mobius_rows
-    swept = Counter()
+    swept = Counter()  # (lattice, flat position) -> sweeps
 
     def counting(self):
         row = original(self)
 
         def counted(g):
-            swept[self.flats[g]] += 1
+            swept[self, g] += 1
             return row(g)
 
         return counted
@@ -197,7 +199,9 @@ def test_zeta_verify_sweeps_the_bottom_row_once(capsys, monkeypatch, spec):
     monkeypatch.setattr(LatticeOfFlats, "_mobius_rows", counting)
     code, out, _ = run_cli(capsys, "zeta", spec, "--verify")
     assert code == EXIT_OK and out.startswith("Z(s) = ")
-    assert swept[0] == 1 and set(swept.values()) == {1}
+    lattices = {lat for lat, _ in swept}
+    assert len(lattices) == spec.count("+") + 1
+    assert all(swept[lat, 0] == 1 for lat in lattices) and set(swept.values()) == {1}
 
 
 def test_zeta_verify_catches_a_wrong_flag_weight(capsys, monkeypatch):
@@ -224,10 +228,11 @@ def test_zeta_verify_catches_a_wrong_flag_weight(capsys, monkeypatch):
 
 @pytest.mark.parametrize("command", ["zeta", "upsilon"])
 def test_verify_over_the_cap_fails_fast(capsys, command):
-    # 12! maximal chains: refused on the covers, before any pair-sized index
-    code, out, err = run_cli(capsys, command, "u:12,12", "--verify")
+    # 12!/2 maximal chains on a connected matroid: refused on the covers,
+    # before any pair-sized index
+    code, out, err = run_cli(capsys, command, "u:11,12", "--verify")
     assert code == EXIT_DOMAIN and out == ""
-    assert "at least 479001600 flags exceed the cap of 10000000" in err
+    assert "at least 239500800 flags exceed the cap of 10000000" in err
 
 
 def test_upsilon_verify_checks_flag_cap_first(capsys, monkeypatch):
@@ -240,9 +245,55 @@ def test_upsilon_verify_checks_flag_cap_first(capsys, monkeypatch):
     assert "flags exceed" in err
 
 
+@pytest.mark.parametrize("command, route", [
+    ("upsilon", "_upsilon_by_mobius"), ("zeta", "_zeta_by_recurrence"),
+])
+def test_verify_checks_every_components_flag_cap_first(capsys, monkeypatch, command, route):
+    """u:2,3 fits the cap and u:11,12 does not: no route runs on either."""
+    def never(lat):
+        raise AssertionError(f"{route} ran although a component exceeds the flag cap")
+
+    monkeypatch.setattr(zeta, route, never)
+    code, out, err = run_cli(capsys, command, "u:2,3+u:11,12", "--verify")
+    assert code == EXIT_DOMAIN and out == ""
+    assert "at least 239500800 flags exceed" in err
+
+
+@pytest.mark.parametrize("command", ["zeta", "upsilon"])
+@pytest.mark.parametrize("spec, found", [
+    ("u:2,4", [0b0011, 0b1100]),  # ranks 2 + 2 against rk E = 2
+    ("u:1,2+u:1,1", [0b001, 0b100]),  # element 1 in no part
+    ("u:1,2+u:1,1", [0b011, 0b110]),  # element 1 in two parts
+])
+def test_verify_refuses_a_split_that_is_no_direct_sum(capsys, monkeypatch, command, spec, found):
+    monkeypatch.setattr(Matroid, "components", lambda self: found)
+    code, out, err = run_cli(capsys, command, spec, "--verify")
+    assert code == EXIT_THEOREM_FAILURE and out == ""
+    assert "verification failed: the components found are not a direct sum" in err
+
+
+@pytest.mark.parametrize("extra", [["--verify"], [], ["--algorithm", "recurrence"]])
+@pytest.mark.parametrize("spec, parts", [
+    ("u:3,5+u:2,4+u:1,1+u:1,1", [(3, 5), (2, 4), (1, 1), (1, 1)]),
+    ("u:16,16", [(16, 16)]),  # sixteen coloops: sixteen two-flat lattices under the cap
+])
+def test_a_direct_sum_is_the_product_of_its_parts(capsys, extra, spec, parts):
+    """Each part is a uniform matroid, so the value of the sum is the
+    product of their closed forms."""
+    for command, closed in (("zeta", zeta_uniform_closed), ("upsilon", upsilon_uniform_closed)):
+        code, out, _ = run_cli(capsys, command, spec, *extra, "--format", "json")
+        assert code == EXIT_OK
+        expected = RationalFunction.one()
+        for r, n in parts:
+            expected = expected * closed(r, n)
+        assert RationalFunction.from_json(json.loads(out)) == expected
+
+
 @pytest.mark.parametrize("argv, built", [
     ("zeta u:3,5 --verify", 1),
     ("upsilon u:3,5 --verify", 1),
+    ("zeta u:3,5+u:2,4 --verify", 2),
+    ("upsilon u:2,3+u:1,1+u:1,2 --verify", 3),
     ("zeta u:0,0 --verify", 0),
     ("zeta u:0,3 --verify", 0),
 ])

@@ -53,7 +53,7 @@ COMMANDS = [
     ["lattice", "u:0,3"],
     ["zeta", "ext(u:3,9)", "--verify", "--format", "json"],
     ["upsilon", "ext(u:3,9)", "--verify", "--format", "json"],
-    # 7,087,261 flags folded under the default cap
+    # nine coloops, split into nine two-flat lattices under the default cap
     ["upsilon", "u:9,9", "--verify", "--format", "json"],
     # the Mobius route
     ["upsilon", "u:3,5", "--algorithm", "mobius"],
@@ -79,8 +79,10 @@ COMMANDS = [
     ["zeta", _NESTED],
     ["zeta", "u:3,99999"],
     ["zeta", "u:2,3", "--max-flags", "-1"],
+    ["zeta", "u:11,12", "--verify"],
+    ["upsilon", "u:11,12", "--verify"],
+    # twelve coloops: twelve two-flat lattices under the cap
     ["zeta", "u:12,12", "--verify"],
-    ["upsilon", "u:12,12", "--verify"],
     ["taylor", "u:2,3", "-k", "-1"],
     ["check", "everything"],
 ]

@@ -33,7 +33,6 @@ UNCALLED_BY_DESIGN = {
     "lattice.LatticeOfFlats.mobius": (
         "the row-based Mobius oracle of test_cli.py::test_plain_paths_build_no_pair_index"
     ),
-    "matroid.Matroid.restriction": "perfbench span matroid.restriction",
     "algebra.RationalFunction.from_json": (
         "perfbench reference values and criterion 10's JSON round trip"
     ),

@@ -15,6 +15,7 @@ from matzeta.matroid import (
     uniform,
 )
 from oracles import (
+    components_by_circuits,
     contraction,
     degeneration,
     exchange_witness,
@@ -392,6 +393,69 @@ def test_direct_sum():
     assert len(a.direct_sum(b).bases) == len(a.bases) * len(b.bases)
     with pytest.raises(ValueError):
         uniform(1, 10).direct_sum(uniform(1, 10))
+
+
+def _relabelled(m: Matroid, rng: random.Random) -> Matroid:
+    """m with its elements permuted, so a component's elements scatter."""
+    perm = list(range(m.size))
+    rng.shuffle(perm)
+    return Matroid(m.size, [sum(1 << perm[e] for e in iter_bits(b)) for b in m.bases])
+
+
+def test_components_examples():
+    assert uniform(0, 0).components() == []
+    assert uniform(3, 3).components() == [0b001, 0b010, 0b100]  # coloops
+    assert uniform(0, 2).components() == [0b01, 0b10]  # loops
+    assert uniform(2, 4).components() == [0b1111]
+    m = uniform(1, 2).direct_sum(uniform(1, 1)).direct_sum(uniform(2, 3))
+    assert m.components() == [0b000011, 0b000100, 0b111000]
+    assert graphic(TRIANGLE + [(3, 4)] + [(4, 5), (5, 6), (4, 6)]).components() == [
+        0b0000111, 0b0001000, 0b1110000
+    ]
+
+
+def test_components_match_the_circuit_oracle_on_catalog(catalog7):
+    for entry in catalog7:
+        assert entry.matroid.components() == components_by_circuits(entry.matroid), entry.name
+
+
+def test_components_of_relabelled_sums():
+    k5 = [(u, w) for u in range(5) for w in range(u + 1, 5)]
+    rng = random.Random(33)
+    rng.shuffle(k5)
+    sums = [
+        graphic(k5).direct_sum(uniform(2, 3)),
+        uniform(2, 3).direct_sum(uniform(0, 1)).direct_sum(uniform(1, 1)).direct_sum(uniform(3, 5)),
+        graphic(K4).direct_sum(graphic(TRIANGLE)).direct_sum(uniform(1, 2)),
+    ]
+    for m in sums:
+        shuffled = _relabelled(m, rng)
+        assert shuffled.components() == components_by_circuits(shuffled)
+        assert len(shuffled.components()) == len(m.components())
+
+
+@st.composite
+def nested_matroids(draw, room=9):
+    """A matroid of at most ``room`` elements built as a nested spec: a
+    uniform atom, or tr, ext or + of smaller ones; relabelled at random."""
+    kind = draw(st.sampled_from(["u", "tr", "ext", "+"] if room >= 2 else ["u"]))
+    if kind == "u":
+        n = draw(st.integers(0, min(room, 5)))
+        m = uniform(draw(st.integers(0, n)), n)
+    elif kind == "tr":
+        m = draw(nested_matroids(room))
+        m = m.truncation() if m.rank else m
+    elif kind == "ext":
+        m = draw(nested_matroids(room - 1)).free_extension()
+    else:
+        m = draw(nested_matroids(room - 1))
+        m = m.direct_sum(draw(nested_matroids(room - m.size)))
+    return _relabelled(m, random.Random(draw(st.integers(0, 2**32))))
+
+
+@given(nested_matroids())
+def test_components_match_the_circuit_oracle_on_nested_specs(m):
+    assert m.components() == components_by_circuits(m)
 
 
 def test_truncation():
