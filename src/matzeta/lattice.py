@@ -12,7 +12,6 @@ Polynomials are ascending integer coefficient tuples, as in ``algebra``.
 
 from __future__ import annotations
 
-import re
 from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
@@ -21,7 +20,6 @@ from .algebra import InexactDivisionError, _div_linear, _poly_text
 from .matroid import Matroid, _between, iter_bits
 
 DEFAULT_FLAG_CAP = 10_000_000
-_ONE = re.compile("1")
 
 
 class LoopsError(ValueError):
@@ -55,30 +53,26 @@ class LatticeOfFlats:
         return len(self.flats)
 
     @cached_property
+    def _position(self) -> dict[int, int]:
+        """The position in ``flats`` of each flat, by mask."""
+        return {f: i for i, f in enumerate(self.flats)}
+
+    @cached_property
     def _supersets(self) -> list[tuple[int, ...]]:
         """For each flat position, the positions strictly above it, ascending,
         which is the (rank, mask) order.
 
-        Folded from the covers in descending rank, with the up-set of each
-        flat as a bitset over positions, decoded by one walk over its reversed
-        base-2 text; every entry is taken from one shared list of positions."""
-        flats = self.flats
-        pos = list(range(len(flats)))
+        Folded from the covers in descending position: the up-set of a flat
+        is the set union of its covers and their up-sets, sorted once."""
+        at, covers, flats = self._position, self._covers, self.flats
         out: list[tuple[int, ...]] = [()] * len(flats)
-        up: dict[int, int] = {}  # the stratum above only, by mask
-        i = len(flats)
-        for stratum in reversed(self.by_rank):
-            i -= len(stratum)
-            up_here: dict[int, int] = {}
-            for j, f in enumerate(stratum, i):
-                bits = 1 << j
-                for c in self._covers.get(f, ()):
-                    bits |= up[c]
-                up_here[f] = bits
-                # digit k of the reversed text is position j + k, and k = 0 is j
-                text = f"{bits >> j:b}"[::-1]
-                out[j] = tuple([pos[j + d.start()] for d in _ONE.finditer(text, 1)])
-            up = up_here
+        for i in reversed(range(len(flats) - 1)):  # the top is the last flat
+            up = set()
+            for c in covers[flats[i]]:
+                j = at[c]
+                up.add(j)
+                up.update(out[j])
+            out[i] = tuple(sorted(up))
         return out
 
     @cached_property
@@ -204,8 +198,7 @@ class LatticeOfFlats:
     @cached_property
     def maximal_chains(self) -> int:
         """Number of chains of covers from the empty flat to the top."""
-        flats, covers = self.flats, self._covers
-        at = {f: i for i, f in enumerate(flats)}
+        flats, covers, at = self.flats, self._covers, self._position
         return self._chains(lambda i: map(at.__getitem__, covers[flats[i]]))
 
     @cached_property
@@ -244,7 +237,9 @@ def _restriction_key(ranks: Sequence[int], f: int) -> tuple:
 
 
 def lattice_of(m: Matroid) -> LatticeOfFlats:
-    """Enumerate all flats of a loopless matroid, graded by rank, with covers."""
+    """Enumerate all flats of a loopless matroid, graded by rank, with covers:
+    each cover of a flat below rank r - 1 is closed once, and a hyperplane's
+    one cover is E, which needs no closure."""
     if not m.is_loopless():
         raise LoopsError(
             "matroid has loops; its lattice of flats is not built "
@@ -253,7 +248,7 @@ def lattice_of(m: Matroid) -> LatticeOfFlats:
     strata: list[tuple[int, ...]] = [(0,)]
     covers: dict[int, tuple[int, ...]] = {}
     current = [0]
-    for _ in range(m.rank):
+    for _ in range(m.rank - 1):
         nxt = set()
         for f in current:
             # the covers of f partition E - f, so each cover is closed once
@@ -269,6 +264,9 @@ def lattice_of(m: Matroid) -> LatticeOfFlats:
             nxt.update(above)
         current = sorted(nxt)
         strata.append(tuple(current))
+    if m.rank:  # H + e spans E for every hyperplane H
+        covers.update(dict.fromkeys(current, (m.full_mask,)))
+        strata.append((m.full_mask,))
     return LatticeOfFlats(m, tuple(strata), covers)
 
 

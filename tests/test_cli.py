@@ -437,6 +437,15 @@ def test_zeta_flag_cap(capsys):
     assert code == EXIT_DOMAIN
 
 
+def test_flag_cap_on_a_sum_is_whole_for_flags_and_per_component_for_verify(capsys):
+    # U(3,3) is three coloops: the flag route caps its 13-flag Boolean lattice,
+    # --verify caps each component's lattice, which holds one flag
+    code, _, err = run_cli(capsys, "zeta", "u:3,3", "--algorithm", "flags", "--max-flags", "2")
+    assert code == EXIT_DOMAIN and "at least 6 flags exceed the cap of 2" in err
+    code, out, _ = run_cli(capsys, "zeta", "u:3,3", "--verify", "--max-flags", "2")
+    assert code == EXIT_OK and out == "Z(s) = (1) / (s^3 + 3*s^2 + 3*s + 1)\n"
+
+
 def test_upsilon_command(capsys):
     code, out, _ = run_cli(capsys, "upsilon", "u:1,3", "--format", "json")
     assert code == EXIT_OK

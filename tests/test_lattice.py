@@ -289,9 +289,15 @@ def test_flag_cap():
 K6 = graphic([(a, b) for a in range(6) for b in range(a + 1, 6)])
 
 
-def test_interval_indexes_match_containment(catalog5):
-    named = [(e.name, e.matroid) for e in catalog5]
-    for name, m in named + [("U(4,16)", uniform(4, 16)), ("M(K6)", K6)]:
+def test_interval_indexes_match_containment(catalog7):
+    named = [(e.name, e.matroid) for e in catalog7] + [
+        ("U(1,3)", uniform(1, 3)),  # rank 1: the bottom is the only hyperplane
+        ("U(5,5)", uniform(5, 5)),
+        ("U(3,7)+U(3,7) unsplit", uniform(3, 7).direct_sum(uniform(3, 7))),  # 900 flats
+        ("U(4,16)", uniform(4, 16)),
+        ("M(K6)", K6),
+    ]
+    for name, m in named:
         lat = lattice_of(m)
         order = {g: i for i, g in enumerate(lat.flats)}
         for i, f in enumerate(lat.flats):
@@ -301,6 +307,10 @@ def test_interval_indexes_match_containment(catalog5):
             assert list(above) == sorted(above, key=order.__getitem__), name
             assert set(below) == {g for g in lat.flats if g != f and g & ~f == 0}, name
             assert set(above) == {g for g in lat.flats if g != f and f & ~g == 0}, name
+        # every hyperplane is given the top as its one cover, with no closure
+        for h in lat.by_rank[-2] if m.rank else ():
+            assert lat._covers[h] == (lat.top,), name
+            assert covers_by_closure(m, h) == {lat.top}, name
 
 
 def _chibar1_oracle(m, low, high):

@@ -376,10 +376,10 @@ def test_lattice_keeps_no_mobius_row(built_lattices):
     (lat,) = built_lattices
     for f, g in comparable_pairs(lat):
         lat.minor_chi(f, g)
-    # what the lattice grows is its interval index and its flag count
+    # what the lattice grows is its interval index, its position map and its flag count
     assert set(vars(lat)) == {
         "matroid", "by_rank", "flats", "top", "maximal_chains",
-        "_covers", "_supersets", "flag_count",
+        "_covers", "_position", "_supersets", "flag_count",
     }
 
 
