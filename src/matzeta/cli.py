@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -38,8 +39,6 @@ from .zeta import (
     VerificationError,
     compute_upsilon,
     compute_zeta,
-    verify_upsilon,
-    verify_zeta,
 )
 
 EXIT_OK = 0
@@ -161,16 +160,13 @@ def _emit(args, payload: dict, lines) -> None:
 
 def _cmd_value(args) -> int:
     """``zeta`` or ``upsilon``: the subparser binds the value's symbol and
-    its compute and verify functions."""
+    its compute function, whose ``"verify"`` route runs ``--verify``."""
     m = parse_matroid_spec(args.spec)
-    symbol, compute, verify = args.value
-    if args.verify:
-        value, algorithm = verify(m, max_flags=args.max_flags)
-    else:
-        value, algorithm = compute(m, args.algorithm, max_flags=args.max_flags)
+    symbol, compute = args.value
+    value, label = compute(m, "verify" if args.verify else args.algorithm, max_flags=args.max_flags)
     _note_loops(m)  # reached with loops only by Z: every Y route raises on them
     text = f"{symbol}(s) = {value.to_text('s')}"
-    _emit(args, {"algorithm": algorithm, **value.to_json()}, [text])
+    _emit(args, {"algorithm": label, **value.to_json()}, [text])
     return EXIT_OK
 
 
@@ -298,11 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_zeta = sub.add_parser("zeta", help="topological zeta function")
     add_common(p_zeta, algorithms=ZETA_ALGORITHMS)
-    p_zeta.set_defaults(fn=_cmd_value, value=("Z", compute_zeta, verify_zeta))
+    p_zeta.set_defaults(fn=_cmd_value, value=("Z", compute_zeta))
 
     p_ups = sub.add_parser("upsilon", help="Mobius inversion of the zeta function")
     add_common(p_ups, algorithms=UPSILON_ALGORITHMS)
-    p_ups.set_defaults(fn=_cmd_value, value=("Y", compute_upsilon, verify_upsilon))
+    p_ups.set_defaults(fn=_cmd_value, value=("Y", compute_upsilon))
 
     p_taylor = sub.add_parser("taylor", help="expansion coefficients of zeta at 0")
     add_common(p_taylor)
@@ -340,7 +336,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a reader gone early raises here, not in the flush at exit
+        return code
+    except BrokenPipeError:  # the reader closed stdout early: stop quietly, as it asked
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the exit flush
+        return EXIT_OK
     except (SpecParseError, FileFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

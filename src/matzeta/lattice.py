@@ -208,7 +208,7 @@ class LatticeOfFlats:
 
     def check_flag_cap(self, max_flags: int | None = None) -> None:
         """Refuse a flag walk over more than ``max_flags`` flags (default
-        DEFAULT_FLAG_CAP); every flag sum calls this first.
+        DEFAULT_FLAG_CAP); every flag walk is checked with this first.
         The maximal chains, counted on the covers, bound ``flag_count`` from
         below without its pair-sized index, so they are compared first."""
         cap = DEFAULT_FLAG_CAP if max_flags is None else max_flags

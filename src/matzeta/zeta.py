@@ -4,9 +4,12 @@ Z and Y are each computed by independent routes, so they check each other
 exactly.  The routes share their plumbing (one flag sum, one lower-interval
 fold, one ``_sum``), never their math, and neither table reads a Mobius row,
 so the flag routes, which sweep their own, stay an independent check.
-``auto`` takes routes that read no interval index.  ``verify_zeta`` and
-``verify_upsilon`` own ``--verify``: which routes run on the one lattice, in
-which order, and what counts as a disagreement.  Values are summed factored,
+``compute_zeta`` and ``compute_upsilon`` are the only dispatchers: each
+algorithm is a row of a route table, a label and a body on one lattice, and
+one driver runs a row on each connected component and multiplies.  ``auto``
+takes routes that read no interval index; the ``verify`` row owns
+``--verify``: which routes run on a lattice, in which order, and what counts
+as a disagreement.  Values are summed factored,
 num / (scale * prod (a s + b)), by ``_sum`` alone, which multiplies each
 distinct entry once, and reduced once per table entry; public results are
 canonical ``RationalFunction`` values; tables live inside one call.
@@ -264,20 +267,12 @@ def zeta_by_flags(m: Matroid, *, max_flags: int | None = None) -> RationalFuncti
     chi-bar_[F_{i-1}, F_i](1), each read from the Mobius row of F_{i-1},
     which is computed once per flat and dropped after, but for the bottom's.
     """
-    if m.is_trivial:  # 1 before the cap is checked: its one flag may exceed a cap of 0
-        return RationalFunction.one()
-    if not m.is_loopless():
-        return RationalFunction.zero()
-    return _zeta_by_flags(lattice_of(m), max_flags)[0]
+    return _drive(m, True, "flags", max_flags, split=False)[0]
 
 
-def _zeta_by_flags(
-    lat: LatticeOfFlats, max_flags: int | None
-) -> tuple[RationalFunction, list[tuple[int, int, int]]]:
+def _zeta_by_flags(lat: LatticeOfFlats) -> tuple[RationalFunction, list[tuple[int, int, int]]]:
     """Z by the flag sum, and the Mobius row of the bottom flat it swept, for
-    ``verify_zeta`` to check chi on with no second sweep.  The cap is checked
-    before the sweep opens, as the sweep reads the up-set index."""
-    lat.check_flag_cap(max_flags)
+    ``_verified_zeta`` to check chi on with no second sweep."""
     row = lat._mobius_rows()
     bottom = row(0)
 
@@ -303,9 +298,7 @@ def _zeta_table(lat: LatticeOfFlats) -> list[_Fct]:
 def zeta_by_recurrence(m: Matroid) -> RationalFunction:
     """Zeta by the proper-flat recurrence, memoized per restriction class,
     ascending rank."""
-    if not m.is_loopless():
-        return RationalFunction.zero()
-    return _zeta_by_recurrence(lattice_of(m))
+    return _drive(m, True, "recurrence", split=False)[0]
 
 
 def _zeta_by_recurrence(lat: LatticeOfFlats) -> RationalFunction:
@@ -320,11 +313,7 @@ def zeta_by_ysum(m: Matroid) -> RationalFunction:
     """Zeta as the sum over all flats F of Y(M|F): the Mobius inversion of
     Y(M) = sum over F of mu(F, E) Z(M|F), read off the Y table, so it takes
     no Mobius value, no Z weight and no interval index."""
-    if m.is_trivial:  # 1 with no lattice built, which verify_zeta relies on
-        return RationalFunction.one()
-    if not m.is_loopless():
-        return RationalFunction.zero()
-    return _zeta_by_ysum(lattice_of(m))
+    return _drive(m, True, "y-sum", split=False)[0]
 
 
 def _zeta_by_ysum(lat: LatticeOfFlats) -> RationalFunction:
@@ -335,16 +324,10 @@ def _zeta_by_ysum(lat: LatticeOfFlats) -> RationalFunction:
 # Mobius inversion
 
 
-def _require_upsilon_input(m: Matroid) -> None:
-    if not m.is_loopless():
-        raise LoopsError("the Mobius inversion is undefined for matroids with loops")
-
-
 def upsilon_by_mobius(m: Matroid) -> RationalFunction:
     """Mobius inversion straight from its definition: sum over all flats of
     mu(F, E) times zeta of the restriction to F."""
-    _require_upsilon_input(m)
-    return _upsilon_by_mobius(lattice_of(m))
+    return _drive(m, False, "mobius", split=False)[0]
 
 
 def _upsilon_by_mobius(lat: LatticeOfFlats) -> RationalFunction:
@@ -359,8 +342,7 @@ def _upsilon_by_mobius(lat: LatticeOfFlats) -> RationalFunction:
 def upsilon_by_recurrence(m: Matroid) -> RationalFunction:
     """Mobius inversion by its own proper-flat recurrence (no zeta, no mu):
     Y_F = -sum over G < F of (|F| s + rk G) Y_G, over (|F| s + rk F)."""
-    _require_upsilon_input(m)
-    return _upsilon_by_recurrence(lattice_of(m))
+    return _drive(m, False, "recurrence", split=False)[0]
 
 
 def _upsilon_table(lat: LatticeOfFlats) -> list[_Fct]:
@@ -388,15 +370,10 @@ def _upsilon_by_recurrence(lat: LatticeOfFlats) -> RationalFunction:
 def upsilon_by_flags(m: Matroid, *, max_flags: int | None = None) -> RationalFunction:
     """Mobius inversion as a flag sum of step products
     -(|F_i| s + rk F_{i-1}) / (|F_i| s + rk F_i)."""
-    _require_upsilon_input(m)
-    if m.is_trivial:  # 1 before the cap is checked: its one flag may exceed a cap of 0
-        return RationalFunction.one()
-    return _upsilon_by_flags(lattice_of(m), max_flags)
+    return _drive(m, False, "flags", max_flags, split=False)[0]
 
 
-def _upsilon_by_flags(lat: LatticeOfFlats, max_flags: int | None) -> RationalFunction:
-    lat.check_flag_cap(max_flags)
-
+def _upsilon_by_flags(lat: LatticeOfFlats) -> RationalFunction:
     def steps(i: int) -> list[tuple[int, int, int]]:
         b = lat.matroid._ranks[lat.flats[i]]
         return [(j, -1, b) for j in lat._supersets[i]]
@@ -496,81 +473,16 @@ def zeta_of_free_extension_via_transfer(m: Matroid) -> RationalFunction:
 # Dispatch
 
 
-def _parts(m: Matroid) -> list[Matroid]:
-    """The connected components of a loopless m as matroids, whose Z and Y
-    multiply to m's; [m] when m is connected, of size 0 or has loops.  The
-    split is checked: the parts must partition E with ranks summing to rk E,
-    which holds iff m is their direct sum."""
-    masks = m.components() if m.is_loopless() else []
-    if len(masks) < 2:
-        return [m]
-    parts = [m.restriction(c) for c in masks]
-    covered = sorted(e for c in masks for e in iter_bits(c))
-    if covered != list(range(m.size)) or sum(p.rank for p in parts) != m.rank:
-        raise VerificationError("the components found are not a direct sum")
-    return parts
-
-
-def compute_zeta(
-    m: Matroid, algorithm: str = "auto", *, max_flags: int | None = None
-) -> tuple[RationalFunction, str]:
-    """(Z, label of the route that computed it), per connected component but
-    by the flag sum, which walks M's own lattice under ``max_flags``."""
-    if algorithm not in ZETA_ALGORITHMS:
-        raise ValueError(f"unknown zeta algorithm {algorithm!r}")
-    if algorithm == "flags":
-        return zeta_by_flags(m, max_flags=max_flags), "flag-sum"
-    if algorithm == "recurrence":
-        return reduce(mul, map(zeta_by_recurrence, _parts(m))), "recurrence"
-    return reduce(mul, map(zeta_by_ysum, _parts(m))), "y-sum"
-
-
-def compute_upsilon(
-    m: Matroid, algorithm: str = "auto", *, max_flags: int | None = None
-) -> tuple[RationalFunction, str]:
-    """(Y, label of the route that computed it), per connected component but
-    by the flag product, which walks M's own lattice under ``max_flags``."""
-    if algorithm not in UPSILON_ALGORITHMS:
-        raise ValueError(f"unknown upsilon algorithm {algorithm!r}")
-    if algorithm == "mobius":
-        return reduce(mul, map(upsilon_by_mobius, _parts(m))), "mobius-def"
-    if algorithm == "flags":
-        return upsilon_by_flags(m, max_flags=max_flags), "flag-product"
-    return reduce(mul, map(upsilon_by_recurrence, _parts(m))), "recurrence"
-
-
 class VerificationError(ArithmeticError):
-    """Two routes of ``verify_zeta`` or ``verify_upsilon`` disagree, or a
-    split into components is no direct sum: a bug."""
+    """Two routes of a ``verify`` row disagree, or a split into components is
+    no direct sum: a bug."""
 
 
-def _capped_lattices(m: Matroid, max_flags: int | None) -> list[LatticeOfFlats]:
-    """The lattice of each connected component, each checked against the flag
-    cap as it is built, so a sum with one part over the cap fails before any
-    route runs."""
-    lats = []
-    for part in _parts(m):
-        lats.append(lattice_of(part))
-        lats[-1].check_flag_cap(max_flags)
-    return lats
-
-
-def verify_zeta(
-    m: Matroid, *, max_flags: int | None = None
-) -> tuple[RationalFunction, str]:
-    """(Z, label) by the y-sum, once the flag sum and the Z recurrence on the
-    same lattice agree with it and chi of the bottom's Mobius row, which the
-    flag sum swept, agrees with the subset expansion; per connected
-    component.  The capped flag sum runs first, so a run over the cap fails
-    before the slower routes start."""
-    if m.is_trivial or not m.is_loopless():  # 1 and 0 with no lattice and no cap to exceed
-        return zeta_by_ysum(m), "y-sum"
-    lats = _capped_lattices(m, max_flags)
-    return reduce(mul, (_verified_zeta(lat, max_flags) for lat in lats)), "y-sum"
-
-
-def _verified_zeta(lat: LatticeOfFlats, max_flags: int | None) -> RationalFunction:
-    by_flags, bottom_row = _zeta_by_flags(lat, max_flags)
+def _verified_zeta(lat: LatticeOfFlats) -> RationalFunction:
+    """Z by the y-sum, once the flag sum and the Z recurrence on the same
+    lattice agree with it and chi of the bottom's Mobius row, which the flag
+    sum swept, agrees with the subset expansion."""
+    by_flags, bottom_row = _zeta_by_flags(lat)
     by_recurrence = _zeta_by_recurrence(lat)
     zeta = _zeta_by_ysum(lat)
     if lat.minor_chi(0, lat.top, bottom_row) != _minor_chi_ints(lat.matroid, 0, lat.top):
@@ -581,22 +493,90 @@ def _verified_zeta(lat: LatticeOfFlats, max_flags: int | None) -> RationalFuncti
     return zeta
 
 
-def verify_upsilon(
-    m: Matroid, *, max_flags: int | None = None
-) -> tuple[RationalFunction, str]:
-    """(Y, label) by the recurrence, once the capped flag product, run first,
-    and the Mobius definition on the same lattice agree with it; per
-    connected component."""
-    if m.is_trivial or not m.is_loopless():  # 1, or LoopsError, before any cap is checked
-        return upsilon_by_flags(m), "recurrence"
-    lats = _capped_lattices(m, max_flags)
-    return reduce(mul, (_verified_upsilon(lat, max_flags) for lat in lats)), "recurrence"
-
-
-def _verified_upsilon(lat: LatticeOfFlats, max_flags: int | None) -> RationalFunction:
-    by_flags = _upsilon_by_flags(lat, max_flags)
+def _verified_upsilon(lat: LatticeOfFlats) -> RationalFunction:
+    """Y by the recurrence, once the flag product and the Mobius definition agree."""
+    by_flags = _upsilon_by_flags(lat)
     by_mobius = _upsilon_by_mobius(lat)
     upsilon = _upsilon_by_recurrence(lat)
     if not by_flags == by_mobius == upsilon:
         raise VerificationError("upsilon algorithms disagree")
     return upsilon
+
+
+# algorithm -> (label, body on one lattice): a row per CLI choice and for --verify
+_ZETA_ROUTES = {
+    "flags": ("flag-sum", lambda lat: _zeta_by_flags(lat)[0]),
+    "recurrence": ("recurrence", _zeta_by_recurrence),
+    "y-sum": ("y-sum", _zeta_by_ysum),
+    "auto": ("y-sum", _zeta_by_ysum),
+    "verify": ("y-sum", _verified_zeta),
+}
+_UPSILON_ROUTES = {
+    "mobius": ("mobius-def", _upsilon_by_mobius),
+    "recurrence": ("recurrence", _upsilon_by_recurrence),
+    "flags": ("flag-product", _upsilon_by_flags),
+    "auto": ("recurrence", _upsilon_by_recurrence),
+    "verify": ("recurrence", _verified_upsilon),
+}
+
+
+def compute_zeta(
+    m: Matroid, algorithm: str = "auto", *, max_flags: int | None = None
+) -> tuple[RationalFunction, str]:
+    """(Z, label of its route) per component, by a ZETA_ALGORITHMS or "verify" row."""
+    return _drive(m, True, algorithm, max_flags)
+
+
+def compute_upsilon(
+    m: Matroid, algorithm: str = "auto", *, max_flags: int | None = None
+) -> tuple[RationalFunction, str]:
+    """(Y, label of its route) per component, by an UPSILON_ALGORITHMS or "verify" row."""
+    return _drive(m, False, algorithm, max_flags)
+
+
+def _guard(m: Matroid, zeta: bool) -> RationalFunction | None:
+    """Every route's value where no lattice is walked, else None: 1 for the
+    empty matroid, before any lattice or cap (its one flag may exceed a cap
+    of 0), and for loops Z = 0 or, for Y, ``LoopsError``."""
+    if m.is_loopless():
+        return RationalFunction.one() if m.is_trivial else None
+    if zeta:
+        return RationalFunction.zero()
+    raise LoopsError("the Mobius inversion is undefined for matroids with loops")
+
+
+def _drive(
+    m: Matroid, zeta: bool, algorithm: str, max_flags: int | None = None, split: bool = True
+) -> tuple[RationalFunction, str]:
+    """(value, label) by ``algorithm``'s row of the Z (``zeta``) or Y route
+    table: ``_guard``, else the row's body on each connected component's
+    lattice (m's own unless ``split``), multiplied.  A flag-walking row checks
+    each lattice against the cap as it is built, before any body runs."""
+    routes = _ZETA_ROUTES if zeta else _UPSILON_ROUTES
+    if algorithm not in routes:
+        raise ValueError(f"unknown {'zeta' if zeta else 'upsilon'} algorithm {algorithm!r}")
+    label, body = routes[algorithm]
+    value = _guard(m, zeta)
+    if value is not None:
+        return value, label
+    lats = []
+    for part in _parts(m) if split else [m]:
+        lats.append(lattice_of(part))
+        if algorithm in ("flags", "verify"):
+            lats[-1].check_flag_cap(max_flags)
+    return reduce(mul, map(body, lats)), label
+
+
+def _parts(m: Matroid) -> list[Matroid]:
+    """The connected components of a nonempty loopless m as matroids, whose
+    Z and Y multiply to m's; [m] when m is connected.  The split is checked:
+    the parts must partition E with ranks summing to rk E, which holds iff m
+    is their direct sum."""
+    masks = m.components()
+    if len(masks) < 2:
+        return [m]
+    parts = [m.restriction(c) for c in masks]
+    covered = sorted(e for c in masks for e in iter_bits(c))
+    if covered != list(range(m.size)) or sum(p.rank for p in parts) != m.rank:
+        raise VerificationError("the components found are not a direct sum")
+    return parts

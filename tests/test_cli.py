@@ -245,16 +245,21 @@ def test_upsilon_verify_checks_flag_cap_first(capsys, monkeypatch):
     assert "flags exceed" in err
 
 
-@pytest.mark.parametrize("command, route", [
-    ("upsilon", "_upsilon_by_mobius"), ("zeta", "_zeta_by_recurrence"),
-])
-def test_verify_checks_every_components_flag_cap_first(capsys, monkeypatch, command, route):
-    """u:2,3 fits the cap and u:11,12 does not: no route runs on either."""
-    def never(lat):
-        raise AssertionError(f"{route} ran although a component exceeds the flag cap")
+@pytest.mark.parametrize("command, route, mode", [
+    ("upsilon", "_upsilon_by_mobius", ["--verify"]),
+    ("zeta", "_zeta_by_recurrence", ["--verify"]),
+    ("upsilon", "_upsilon_by_mobius", ["--algorithm", "flags"]),
+    ("zeta", "_zeta_by_recurrence", ["--algorithm", "flags"]),
+], ids=["upsilon-_upsilon_by_mobius", "zeta-_zeta_by_recurrence", "upsilon-flags", "zeta-flags"])
+def test_verify_checks_every_components_flag_cap_first(capsys, monkeypatch, command, route, mode):
+    """u:2,3 fits the cap and u:11,12 does not: no route and no flag sum
+    runs on either, under ``--verify`` or the flag route."""
+    def never(*args):
+        raise AssertionError("a route ran although a component exceeds the flag cap")
 
     monkeypatch.setattr(zeta, route, never)
-    code, out, err = run_cli(capsys, command, "u:2,3+u:11,12", "--verify")
+    monkeypatch.setattr(zeta, "_flag_sum", never)
+    code, out, err = run_cli(capsys, command, "u:2,3+u:11,12", *mode)
     assert code == EXIT_DOMAIN and out == ""
     assert "at least 239500800 flags exceed" in err
 
@@ -272,7 +277,9 @@ def test_verify_refuses_a_split_that_is_no_direct_sum(capsys, monkeypatch, comma
     assert "verification failed: the components found are not a direct sum" in err
 
 
-@pytest.mark.parametrize("extra", [["--verify"], [], ["--algorithm", "recurrence"]])
+@pytest.mark.parametrize(
+    "extra", [["--verify"], [], ["--algorithm", "recurrence"], ["--algorithm", "flags"]]
+)
 @pytest.mark.parametrize("spec, parts", [
     ("u:3,5+u:2,4+u:1,1+u:1,1", [(3, 5), (2, 4), (1, 1), (1, 1)]),
     ("u:16,16", [(16, 16)]),  # sixteen coloops: sixteen two-flat lattices under the cap
@@ -429,21 +436,21 @@ def test_integers_are_ascii_digits_with_an_optional_sign(capsys, tmp_path, argv,
 
 def test_zeta_flag_cap(capsys):
     code, _, err = run_cli(
-        capsys, "zeta", "u:3,3", "--algorithm", "flags", "--max-flags", "2"
+        capsys, "zeta", "u:2,3", "--algorithm", "flags", "--max-flags", "2"
     )
     assert code == EXIT_DOMAIN
-    assert "flags exceed" in err
+    assert "at least 3 flags exceed the cap of 2" in err
     code, _, _ = run_cli(capsys, "zeta", "u:2,3", "--algorithm", "flags", "--max-flags", "0")
     assert code == EXIT_DOMAIN
 
 
-def test_flag_cap_on_a_sum_is_whole_for_flags_and_per_component_for_verify(capsys):
-    # U(3,3) is three coloops: the flag route caps its 13-flag Boolean lattice,
-    # --verify caps each component's lattice, which holds one flag
-    code, _, err = run_cli(capsys, "zeta", "u:3,3", "--algorithm", "flags", "--max-flags", "2")
-    assert code == EXIT_DOMAIN and "at least 6 flags exceed the cap of 2" in err
-    code, out, _ = run_cli(capsys, "zeta", "u:3,3", "--verify", "--max-flags", "2")
-    assert code == EXIT_OK and out == "Z(s) = (1) / (s^3 + 3*s^2 + 3*s + 1)\n"
+def test_flag_cap_on_a_sum_is_per_component_for_flags_and_verify(capsys):
+    # U(3,3) is three coloops: the flag route and --verify both cap each
+    # component's lattice, which holds one flag, not the 13-flag Boolean lattice
+    for mode in (["--algorithm", "flags"], ["--verify"]):
+        code, out, err = run_cli(capsys, "zeta", "u:3,3", *mode, "--max-flags", "2")
+        assert (code, err) == (EXIT_OK, "")
+        assert out == "Z(s) = (1) / (s^3 + 3*s^2 + 3*s + 1)\n"
 
 
 def test_upsilon_command(capsys):
@@ -667,6 +674,24 @@ def test_cli_deterministic_in_process(capsys):
     third = run_cli(capsys, "check", "all", "--max-ground", "3")
     fourth = run_cli(capsys, "check", "all", "--max-ground", "3")
     assert third == fourth
+
+
+@pytest.mark.parametrize("argv, lines", [
+    ("lattice u:6,16", 1),  # 198 kB: more than a pipe holds, so writes follow the close
+    ("zeta u:2,3", 0),  # closed before the one line is flushed
+])
+def test_a_reader_closing_early_ends_the_run_quietly(argv, lines):
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)  # block-buffered, so text is left for the exit flush
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    cmd = [sys.executable, "-m", "matzeta", *argv.split()]
+    with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as run:
+        for _ in range(lines):
+            assert run.stdout.readline()
+        run.stdout.close()
+        err = run.stderr.read()
+        assert (run.wait(), err) == (EXIT_OK, b"")
 
 
 def test_cli_deterministic_subprocess():

@@ -23,6 +23,16 @@ UNCALLED_BY_DESIGN = {
     "zeta.upsilon_uniform_closed": "perfbench large-verify reference value",
     "zeta.zeta_of_free_extension_via_transfer": "perfbench large-verify reference value",
     "zeta.zeta_of_truncation_via_transfer": "paper formula checked by criterion 4",
+    "zeta.zeta_by_flags": (
+        "whole-lattice oracle of the component split; perfbench span zeta.zeta_by_flags"
+    ),
+    "zeta.upsilon_by_flags": (
+        "whole-lattice oracle of the component split; perfbench span zeta.upsilon_by_flags"
+    ),
+    "zeta.upsilon_by_mobius": (
+        "whole-lattice oracle of the component split; perfbench span zeta.upsilon_by_mobius"
+    ),
+    "zeta.zeta_by_ysum": "whole-lattice oracle of the component split",
     "zeta.uniform_taylor_coefficients": (
         "paper formula checked by test_cli.py::test_plain_paths_build_no_pair_index"
     ),

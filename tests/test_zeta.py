@@ -28,6 +28,8 @@ from matzeta.lattice import (
 )
 from matzeta.matroid import Matroid, graphic, uniform
 from matzeta.zeta import (
+    UPSILON_ALGORITHMS,
+    ZETA_ALGORITHMS,
     _div_linear,
     _factored_to_rf,
     _flag_sum,
@@ -117,7 +119,7 @@ def test_ysum_matches_both_recurrence_and_flag_sum(catalog7):
     for m in [*(e.matroid for e in catalog7), graphic(edges), *nested]:
         lat = lattice_of(m)
         by_ysum = zeta._zeta_by_ysum(lat)
-        assert by_ysum == zeta._zeta_by_recurrence(lat) == zeta._zeta_by_flags(lat, None)[0]
+        assert by_ysum == zeta._zeta_by_recurrence(lat) == zeta._zeta_by_flags(lat)[0]
 
 
 def test_zeta_one_dimensional_family():
@@ -383,10 +385,14 @@ def test_lattice_keeps_no_mobius_row(built_lattices):
     }
 
 
-@pytest.mark.parametrize("route", [zeta_by_recurrence, upsilon_by_mobius, upsilon_by_recurrence])
-def test_table_routes_fold_the_size_0_matroid(route, built_lattices):
-    assert route(uniform(0, 0)) == RationalFunction.one()
-    assert [lat.flats for lat in built_lattices] == [(0,)]
+@pytest.mark.parametrize(
+    "route", ["zeta_by_recurrence", "upsilon_by_mobius", "upsilon_by_recurrence"]
+)
+def test_table_routes_fold_the_size_0_matroid(route):
+    # the routes answer 1 before any lattice: their bodies fold its one flat
+    lat = lattice_of(uniform(0, 0))
+    assert lat.flats == (0,)
+    assert getattr(zeta, "_" + route)(lat) == RationalFunction.one()
 
 
 
@@ -760,6 +766,44 @@ def test_compute_dispatch():
         compute_zeta(m, "magic")
     with pytest.raises(ValueError):
         compute_upsilon(m, "magic")
+
+
+@pytest.mark.parametrize("m", [
+    parse_matroid_spec("tr(u:3,4)+ext(u:1,2)"),
+    parse_matroid_spec("u:2,3+u:1,1+u:1,2"),
+    graphic(complete_graph(4)).direct_sum(uniform(1, 2)),
+], ids=["U24+U13", "U23+U11+U12", "K4+U12"])
+def test_every_route_splits_a_sum_into_the_whole_lattice_value(m, built_lattices):
+    """Each row of both route tables, ``verify`` included, runs on each
+    component's lattice, and the product is the whole-lattice oracle's
+    value on the unsplit matroid, under the row's label."""
+    parts = len(m.components())
+    assert parts > 1
+    whole = {compute_zeta: zeta_by_flags(m), compute_upsilon: upsilon_by_recurrence(m)}
+    assert [lat.matroid.size for lat in built_lattices] == [m.size] * 2
+    for compute, choices, routes in (
+        (compute_zeta, ZETA_ALGORITHMS, zeta._ZETA_ROUTES),
+        (compute_upsilon, UPSILON_ALGORITHMS, zeta._UPSILON_ROUTES),
+    ):
+        for algorithm in (*choices, "verify"):
+            built_lattices.clear()
+            assert compute(m, algorithm) == (whole[compute], routes[algorithm][0]), algorithm
+            assert len(built_lattices) == parts, algorithm
+
+
+def test_the_route_tables_hold_one_row_per_choice_and_verify():
+    labels = {
+        "flags": "flag-sum", "recurrence": "recurrence", "y-sum": "y-sum", "auto": "y-sum",
+        "verify": "y-sum",
+    }
+    assert {a: label for a, (label, _) in zeta._ZETA_ROUTES.items()} == labels
+    assert sorted(zeta._ZETA_ROUTES) == sorted([*ZETA_ALGORITHMS, "verify"])
+    labels = {
+        "mobius": "mobius-def", "recurrence": "recurrence", "flags": "flag-product",
+        "auto": "recurrence", "verify": "recurrence",
+    }
+    assert {a: label for a, (label, _) in zeta._UPSILON_ROUTES.items()} == labels
+    assert sorted(zeta._UPSILON_ROUTES) == sorted([*UPSILON_ALGORITHMS, "verify"])
 
 
 # ---------------------------------------------------------------------------
