@@ -7,7 +7,10 @@ The checks of one entry share one ``_Bundle``, one lattice and one Y table,
 which shares plumbing, never an answer under test: the k-derivative lemma
 tests the Z recurrence on a Z it did not compute, with subset-expansion
 weights, and Z(tr M) comes from the truncation's table, not the transfer
-formula.  A holds verdict builds no ``RationalFunction``.  The names
+formula.  The tables and Z are integer numerators over the lattice's level
+product (see ``zeta``), and a holds verdict builds no ``RationalFunction``:
+the Taylor prefixes expand a numerator over the product as it stands, and
+the k-derivative residual is tested for being a multiple of it.  The names
 ``zeta_taylor_prefix``, ``upsilon_taylor_prefix`` and ``minor_reduced_chi``
 stay module-level so a test can plant a violation through them.
 """
@@ -27,11 +30,8 @@ from .combinat import rising_factorial, stirling_second_rows
 from .lattice import LatticeOfFlats, lattice_of, minor_reduced_chi
 from .matroid import Matroid, _between, _by_size, graphic, iter_bits, uniform
 from .zeta import (
-    _Fct,
-    _expand_den,
-    _factored_to_rf,
-    _reduce,
-    _sum,
+    _combine,
+    _Table,
     _truncated_upsilon_table,
     _upsilon_table,
     _y_sum,
@@ -163,7 +163,7 @@ class _Bundle:
         return lattice_of(self.matroid)
 
     @cached_property
-    def upsilon_table(self) -> list[_Fct]:
+    def upsilon_table(self) -> _Table:
         return _upsilon_table(self.lattice)
 
     @cached_property
@@ -175,10 +175,10 @@ class _Bundle:
         return tr
 
     @cached_property
-    def zeta(self) -> _Fct:
+    def zeta(self) -> tuple[int, ...]:
         """Z(M), the sum of the Y table over the flats: the Mobius inversion
-        read backwards."""
-        return _y_sum(self.upsilon_table)
+        read backwards, a numerator over the table's level product."""
+        return _y_sum(self.upsilon_table.entries)
 
     @cached_property
     def class_chibar(self) -> list[tuple[int, list[int]]]:
@@ -195,20 +195,15 @@ class _Bundle:
 
 
 def zeta_taylor_prefix(b: _Bundle, k: int) -> tuple[Fraction, ...]:
-    """Expansion of the zeta value around 0; the seam the checkers go through."""
-    return _factored_taylor(b.zeta, k)
+    """Expansion of the zeta value around 0; the seam the checkers go through.
+    Z is expanded as it stands, over the level product: an unreduced
+    fraction expands as its canonical form does, and D(0), the product of
+    the levels' ranks, is nonzero."""
+    return _itaylor(b.zeta, b.upsilon_table.den, k)
 
 
 def upsilon_taylor_prefix(b: _Bundle, k: int) -> tuple[Fraction, ...]:
-    return _factored_taylor(b.upsilon_table[-1], k)
-
-
-def _factored_taylor(f: _Fct, k: int) -> tuple[Fraction, ...]:
-    """Expansion of a table entry num / (scale * prod (a s + b)) around 0, as
-    it stands: an unreduced fraction expands as its canonical form does, and
-    den(0) = scale * prod b is nonzero, every b being a rank >= 1."""
-    num, scale, factors = f
-    return _itaylor(num, _expand_den(scale, factors), k)
+    return _itaylor(b.upsilon_table.entries[-1], b.upsilon_table.den, k)
 
 
 # Z and Y of a matroid, memoised across calls.  No check reads them: the
@@ -275,10 +270,11 @@ def check_k_derivative_lemma(
     weights are chi-bar(1), coefficient sums of the chi-bar division, summed
     to W per restriction class.  As Z(M|F) = sum over the flats G <= F of
     Y(M|G), the weighted sum is that of K_e e over the Y entries e, K_e adding
-    the W of each class above a flat with entry e, as ``_sum`` counts them:
-    one fold, reduced, which strips every linear factor dividing the
-    numerator, so R is a constant iff no factor is left and the numerator has
-    degree <= 0.  Only a failing R is differentiated, for the order-1 witness.
+    the W of each class above a flat with entry e, as ``_combine`` counts
+    them: R is one integer numerator over the table's level product, and a
+    constant iff that numerator is a rational multiple of the product,
+    which ``_Table.is_constant`` tests cross-multiplied.  Only a failing R
+    is differentiated, for the order-1 witness.
     """
     m = entry.matroid
     if m.is_trivial or not m.is_loopless():
@@ -289,16 +285,15 @@ def check_k_derivative_lemma(
     n, r = m.size, m.rank
     lat, table = b.lattice, b.upsilon_table
     weighted = [  # -W Y(M|G) for the flats G <= F
-        (table[j], [-w])
+        (table.entries[j], -w, 0)
         for i, chibar in b.class_chibar
         if (w := sum(chibar))
         for j in lat.strict_subsets(i) + [i]
     ]
-    num, _, fct = _reduce(*_sum([(b.zeta, [r, n])] + weighted))
-    if fct or len(num) > 1:
+    if not table.is_constant(_combine([(b.zeta, r, n)] + weighted)):
         # D Z, and the value the order-1 identity gives it
-        z = _factored_to_rf(b.zeta)
-        rhs = -_factored_to_rf(_sum(weighted)).derivative()
+        z = table.value(b.zeta)
+        rhs = -table.value(_combine(weighted)).derivative()
         rhs = (rhs - n * z) / RationalFunction((r, n))
         return _fails(
             K_DERIVATIVE_CHECK, entry, "order 1 mismatch",

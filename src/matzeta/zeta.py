@@ -2,17 +2,25 @@
 
 Z and Y are each computed by independent routes, so they check each other
 exactly.  The routes share their plumbing (one flag sum, one lower-interval
-fold, one ``_sum``), never their math, and neither table reads a Mobius row,
-so the flag routes, which sweep their own, stay an independent check.
-``compute_zeta`` and ``compute_upsilon`` are the only dispatchers: each
-algorithm is a row of a route table, a label and a body on one lattice, and
-one driver runs a row on each connected component and multiplies.  ``auto``
-takes routes that read no interval index; the ``verify`` row owns
-``--verify``: which routes run on a lattice, in which order, and what counts
-as a disagreement.  Values are summed factored,
-num / (scale * prod (a s + b)), by ``_sum`` alone, which multiplies each
-distinct entry once, and reduced once per table entry; public results are
-canonical ``RationalFunction`` values; tables live inside one call.
+fold, one ``_combine``, one level product), never their math, and neither
+table reads a Mobius row, so the flag routes, which sweep their own, stay an
+independent check.  ``compute_zeta`` and ``compute_upsilon`` are the only
+dispatchers: each algorithm is a row of a route table, a label and a body on
+one lattice, and one driver runs a row on each connected component and
+multiplies.  ``auto`` takes routes that read no interval index; the
+``verify`` row owns ``--verify``: which routes run on a lattice, in which
+order, and what counts as a disagreement.
+
+A chain of flats meets each level (|F|, rk F) at most once, as sizes
+strictly increase along it, so the denominator of each flag's term of Z(M|F)
+or Y(M|F) divides the level product D, the product of (|F| s + rk F) over
+the distinct levels of the lattice, and D Z(M|F), D Y(M|F) are integer
+polynomials.  The tables carry each value as that integer numerator over D:
+a fold is a weighted sum of the distinct entries below a flat and one exact
+division by its (|F| s + rk F), and a division that leaves a remainder
+raises, so a wrong D never gives a wrong value.  Each public value is
+reduced once, by ``_Table.value``; public results are canonical
+``RationalFunction`` values; tables live inside one call.
 """
 
 from __future__ import annotations
@@ -22,13 +30,12 @@ from functools import reduce
 from itertools import repeat, zip_longest
 from operator import mul
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .algebra import (
     RationalFunction,
     _div_linear,
     _iadd,
-    _imul,
     _imul_linear,
     _itrim,
 )
@@ -41,111 +48,93 @@ ZETA_ALGORITHMS = ("flags", "recurrence", "y-sum", "auto")
 UPSILON_ALGORITHMS = ("mobius", "recurrence", "flags", "auto")
 
 
+class VerificationError(ArithmeticError):
+    """Two routes of a ``verify`` row disagree, a split into components is
+    no direct sum, or a value is not a polynomial over its level product: a
+    bug."""
+
+
 # ---------------------------------------------------------------------------
-# Factored accumulation: value = num(s) / (scale * prod (a s + b)^mult)
-
-_Fct = tuple  # (num: tuple[int, ...], scale: int, factors: tuple[tuple[int, int], ...])
-
-_F_ZERO: _Fct = ((), 1, ())
-_F_ONE: _Fct = ((1,), 1, ())
+# Integer numerators over the level product
 
 
-def _norm_factor(a: int, b: int) -> tuple[int, tuple[int, int]]:
-    """Split a*s + b (a >= 1) into integer content and a primitive pair."""
-    g = math.gcd(a, b)
-    return g, (a // g, b // g)
+class _Table(NamedTuple):
+    """Values by flat position over one denominator: ``entries[i]`` is the
+    integer numerator N = value * D, D = ``den`` the product of (a s + b)
+    over ``levels``."""
+
+    levels: tuple[tuple[int, int], ...]
+    den: tuple[int, ...]
+    entries: list[tuple[int, ...]]
+
+    def value(self, num: Sequence[int]) -> RationalFunction:
+        """num / D, canonical.  The primitive part of each level that
+        divides num is struck from both first, so the degrees
+        ``RationalFunction`` takes a gcd of are low."""
+        num, den = list(num), self.den
+        for a, b in self.levels:
+            g = math.gcd(a, b)
+            quo = _div_linear(num, a // g, b // g) if len(num) > 1 else None
+            if quo is not None:
+                num, den = quo, _div_linear(den, a // g, b // g)
+        return RationalFunction(num, den)
+
+    def is_constant(self, num: Sequence[int]) -> bool:
+        """num / D is a constant: num = c D, tested cross-multiplied."""
+        den = self.den
+        if not num:
+            return True
+        return len(num) == len(den) and all(x * den[-1] == num[-1] * d for x, d in zip(num, den))
 
 
-def _sum(terms: Iterable[tuple[_Fct, Sequence[int]]]) -> _Fct:
-    """Sum c * T over the (T, c) of ``terms``, unreduced, c a short polynomial
-    in s ([] for zero, which is skipped: on near-Boolean lattices most
-    chi-bar(1) are 0).
-
-    The coefficients of the terms that carry the same entry object are summed
-    first, so each distinct entry is multiplied once (one pass when c is
-    constant); the tables intern their entries, so equal entries are one
-    object.  The nonzero products are put over their least common
-    denominator, left unreduced: ``_fold`` reduces once after appending its
-    own factor, and RationalFunction canonicalises a total it is handed."""
-    merged: dict[int, tuple[_Fct, list]] = {}  # holds T, so no id is reused
-    for t, c in terms:
-        if c:
-            cur = merged.get(id(t))
-            if cur is None:
-                merged[id(t)] = (t, [c])
-            else:
-                cur[1].append(c)
-    live = []
-    for (num, scale, key), cs in merged.values():
-        c = cs[0] if len(cs) == 1 else _itrim([sum(x) for x in zip_longest(*cs, fillvalue=0)])
-        num = _itrim([c[0] * x for x in num] if len(c) == 1 else _imul(num, c))
-        if num:
-            live.append((num, scale, key))
-    profile: dict[tuple[int, int], int] = {}
-    for _, _, key in live:
-        for pair, mult in _mults(key).items():
-            if profile.get(pair, 0) < mult:
-                profile[pair] = mult
-    scale_lcm = math.lcm(*(scale for _, scale, _ in live))
-    factors = tuple(sorted(pair for pair, mult in profile.items() for _ in range(mult)))
-    num_total: list[int] = []
-    for num, scale, key in live:
-        if scale != scale_lcm:
-            num = [c * (scale_lcm // scale) for c in num]
-        i = 0  # key and factors are sorted: walk both, multiply by what key lacks
-        for pair in factors:
-            if i < len(key) and key[i] == pair:
-                i += 1
-            else:
-                num = _imul_linear(num, *pair)
-        num_total = _iadd(num_total, num)
-    return (tuple(num_total), scale_lcm, factors)
-
-
-def _mults(factors: tuple) -> dict[tuple[int, int], int]:
-    """The multiplicity of each pair of a factor tuple, in the tuple's order."""
-    out: dict[tuple[int, int], int] = {}
-    for pair in factors:
-        out[pair] = out.get(pair, 0) + 1
-    return out
-
-
-def _reduce(num: Sequence[int], scale: int, factors: tuple) -> _Fct:
-    """Strip integer content and linear denominator factors dividing num.
-
-    Dividing by a primitive factor leaves the content of num unchanged
-    (Gauss's lemma), so one content strip up front is enough."""
-    num = _itrim(list(num))
-    if not num:
-        return _F_ZERO
-    g = math.gcd(scale, *num)
-    if g > 1:
-        num = [c // g for c in num]
-        scale //= g
-    kept: list[tuple[int, int]] = []
-    for pair, mult in _mults(factors).items():  # sorted, as factors is
-        a, b = pair
-        while mult > 0 and len(num) > 1:
-            quo = _div_linear(num, a, b)
-            if quo is None:
-                break
-            num = quo
-            mult -= 1
-        kept.extend([pair] * mult)
-    return (tuple(num), scale, tuple(kept))
-
-
-def _expand_den(scale: int, factors: tuple) -> list[int]:
-    """scale * prod (a s + b) as a coefficient list."""
-    den = [scale]
-    for a, b in factors:
+def _levels(lat: LatticeOfFlats) -> _Table:
+    """An empty table over the lattice's level product: D is the product of
+    (|F| s + rk F) over the distinct levels (|F|, rk F) of its nonempty
+    flats."""
+    ranks = lat.matroid._ranks
+    levels = tuple(sorted({(f.bit_count(), ranks[f]) for f in lat.flats[1:]}))
+    den = [1]
+    for a, b in levels:
         den = _imul_linear(den, a, b)
-    return den
+    return _Table(levels, tuple(den), [])
 
 
-def _factored_to_rf(f: _Fct) -> RationalFunction:
-    num, scale, factors = f
-    return RationalFunction(num, _expand_den(scale, factors))
+def _combine(terms: Iterable[tuple[Sequence[int], int, int]]) -> list[int]:
+    """Sum (c0 + c1 s) N over the (N, c0, c1) of ``terms``.
+
+    The weights of the terms that carry the same entry object are summed
+    first, so each distinct entry is read once, and an entry whose weights
+    sum to zero not at all (on near-Boolean lattices most chi-bar(1) are
+    0); the tables intern their entries, so equal entries are one object."""
+    merged: dict[int, list] = {}  # id -> [N, c0, c1]; holds N, so no id is reused
+    for e, c0, c1 in terms:
+        cur = merged.get(id(e))
+        if cur is None:
+            merged[id(e)] = [e, c0, c1]
+        else:
+            cur[1] += c0
+            cur[2] += c1
+    out: list[int] = []
+    for e, c0, c1 in merged.values():
+        if c1:
+            out = [o + c0 * x + c1 * y for o, x, y in zip_longest(out, e, (0, *e), fillvalue=0)]
+        elif c0:
+            out = [o + c0 * x for o, x in zip_longest(out, e, fillvalue=0)]
+    return _itrim(out)
+
+
+def _divide(num: Sequence[int], a: int, b: int) -> tuple[int, ...]:
+    """num / (a s + b), which must leave no remainder and integer
+    coefficients: else the level product lacks a level of the fold."""
+    quo = _div_linear(num, a, b) if num else []
+    if quo is None:
+        raise VerificationError(f"a fold is not divisible by {a} s + {b}: a level is missing")
+    return tuple(quo)
+
+
+def _y_sum(entries: Iterable[Sequence[int]]) -> tuple[int, ...]:
+    """The sum of ``entries``."""
+    return tuple(_combine(zip(entries, repeat(1), repeat(0))))
 
 
 # ---------------------------------------------------------------------------
@@ -163,21 +152,26 @@ def _flag_sum(
 
     A forward fold over the flats in ascending rank, which is the same sum
     regrouped by distributivity: each flat F reached holds the flags from 0
-    to F as a dict from the set of raw factors they meet, a bitmask over a
-    dense index, to the sum of their weight products (|F_i| strictly
-    increases, so no factor repeats in a flag).  Stepping F -> G adds
-    coef * w under mask | bits to G's dict, F's dict is dropped once pushed,
-    and each key of the top's dict is expanded once at the end.  Each flat's
-    denominator bit is found once; a numerator's bit is cached by (|G|, b).
-    ``steps`` runs once per flat reached, the bottom first, and a zero
-    weight drops every flag through that step.  The callers check the flag
-    cap, before anything reads the up-set index."""
+    to F as a dict from the set of raw factors they meet, a bitmask over the
+    lattice's levels and then the numerators, to the sum of their weight
+    products (|F_i| strictly increases, so no level repeats in a flag).
+    Stepping F -> G adds coef * w under mask | bits to G's dict, F's dict is
+    dropped once pushed, and each key of the top's dict is expanded once at
+    the end, over the level product: its numerators times the levels it
+    lacks.  A numerator's bit is cached by (|G|, b).  ``steps`` runs once
+    per flat reached, the bottom first, and a zero weight drops every flag
+    through that step.  The callers check the flag cap, before anything
+    reads the up-set index."""
     ranks = lat.matroid._ranks
-    bit_of: dict[tuple, int] = {}  # ("den" | "num", a, b) -> bit
+    table = _levels(lat)
+    level_bit = {pair: 1 << k for k, pair in enumerate(table.levels)}
+    bit_of: dict[tuple[int, int], int] = {}  # numerator (|G|, b) -> bit, above the levels
     sizes = [f.bit_count() for f in lat.flats]
-    dens = [
-        1 << bit_of.setdefault(("den", n, ranks[f]), len(bit_of)) for n, f in zip(sizes, lat.flats)
-    ]
+    try:  # the bottom is never stepped to
+        dens = [0] + [level_bit[n, ranks[f]] for n, f in zip(sizes[1:], lat.flats[1:])]
+    except KeyError as exc:
+        raise VerificationError(f"the level product lacks the level {exc.args[0]}") from None
+    shift = len(table.levels)
     folds: list[dict[int, int]] = [{0: 1}] + [{} for _ in dens[1:]]
     for i in range(len(dens) - 1):  # the top is the last flat
         here, folds[i] = folds[i], {}
@@ -186,71 +180,58 @@ def _flag_sum(
                 continue
             bits = dens[j]
             if b is not None:
-                bits |= 1 << bit_of.setdefault(("num", sizes[j], b), len(bit_of))
+                bits |= 1 << (shift + bit_of.setdefault((sizes[j], b), len(bit_of)))
             there = folds[j]
             for mask, coef in here.items():
                 key = mask | bits
                 there[key] = there.get(key, 0) + coef * w
-    factors = list(bit_of)
-    terms = []
+    nums = list(bit_of)
+    total: list[int] = []
     for mask, coef in folds[-1].items():
-        num, scale, den = [1], 1, []
+        num = [coef]
+        for k, (a, b) in enumerate(table.levels):
+            if not mask >> k & 1:
+                num = _imul_linear(num, a, b)
+        mask >>= shift
         while mask:
             low = mask & -mask
-            kind, a, b = factors[low.bit_length() - 1]
-            if kind == "num":
-                num = _imul_linear(num, a, b)
-            else:
-                c, pair = _norm_factor(a, b)
-                scale *= c
-                den.append(pair)
+            num = _imul_linear(num, *nums[low.bit_length() - 1])
             mask ^= low
-        terms.append(((num, scale, tuple(sorted(den))), [coef]))
-    return _factored_to_rf(_sum(terms))
+        total = _iadd(total, num)
+    return table.value(total)
 
 
 def _flat_table(
-    lat: LatticeOfFlats, coefs: Callable[[int, list[int]], Iterable[list[int]]]
-) -> list[_Fct]:
-    """Fold over lower intervals in ascending rank into a list parallel to
-    ``lat.flats``: T[0] = 1, and T[F] = sum over G < F of c_G T[G] over
-    (|F| s + rk F), c_G a short polynomial in s ([] for zero), G's entry in
-    coefs(F, below), parallel to below = lat.strict_subsets(F).
+    lat: LatticeOfFlats, coefs: Callable[[int, list[int]], tuple[Iterable[int], int]]
+) -> _Table:
+    """Fold over lower intervals in ascending rank into entries parallel to
+    ``lat.flats`` over the level product D: T[0] = 1, and T[F] = sum over
+    G < F of (c_G + u s) T[G] over (|F| s + rk F), where
+    coefs(F, below) = (c, u), c parallel to below = lat.strict_subsets(F).
 
     T[F] depends only on the restriction to F, so a proper flat whose
     ``lat.restriction_class`` was seen before takes that flat's entry, and
     its lower interval and coefs(F, below) are computed once per restriction
-    class.  The entries are interned as they are reduced, and a reduced entry
-    is unique per value, so equal entries are one object, which ``_sum``
-    multiplies once per fold."""
+    class.  The entries are interned, so equal entries are one object, which
+    ``_combine`` reads once per fold."""
     ranks, flats = lat.matroid._ranks, lat.flats
-    table: list[_Fct] = [_F_ONE]
-    intern: dict[_Fct, _Fct] = {}
+    table = _levels(lat)
+    entries = table.entries
+    entries.append(table.den)
+    intern: dict[tuple[int, ...], tuple[int, ...]] = {}
     class_of = lat.restriction_class
-    classes: dict[int | None, _Fct] = {}  # restriction class -> entry
+    classes: dict[int | None, tuple[int, ...]] = {}  # restriction class -> entry
     for i in range(1, len(flats)):
         key = class_of.get(i)  # None for the top
         if key not in classes:
             below = lat.strict_subsets(i)
             f = flats[i]
-            terms = zip(map(table.__getitem__, below), coefs(i, below))
-            entry = _fold(terms, f.bit_count(), ranks[f])
+            c, u = coefs(i, below)
+            num = _combine(zip(map(entries.__getitem__, below), c, repeat(u)))
+            entry = _divide(num, f.bit_count(), ranks[f])
             classes[key] = intern.setdefault(entry, entry)
-        table.append(classes[key])
+        entries.append(classes[key])
     return table
-
-
-def _fold(terms: Iterable[tuple[_Fct, Sequence[int]]], size: int, rank: int) -> _Fct:
-    """``_sum`` of ``terms`` divided by (size s + rank) and reduced: one entry
-    of a lower-interval fold."""
-    num, scale, fct = _sum(terms)
-    c, pair = _norm_factor(size, rank)
-    return _reduce(num, scale * c, tuple(sorted(fct + (pair,))))
-
-
-def _y_sum(entries: Iterable[_Fct]) -> _Fct:
-    """The sum of ``entries``, reduced."""
-    return _reduce(*_sum(zip(entries, repeat((1,)))))
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +267,13 @@ def _zeta_by_flags(lat: LatticeOfFlats) -> tuple[RationalFunction, list[tuple[in
 # Zeta: proper-flat recurrence
 
 
-def _zeta_table(lat: LatticeOfFlats) -> list[_Fct]:
+def _zeta_table(lat: LatticeOfFlats) -> _Table:
     """Zeta of every restriction-to-a-flat, by flat position:
     Z_F = sum over G < F of chi-bar_[G, F](1) Z_G, over (|F| s + rk F).  The
     weights are the lattice's column fold ``chibar1_below``, which pulls
     through the up-set index."""
     weights = lat.chibar1_below
-    return _flat_table(lat, lambda i, below: [[w] if w else [] for w in weights(i, below)])
+    return _flat_table(lat, lambda i, below: (weights(i, below), 0))
 
 
 def zeta_by_recurrence(m: Matroid) -> RationalFunction:
@@ -302,7 +283,8 @@ def zeta_by_recurrence(m: Matroid) -> RationalFunction:
 
 
 def _zeta_by_recurrence(lat: LatticeOfFlats) -> RationalFunction:
-    return _factored_to_rf(_zeta_table(lat)[-1])
+    table = _zeta_table(lat)
+    return table.value(table.entries[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +299,8 @@ def zeta_by_ysum(m: Matroid) -> RationalFunction:
 
 
 def _zeta_by_ysum(lat: LatticeOfFlats) -> RationalFunction:
-    return _factored_to_rf(_y_sum(_upsilon_table(lat)))
+    table = _upsilon_table(lat)
+    return table.value(_y_sum(table.entries))
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +319,8 @@ def _upsilon_by_mobius(lat: LatticeOfFlats) -> RationalFunction:
     mu[-1] = 1  # the top is the last flat
     for i in reversed(range(len(mu) - 1)):
         mu[i] = -sum(map(mu.__getitem__, sup[i]))
-    return _factored_to_rf(_sum((z, [x]) for z, x in zip(_zeta_table(lat), mu) if x))
+    table = _zeta_table(lat)
+    return table.value(_combine(zip(table.entries, mu, repeat(0))))
 
 
 def upsilon_by_recurrence(m: Matroid) -> RationalFunction:
@@ -345,26 +329,37 @@ def upsilon_by_recurrence(m: Matroid) -> RationalFunction:
     return _drive(m, False, "recurrence", split=False)[0]
 
 
-def _upsilon_table(lat: LatticeOfFlats) -> list[_Fct]:
+def _upsilon_table(lat: LatticeOfFlats) -> _Table:
     """Y of every restriction-to-a-flat, by flat position, by the weights
     -(|F| s + rk G), which read no interval index."""
     rk = [r for r, stratum in enumerate(lat.by_rank) for _ in stratum]
     size = [f.bit_count() for f in lat.flats]
-    return _flat_table(lat, lambda i, below: [[-rk[j], -size[i]] for j in below])
+    return _flat_table(lat, lambda i, below: ([-rk[j] for j in below], -size[i]))
 
 
-def _truncated_upsilon_table(lat: LatticeOfFlats, table: list[_Fct]) -> list[_Fct]:
-    """The Y table of tr M, read off M's lattice and Y table: tr(M)|F = M|F
-    when rk F <= r - 2, a prefix of the table, and the top is -sum of
-    (n s + rk G) Y(M|G) over those flats G, over (n s + r - 1)."""
-    m = lat.matroid
-    out = table[: len(table) - len(lat.by_rank[-1]) - len(lat.by_rank[-2])]
-    terms = [(e, [-m._ranks[g], -m.size]) for g, e in zip(lat.flats, out)]
-    return out + [_fold(terms, m.size, m.rank - 1)]
+def _truncated_upsilon_table(lat: LatticeOfFlats, table: _Table) -> _Table:
+    """The Y table of tr M, read off M's lattice and Y table, over M's level
+    product times (n s + r - 1): tr(M)|F = M|F when rk F <= r - 2, a prefix
+    of the table, and the top is -sum of (n s + rk G) Y(M|G) over those
+    flats G, over (n s + r - 1), so its numerator needs no division."""
+    n, r = lat.matroid.size, lat.matroid.rank
+    rk = [-k for k, stratum in enumerate(lat.by_rank[:-2]) for _ in stratum]  # -rk G
+    prefix = table.entries[: len(rk)]
+    lifted: dict[int, tuple[int, ...]] = {}  # once per entry object
+    for e in prefix:
+        if id(e) not in lifted:
+            lifted[id(e)] = tuple(_imul_linear(e, n, r - 1))
+    top = _combine(zip(prefix, rk, repeat(-n)))
+    return _Table(
+        table.levels + ((n, r - 1),),
+        tuple(_imul_linear(table.den, n, r - 1)),
+        [lifted[id(e)] for e in prefix] + [tuple(top)],
+    )
 
 
 def _upsilon_by_recurrence(lat: LatticeOfFlats) -> RationalFunction:
-    return _factored_to_rf(_upsilon_table(lat)[-1])
+    table = _upsilon_table(lat)
+    return table.value(table.entries[-1])
 
 
 def upsilon_by_flags(m: Matroid, *, max_flags: int | None = None) -> RationalFunction:
@@ -449,9 +444,8 @@ def _transfer_inputs(m: Matroid, name: str, min_rank: int) -> tuple[RationalFunc
         raise LoopsError(f"{name} transfer needs a loopless matroid")
     if m.rank < min_rank:
         raise ValueError(f"{name} transfer needs rank >= {min_rank}")
-    lat = lattice_of(m)
-    table = _upsilon_table(lat)
-    return _factored_to_rf(_y_sum(table)), _factored_to_rf(table[-1])
+    table = _upsilon_table(lattice_of(m))
+    return table.value(_y_sum(table.entries)), table.value(table.entries[-1])
 
 
 def zeta_of_truncation_via_transfer(m: Matroid) -> RationalFunction:
@@ -471,11 +465,6 @@ def zeta_of_free_extension_via_transfer(m: Matroid) -> RationalFunction:
 
 # ---------------------------------------------------------------------------
 # Dispatch
-
-
-class VerificationError(ArithmeticError):
-    """Two routes of a ``verify`` row disagree, or a split into components is
-    no direct sum: a bug."""
 
 
 def _verified_zeta(lat: LatticeOfFlats) -> RationalFunction:

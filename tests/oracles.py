@@ -9,10 +9,10 @@ view of the up-set index (``strict_supersets``) and the flag walk over it, the
 restriction key of a flat by every (rk F)-subset of F
 (``restriction_key_by_combinations``), the contraction at a set and the degeneration
 along a flag, lower intervals by containment (``lower_interval``), the
-lower-interval fold one comparable pair at a time, keyed by mask
-(``flat_table_per_pair``), the characteristic polynomial of a minor by a
-loop over the signed subset expansion (``chi_by_subsets``, and ``chi`` for
-the whole matroid), the covers of a flat by closing every one-element
+lower-interval fold one comparable pair at a time in ``RationalFunction``
+arithmetic, keyed by mask (``flat_table_per_pair``), the characteristic
+polynomial of a minor by a loop over the signed subset expansion
+(``chi_by_subsets``, and ``chi`` for the whole matroid), the covers of a flat by closing every one-element
 extension (``covers_by_closure``), the two-flats identity and the Stirling
 lemma checked term by term, the k-derivative lemma with each canonical value
 differentiated to every order (``k_derivative_lemma_per_value``), the
@@ -29,14 +29,6 @@ from matzeta.checks import FAILS, HOLDS, K_DERIVATIVE_CHECK, SKIPPED, CheckRepor
 from matzeta.combinat import stirling_first, stirling_second_rows
 from matzeta.lattice import lattice_of, minor_reduced_chi
 from matzeta.matroid import Matroid, _compress, iter_bits, uniform
-from matzeta.zeta import (
-    _F_ONE,
-    _factored_to_rf,
-    _norm_factor,
-    _reduce,
-    _sum,
-    _y_sum,
-)
 
 
 def mask_of(elements):
@@ -241,21 +233,17 @@ def lower_interval(lat, f):
 
 def flat_table_per_pair(lat, row, term):
     """The lower-interval fold with one term per comparable pair, keyed by
-    mask: T[0] = 1 and
-    T[F] = sum over flats G < F of term(num_G, x_G, F) / (scale_G * prod fct_G),
-    divided by (|F| s + rk F), where T[G] = (num_G, scale_G, fct_G) and x_G is
-    G's entry in row(F, below), a sequence parallel to
-    below = lower_interval(lat, F)."""
-    tbl = {0: _F_ONE}
+    mask, in ``RationalFunction`` arithmetic: T[0] = 1 and
+    T[F] = sum over flats G < F of term(T[G], x_G, F), divided by
+    (|F| s + rk F), where x_G is G's entry in row(F, below), a sequence
+    parallel to below = lower_interval(lat, F)."""
+    tbl = {0: RationalFunction.one()}
     for f in lat.flats[1:]:
         below = lower_interval(lat, f)
-        terms = []
-        for g, x in zip(below, row(f, below)):
-            num, scale, fct = tbl[g]
-            terms.append(((term(num, x, f), scale, fct), [1]))  # one object per term
-        total = _sum(terms)
-        c, pair = _norm_factor(f.bit_count(), lat.matroid.rank_of(f))
-        tbl[f] = _reduce(total[0], total[1] * c, tuple(sorted(total[2] + (pair,))))
+        total = sum(
+            (term(tbl[g], x, f) for g, x in zip(below, row(f, below))), RationalFunction.zero()
+        )
+        tbl[f] = total / RationalFunction((lat.matroid.rank_of(f), f.bit_count()))
     return tbl
 
 
@@ -336,7 +324,8 @@ def k_derivative_lemma_per_value(entry, kmax=3, bundle=None):
     it) and never through the bundle's class sums; Z is the bundle's
     ``zeta`` and each Z(M|F) the sum of the bundle's Y entries on the flats
     G <= F, found by containment, flat by flat (so a planted Z or Y entry
-    reaches it), and Z and
+    reaches it), their numerators summed column by column over the table's
+    level product D and read as ``RationalFunction(N, D)``, and Z and
     every distinct Z(M|F) of nonzero summed weight are differentiated k times by
     ``RationalFunction.derivative``, and
     D^k Z = (sum of w D^k Z(M|F) - k n D^(k-1) Z) / (n s + r) is tested order
@@ -347,15 +336,15 @@ def k_derivative_lemma_per_value(entry, kmax=3, bundle=None):
             K_DERIVATIVE_CHECK, entry.name, SKIPPED, "needs a loopless nontrivial matroid"
         )
     b = bundle or _Bundle(m)
-    lat = b.lattice
+    lat, table = b.lattice, b.upsilon_table
     n, r = m.size, m.rank
     weights = {}  # canonical Z(M|F) -> summed weight
     for f in lat.flats[1:-1]:  # the reduced flats
-        entries = [e for g, e in zip(lat.flats, b.upsilon_table) if not g & ~f]  # G <= F
-        v = _factored_to_rf(_y_sum(entries))
+        below = [e for g, e in zip(lat.flats, table.entries) if not g & ~f]  # G <= F
+        v = RationalFunction([sum(c) for c in itertools.zip_longest(*below, fillvalue=0)], table.den)
         weights[v] = weights.get(v, 0) + sum(checks.minor_reduced_chi(m, f, lat.top))
     weights = {v: w for v, w in weights.items() if w}
-    z = _factored_to_rf(b.zeta)
+    z = RationalFunction(b.zeta, table.den)
     derivs = {v: [v] for v in (z, *weights)}
     for k in range(1, kmax + 1):
         for chain in derivs.values():

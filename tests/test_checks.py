@@ -29,12 +29,8 @@ from matzeta.checks import (
 from matzeta.cli import parse_matroid_spec
 from matzeta.lattice import LatticeOfFlats, lattice_of, minor_reduced_chi
 from matzeta.matroid import Matroid, graphic, iter_bits, uniform
-from matzeta.algebra import RationalFunction, _imul_linear, _iadd, taylor_prefix
+from matzeta.algebra import RationalFunction, _div_linear, _imul_linear, _iadd, taylor_prefix
 from matzeta.zeta import (
-    _factored_to_rf,
-    _norm_factor,
-    _reduce,
-    _sum,
     _upsilon_table,
     upsilon_by_flags,
     upsilon_by_recurrence,
@@ -536,15 +532,15 @@ def test_residual_k_derivative_matches_the_per_value_oracle(catalog7):
         assert report == k_derivative_lemma_per_value(entry, 6, bundle), entry.name
 
 
-def _bump_constant(f):
-    num, scale, fct = f
-    return ((num[0] + 1,) + num[1:], scale, fct)
+def _bump_constant(num):
+    # + 1 / D, D the level product the numerator is over
+    return (num[0] + 1,) + num[1:]
 
 
-def _offset_by(f, n, r):
-    # + 1 / (n s + r), which changes the residual by the constant 1
-    c, pair = _norm_factor(n, r)
-    return _reduce(*_sum([(f, [1]), (((1,), c, (pair,)), [1])]))
+def _offset_by(num, den, n, r):
+    # + 1 / (n s + r), which changes the residual by the constant 1; the
+    # level product D has the factor n s + r of the top level
+    return tuple(_iadd(num, _div_linear(den, n, r)))
 
 
 @pytest.mark.parametrize("name", ["U(2,3)", "K4", "U(2,3)+U(2,3)", "tr(U(1,2)+U(2,4))"])
@@ -576,14 +572,14 @@ def test_planted_k_derivative_failures_match_the_oracle(monkeypatch, catalog7, n
     bundle = checks._Bundle(m)
     top = m.full_mask
     if plant == "flat":
-        table = bundle.upsilon_table
+        entries = bundle.upsilon_table.entries
         for i in cls:
             if cls[i] == cls[at]:
-                table[i] = _bump_constant(table[i])
+                entries[i] = _bump_constant(entries[i])
     elif plant == "top":
         bundle.zeta = _bump_constant(bundle.zeta)
     elif plant == "flat-constant":
-        bundle.zeta = _offset_by(bundle.zeta, m.size, m.rank)
+        bundle.zeta = _offset_by(bundle.zeta, bundle.upsilon_table.den, m.size, m.rank)
     report = check_k_derivative_lemma(entry, bundle)
     assert report.status == (HOLDS if plant == "flat-constant" else FAILS)
     for kmax in range(1, 7):
@@ -635,21 +631,28 @@ def test_subsets_are_counted_once_per_restriction_class(monkeypatch, catalog7):
         assert counted[0] == m.full_mask and len(counted) == classes + 1, entry.name
 
 
-def test_factored_taylor_prefixes_match_the_canonical_expansion(catalog7):
+def test_taylor_prefixes_over_the_level_product_match_the_canonical_expansion(catalog7):
+    """The seams expand a numerator over the level product as it stands,
+    unreduced, as the canonical value expands; so does one more common
+    factor, here an integer and a linear one."""
     for entry in _with_truncations(catalog7):
         bundle = checks._Bundle(entry.matroid)
         order = entry.matroid.rank + 3
-        lat = bundle.lattice
+        table = _upsilon_table(bundle.lattice)
+        assert table.den == bundle.upsilon_table.den, entry.name
         for seam, top in (
             (checks.zeta_taylor_prefix, bundle.zeta),
-            (checks.upsilon_taylor_prefix, _upsilon_table(lat)[-1]),
+            (checks.upsilon_taylor_prefix, table.entries[-1]),
         ):
-            num, scale, fct = top
-            expected = taylor_prefix(_factored_to_rf(top), order)
+            expected = taylor_prefix(table.value(top), order)
             assert seam(bundle, order) == expected, entry.name
-            # a common integer and a common linear factor change no coefficient
-            unreduced = (_imul_linear([3 * c for c in num], 2, 5), 3 * scale, fct + ((2, 5),))
-            assert checks._factored_taylor(unreduced, order) == expected, entry.name
+            wider = checks._Bundle(entry.matroid)
+            wider.upsilon_table = table._replace(
+                entries=table.entries[:-1] + [tuple(_imul_linear([3 * c for c in top], 2, 5))],
+                den=tuple(_imul_linear([3 * c for c in table.den], 2, 5)),
+            )
+            wider.zeta = wider.upsilon_table.entries[-1]
+            assert seam(wider, order) == expected, entry.name
 
 
 def _truncatable(catalog):
@@ -690,9 +693,12 @@ def test_truncated_bundle_reads_no_second_lattice(monkeypatch, catalog7):
         assert truncated.matroid == tr
         assert "_ranks" not in vars(truncated.matroid), m
         own = lattice_of(tr)
-        assert len(table) == len(own.flats), m
-        assert table == _upsilon_table(own), m  # position by position
-        z = _factored_to_rf(truncated.zeta)
+        assert len(table.entries) == len(own.flats), m
+        own_table = _upsilon_table(own)
+        values = [table.value(e) for e in table.entries]
+        assert values == [own_table.value(e) for e in own_table.entries], m  # position by position
+        assert table.levels == bundle.upsilon_table.levels + ((tr.size, tr.rank),), m
+        z = table.value(truncated.zeta)
         assert z == zeta_of_truncation_via_transfer(m) == zeta_by_flags(tr), m
         checked += 1
     assert checked == 158 + 3
@@ -748,7 +754,7 @@ def test_a_bundle_sums_z_only_where_the_checks_read_it(monkeypatch, catalog7):
         bundles = [bundle, bundle.truncation] if entry.matroid.rank >= 2 else [bundle]
         assert len(summed) == len(bundles), entry.name
         for entries, b in zip(summed, bundles):
-            assert entries is b.upsilon_table, entry.name
+            assert entries is b.upsilon_table.entries, entry.name
         if entry.matroid.rank >= 2:
             assert "lattice" not in vars(bundle.truncation), entry.name
 

@@ -209,8 +209,8 @@ def test_guard_sees_a_subset_scan():
 
 def _package_imports(tree: ast.Module) -> set[tuple[str, str]]:
     """(module, name) of every package name the module binds by import, the
-    module relative to the package: ("zeta", "_sum") for
-    ``from .zeta import _sum``, ("", "zeta") for ``from . import zeta`` or
+    module relative to the package: ("zeta", "_combine") for
+    ``from .zeta import _combine``, ("", "zeta") for ``from . import zeta`` or
     ``import matzeta.zeta``."""
     out = set()
     for node in ast.walk(tree):
@@ -243,8 +243,11 @@ def test_the_front_end_and_the_checks_reach_no_route_internals():
     """``cli`` binds no private name of ``zeta`` or ``lattice`` and no
     ``zeta`` module object, so which routes ``--verify`` runs and what counts
     as a disagreement are decided in ``zeta``; ``checks`` sums and merges
-    equal entries through ``zeta._sum``, never with an ``_imul``,
-    ``_imul_linear`` or ``Counter`` of its own."""
+    equal entries through ``zeta._combine`` and reads a numerator over the
+    level product through ``zeta._Table`` (its value, its constancy test),
+    never with an ``_imul``, ``_imul_linear`` or ``Counter`` of its own; and
+    the test oracles bind no private name of ``zeta``, so they check its
+    accumulator without running it."""
     cli, checks = (ast.parse((PACKAGE / f"{name}.py").read_text()) for name in ("cli", "checks"))
     cli = _package_imports(cli)
     assert ("", "zeta") not in cli
@@ -257,6 +260,8 @@ def test_the_front_end_and_the_checks_reach_no_route_internals():
         for alias in node.names
     }
     assert not bound & {"_imul", "_imul_linear", "Counter"}
+    oracles = _package_imports(ast.parse((Path(__file__).parent / "oracles.py").read_text()))
+    assert not {n for m, n in oracles if m == "zeta" and n.startswith("_")}
 
 
 def _traced() -> tuple[tuple[str, str, str], ...]:

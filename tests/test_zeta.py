@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from matzeta import lattice, zeta
-from matzeta.cli import parse_matroid_spec
+from matzeta.cli import main, parse_matroid_spec
 from matzeta.algebra import (
     RationalFunction,
     _iadd,
@@ -30,11 +30,11 @@ from matzeta.matroid import Matroid, graphic, uniform
 from matzeta.zeta import (
     UPSILON_ALGORITHMS,
     ZETA_ALGORITHMS,
+    VerificationError,
+    _combine,
     _div_linear,
-    _factored_to_rf,
     _flag_sum,
-    _reduce,
-    _sum,
+    _Table,
     _upsilon_table,
     _zeta_table,
     compute_upsilon,
@@ -258,13 +258,13 @@ def test_position_sweeps_match_the_literal_folds(m):
             chi = _minor_chi_ints(m, low, f)
             assert (x, w) == (mu[f], sum(k * c for k, c in enumerate(chi))), (low, f)
     ztbl, ytbl = _zeta_table(lat), _upsilon_table(lat)
-    assert len(ztbl) == len(ytbl) == len(lat)
+    assert len(ztbl.entries) == len(ytbl.entries) == len(lat)
     for i, f in enumerate(lat.flats):
         inside = [j for j, g in enumerate(lat.flats) if g != f and not g & ~f]
         assert lat.strict_subsets(i) == inside, f
         sub = m.restriction(f)
-        assert _factored_to_rf(ztbl[i]) == zeta_by_flags(sub), f
-        assert _factored_to_rf(ytbl[i]) == upsilon_by_flags(sub), f
+        assert ztbl.value(ztbl.entries[i]) == zeta_by_flags(sub), f
+        assert ytbl.value(ytbl.entries[i]) == upsilon_by_flags(sub), f
 
 
 @pytest.mark.parametrize("m", PRUNED_SUMS, ids=PRUNED_IDS)
@@ -654,10 +654,11 @@ def _table_mismatches(m):
     """The flats whose Z or Y table entry is not the flag route's value on
     the restriction to that flat."""
     lat = lattice_of(m)
+    ztbl, ytbl = _zeta_table(lat), _upsilon_table(lat)
     bad = []
-    for f, z, y in zip(lat.flats, _zeta_table(lat), _upsilon_table(lat), strict=True):
+    for f, z, y in zip(lat.flats, ztbl.entries, ytbl.entries, strict=True):
         sub = m.restriction(f)
-        if (_factored_to_rf(z), _factored_to_rf(y)) != (
+        if (ztbl.value(z), ytbl.value(y)) != (
             zeta_by_flags(sub),
             upsilon_by_flags(sub),
         ):
@@ -807,7 +808,8 @@ def test_the_route_tables_hold_one_row_per_choice_and_verify():
 
 
 # ---------------------------------------------------------------------------
-# The factored layer against long division and the canonical RationalFunction
+# Numerators over the level product against long division and the
+# canonical RationalFunction
 
 PRIMITIVE_PAIRS = [
     (a, b) for a in range(1, 5) for b in range(-3, 5) if math.gcd(a, b) == 1
@@ -833,39 +835,82 @@ def test_div_linear_matches_polynomial_divmod(quo, pair, rem):
         assert got is None
 
 
-factored_values = st.builds(
-    lambda num, scale, pairs: (num, scale, tuple(sorted(pairs))),
-    int_polys,
-    st.integers(1, 6),
-    st.lists(st.sampled_from(PRIMITIVE_PAIRS[:6]), max_size=5),
-)
+level_pairs = st.sampled_from([(a, b) for a in range(1, 5) for b in range(-3, 5)])
+
+
+def _over(levels):
+    """An empty table over the product of (a s + b) for the (a, b) of levels."""
+    den = [1]
+    for a, b in levels:
+        den = _imul_linear(den, a, b)
+    return _Table(tuple(levels), tuple(den), [])
 
 
 @st.composite
-def partly_cancelling(draw):
-    """A factored value whose numerator is a drawn polynomial times some of
-    its own denominator factors, so that some of them cancel."""
-    num, scale, factors = draw(factored_values)
-    for a, b in factors:
+def over_levels(draw):
+    """A table over a drawn level product, not all levels primitive, and a
+    numerator: a drawn polynomial times some of the product's own factors,
+    so that some of them cancel."""
+    table = _over(draw(st.lists(level_pairs, max_size=5)))
+    num = list(draw(int_polys))
+    for a, b in table.levels:
         if draw(st.booleans()):
             num = _imul_linear(num, a, b)
-    return (tuple(_itrim(list(num))), scale, factors)
+    return table, tuple(_itrim(num))
 
 
-@given(partly_cancelling())
-@example(((), 1, ()))
-@example(((5,), 2, ()))
-@example(((0, 1), 1, ()))
-@example(((1, 2, 1), 2, ((1, 1), (1, 1))))
-@example(((1, 1), 1, ((1, 1), (1, 1))))
-@example(((3,), 1, ((1, 2),)))
-def test_reduced_value_is_constant_iff_no_factor_and_degree_at_most_zero(x):
-    """``_reduce`` strips every linear factor that divides the numerator, so
-    the value is a constant exactly when no factor is left and the numerator
-    has degree <= 0, the k-derivative check's whole test."""
-    num, _, factors = _reduce(*x)
-    value = _factored_to_rf(x)
-    assert (not factors and len(num) <= 1) == (len(value.num) <= 1 and len(value.den) == 1)
+@given(over_levels())
+@example((_over([]), ()))
+@example((_over([]), (5,)))
+@example((_over([]), (0, 1)))
+@example((_over([(1, 1)]), (2, 2)))  # 2 (s + 1) / (s + 1)
+@example((_over([(2, 2), (1, 1)]), (3, 6, 3)))  # 3 (s + 1)^2 / (2 (s + 1)^2)
+@example((_over([(2, 2), (1, 1)]), (1, 1)))
+@example((_over([(1, 2)]), (3,)))
+@example((_over([(1, 1)]), (4,)))  # shorter than D, proportional to its top: 4 / (s + 1)
+def test_a_numerator_is_constant_iff_it_is_c_times_the_level_product(x):
+    """N over the level product D is a constant exactly when N = c D, which
+    ``_Table.is_constant`` tests cross-multiplied, the k-derivative check's
+    whole test; ``_Table.value`` is the canonical N / D."""
+    table, num = x
+    value = RationalFunction(num, table.den)
+    assert table.value(num) == value
+    assert table.is_constant(num) == (len(value.num) <= 1 and len(value.den) == 1)
+
+
+# (index into the entries, same object?, c0, c1): a term repeating an entry
+repeats = st.lists(
+    st.tuples(st.integers(0, 5), st.booleans(), st.integers(-3, 3), st.integers(-3, 3)),
+    max_size=4,
+)
+
+
+@given(over_levels(), st.lists(int_polys, max_size=6), repeats, level_pairs)
+@example((_over([]), ()), [], [], (1, 1))
+@example((_over([(1, 1)]), ()), [(1, 2)], [], (1, 1))  # one live entry
+@example((_over([(1, 1)]), ()), [(1,), (-1,), ()], [], (1, 0))  # all zero
+@example((_over([(1, 1)]), ()), [(1, 2)], [(0, True, -1, 0), (0, False, 2, 1)], (2, 2))
+@example((_over([]), ()), [(1,)], [(0, True, -1, 0)], (1, 0))  # cancels to 0
+@example((_over([(2, 1)]), ()), [(1, 2, 1)], [(0, True, 0, 1)], (4, 2))
+def test_combine_and_value_keep_the_plain_sum(x, entries, repeats, pair):
+    """``_combine`` is the plain sum whether a term repeats another's entry
+    object, which it merges, or an equal but distinct object, which it does
+    not; and the value of a numerator over a level product is unique: one
+    more level on both sides, primitive or not, changes nothing."""
+    table, _ = x
+    terms = [(e, 1, 0) for e in entries]
+    for i, same, c0, c1 in repeats if entries else ():
+        e = entries[i % len(entries)]
+        terms.append((e if same else tuple(list(e)), c0, c1))
+    plain = sum(
+        (RationalFunction(e, table.den) * RationalFunction((c0, c1)) for e, c0, c1 in terms),
+        RationalFunction.zero(),
+    )
+    total = _combine(terms)
+    assert table.value(total) == plain
+    a, b = pair
+    wider = _over(table.levels + (pair,))
+    assert wider.value(_imul_linear(total, a, b)) == plain
 
 
 def test_zeta_table_entries_are_restriction_zetas(catalog5):
@@ -873,29 +918,126 @@ def test_zeta_table_entries_are_restriction_zetas(catalog5):
         m = entry.matroid
         lat = lattice_of(m)
         tbl = _zeta_table(lat)
-        assert len(tbl) == len(lat.flats)
-        for f, value in zip(lat.flats, tbl):
-            assert _factored_to_rf(value) == zeta_by_recurrence(m.restriction(f)), (
-                entry.name,
-                f,
-            )
+        assert len(tbl.entries) == len(lat.flats)
+        for f, num in zip(lat.flats, tbl.entries):
+            assert tbl.value(num) == zeta_by_recurrence(m.restriction(f)), (entry.name, f)
+
+
+# loopless matroids of at most 8 elements and rank at most 4
+_edges8 = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda e: e[0] != e[1])
+loopless_up_to_8 = st.one_of(
+    st.lists(_edges8, min_size=1, max_size=8).map(graphic),
+    st.integers(1, 8).flatmap(lambda n: st.integers(1, min(n, 4)).map(lambda r: uniform(r, n))),
+    st.tuples(st.integers(1, 4), st.integers(1, 3), st.lists(_edges8, min_size=1, max_size=4)).map(
+        lambda t: uniform(min(t[1], t[0]), t[0]).direct_sum(graphic(t[2]))
+    ),
+).flatmap(_derived).filter(lambda m: m.size <= 8)
+
+
+@given(loopless_up_to_8)
+def test_table_entries_are_integer_numerators_over_the_level_product(m):
+    """D is the product of (a s + b) over the distinct levels (a, b) =
+    (|F|, rk F) of the nonempty flats, the bottom entry of both tables is D,
+    and every entry N_F is an integer polynomial with N_F / D the flag
+    route's value on the restriction to F."""
+    lat = lattice_of(m)
+    levels = sorted({(f.bit_count(), m.rank_of(f)) for f in lat.flats[1:]})
+    ztbl, ytbl = _zeta_table(lat), _upsilon_table(lat)
+    flagged = {}  # restriction -> (Z, Y) by the flag routes
+    for table in (ztbl, ytbl):
+        assert list(table.levels) == levels
+        assert table.den == _over(levels).den
+        assert table.entries[0] == table.den
+    for f, z, y in zip(lat.flats, ztbl.entries, ytbl.entries, strict=True):
+        assert all(type(c) is int for c in z + y), f
+        sub = m.restriction(f)
+        if sub not in flagged:
+            flagged[sub] = (zeta_by_flags(sub), upsilon_by_flags(sub))
+        assert (RationalFunction(z, ztbl.den), RationalFunction(y, ytbl.den)) == flagged[sub], f
+
+
+def _lacking(levels, pair):
+    """A stand-in for ``zeta._levels`` whose product lacks the level pair."""
+
+    def lacking(lat):
+        return _over([p for p in levels(lat).levels if p != pair])
+
+    return lacking
+
+
+@pytest.mark.parametrize(
+    "m", [uniform(2, 3), uniform(3, 6), graphic(complete_graph(4))], ids=["U23", "U36", "K4"]
+)
+def test_a_level_product_lacking_the_top_level_raises(monkeypatch, m):
+    """Every route on a level product without (|E|, rk E), a pole of Z and
+    Y of a connected matroid, raises: the table folds at the exact division
+    by |E| s + rk E, the flag sums on the level they cannot place."""
+    lat = lattice_of(m)
+    monkeypatch.setattr(zeta, "_levels", _lacking(zeta._levels, (m.size, m.rank)))
+    for route in (
+        zeta._zeta_by_recurrence, zeta._zeta_by_ysum, zeta._upsilon_by_recurrence,
+        zeta._upsilon_by_mobius, zeta._zeta_by_flags, zeta._upsilon_by_flags,
+    ):
+        with pytest.raises(VerificationError, match="level"):
+            route(lat)
+
+
+def test_a_level_product_lacking_any_level_never_gives_a_wrong_value(monkeypatch, catalog5):
+    """An exact division is a right value whatever D is, so a level product
+    without some level raises or gives the value unchanged: it does the
+    latter only for a level that is no pole once the flats below are
+    folded, as the top level of a direct sum (Z and Y multiply)."""
+    levels = zeta._levels
+    routes = (zeta._zeta_by_recurrence, zeta._upsilon_by_recurrence, zeta._upsilon_by_mobius)
+    raised = kept = 0
+    for entry in catalog5:
+        m = entry.matroid
+        if m.is_trivial or not m.is_loopless():
+            continue
+        lat = lattice_of(m)
+        want = [route(lat) for route in routes]
+        for pair in levels(lat).levels:
+            monkeypatch.setattr(zeta, "_levels", _lacking(levels, pair))
+            for route, value in zip(routes, want):
+                try:
+                    got = route(lat)
+                except VerificationError:
+                    raised += 1
+                else:
+                    assert got == value, (entry.name, pair)
+                    kept += 1
+            monkeypatch.undo()
+    assert raised > kept > 0
+
+
+def test_a_lacking_level_exits_4_through_the_cli(monkeypatch, capsys):
+    monkeypatch.setattr(zeta, "_levels", _lacking(zeta._levels, (3, 2)))
+    for argv in (
+        ["zeta", "u:2,3"], ["zeta", "u:2,3", "--algorithm", "flags"], ["upsilon", "u:2,3"],
+        ["zeta", "u:2,3", "--verify"], ["upsilon", "u:2,3", "--verify", "--format", "json"],
+    ):
+        assert main(argv) == 4, argv
+        out, err = capsys.readouterr()
+        assert out == "", argv
+        assert err.startswith("verification failed: ") and "Traceback" not in err, argv
+        assert err.count("\n") == 1, argv
 
 
 def _per_pair_tables(lat):
     """(Z table, Y table) folded one comparable pair at a time, keyed by mask,
-    the Z weights chi-bar_[G, F](1) = chi'_[G, F](1) from the subset
-    expansion."""
+    in ``RationalFunction`` arithmetic, the Z weights
+    chi-bar_[G, F](1) = chi'_[G, F](1) from the subset expansion."""
     m = lat.matroid
     ranks = m._ranks
 
     def z_weights(f, below):
         return [sum(k * c for k, c in enumerate(_minor_chi_ints(m, g, f))) for g in below]
 
-    def z_term(num, w, f):
-        return [c * w for c in num] if w else []
+    def z_term(value, w, f):
+        return value * w
 
-    def y_term(num, g, f):
-        return _imul_linear([-c for c in num], f.bit_count(), ranks[g])
+    def y_term(value, g, f):
+        return -value * RationalFunction((ranks[g], f.bit_count()))
 
     return (
         flat_table_per_pair(lat, z_weights, z_term),
@@ -914,55 +1056,15 @@ def test_flat_tables_match_the_per_pair_fold(family, request):
             continue
         lat = lattice_of(m)
         for got, want in zip((_zeta_table(lat), _upsilon_table(lat)), _per_pair_tables(lat)):
-            assert len(got) == len(want) == len(lat.flats)
-            for f, entry in zip(lat.flats, got):
-                assert _factored_to_rf(entry) == _factored_to_rf(want[f]), (m, f)
-
-
-# few pairs, so keys repeat factors and share them with other keys
-factor_keys = st.lists(st.sampled_from(PRIMITIVE_PAIRS[:3]), max_size=4).map(
-    lambda pairs: tuple(sorted(pairs))
-)
-acc_terms = st.lists(st.tuples(int_polys, st.integers(1, 6), factor_keys), max_size=6)
-
-
-# (index into the terms, same object?, coefficient): a term repeated
-repeats = st.lists(st.tuples(st.integers(0, 5), st.booleans(), int_polys), max_size=4)
-
-
-@given(acc_terms, repeats, st.sampled_from(PRIMITIVE_PAIRS[:6]), st.integers(1, 4))
-@example([], [], (1, 1), 1)
-@example([((1, 2), 2, ((1, 1), (1, 1)))], [], (1, 1), 1)  # one live value
-@example([((1,), 2, ((1, 1),)), ((-1,), 2, ((1, 1),)), ((), 3, ())], [], (1, 0), 2)  # all zero
-@example([((1,), 2, ((1, 0),)), ((1,), 3, ((1, 0),)), ((2,), 1, ())], [], (1, 0), 1)
-@example([((1, 2), 3, ((1, 1),))], [(0, True, (-1,)), (0, False, (2, 1))], (1, 1), 1)
-@example([((1,), 1, ())], [(0, True, (1,)), (0, True, (-2,))], (1, 0), 1)  # cancels to 0
-def test_acc_total_and_reduce_keep_the_plain_sum(terms, repeats, pair, k):
-    """``_sum`` is the plain sum whether a term repeats another's entry
-    object, which it merges, or an equal but distinct object, which it
-    does not."""
-    summands = [(t, (1,)) for t in terms]
-    for i, same, c in repeats if terms else ():
-        t = terms[i % len(terms)]
-        summands.append((t if same else (t[0], t[1], t[2]), c))
-    plain = sum(
-        (_factored_to_rf(t) * RationalFunction(c or 0) for t, c in summands),
-        RationalFunction.zero(),
-    )
-    total = _sum(summands)
-    assert _factored_to_rf(total) == plain
-    reduced = _reduce(*total)
-    assert _factored_to_rf(reduced) == plain
-    # a reduced value is unique: padding it by k (a s + b) / (k (a s + b)) reduces back
-    a, b = pair
-    padded = _imul_linear([k * c for c in reduced[0]], a, b)
-    assert _reduce(padded, k * reduced[1], tuple(sorted(reduced[2] + (pair,)))) == reduced
+            assert len(got.entries) == len(want) == len(lat.flats)
+            for f, num in zip(lat.flats, got.entries):
+                assert got.value(num) == want[f], (m, f)
 
 
 def test_the_sum_multiplies_each_distinct_entry_once(monkeypatch):
     """The Mobius definition sums mu(F, E) Z(M|F) over the 698 flats of
-    U(4,16), whose Z(M|F) take 5 values, one per rank: ``_sum`` reads the
-    numerator of each distinct table entry once, not once per flat."""
+    U(4,16), whose Z(M|F) take 5 values, one per rank: ``_combine`` reads
+    each distinct table entry once, not once per flat."""
     reads = []
 
     class Counted(tuple):
@@ -973,8 +1075,9 @@ def test_the_sum_multiplies_each_distinct_entry_once(monkeypatch):
     table = zeta._zeta_table
 
     def counted(lat):
+        t = table(lat)
         wrapped = {}  # one wrapped entry per table object, as the table shares them
-        return [wrapped.setdefault(id(e), (Counted(e[0]),) + e[1:]) for e in table(lat)]
+        return t._replace(entries=[wrapped.setdefault(id(e), Counted(e)) for e in t.entries])
 
     monkeypatch.setattr(zeta, "_zeta_table", counted)
     assert upsilon_by_mobius(uniform(4, 16)) == upsilon_uniform_closed(4, 16)
