@@ -6,12 +6,12 @@ the runner can check them in parallel and merge results in catalog order.
 The checks of one entry share one ``_Bundle``, one lattice and one Y table,
 which shares plumbing, never an answer under test: the k-derivative lemma
 tests the Z recurrence on a Z it did not compute, with subset-expansion
-weights, and Z(tr M) comes from the truncation's table, not the transfer
+weights, and Z(tr M) is one weighted sum of M's Y table, not the transfer
 formula.  The tables and Z are integer numerators over the lattice's level
 product (see ``zeta``), and a holds verdict builds no ``RationalFunction``:
 the Taylor prefixes expand a numerator over the product as it stands, and
 the k-derivative residual is tested for being a multiple of it.  The names
-``zeta_taylor_prefix``, ``upsilon_taylor_prefix`` and ``minor_reduced_chi``
+``zeta_taylor_prefix``, ``upsilon_taylor_prefix`` and ``reduced_chi_sum``
 stay module-level so a test can plant a violation through them.
 """
 
@@ -25,14 +25,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .algebra import RationalFunction, _iadd, _itaylor
+from .algebra import RationalFunction, _iadd, _itaylor, _itrim
 from .combinat import rising_factorial, stirling_second_rows
-from .lattice import LatticeOfFlats, lattice_of, minor_reduced_chi
+from .lattice import LatticeOfFlats, lattice_of, reduced_chi_sum
 from .matroid import Matroid, _between, _by_size, graphic, iter_bits, uniform
 from .zeta import (
     _combine,
     _Table,
-    _truncated_upsilon_table,
+    _truncated_zeta,
     _upsilon_table,
     _y_sum,
     upsilon_by_recurrence,
@@ -168,10 +168,11 @@ class _Bundle:
 
     @cached_property
     def truncation(self) -> _Bundle:
-        """The bundle of tr M with only its Y table, read off this one's
-        lattice and table: no lattice of tr M is built."""
+        """The bundle of tr M with only Z(tr M) and its level product (a
+        table of no entries), one weighted sum of this one's Y table: no
+        lattice or Y table of tr M is built."""
         tr = _Bundle(self.matroid.truncation())
-        tr.upsilon_table = _truncated_upsilon_table(self.lattice, self.upsilon_table)
+        tr.upsilon_table, tr.zeta = _truncated_zeta(self.lattice, self.upsilon_table)
         return tr
 
     @cached_property
@@ -181,17 +182,19 @@ class _Bundle:
         return _y_sum(self.upsilon_table.entries)
 
     @cached_property
-    def class_chibar(self) -> list[tuple[int, list[int]]]:
+    def class_chibar(self) -> list[tuple[int, tuple[int, ...]]]:
         """One (flat position, sum of chi-bar_[F, E] over the flats F of its
         restriction class) per class of reduced flats, in ``restriction_class``
-        order: the flats of one class share Z(M|F) and their subset counts,
-        so the flat stands for its class in both checks."""
-        m, lat = self.matroid, self.lattice
-        sums: dict[int, tuple[int, list[int]]] = {}
+        order, by one ``reduced_chi_sum`` per class: the flats of one class
+        share Z(M|F) and their subset counts, so the flat stands for its
+        class in both checks."""
+        lat, classes = self.lattice, {}
         for i, cls in lat.restriction_class.items():
-            rep, total = sums.get(cls, (i, []))
-            sums[cls] = (rep, _iadd(total, minor_reduced_chi(m, lat.flats[i], lat.top)))
-        return list(sums.values())
+            classes.setdefault(cls, []).append(i)
+        return [
+            (at[0], reduced_chi_sum(self.matroid, [lat.flats[i] for i in at], lat.top))
+            for at in classes.values()
+        ]
 
 
 def zeta_taylor_prefix(b: _Bundle, k: int) -> tuple[Fraction, ...]:
@@ -312,9 +315,9 @@ def check_counting_identities(
     A flat F enters the flat sums only through |F| and the (rank, size)
     counts of its subsets, which its restriction fixes, so chi-bar_[F, E] is
     first summed over each restriction class and the subsets are counted once
-    per class.  The Stirling sums skip the terms counts(i, j) with j > |E| or
-    i > rk E, which are 0, so order k costs min(k, |E|) rk E terms, and both
-    read one walk of the Stirling rows cut to their columns j <= |E|."""
+    per class.  The Stirling sums read the nonzero counts(i, j) only, and
+    one walk of the Stirling rows cut to their columns j <= |E|; the right
+    side of the power sums is one scalar per rank and one prefix sum."""
     m = entry.matroid
     if not m.is_loopless():
         return CheckReport(COUNTING_CHECK, entry.name, SKIPPED, "matroid has loops")
@@ -367,12 +370,13 @@ def check_counting_identities(
         lhs = []
         for f, poly in classes:
             lhs = _iadd(lhs, [f.bit_count() ** k * x for x in poly])
-        rhs = []
-        for j in range(1, len(surj)):
-            for i in range(1, min(j, r) + 1):
-                c = counts.get((i, j), 0)
-                if c:
-                    rhs = _iadd(rhs, [surj[j] * c] * (r - i))
+        # [r - i]_q is 1 at each q^t, t < r - i, so the right side's
+        # coefficient t is the prefix sum of per-rank scalars over i < r - t
+        scalars = [0] * r
+        for (i, j), c in counts.items():
+            if i < r and j < len(surj):
+                scalars[i] += surj[j] * c
+        rhs = _itrim(list(itertools.accumulate(scalars[1:]))[::-1])
         if lhs != rhs:
             pending = fail("flat-sum-of-powers", {"k": k}, lhs, rhs)
 
@@ -381,13 +385,14 @@ def check_counting_identities(
 
 def _rank_size_counts(m: Matroid, mask: int) -> dict[tuple[int, int], int]:
     """Nonempty subsets of mask counted by (rank, size), one family meet per
-    count.  A nonempty set of a loopless matroid has rank >= 1."""
-    inside = _between(m.size, 0, mask)
+    count.  A nonempty set of a loopless matroid has rank >= 1, and a set of
+    rank i inside mask has i <= rk(mask) and i <= size <= |mask|."""
+    inside, by_size = _between(m.size, 0, mask), _by_size(m.size)
     counts = {}
-    for i, (even, odd) in enumerate(m._rank_strata[1:], start=1):
+    for i, (even, odd) in enumerate(m._rank_strata[1 : m._ranks[mask] + 1], start=1):
         of_rank = inside & (even | odd)
-        for j, j_sets in enumerate(_by_size(m.size)):
-            if c := (of_rank & j_sets).bit_count():
+        for j in range(i, mask.bit_count() + 1):
+            if c := (of_rank & by_size[j]).bit_count():
                 counts[i, j] = c
     return counts
 
@@ -400,7 +405,7 @@ def check_conjecture_truncation(
     entry: CatalogEntry, bundle: _Bundle | None = None
 ) -> CheckReport:
     """Expansion coefficients of zeta below the rank survive truncation; Z(tr M)
-    is the sum of the truncation's Y table, never Z(M) or a transfer."""
+    is a weighted sum of M's Y table, never Z(M) or a transfer."""
     m = entry.matroid
     if m.rank < 2 or not m.is_loopless():
         why = "matroid has loops" if m.rank >= 2 else "rank < 2: truncation would create loops"
@@ -482,10 +487,10 @@ def run_all_checks(
     jobs: int = 1,
 ) -> list[CheckReport]:
     """Run every applicable check over every entry, in deterministic order,
-    on at most min(jobs, entries, CPUs) worker processes (in-process for 1)."""
+    on at most min(jobs, entries, CPUs) workers (in-process, no CPU count, for 1)."""
     args = (catalog, itertools.repeat(tuple(suites)), itertools.repeat(kmax))
-    workers = min(jobs, len(catalog), os.cpu_count() or 1)
-    if workers > 1:
+    workers = min(jobs, len(catalog))
+    if workers > 1 and (workers := min(workers, os.cpu_count() or 1)) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_entry_reports, *args))
     else:

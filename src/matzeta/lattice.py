@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .algebra import InexactDivisionError, _div_linear, _poly_text
+from .algebra import InexactDivisionError, _div_linear, _itrim, _poly_text
 from .matroid import Matroid, _between, iter_bits
 
 DEFAULT_FLAG_CAP = 10_000_000
@@ -175,7 +175,7 @@ class LatticeOfFlats:
 
     def mobius_to_top(self, f: int) -> int:
         """mu(f, E) = chi_{M/f}(0): the sum over spanning T >= f of
-        (-1)^|T - f|, the constant term of ``_minor_chi_ints(m, f, E)``, read
+        (-1)^|T - f|, the constant term of ``_minor_chi_ints(m, (f,), E)``, read
         off the top rank stratum only, so it reads no interval index."""
         m = self.matroid
         fam = _between(m.size, f, self.top)
@@ -274,37 +274,39 @@ def lattice_of(m: Matroid) -> LatticeOfFlats:
 # Characteristic polynomials
 
 
-def _minor_chi_ints(m: Matroid, low: int, high: int) -> tuple[int, ...]:
-    """Integer coefficients of the characteristic polynomial of
-    restriction(high) contracted at low (low <= high): the signed subset
-    expansion, the sum over low <= T <= high of (-1)^|T - low| q^(rk high - rk T),
-    counted bit-parallel.  The interval {T : low <= T <= high} is one family
-    of subsets, and the coefficient at rank k is its members among the sets
-    of rank k and even size minus those of odd size (``_rank_strata``), up to
-    the sign of |low|.  It reads neither the lattice nor a Mobius value, so
-    it checks them."""
-    ranks = m._ranks
-    fam = _between(m.size, low, high)
-    sign = -1 if low.bit_count() & 1 else 1
-    coeffs = [
-        sign * ((fam & even).bit_count() - (fam & odd).bit_count())
-        for even, odd in m._rank_strata[ranks[low] : ranks[high] + 1]
-    ]
-    coeffs.reverse()  # rank k is the coefficient of q^(rk high - k)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
+def _minor_chi_ints(m: Matroid, lows: Sequence[int], high: int) -> tuple[int, ...]:
+    """Integer coefficients of the sum over the flats low in ``lows`` (low <=
+    high), which share |low| and rk low, of the characteristic polynomials of
+    restriction(high) contracted at low: the signed subset expansion, the sum
+    over low <= T <= high of (-1)^|T - low| q^(rk high - rk T), counted
+    bit-parallel.  The interval {T : low <= T <= high} is one family of
+    subsets, and the coefficient at rank k is its members among the sets of
+    rank k and even size minus those of odd size (``_rank_strata``), up to the
+    sign of |low|, which the lows share, as they share the rank range.  It
+    reads neither the lattice nor a Mobius value, so it checks them."""
+    strata = m._rank_strata[m._ranks[lows[0]] : m._ranks[high] + 1]
+    coeffs = [0] * len(strata)
+    for low in lows:
+        fam = _between(m.size, low, high)
+        for k, (even, odd) in enumerate(strata):
+            coeffs[k] += (fam & even).bit_count() - (fam & odd).bit_count()
+    sign = -1 if lows[0].bit_count() & 1 else 1
+    # rank k is the coefficient of q^(rk high - k)
+    return tuple(_itrim([sign * c for c in reversed(coeffs)]))
+
+
+def reduced_chi_sum(m: Matroid, lows: Sequence[int], high: int) -> tuple[int, ...]:
+    """The sum of chi-bar_[low, high] over the flats low in ``lows``, which
+    share |low| and rk low: their chi summed, then divided once, exactly, by
+    (q - 1).  A zero sum (the minors have loops) gives (); a remainder raises
+    InexactDivisionError."""
+    chi = _minor_chi_ints(m, lows, high)
+    quo = _div_linear(chi, 1, -1) if chi else []
+    if quo is None:
+        raise InexactDivisionError(f"({_poly_text(chi, 'q')}) is not divisible by (q - 1)")
+    return tuple(quo)
 
 
 def minor_reduced_chi(m: Matroid, low: int, high: int) -> tuple[int, ...]:
-    """Integer coefficients of the reduced characteristic polynomial of
-    restriction(high) / low: chi divided exactly by (q - 1).  A zero chi
-    (the minor has loops) gives (); a remainder raises InexactDivisionError."""
-    chi = _minor_chi_ints(m, low, high)
-    quo = _div_linear(chi, 1, -1) if chi else []
-    if quo is None:
-        raise InexactDivisionError(
-            f"({_poly_text(chi, 'q')}) is not divisible by (q - 1)"
-        )
-    return tuple(quo)
-
+    """chi-bar of restriction(high) / low: ``reduced_chi_sum`` of one flat."""
+    return reduced_chi_sum(m, (low,), high)

@@ -337,24 +337,17 @@ def _upsilon_table(lat: LatticeOfFlats) -> _Table:
     return _flat_table(lat, lambda i, below: ([-rk[j] for j in below], -size[i]))
 
 
-def _truncated_upsilon_table(lat: LatticeOfFlats, table: _Table) -> _Table:
-    """The Y table of tr M, read off M's lattice and Y table, over M's level
-    product times (n s + r - 1): tr(M)|F = M|F when rk F <= r - 2, a prefix
-    of the table, and the top is -sum of (n s + rk G) Y(M|G) over those
-    flats G, over (n s + r - 1), so its numerator needs no division."""
+def _truncated_zeta(lat: LatticeOfFlats, table: _Table) -> tuple[_Table, tuple[int, ...]]:
+    """Z(tr M) as one weighted sum of M's Y table, over M's level product
+    times (n s + r - 1), with the levels and that product as a table of no
+    entries.  tr(M)|F = M|F when rk F <= r - 2, and the top of tr M's table
+    is -sum of (n s + rk G) Y(M|G) over those flats G, over (n s + r - 1), so
+    Z(tr M) (n s + r - 1) = sum over them of (r - 1 - rk F) Y(M|F)."""
     n, r = lat.matroid.size, lat.matroid.rank
-    rk = [-k for k, stratum in enumerate(lat.by_rank[:-2]) for _ in stratum]  # -rk G
-    prefix = table.entries[: len(rk)]
-    lifted: dict[int, tuple[int, ...]] = {}  # once per entry object
-    for e in prefix:
-        if id(e) not in lifted:
-            lifted[id(e)] = tuple(_imul_linear(e, n, r - 1))
-    top = _combine(zip(prefix, rk, repeat(-n)))
-    return _Table(
-        table.levels + ((n, r - 1),),
-        tuple(_imul_linear(table.den, n, r - 1)),
-        [lifted[id(e)] for e in prefix] + [tuple(top)],
-    )
+    weights = [r - 1 - k for k, stratum in enumerate(lat.by_rank[:-2]) for _ in stratum]
+    num = tuple(_combine(zip(table.entries, weights, repeat(0))))
+    den = tuple(_imul_linear(table.den, n, r - 1))
+    return _Table(table.levels + ((n, r - 1),), den, []), num
 
 
 def _upsilon_by_recurrence(lat: LatticeOfFlats) -> RationalFunction:
@@ -474,7 +467,7 @@ def _verified_zeta(lat: LatticeOfFlats) -> RationalFunction:
     by_flags, bottom_row = _zeta_by_flags(lat)
     by_recurrence = _zeta_by_recurrence(lat)
     zeta = _zeta_by_ysum(lat)
-    if lat.minor_chi(0, lat.top, bottom_row) != _minor_chi_ints(lat.matroid, 0, lat.top):
+    if lat.minor_chi(0, lat.top, bottom_row) != _minor_chi_ints(lat.matroid, (0,), lat.top):
         raise VerificationError("Mobius and subset-expansion chi disagree")
     for route, value in (("flag sum", by_flags), ("y-sum", zeta)):
         if value != by_recurrence:

@@ -14,7 +14,9 @@ arithmetic, keyed by mask (``flat_table_per_pair``), the characteristic
 polynomial of a minor by a loop over the signed subset expansion
 (``chi_by_subsets``, and ``chi`` for the whole matroid), the covers of a flat by closing every one-element
 extension (``covers_by_closure``), the two-flats identity and the Stirling
-lemma checked term by term, the k-derivative lemma with each canonical value
+lemma checked term by term, the (rank, size) counts of the subsets of a mask
+over every rank and size of the ground set (``rank_size_counts_unbounded``),
+the k-derivative lemma with each canonical value
 differentiated to every order (``k_derivative_lemma_per_value``), the
 re-evaluation of a failure witness (``witness_reverifies``), and the
 connected components by every circuit of the rank table
@@ -28,7 +30,7 @@ from matzeta import checks
 from matzeta.checks import FAILS, HOLDS, K_DERIVATIVE_CHECK, SKIPPED, CheckReport, _Bundle, _fails
 from matzeta.combinat import stirling_first, stirling_second_rows
 from matzeta.lattice import lattice_of, minor_reduced_chi
-from matzeta.matroid import Matroid, _compress, iter_bits, uniform
+from matzeta.matroid import Matroid, _between, _by_size, _compress, iter_bits, uniform
 
 
 def mask_of(elements):
@@ -317,11 +319,24 @@ def verify_stirling_lemma(k):
     return True
 
 
+def rank_size_counts_unbounded(m, mask):
+    """Nonempty subsets of mask counted by (rank, size), over every rank
+    1..rk E and every size 0..|E|, zero counts left out."""
+    inside = _between(m.size, 0, mask)
+    counts = {}
+    for i, (even, odd) in enumerate(m._rank_strata[1:], start=1):
+        of_rank = inside & (even | odd)
+        for j, j_sets in enumerate(_by_size(m.size)):
+            if c := (of_rank & j_sets).bit_count():
+                counts[i, j] = c
+    return counts
+
+
 def k_derivative_lemma_per_value(entry, kmax=3, bundle=None):
     """The k-derivative lemma with each side built at every order on canonical
     values: the weights are summed flat by flat, chi-bar_[F, E] read through
-    ``checks.minor_reduced_chi`` at call time (so a planted weight reaches
-    it) and never through the bundle's class sums; Z is the bundle's
+    ``checks.reduced_chi_sum`` of the one flat at call time (so a planted
+    weight reaches it) and never through the bundle's class sums; Z is the bundle's
     ``zeta`` and each Z(M|F) the sum of the bundle's Y entries on the flats
     G <= F, found by containment, flat by flat (so a planted Z or Y entry
     reaches it), their numerators summed column by column over the table's
@@ -342,7 +357,7 @@ def k_derivative_lemma_per_value(entry, kmax=3, bundle=None):
     for f in lat.flats[1:-1]:  # the reduced flats
         below = [e for g, e in zip(lat.flats, table.entries) if not g & ~f]  # G <= F
         v = RationalFunction([sum(c) for c in itertools.zip_longest(*below, fillvalue=0)], table.den)
-        weights[v] = weights.get(v, 0) + sum(checks.minor_reduced_chi(m, f, lat.top))
+        weights[v] = weights.get(v, 0) + sum(checks.reduced_chi_sum(m, (f,), lat.top))
     weights = {v: w for v, w in weights.items() if w}
     z = RationalFunction(b.zeta, table.den)
     derivs = {v: [v] for v in (z, *weights)}

@@ -6,6 +6,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import matzeta.checks as checks
 from matzeta.checks import (
@@ -27,18 +29,19 @@ from matzeta.checks import (
     summarize,
 )
 from matzeta.cli import parse_matroid_spec
-from matzeta.lattice import LatticeOfFlats, lattice_of, minor_reduced_chi
+from matzeta.lattice import LatticeOfFlats, lattice_of, minor_reduced_chi, reduced_chi_sum
 from matzeta.matroid import Matroid, graphic, iter_bits, uniform
 from matzeta.algebra import RationalFunction, _div_linear, _imul_linear, _iadd, taylor_prefix
 from matzeta.zeta import (
     _upsilon_table,
+    _y_sum,
     upsilon_by_flags,
     upsilon_by_recurrence,
     zeta_by_flags,
     zeta_by_recurrence,
     zeta_of_truncation_via_transfer,
 )
-from oracles import k_derivative_lemma_per_value, witness_reverifies
+from oracles import k_derivative_lemma_per_value, rank_size_counts_unbounded, witness_reverifies
 
 
 def entry_named(catalog, name):
@@ -153,6 +156,7 @@ def test_run_all_checks_parallel_matches_serial():
     (1000, 10, None, None),
     (2, 1, 8, None),
     (1, 10, 8, None),
+    (1, 10, RuntimeError, None),  # one worker reads no CPU count
 ])
 def test_run_all_checks_bounds_workers(monkeypatch, catalog4, jobs, entries, cpus, workers):
     pools = []
@@ -171,7 +175,12 @@ def test_run_all_checks_bounds_workers(monkeypatch, catalog4, jobs, entries, cpu
             return map(fn, *iterables)
 
     monkeypatch.setattr(checks, "ProcessPoolExecutor", InProcessPool)
-    monkeypatch.setattr(checks.os, "cpu_count", lambda: cpus)
+    def cpu_count():
+        if cpus is RuntimeError:
+            raise RuntimeError("the CPU count was read")
+        return cpus
+
+    monkeypatch.setattr(checks.os, "cpu_count", cpu_count)
     catalog = catalog4[:entries]
     reports = run_all_checks(catalog, jobs=jobs)
     assert pools == ([] if workers is None else [workers])
@@ -202,17 +211,42 @@ def test_a_catalog_pass_builds_one_lattice_per_entry_and_truncation(monkeypatch,
     assert len(built) == len(catalog7) == 165
 
 
-def test_chibar_is_expanded_once_per_reduced_flat(monkeypatch, catalog5):
+def _class_calls(m, lat):
+    """One (m, flats of the class, E) per restriction class of reduced flats."""
+    classes = {}
+    for i, cls in lat.restriction_class.items():
+        classes.setdefault(cls, []).append(lat.flats[i])
+    return Counter((m, tuple(flats), m.full_mask) for flats in classes.values())
+
+
+def _counting_class_sums(monkeypatch):
+    """Record each call of ``checks.reduced_chi_sum`` as (m, lows, high)."""
     calls = Counter()
 
-    def counting(m, low, high):
-        calls[m, low, high] += 1
-        return minor_reduced_chi(m, low, high)
+    def counting(m, lows, high):
+        calls[m, tuple(lows), high] += 1
+        return reduced_chi_sum(m, lows, high)
 
-    monkeypatch.setattr(checks, "minor_reduced_chi", counting)
+    monkeypatch.setattr(checks, "reduced_chi_sum", counting)
+    return calls
+
+
+def _per_flat(calls):
+    out = Counter()
+    for (m, lows, high), n in calls.items():
+        for f in lows:
+            out[m, f, high] += n
+    return out
+
+
+def test_chibar_is_expanded_once_per_reduced_flat(monkeypatch, catalog5):
+    """chi-bar_[F, E] is summed by one ``checks.reduced_chi_sum`` call per
+    restriction class, and the calls cover each reduced flat exactly once."""
+    calls = _counting_class_sums(monkeypatch)
     reports = run_all_checks(catalog5, suites=("theorems",))
     assert {r.status for r in reports} == {HOLDS}
-    assert calls == Counter(
+    assert calls == sum((_class_calls(e.matroid, lattice_of(e.matroid)) for e in catalog5), Counter())
+    assert _per_flat(calls) == Counter(
         (e.matroid, f, e.matroid.full_mask)
         for e in catalog5
         for f in lattice_of(e.matroid).flats[1:-1]  # the reduced flats
@@ -221,14 +255,9 @@ def test_chibar_is_expanded_once_per_reduced_flat(monkeypatch, catalog5):
 
 def test_one_bundle_expands_chibar_once_per_reduced_flat(monkeypatch, catalog5):
     """The k-derivative and counting checks of one bundle read chi-bar_[F, E]
-    through ``checks.minor_reduced_chi``, once per reduced flat between them."""
-    calls = Counter()
-
-    def counting(m, low, high):
-        calls[m, low, high] += 1
-        return minor_reduced_chi(m, low, high)
-
-    monkeypatch.setattr(checks, "minor_reduced_chi", counting)
+    through ``checks.reduced_chi_sum``, once per restriction class between
+    them, which covers each reduced flat once."""
+    calls = _counting_class_sums(monkeypatch)
     checked = 0
     for entry in catalog5:
         m = entry.matroid
@@ -238,7 +267,8 @@ def test_one_bundle_expands_chibar_once_per_reduced_flat(monkeypatch, catalog5):
         calls.clear()
         assert check_k_derivative_lemma(entry, bundle).status == HOLDS
         assert check_counting_identities(entry, bundle=bundle).status == HOLDS
-        assert calls == Counter((m, f, m.full_mask) for f in bundle.lattice.flats[1:-1])
+        assert calls == _class_calls(m, bundle.lattice)
+        assert _per_flat(calls) == Counter((m, f, m.full_mask) for f in bundle.lattice.flats[1:-1])
         checked += bool(calls)
     assert checked > 0
 
@@ -302,15 +332,26 @@ def test_mutation_is_detected_by_upsilon_check(monkeypatch, catalog4):
     assert witness_reverifies(report)
 
 
-def _skew_constant(chibar):
-    return (chibar[0] + 1,) + chibar[1:]
+def _skew_constant(chibar, by=1):
+    return (chibar[0] + by,) + chibar[1:]
+
+
+def _skew_every_flat(m, lows, high):
+    # each flat's chi-bar_[F, E] + 1, summed over the class
+    return _skew_constant(reduced_chi_sum(m, lows, high), len(lows))
+
+
+def _skew_first_class(victim):
+    # the first class of each matroid read + 1, as one flat's chi-bar + 1
+    def skewed(m, lows, high):
+        chibar = reduced_chi_sum(m, lows, high)
+        return _skew_constant(chibar) if victim.setdefault(m, lows[0]) == lows[0] else chibar
+
+    return skewed
 
 
 def test_mutated_flat_sum_yields_parseable_witness(monkeypatch, catalog4):
-    def skewed(m, low, high):
-        return _skew_constant(minor_reduced_chi(m, low, high))
-
-    monkeypatch.setattr(checks, "minor_reduced_chi", skewed)
+    monkeypatch.setattr(checks, "reduced_chi_sum", _skew_every_flat)
     entry = entry_named(catalog4, "U(2,3)")
     report = check_counting_identities(entry)
     assert report.status == FAILS
@@ -327,13 +368,7 @@ def test_mutated_flat_sum_yields_parseable_witness(monkeypatch, catalog4):
     ),
 ], ids=lambda e: e.name)
 def test_mutated_weight_fails_k_derivative_check(monkeypatch, entry):
-    victim = {}
-
-    def skewed(m, low, high):
-        chibar = minor_reduced_chi(m, low, high)
-        return _skew_constant(chibar) if victim.setdefault(m, low) == low else chibar
-
-    monkeypatch.setattr(checks, "minor_reduced_chi", skewed)
+    monkeypatch.setattr(checks, "reduced_chi_sum", _skew_first_class({}))
     report = check_k_derivative_lemma(entry)
     assert report.status == FAILS
     assert isinstance(report.witness["lhs"], dict)
@@ -389,21 +424,12 @@ def _planted_girth(monkeypatch):
 
 
 def _planted_weight(monkeypatch):
-    victim = {}
-
-    def skewed(m, low, high):
-        chibar = minor_reduced_chi(m, low, high)
-        return _skew_constant(chibar) if victim.setdefault(m, low) == low else chibar
-
-    monkeypatch.setattr(checks, "minor_reduced_chi", skewed)
+    monkeypatch.setattr(checks, "reduced_chi_sum", _skew_first_class({}))
     return check_k_derivative_lemma(_U23)
 
 
 def _planted_flat_sum(monkeypatch):
-    def skewed(m, low, high):
-        return _skew_constant(minor_reduced_chi(m, low, high))
-
-    monkeypatch.setattr(checks, "minor_reduced_chi", skewed)
+    monkeypatch.setattr(checks, "reduced_chi_sum", _skew_every_flat)
     return check_counting_identities(_U23)
 
 
@@ -563,12 +589,12 @@ def test_planted_k_derivative_failures_match_the_oracle(monkeypatch, catalog7, n
         i for i in cls if weight[cls[i]]
     )
     victim = lat.flats[at]
-    if plant == "weight":
-        def skewed(matroid, low, high):
-            chibar = minor_reduced_chi(matroid, low, high)
-            return _skew_constant(chibar) if low == victim else chibar
+    if plant == "weight":  # the class sum holding the victim, + 1, or the victim's own
+        def skewed(matroid, lows, high):
+            chibar = reduced_chi_sum(matroid, lows, high)
+            return _skew_constant(chibar) if victim in lows else chibar
 
-        monkeypatch.setattr(checks, "minor_reduced_chi", skewed)
+        monkeypatch.setattr(checks, "reduced_chi_sum", skewed)
     bundle = checks._Bundle(m)
     top = m.full_mask
     if plant == "flat":
@@ -612,6 +638,69 @@ def test_class_grouped_counting_sums_match_per_flat_sums(catalog7):
             for k in range(1, 7):
                 powers[k] = _iadd(powers.get(k, []), [f.bit_count() ** k * x for x in poly])
         assert (counts, powers) == _per_flat_sums(entry), entry.name
+
+
+def _assert_class_sums_match_per_flat_chibar(m):
+    """Each class sum of the bundle is the sum of ``minor_reduced_chi`` over
+    the flats of its class, with the class's first flat, in class order."""
+    bundle = checks._Bundle(m)
+    lat = bundle.lattice
+    per_flat = {}
+    for i, cls in lat.restriction_class.items():
+        rep, total = per_flat.get(cls, (i, []))
+        per_flat[cls] = (rep, _iadd(total, minor_reduced_chi(m, lat.flats[i], lat.top)))
+    assert bundle.class_chibar == [(i, tuple(total)) for i, total in per_flat.values()], m
+
+
+def test_class_chibar_sums_match_per_flat_chibar(catalog7):
+    for entry in [*catalog7, _shuffled_k6()]:
+        _assert_class_sums_match_per_flat_chibar(entry.matroid)
+
+
+_edges = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda e: e[0] != e[1])
+_loopless_matroids = st.one_of(  # at most 7 elements
+    st.lists(_edges, min_size=1, max_size=7).map(graphic),
+    st.integers(1, 7).flatmap(lambda n: st.integers(1, n).map(lambda r: uniform(r, n))),
+    st.tuples(st.integers(1, 3), st.integers(1, 4)).map(
+        lambda rn: uniform(min(rn), rn[0]).direct_sum(uniform(min(rn), rn[1]))
+    ),
+).flatmap(lambda m: st.sampled_from([m, m.truncation()] if m.rank >= 2 else [m]))
+
+
+@given(_loopless_matroids)
+def test_class_chibar_sums_match_per_flat_chibar_on_drawn_matroids(m):
+    assert m.is_loopless() and m.size <= 7
+    _assert_class_sums_match_per_flat_chibar(m)
+
+
+def test_rank_size_counts_match_the_unbounded_count(catalog6):
+    for entry in catalog6:
+        m = entry.matroid
+        for f in lattice_of(m).flats:
+            assert checks._rank_size_counts(m, f) == rank_size_counts_unbounded(m, f), entry.name
+
+
+def test_a_planted_bottom_weight_fails_the_truncation_conjecture(monkeypatch, catalog7):
+    """The bottom flat weighed r instead of r - 1 in the fused sum adds
+    Y(M|0) / (n s + r - 1) to Z(tr M), so the constant term moves: every
+    rank >= 2 entry fails, and no other."""
+    fused = checks._truncated_zeta
+
+    def planted(lat, table):
+        tr_table, num = fused(lat, table)
+        return tr_table, tuple(_iadd(num, table.entries[0]))  # entries[0] is Y(M|0), over D
+
+    monkeypatch.setattr(checks, "_truncated_zeta", planted)
+    reports = run_all_checks(catalog7, suites=("conjectures",))
+    truncation = [r for r in reports if r.check == checks.TRUNCATION_CONJECTURE]
+    assert len(truncation) == len(catalog7)
+    for entry, report in zip(catalog7, truncation):
+        expected = FAILS if entry.matroid.rank >= 2 else SKIPPED
+        assert report.status == expected, entry.name
+        if expected == FAILS:
+            assert report.witness["first_divergence"] == 0, entry.name
+            assert witness_reverifies(report), entry.name
+    assert sum(r.status == FAILS for r in truncation) == 158
 
 
 def test_subsets_are_counted_once_per_restriction_class(monkeypatch, catalog7):
@@ -668,10 +757,11 @@ def _truncatable(catalog):
 
 
 def test_truncated_bundle_reads_no_second_lattice(monkeypatch, catalog7):
-    """The truncation's Y table equals the one folded on its own lattice,
-    flat by flat, in lattice order, and Z(tr M) equals
-    the transfer formula and the flag sum; the bundle takes no closure of
-    tr M and folds only the top."""
+    """Z(tr M) is one weighted sum of M's Y table, which equals tr M's own Y
+    table on the flats it reads, flat by flat, in lattice order, and Z(tr M)
+    equals the sum of tr M's own table, the transfer formula and the flag
+    sum, with the same Taylor prefix; the bundle takes no closure of tr M and
+    folds nothing."""
     folded, checked = [], 0
     strict_subsets = LatticeOfFlats.strict_subsets
 
@@ -692,14 +782,20 @@ def test_truncated_bundle_reads_no_second_lattice(monkeypatch, catalog7):
         assert folded == [], m
         assert truncated.matroid == tr
         assert "_ranks" not in vars(truncated.matroid), m
+        assert table.entries == [], m  # no Y table of tr M
         own = lattice_of(tr)
-        assert len(table.entries) == len(own.flats), m
+        read = len(own.flats) - 1  # the flats of M of rank <= r - 2, then tr M's top
+        assert own.flats[:read] == bundle.lattice.flats[:read], m
         own_table = _upsilon_table(own)
-        values = [table.value(e) for e in table.entries]
-        assert values == [own_table.value(e) for e in own_table.entries], m  # position by position
+        mine = bundle.upsilon_table
+        values = [mine.value(e) for e in mine.entries[:read]]
+        assert values == [own_table.value(e) for e in own_table.entries[:read]], m  # position by position
         assert table.levels == bundle.upsilon_table.levels + ((tr.size, tr.rank),), m
         z = table.value(truncated.zeta)
+        assert z == own_table.value(_y_sum(own_table.entries)), m
         assert z == zeta_of_truncation_via_transfer(m) == zeta_by_flags(tr), m
+        order = m.rank + 2
+        assert checks.zeta_taylor_prefix(truncated, order) == taylor_prefix(z, order), m
         checked += 1
     assert checked == 158 + 3
 
@@ -731,31 +827,37 @@ def test_truncation_check_skips_a_matroid_with_loops():
 
 
 def test_a_bundle_sums_z_only_where_the_checks_read_it(monkeypatch, catalog7):
-    """One y-sum per bundle, Z(M) for the Taylor prefixes, and one for the
-    truncation's bundle, Z(tr M), each over its own whole Y table, and the
-    truncation's bundle holds no lattice: the k-derivative lemma counts Y
-    entries and sums no Z(M|F)."""
-    summed = []
-    y_sum = checks._y_sum
+    """One y-sum per bundle, Z(M) for the Taylor prefixes, over its whole Y
+    table, and for the truncation's bundle one fused sum, Z(tr M), over the
+    same table, and the truncation's bundle holds no lattice: the
+    k-derivative lemma counts Y entries and sums no Z(M|F)."""
+    summed, fused = [], []
+    y_sum, truncated_zeta = checks._y_sum, checks._truncated_zeta
 
     def recording(entries):
         summed.append(entries)
         return y_sum(entries)
 
+    def recording_fused(lat, table):
+        fused.append(table.entries)
+        return truncated_zeta(lat, table)
+
     monkeypatch.setattr(checks, "_y_sum", recording)
+    monkeypatch.setattr(checks, "_truncated_zeta", recording_fused)
     for entry in catalog7:
         summed.clear()
+        fused.clear()
         bundle = checks._Bundle(entry.matroid)
         for check in (
             check_girth_theorem, check_k_derivative_lemma,
             check_conjecture_truncation, check_conjecture_upsilon,
         ):
             assert check(entry, bundle).status != FAILS, entry.name
-        bundles = [bundle, bundle.truncation] if entry.matroid.rank >= 2 else [bundle]
-        assert len(summed) == len(bundles), entry.name
-        for entries, b in zip(summed, bundles):
-            assert entries is b.upsilon_table.entries, entry.name
-        if entry.matroid.rank >= 2:
+        truncated = entry.matroid.rank >= 2
+        assert len(summed) == 1 and len(fused) == truncated, entry.name
+        for entries in summed + fused:
+            assert entries is bundle.upsilon_table.entries, entry.name
+        if truncated:
             assert "lattice" not in vars(bundle.truncation), entry.name
 
 

@@ -40,6 +40,7 @@ UNCALLED_BY_DESIGN = {
     "combinat.stirling_second": "Stirling numbers checked by criterion 8",
     "files.dump_bases": "bases-file writer documented in the README",
     "files.dump_graph": "graph-file writer documented in the README",
+    "lattice.minor_reduced_chi": "subset-expansion oracle; perfbench span lattice.minor_reduced_chi",
     "lattice.LatticeOfFlats.mobius": (
         "the row-based Mobius oracle of test_cli.py::test_plain_paths_build_no_pair_index"
     ),

@@ -14,6 +14,7 @@ from matzeta.lattice import (
     _minor_chi_ints,
     lattice_of,
     minor_reduced_chi,
+    reduced_chi_sum,
 )
 from matzeta.matroid import Matroid, graphic, uniform
 from oracles import (
@@ -195,7 +196,7 @@ def test_integer_chibar_matches_polynomial_division(catalog5):
         lat = lattice_of(m)
         for i, g in enumerate(lat.flats):
             for f in (lat.flats[j] for j in lat.strict_subsets(i)):
-                chi = _minor_chi_ints(m, f, g)
+                chi = _minor_chi_ints(m, (f,), g)
                 chibar = minor_reduced_chi(m, f, g)
                 assert all(isinstance(c, int) for c in chibar)
                 assert tuple(_imul(chibar, (-1, 1))) == chi
@@ -219,6 +220,17 @@ def test_chibar_remainder_is_reported_in_q(monkeypatch):
     monkeypatch.setattr(lattice, "_minor_chi_ints", lambda m, low, high: (1, 1))
     with pytest.raises(InexactDivisionError, match=r"^\(q \+ 1\) is not divisible by \(q - 1\)$"):
         minor_reduced_chi(uniform(1, 2), 0, 0b11)
+
+
+def test_a_class_sum_is_divided_once_and_refuses_a_remainder(monkeypatch):
+    """A class's chi are summed and divided once: their sum, not each chi,
+    must be a multiple of q - 1, and a remainder raises, never rounds."""
+    m = uniform(3, 5)
+    lows = (0b00001, 0b00010, 0b00100)
+    assert reduced_chi_sum(m, lows, m.full_mask) == (-9, 3)  # three times U(2,4)'s q - 3
+    monkeypatch.setattr(lattice, "_minor_chi_ints", lambda m, lows, high: (3, 1))
+    with pytest.raises(InexactDivisionError, match=r"^\(q \+ 3\) is not divisible by \(q - 1\)$"):
+        reduced_chi_sum(m, lows, m.full_mask)
 
 
 def test_truncation_characteristic_polynomial_lemma(catalog4):
@@ -370,13 +382,13 @@ def test_column_fold_matches_subset_expansion_and_recursion(catalog7):
         lat = lattice_of(m)
         mu = _mobius_oracle(lat)
         for f, g in _nested_pairs(lat):
-            chi = _minor_chi_ints(m, f, g)
+            chi = _minor_chi_ints(m, (f,), g)
             assert lat.minor_chi(f, g) == chi, entry.name
             assert lat.mobius(f, g) == mu(f, g), entry.name
         for k, g in enumerate(lat.flats):
             below = lat.strict_subsets(k)
             weights = [
-                sum(i * c for i, c in enumerate(_minor_chi_ints(m, lat.flats[j], g)))
+                sum(i * c for i, c in enumerate(_minor_chi_ints(m, (lat.flats[j],), g)))
                 for j in below
             ]
             assert lat.chibar1_below(k, below) == weights, entry.name
@@ -401,17 +413,17 @@ def _shuffled_k6():
 def test_bit_parallel_chi_matches_the_subset_loop_on_flat_pairs(catalog7):
     for name, m in _with_truncations(catalog7):
         for f, g in _nested_pairs(lattice_of(m)):
-            assert _minor_chi_ints(m, f, g) == chi_by_subsets(m, f, g), name
+            assert _minor_chi_ints(m, (f,), g) == chi_by_subsets(m, f, g), name
 
 
 def test_bit_parallel_chi_matches_the_subset_loop_with_loops():
     loopy = uniform(2, 3).direct_sum(Matroid(1, [0])).direct_sum(uniform(1, 1))
-    assert _minor_chi_ints(loopy, 0, loopy.full_mask) == ()
+    assert _minor_chi_ints(loopy, (0,), loopy.full_mask) == ()
     full = loopy.full_mask
     for high in range(full + 1):
         for low in range(high + 1):
             if not low & ~high:
-                assert _minor_chi_ints(loopy, low, high) == chi_by_subsets(loopy, low, high)
+                assert _minor_chi_ints(loopy, (low,), high) == chi_by_subsets(loopy, low, high)
 
 
 @pytest.mark.parametrize(
@@ -420,7 +432,7 @@ def test_bit_parallel_chi_matches_the_subset_loop_with_loops():
     ids=["U37+U37", "shuffled K6", "U(8,16)"],
 )
 def test_bit_parallel_chi_matches_the_subset_loop_on_large_matroids(m):
-    assert _minor_chi_ints(m, 0, m.full_mask) == chi_by_subsets(m, 0, m.full_mask)
+    assert _minor_chi_ints(m, (0,), m.full_mask) == chi_by_subsets(m, 0, m.full_mask)
 
 
 def test_minor_chi_from_the_mobius_row_matches_the_subset_loop(catalog6):
@@ -441,7 +453,7 @@ def test_subset_expansion_reads_no_mobius_row(monkeypatch):
     for m in (uniform(3, 6), _shuffled_k6()):
         lat = lattice_of(m)
         for f, g in _nested_pairs(lat):
-            assert _minor_chi_ints(m, f, g) == chi_by_subsets(m, f, g)
+            assert _minor_chi_ints(m, (f,), g) == chi_by_subsets(m, f, g)
 
 
 def test_restriction_key_matches_the_long_form(catalog7):

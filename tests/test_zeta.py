@@ -189,7 +189,7 @@ def literal_flag_folds(m):
     for flag in flags(lat):
         chi, zterm, yterm = [1], RationalFunction.one(), RationalFunction.one()
         for low, high in zip(flag, flag[1:]):
-            chi = _imul(chi, _minor_chi_ints(m, low, high))
+            chi = _imul(chi, _minor_chi_ints(m, (low,), high))
             den = RationalFunction((m.rank_of(high), high.bit_count()))
             zterm = zterm / den
             yterm = yterm * RationalFunction((-m.rank_of(low), -high.bit_count())) / den
@@ -255,7 +255,7 @@ def test_position_sweeps_match_the_literal_folds(m):
         got = {lat.flats[j]: (x, w) for j, x, w in row(i)}
         assert got.keys() == mu.keys() - {low}
         for f, (x, w) in got.items():
-            chi = _minor_chi_ints(m, low, f)
+            chi = _minor_chi_ints(m, (low,), f)
             assert (x, w) == (mu[f], sum(k * c for k, c in enumerate(chi))), (low, f)
     ztbl, ytbl = _zeta_table(lat), _upsilon_table(lat)
     assert len(ztbl.entries) == len(ytbl.entries) == len(lat)
@@ -1031,7 +1031,7 @@ def _per_pair_tables(lat):
     ranks = m._ranks
 
     def z_weights(f, below):
-        return [sum(k * c for k, c in enumerate(_minor_chi_ints(m, g, f))) for g in below]
+        return [sum(k * c for k, c in enumerate(_minor_chi_ints(m, (g,), f))) for g in below]
 
     def z_term(value, w, f):
         return value * w
