@@ -183,17 +183,15 @@ class _Bundle:
 
     @cached_property
     def class_chibar(self) -> list[tuple[int, tuple[int, ...]]]:
-        """One (flat position, sum of chi-bar_[F, E] over the flats F of its
-        restriction class) per class of reduced flats, in ``restriction_class``
-        order, by one ``reduced_chi_sum`` per class: the flats of one class
-        share Z(M|F) and their subset counts, so the flat stands for its
-        class in both checks."""
-        lat, classes = self.lattice, {}
-        for i, cls in lat.restriction_class.items():
-            classes.setdefault(cls, []).append(i)
+        """One (first flat position, sum of chi-bar_[F, E] over the flats F of
+        its class) per class of reduced flats, in ``lat.classes`` order, whose
+        last class, the top's, it leaves out, by one ``reduced_chi_sum`` per
+        class: the flats of one class share Z(M|F) and their subset counts,
+        so the first flat stands for its class in both checks."""
+        lat = self.lattice
         return [
             (at[0], reduced_chi_sum(self.matroid, [lat.flats[i] for i in at], lat.top))
-            for at in classes.values()
+            for at, _ in lat.classes[:-1]
         ]
 
 
@@ -274,10 +272,12 @@ def check_k_derivative_lemma(
     to W per restriction class.  As Z(M|F) = sum over the flats G <= F of
     Y(M|G), the weighted sum is that of K_e e over the Y entries e, K_e adding
     the W of each class above a flat with entry e, as ``_combine`` counts
-    them: R is one integer numerator over the table's level product, and a
-    constant iff that numerator is a rational multiple of the product,
-    which ``_Table.is_constant`` tests cross-multiplied.  Only a failing R
-    is differentiated, for the order-1 witness.
+    them; the G < F are the lower interval ``lat.classes`` keeps with the
+    class, which the Y table was folded over.  R is one integer numerator
+    over the table's level product, and a constant iff that numerator is a
+    rational multiple of the product, which ``_Table.is_constant`` tests
+    cross-multiplied.  Only a failing R is differentiated, for the order-1
+    witness.
     """
     m = entry.matroid
     if m.is_trivial or not m.is_loopless():
@@ -286,12 +286,12 @@ def check_k_derivative_lemma(
         )
     b = bundle or _Bundle(m)
     n, r = m.size, m.rank
-    lat, table = b.lattice, b.upsilon_table
+    table = b.upsilon_table
     weighted = [  # -W Y(M|G) for the flats G <= F
         (table.entries[j], -w, 0)
-        for i, chibar in b.class_chibar
+        for (i, chibar), (_, below) in zip(b.class_chibar, b.lattice.classes)
         if (w := sum(chibar))
-        for j in lat.strict_subsets(i) + [i]
+        for j in below + [i]
     ]
     if not table.is_constant(_combine([(b.zeta, r, n)] + weighted)):
         # D Z, and the value the order-1 identity gives it

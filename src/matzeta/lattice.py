@@ -1,8 +1,10 @@
 """The lattice of flats as an explicit graded poset, built bottom-up from the
 covers, so the work scales with the lattice rather than the powerset.
 
-The one pair-sized index, the up-sets, is keyed by a flat's position in
-``flats`` and folded from the covers only when a route reads it: lower
+The lattice keeps each flat's size, rank and restriction class by position
+in ``flats``, the classes listed once, each with its first flat's lower
+interval, for every table and check to read.  The one pair-sized index, the
+up-sets, is folded from the covers only when a route reads it: lower
 intervals, flat membership, mu(F, E) and the flag cap's first count need
 none.  Mobius rows are swept on demand over integer lists by position, never
 kept, and checked by the subset expansion ``_minor_chi_ints``, which reads no
@@ -46,6 +48,8 @@ class LatticeOfFlats:
         self.matroid = matroid
         self.by_rank = by_rank
         self.flats: tuple[int, ...] = tuple(f for stratum in by_rank for f in stratum)
+        self.sizes = [f.bit_count() for f in self.flats]  # |F|, by position
+        self.ranks = [r for r, stratum in enumerate(by_rank) for _ in stratum]  # rk F
         self.top = matroid.full_mask
         self._covers = covers
 
@@ -76,19 +80,24 @@ class LatticeOfFlats:
         return out
 
     @cached_property
-    def restriction_class(self) -> dict[int, int]:
-        """For each reduced flat's position, 1 to len - 2, a small id of its
-        restriction: two flats share an id only when their exact keys
-        (``_restriction_key``) are equal.  Only the ids are kept."""
-        ranks, ids = self.matroid._ranks, {}
-        keys = (_restriction_key(ranks, f) for f in self.flats[1:-1])
-        return {i: ids.setdefault(key, len(ids)) for i, key in enumerate(keys, 1)}
+    def classes(self) -> list[tuple[tuple[int, ...], list[int]]]:
+        """The restriction classes of the nonempty flats, in order of their
+        first positions, each as (its positions, ``strict_subsets`` of its
+        first flat): two reduced flats share a class only when their exact
+        keys (``_restriction_key``) are equal, and the top is a class of its
+        own, last.  The keys are not kept."""
+        ranks, at = self.matroid._ranks, {}
+        for i, f in enumerate(self.flats[1:-1], 1):
+            at.setdefault(_restriction_key(ranks, f), []).append(i)
+        if len(self) > 1:
+            at[None] = [len(self) - 1]
+        return [(tuple(c), self.strict_subsets(c[0])) for c in at.values()]
 
     def strict_subsets(self, i: int) -> list[int]:
         """The positions of the flats strictly inside flat i, ascending: one
         subset test per flat of lower rank, and no lower-interval index."""
         f = self.flats[i]
-        below = sum(map(len, self.by_rank[: self.matroid._ranks[f]]))
+        below = sum(map(len, self.by_rank[: self.ranks[i]]))
         return [j for j, g in enumerate(self.flats[:below]) if g | f == f]
 
     # -- Mobius rows and columns --------------------------------------------
@@ -102,8 +111,7 @@ class LatticeOfFlats:
         upper interval of G, in ascending rank, adds to each F > H; when F is
         reached, mu(G, F) is minus the first sum, and since chi_[G, F](1) = 0
         chi-bar_[G, F](1) = chi'_[G, F](1) is minus the second with F's term."""
-        sup = self._supersets
-        rk = [r for r, stratum in enumerate(self.by_rank) for _ in stratum]
+        sup, rk = self._supersets, self.ranks
         mus, sums = [0] * len(sup), [0] * len(sup)
 
         def row(g: int) -> list[tuple[int, int, int]]:
@@ -133,11 +141,10 @@ class LatticeOfFlats:
         chi = (q - 1) chi-bar.  The G are taken in descending rank, and each
         pulls the w(H) of its up-set from a list by position; the flats not
         below F weigh 0."""
-        ranks, flats, sup = self.matroid._ranks, self.flats, self._supersets
-        rf = ranks[flats[i]]
+        ranks, sup = self.ranks, self._supersets
         w = [0] * len(sup)
         for j in reversed(below):
-            w[j] = rf - ranks[flats[j]] - sum(map(w.__getitem__, sup[j]))
+            w[j] = ranks[i] - ranks[j] - sum(map(w.__getitem__, sup[j]))
         return [w[j] for j in below]
 
     def minor_chi(

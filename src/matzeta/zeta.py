@@ -91,8 +91,7 @@ def _levels(lat: LatticeOfFlats) -> _Table:
     """An empty table over the lattice's level product: D is the product of
     (|F| s + rk F) over the distinct levels (|F|, rk F) of its nonempty
     flats."""
-    ranks = lat.matroid._ranks
-    levels = tuple(sorted({(f.bit_count(), ranks[f]) for f in lat.flats[1:]}))
+    levels = tuple(sorted(set(zip(lat.sizes[1:], lat.ranks[1:]))))
     den = [1]
     for a, b in levels:
         den = _imul_linear(den, a, b)
@@ -162,13 +161,11 @@ def _flag_sum(
     per flat reached, the bottom first, and a zero weight drops every flag
     through that step.  The callers check the flag cap, before anything
     reads the up-set index."""
-    ranks = lat.matroid._ranks
-    table = _levels(lat)
+    table, sizes = _levels(lat), lat.sizes
     level_bit = {pair: 1 << k for k, pair in enumerate(table.levels)}
     bit_of: dict[tuple[int, int], int] = {}  # numerator (|G|, b) -> bit, above the levels
-    sizes = [f.bit_count() for f in lat.flats]
     try:  # the bottom is never stepped to
-        dens = [0] + [level_bit[n, ranks[f]] for n, f in zip(sizes[1:], lat.flats[1:])]
+        dens = [0] + [level_bit[level] for level in zip(sizes[1:], lat.ranks[1:])]
     except KeyError as exc:
         raise VerificationError(f"the level product lacks the level {exc.args[0]}") from None
     shift = len(table.levels)
@@ -209,29 +206,23 @@ def _flat_table(
     G < F of (c_G + u s) T[G] over (|F| s + rk F), where
     coefs(F, below) = (c, u), c parallel to below = lat.strict_subsets(F).
 
-    T[F] depends only on the restriction to F, so a proper flat whose
-    ``lat.restriction_class`` was seen before takes that flat's entry, and
-    its lower interval and coefs(F, below) are computed once per restriction
-    class.  The entries are interned, so equal entries are one object, which
+    T[F] depends only on the restriction to F, so the fold runs once per
+    class of ``lat.classes``, on its first flat and the lower interval the
+    lattice keeps with it, and the entry goes to every position of the
+    class; a class's first flat follows every flat of its lower interval.
+    The entries are interned, so equal entries are one object, which
     ``_combine`` reads once per fold."""
-    ranks, flats = lat.matroid._ranks, lat.flats
     table = _levels(lat)
-    entries = table.entries
-    entries.append(table.den)
+    entries = [table.den] * len(lat)
     intern: dict[tuple[int, ...], tuple[int, ...]] = {}
-    class_of = lat.restriction_class
-    classes: dict[int | None, tuple[int, ...]] = {}  # restriction class -> entry
-    for i in range(1, len(flats)):
-        key = class_of.get(i)  # None for the top
-        if key not in classes:
-            below = lat.strict_subsets(i)
-            f = flats[i]
-            c, u = coefs(i, below)
-            num = _combine(zip(map(entries.__getitem__, below), c, repeat(u)))
-            entry = _divide(num, f.bit_count(), ranks[f])
-            classes[key] = intern.setdefault(entry, entry)
-        entries.append(classes[key])
-    return table
+    for at, below in lat.classes:
+        c, u = coefs(at[0], below)
+        num = _combine(zip(map(entries.__getitem__, below), c, repeat(u)))
+        entry = _divide(num, lat.sizes[at[0]], lat.ranks[at[0]])
+        entry = intern.setdefault(entry, entry)
+        for i in at:
+            entries[i] = entry
+    return table._replace(entries=entries)
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +323,7 @@ def upsilon_by_recurrence(m: Matroid) -> RationalFunction:
 def _upsilon_table(lat: LatticeOfFlats) -> _Table:
     """Y of every restriction-to-a-flat, by flat position, by the weights
     -(|F| s + rk G), which read no interval index."""
-    rk = [r for r, stratum in enumerate(lat.by_rank) for _ in stratum]
-    size = [f.bit_count() for f in lat.flats]
+    rk, size = lat.ranks, lat.sizes
     return _flat_table(lat, lambda i, below: ([-rk[j] for j in below], -size[i]))
 
 
@@ -344,7 +334,7 @@ def _truncated_zeta(lat: LatticeOfFlats, table: _Table) -> tuple[_Table, tuple[i
     is -sum of (n s + rk G) Y(M|G) over those flats G, over (n s + r - 1), so
     Z(tr M) (n s + r - 1) = sum over them of (r - 1 - rk F) Y(M|F)."""
     n, r = lat.matroid.size, lat.matroid.rank
-    weights = [r - 1 - k for k, stratum in enumerate(lat.by_rank[:-2]) for _ in stratum]
+    weights = [r - 1 - k for k in lat.ranks if k < r - 1]
     num = tuple(_combine(zip(table.entries, weights, repeat(0))))
     den = tuple(_imul_linear(table.den, n, r - 1))
     return _Table(table.levels + ((n, r - 1),), den, []), num
@@ -363,7 +353,7 @@ def upsilon_by_flags(m: Matroid, *, max_flags: int | None = None) -> RationalFun
 
 def _upsilon_by_flags(lat: LatticeOfFlats) -> RationalFunction:
     def steps(i: int) -> list[tuple[int, int, int]]:
-        b = lat.matroid._ranks[lat.flats[i]]
+        b = lat.ranks[i]
         return [(j, -1, b) for j in lat._supersets[i]]
 
     return _flag_sum(lat, steps)

@@ -325,6 +325,34 @@ def test_verify_builds_one_lattice_and_keeps_none(capsys, monkeypatch, argv, bui
         gc.enable()
 
 
+def test_verify_scans_each_lower_interval_once_per_class(capsys, monkeypatch, tmp_path):
+    """The Z and Y tables of one ``--verify`` lattice share its class list,
+    so the lower interval of each class's first flat, the top's included,
+    is scanned once per lattice: 62 scans over the eight large ``--verify``
+    commands, where a scan per table made 124."""
+    graph = tmp_path / "k6.graph"
+    graph.write_text("v 6\n" + "".join(f"e {a} {b}\n" for a, b in itertools.combinations(range(6), 2)))
+    built, scanned = [], []
+    original, strict_subsets = zeta.lattice_of, LatticeOfFlats.strict_subsets
+
+    def recording(m):
+        built.append(original(m))
+        return built[-1]
+
+    def counting(self, i):
+        scanned.append(i)
+        return strict_subsets(self, i)
+
+    monkeypatch.setattr(zeta, "lattice_of", recording)
+    monkeypatch.setattr(LatticeOfFlats, "strict_subsets", counting)
+    for spec in ("u:4,16", "u:3,7+u:3,7", f"graph:{graph}", "ext(u:4,14)"):
+        for command in ("zeta", "upsilon"):
+            assert run_cli(capsys, command, spec, "--verify")[0] == EXIT_OK, (command, spec)
+    monkeypatch.undo()
+    assert sorted(scanned) == sorted(at[0] for lat in built for at, _ in lat.classes)
+    assert len(scanned) == 62
+
+
 def test_plain_paths_build_no_pair_index(capsys, monkeypatch, catalog6, catalog7):
     """Plain zeta, upsilon, taylor and lattice, mu(F, E), both transfer
     formulas and a whole catalog pass read the Y table and the subset

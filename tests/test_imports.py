@@ -265,6 +265,31 @@ def test_the_front_end_and_the_checks_reach_no_route_internals():
     assert not {n for m, n in oracles if m == "zeta" and n.startswith("_")}
 
 
+def _level_reads(tree: ast.Module) -> list[int]:
+    """Lines that read ``._ranks`` or ``.bit_count``: a flat's rank or size
+    derived from its mask, which the lattice keeps by position."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("_ranks", "bit_count")
+    )
+
+
+def test_the_tables_read_each_flats_level_off_the_lattice():
+    """``zeta`` reads |F| and rk F by position, from ``lat.sizes`` and
+    ``lat.ranks``, never off a mask; ``_parts`` still reads the elements of
+    each component with ``iter_bits``."""
+    tree = ast.parse((PACKAGE / "zeta.py").read_text())
+    assert _level_reads(tree) == []
+    (parts,) = (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_parts")
+    assert "iter_bits" in {n.id for n in ast.walk(parts) if isinstance(n, ast.Name)}
+
+
+def test_guard_sees_a_level_read():
+    tree = ast.parse("r = m._ranks[f]\nn = f.bit_count()\nk = lat.ranks[i]\nb = bit_count\n")
+    assert _level_reads(tree) == [1, 2]
+
+
 def _traced() -> tuple[tuple[str, str, str], ...]:
     """The (span, owner, attribute) triples of the benchmark tracer's
     ``TRACED``, read from its syntax tree: the tracer is neither imported nor

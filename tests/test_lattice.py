@@ -253,15 +253,46 @@ def test_truncation_characteristic_polynomial_lemma(catalog4):
     assert lhs != _iadd(chi(m), [_ieval(chi(m), 0)])
 
 
+def _reduced_positions(lat):
+    """The positions in the classes of ``lat.classes`` but the top's, which is last."""
+    return [i for at, _ in lat.classes[:-1] for i in at]
+
+
 def test_reduced_flats():
-    # the restriction classes are keyed by the positions of the reduced flats
+    # the restriction classes hold the positions of the reduced flats, then the top's
     lat = lattice_of(uniform(2, 3))
-    assert [lat.flats[i] for i in lat.restriction_class] == [0b001, 0b010, 0b100]
-    assert list(lattice_of(uniform(1, 3)).restriction_class) == []
-    assert list(lattice_of(uniform(0, 0)).restriction_class) == []
+    assert [lat.flats[i] for i in _reduced_positions(lat)] == [0b001, 0b010, 0b100]
+    assert [at for at, _ in lattice_of(uniform(1, 3)).classes] == [(1,)]
+    assert lattice_of(uniform(0, 0)).classes == []
     for n in range(1, 6):
         lat = lattice_of(uniform(n, n))
-        assert len(list(lat.restriction_class)) == 2**n - 2
+        assert len(_reduced_positions(lat)) == 2**n - 2
+
+
+def test_sizes_and_ranks_are_kept_by_position(catalog7):
+    for m in [uniform(0, 0), *(e.matroid for e in catalog7)]:
+        lat = lattice_of(m)
+        assert lat.sizes == [f.bit_count() for f in lat.flats], m
+        assert lat.ranks == [m._ranks[f] for f in lat.flats], m
+
+
+def test_classes_partition_the_nonempty_flats_by_restriction(catalog7):
+    """``classes`` covers positions 1 to len - 1 once, in order of each
+    class's first position, with the top alone and last; the members of a
+    class share their exact key and two classes never do; and each class
+    keeps the lower interval of its first flat."""
+    for m in [uniform(0, 0), *(e.matroid for e in catalog7)]:
+        lat = lattice_of(m)
+        positions = [at for at, _ in lat.classes]
+        assert sorted(i for at in positions for i in at) == list(range(1, len(lat))), m
+        assert all(list(at) == sorted(at) for at in positions), m
+        assert [at[0] for at in positions] == sorted(at[0] for at in positions), m
+        assert positions[-1:] == ([(len(lat) - 1,)] if len(lat) > 1 else []), m
+        keys = [{lattice._restriction_key(m._ranks, lat.flats[i]) for i in at} for at in positions]
+        assert all(len(k) == 1 for k in keys), m
+        assert len(set().union(*keys)) == len(keys), m
+        for at, below in lat.classes:
+            assert below == lat.strict_subsets(at[0]), m
 
 
 def test_flag_walk_count_matches_flag_count(catalog5):

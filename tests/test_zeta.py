@@ -378,9 +378,10 @@ def test_lattice_keeps_no_mobius_row(built_lattices):
     (lat,) = built_lattices
     for f, g in comparable_pairs(lat):
         lat.minor_chi(f, g)
-    # what the lattice grows is its interval index, its position map and its flag count
+    # what the lattice grows is its interval index, its position map and its
+    # flag count; a flag route lists no restriction class
     assert set(vars(lat)) == {
-        "matroid", "by_rank", "flats", "top", "maximal_chains",
+        "matroid", "by_rank", "flats", "sizes", "ranks", "top", "maximal_chains",
         "_covers", "_position", "_supersets", "flag_count",
     }
 
@@ -612,14 +613,14 @@ def test_flag_routes_check_the_cap_before_the_pair_index(route, monkeypatch):
     ids=["U36", "K4"] + PRUNED_IDS,
 )
 def test_flag_routes_read_no_restriction_class_and_no_table(m, monkeypatch):
-    """The recurrences share the class memo and the tables; the flag routes,
+    """The recurrences share the class list and the tables; the flag routes,
     their oracle, read neither."""
     expected = (zeta_by_recurrence(m), upsilon_by_recurrence(m))
 
     def refuse(*args):
         raise AssertionError("a flag route read the recurrences' memo or tables")
 
-    monkeypatch.setattr(LatticeOfFlats, "restriction_class", property(refuse))
+    monkeypatch.setattr(LatticeOfFlats, "classes", property(refuse))
     monkeypatch.setattr(zeta, "_flat_table", refuse)
     assert (zeta_by_flags(m), upsilon_by_flags(m)) == expected
 
