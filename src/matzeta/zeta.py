@@ -5,11 +5,11 @@ exactly.  The routes share their plumbing (one flag sum, one lower-interval
 fold, one ``_combine``, one level product), never their math, and neither
 table reads a Mobius row, so the flag routes, which sweep their own, stay an
 independent check.  ``compute_zeta`` and ``compute_upsilon`` are the only
-dispatchers: each algorithm is a row of a route table, a label and a body on
+dispatchers: each route is one row of a route table, a label and a body on
 one lattice, and one driver runs a row on each connected component and
-multiplies.  ``auto`` takes routes that read no interval index; the
-``verify`` row owns ``--verify``: which routes run on a lattice, in which
-order, and what counts as a disagreement.
+multiplies.  ``auto`` names the row a plain call takes, one that reads no
+interval index; ``verify`` runs every row of the table, in its order, on
+each component and requires each value to equal the ``auto`` row's.
 
 A chain of flats meets each level (|F|, rk F) at most once, as sizes
 strictly increase along it, so the denominator of each flag's term of Z(M|F)
@@ -44,13 +44,10 @@ from .lattice import LatticeOfFlats, LoopsError, _minor_chi_ints, lattice_of
 from .matroid import Matroid, iter_bits
 
 
-ZETA_ALGORITHMS = ("flags", "recurrence", "y-sum", "auto")
-UPSILON_ALGORITHMS = ("mobius", "recurrence", "flags", "auto")
-
-
 class VerificationError(ArithmeticError):
-    """Two routes of a ``verify`` row disagree, a split into components is
-    no direct sum, or a value is not a polynomial over its level product: a
+    """A route disagrees with the ``auto`` route under ``verify``, the flag
+    route's chi with the subset expansion, a split into components is no
+    direct sum, or a value is not a polynomial over its level product: a
     bug."""
 
 
@@ -242,16 +239,19 @@ def zeta_by_flags(m: Matroid, *, max_flags: int | None = None) -> RationalFuncti
     return _drive(m, True, "flags", max_flags, split=False)[0]
 
 
-def _zeta_by_flags(lat: LatticeOfFlats) -> tuple[RationalFunction, list[tuple[int, int, int]]]:
-    """Z by the flag sum, and the Mobius row of the bottom flat it swept, for
-    ``_verified_zeta`` to check chi on with no second sweep."""
+def _zeta_by_flags(lat: LatticeOfFlats) -> RationalFunction:
+    """Z by the flag sum, once chi of the whole lattice, read off the Mobius
+    row of the bottom flat that the sum sweeps anyway, agrees with the
+    subset expansion."""
     row = lat._mobius_rows()
     bottom = row(0)
+    if lat.minor_chi(0, lat.top, bottom) != _minor_chi_ints(lat.matroid, (0,), lat.top):
+        raise VerificationError("Mobius and subset-expansion chi disagree")
 
     def steps(i: int) -> list[tuple[int, int, None]]:
         return [(j, w, None) for j, _, w in (row(i) if i else bottom)]
 
-    return _flag_sum(lat, steps), bottom
+    return _flag_sum(lat, steps)
 
 
 # ---------------------------------------------------------------------------
@@ -450,59 +450,33 @@ def zeta_of_free_extension_via_transfer(m: Matroid) -> RationalFunction:
 # Dispatch
 
 
-def _verified_zeta(lat: LatticeOfFlats) -> RationalFunction:
-    """Z by the y-sum, once the flag sum and the Z recurrence on the same
-    lattice agree with it and chi of the bottom's Mobius row, which the flag
-    sum swept, agrees with the subset expansion."""
-    by_flags, bottom_row = _zeta_by_flags(lat)
-    by_recurrence = _zeta_by_recurrence(lat)
-    zeta = _zeta_by_ysum(lat)
-    if lat.minor_chi(0, lat.top, bottom_row) != _minor_chi_ints(lat.matroid, (0,), lat.top):
-        raise VerificationError("Mobius and subset-expansion chi disagree")
-    for route, value in (("flag sum", by_flags), ("y-sum", zeta)):
-        if value != by_recurrence:
-            raise VerificationError(f"{route} and recurrence disagree")
-    return zeta
-
-
-def _verified_upsilon(lat: LatticeOfFlats) -> RationalFunction:
-    """Y by the recurrence, once the flag product and the Mobius definition agree."""
-    by_flags = _upsilon_by_flags(lat)
-    by_mobius = _upsilon_by_mobius(lat)
-    upsilon = _upsilon_by_recurrence(lat)
-    if not by_flags == by_mobius == upsilon:
-        raise VerificationError("upsilon algorithms disagree")
-    return upsilon
-
-
-# algorithm -> (label, body on one lattice): a row per CLI choice and for --verify
+# route -> (label, body on one lattice), in the order ``verify`` runs them
 _ZETA_ROUTES = {
-    "flags": ("flag-sum", lambda lat: _zeta_by_flags(lat)[0]),
+    "flags": ("flag-sum", _zeta_by_flags),
     "recurrence": ("recurrence", _zeta_by_recurrence),
     "y-sum": ("y-sum", _zeta_by_ysum),
-    "auto": ("y-sum", _zeta_by_ysum),
-    "verify": ("y-sum", _verified_zeta),
 }
 _UPSILON_ROUTES = {
     "mobius": ("mobius-def", _upsilon_by_mobius),
     "recurrence": ("recurrence", _upsilon_by_recurrence),
     "flags": ("flag-product", _upsilon_by_flags),
-    "auto": ("recurrence", _upsilon_by_recurrence),
-    "verify": ("recurrence", _verified_upsilon),
 }
+_ZETA_AUTO, _UPSILON_AUTO = "y-sum", "recurrence"  # the row "auto" names
+ZETA_ALGORITHMS = (*_ZETA_ROUTES, "auto")
+UPSILON_ALGORITHMS = (*_UPSILON_ROUTES, "auto")
 
 
 def compute_zeta(
     m: Matroid, algorithm: str = "auto", *, max_flags: int | None = None
 ) -> tuple[RationalFunction, str]:
-    """(Z, label of its route) per component, by a ZETA_ALGORITHMS or "verify" row."""
+    """(Z, label of its route) per component, by a ZETA_ALGORITHMS row or "verify"."""
     return _drive(m, True, algorithm, max_flags)
 
 
 def compute_upsilon(
     m: Matroid, algorithm: str = "auto", *, max_flags: int | None = None
 ) -> tuple[RationalFunction, str]:
-    """(Y, label of its route) per component, by an UPSILON_ALGORITHMS or "verify" row."""
+    """(Y, label of its route) per component, by an UPSILON_ALGORITHMS row or "verify"."""
     return _drive(m, False, algorithm, max_flags)
 
 
@@ -522,21 +496,34 @@ def _drive(
 ) -> tuple[RationalFunction, str]:
     """(value, label) by ``algorithm``'s row of the Z (``zeta``) or Y route
     table: ``_guard``, else the row's body on each connected component's
-    lattice (m's own unless ``split``), multiplied.  A flag-walking row checks
-    each lattice against the cap as it is built, before any body runs."""
-    routes = _ZETA_ROUTES if zeta else _UPSILON_ROUTES
-    if algorithm not in routes:
+    lattice (m's own unless ``split``), multiplied.  ``verify`` runs every
+    row on each lattice and returns the ``auto`` row's value and label once
+    all agree.  When the flag row runs, each lattice is checked against the
+    cap as it is built, before any body runs."""
+    routes, auto = (_ZETA_ROUTES, _ZETA_AUTO) if zeta else (_UPSILON_ROUTES, _UPSILON_AUTO)
+    key = auto if algorithm in ("auto", "verify") else algorithm
+    if key not in routes:
         raise ValueError(f"unknown {'zeta' if zeta else 'upsilon'} algorithm {algorithm!r}")
-    label, body = routes[algorithm]
+    rows = routes if algorithm == "verify" else {key: routes[key]}
+    label = routes[key][0]
     value = _guard(m, zeta)
     if value is not None:
         return value, label
     lats = []
     for part in _parts(m) if split else [m]:
         lats.append(lattice_of(part))
-        if algorithm in ("flags", "verify"):
+        if "flags" in rows:
             lats[-1].check_flag_cap(max_flags)
-    return reduce(mul, map(body, lats)), label
+
+    def run(lat: LatticeOfFlats) -> RationalFunction:
+        got = {route: body(lat) for route, (_, body) in rows.items()}
+        wrong = [route for route, v in got.items() if v != got[key]]
+        if wrong:
+            verb = "disagrees" if len(wrong) == 1 else "disagree"
+            raise VerificationError(f"{' and '.join(wrong)} {verb} with {key}")
+        return got[key]
+
+    return reduce(mul, map(run, lats)), label
 
 
 def _parts(m: Matroid) -> list[Matroid]:

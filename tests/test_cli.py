@@ -164,20 +164,36 @@ def test_zeta_verify(capsys):
     assert "Z(s)" in out
 
 
-def test_zeta_verify_checks_chi_against_the_subset_expansion(capsys, monkeypatch):
+def _skew_every_mu(monkeypatch):
+    """Add 1 to every mu(G, F) with F > G and keep the flag weights, so the
+    flag sum still agrees with the recurrence and only the chi cross-check
+    can fail."""
     original = LatticeOfFlats._mobius_rows
 
     def skewed(self):
-        # add 1 to every mu(G, F) with F > G and keep the flag weights, so
-        # the flag sum still agrees with the recurrence and only the
-        # cross-check can fail
         row = original(self)
         return lambda g: [(f, mu + 1, w) for f, mu, w in row(g)]
 
     monkeypatch.setattr(LatticeOfFlats, "_mobius_rows", skewed)
+
+
+def test_zeta_verify_checks_chi_against_the_subset_expansion(capsys, monkeypatch):
+    _skew_every_mu(monkeypatch)
     code, out, err = run_cli(capsys, "zeta", "u:3,6", "--verify")
     assert code == EXIT_THEOREM_FAILURE and out == ""
     assert "verification failed: Mobius and subset-expansion chi disagree" in err
+
+
+def test_the_flag_route_checks_chi_against_the_subset_expansion(capsys, monkeypatch):
+    """The flag route checks chi on the bottom row it sweeps, so the skew
+    fails ``--algorithm flags`` and ``zeta_by_flags`` too, not only
+    ``--verify``."""
+    _skew_every_mu(monkeypatch)
+    code, out, err = run_cli(capsys, "zeta", "u:3,6", "--algorithm", "flags")
+    assert code == EXIT_THEOREM_FAILURE and out == ""
+    assert err == "verification failed: Mobius and subset-expansion chi disagree\n"
+    with pytest.raises(zeta.VerificationError, match="subset-expansion chi"):
+        zeta_by_flags(uniform(3, 6))
 
 
 @pytest.mark.parametrize("spec", ["u:3,6", "u:3,7+u:3,7"])
@@ -223,7 +239,7 @@ def test_zeta_verify_catches_a_wrong_flag_weight(capsys, monkeypatch):
     monkeypatch.setattr(LatticeOfFlats, "_mobius_rows", skewed)
     code, out, err = run_cli(capsys, "zeta", "u:3,5", "--verify")
     assert code == EXIT_THEOREM_FAILURE and out == ""
-    assert "verification failed: flag sum and recurrence disagree" in err
+    assert "verification failed: flags disagrees with y-sum" in err
 
 
 @pytest.mark.parametrize("command", ["zeta", "upsilon"])
@@ -239,17 +255,22 @@ def test_upsilon_verify_checks_flag_cap_first(capsys, monkeypatch):
     def never(lat):
         raise AssertionError("upsilon_by_mobius ran although the flag cap is exceeded")
 
-    monkeypatch.setattr(zeta, "_upsilon_by_mobius", never)
+    monkeypatch.setitem(zeta._UPSILON_ROUTES, "mobius", ("mobius-def", never))
     code, out, err = run_cli(capsys, "upsilon", "u:2,3", "--verify", "--max-flags", "1")
     assert code == EXIT_DOMAIN and out == ""
     assert "flags exceed" in err
 
 
+def _routes(command):
+    """The route table ``command`` dispatches through."""
+    return zeta._ZETA_ROUTES if command == "zeta" else zeta._UPSILON_ROUTES
+
+
 @pytest.mark.parametrize("command, route, mode", [
-    ("upsilon", "_upsilon_by_mobius", ["--verify"]),
-    ("zeta", "_zeta_by_recurrence", ["--verify"]),
-    ("upsilon", "_upsilon_by_mobius", ["--algorithm", "flags"]),
-    ("zeta", "_zeta_by_recurrence", ["--algorithm", "flags"]),
+    ("upsilon", "mobius", ["--verify"]),
+    ("zeta", "recurrence", ["--verify"]),
+    ("upsilon", "mobius", ["--algorithm", "flags"]),
+    ("zeta", "recurrence", ["--algorithm", "flags"]),
 ], ids=["upsilon-_upsilon_by_mobius", "zeta-_zeta_by_recurrence", "upsilon-flags", "zeta-flags"])
 def test_verify_checks_every_components_flag_cap_first(capsys, monkeypatch, command, route, mode):
     """u:2,3 fits the cap and u:11,12 does not: no route and no flag sum
@@ -257,7 +278,8 @@ def test_verify_checks_every_components_flag_cap_first(capsys, monkeypatch, comm
     def never(*args):
         raise AssertionError("a route ran although a component exceeds the flag cap")
 
-    monkeypatch.setattr(zeta, route, never)
+    routes = _routes(command)
+    monkeypatch.setitem(routes, route, (routes[route][0], never))
     monkeypatch.setattr(zeta, "_flag_sum", never)
     code, out, err = run_cli(capsys, command, "u:2,3+u:11,12", *mode)
     assert code == EXIT_DOMAIN and out == ""
@@ -411,21 +433,46 @@ def test_plain_paths_build_no_pair_index(capsys, monkeypatch, catalog6, catalog7
 
 
 @pytest.mark.parametrize("command, route", [
-    ("zeta", "zeta_by_recurrence"),
-    ("zeta", "zeta_by_ysum"),
-    ("upsilon", "upsilon_by_mobius"),
-    ("upsilon", "upsilon_by_recurrence"),
-    ("upsilon", "upsilon_by_flags"),
+    pytest.param("zeta", "flags", id="zeta-zeta_by_flags"),
+    pytest.param("zeta", "recurrence", id="zeta-zeta_by_recurrence"),
+    pytest.param("zeta", "y-sum", id="zeta-zeta_by_ysum"),
+    pytest.param("upsilon", "mobius", id="upsilon-upsilon_by_mobius"),
+    pytest.param("upsilon", "recurrence", id="upsilon-upsilon_by_recurrence"),
+    pytest.param("upsilon", "flags", id="upsilon-upsilon_by_flags"),
 ])
 def test_verify_disagreement_is_a_theorem_failure(capsys, monkeypatch, command, route):
-    # --verify runs each route's body on the one lattice it builds
-    original = getattr(zeta, "_" + route)
-    monkeypatch.setattr(
-        zeta, "_" + route, lambda *args: original(*args) + RationalFunction.one()
+    """--verify runs every row of the route table on the one lattice it
+    builds, so a +1 planted in any one row, the ``auto`` row's included,
+    fails it, and the message names that row."""
+    routes = _routes(command)
+    label, original = routes[route]
+    monkeypatch.setitem(
+        routes, route, (label, lambda *args: original(*args) + RationalFunction.one())
     )
     code, out, err = run_cli(capsys, command, "u:2,3", "--verify")
     assert code == EXIT_THEOREM_FAILURE
     assert out == "" and "verification failed" in err
+    assert route in err.removeprefix("verification failed: ").split(), err
+
+
+@pytest.mark.parametrize("command", ["zeta", "upsilon"])
+def test_verify_runs_each_row_once_per_component(capsys, monkeypatch, command):
+    """Under --verify every row of the route table runs exactly once on each
+    component's lattice."""
+    ran = Counter()  # (route, lattice) -> runs
+    routes = _routes(command)
+    for route, (label, body) in list(routes.items()):
+        def counted(lat, route=route, body=body):
+            ran[route, lat] += 1
+            return body(lat)
+
+        monkeypatch.setitem(routes, route, (label, counted))
+    code, out, _ = run_cli(capsys, command, "u:2,3+u:1,1+u:1,2", "--verify")
+    assert code == EXIT_OK and out.startswith(("Z(s) = ", "Y(s) = "))
+    lattices = {lat for _, lat in ran}
+    assert sorted(lat.matroid.size for lat in lattices) == [1, 2, 3]
+    assert set(ran) == {(route, lat) for route in routes for lat in lattices}
+    assert set(ran.values()) == {1}
 
 
 @pytest.mark.parametrize("argv", [

@@ -119,7 +119,7 @@ def test_ysum_matches_both_recurrence_and_flag_sum(catalog7):
     for m in [*(e.matroid for e in catalog7), graphic(edges), *nested]:
         lat = lattice_of(m)
         by_ysum = zeta._zeta_by_ysum(lat)
-        assert by_ysum == zeta._zeta_by_recurrence(lat) == zeta._zeta_by_flags(lat)[0]
+        assert by_ysum == zeta._zeta_by_recurrence(lat) == zeta._zeta_by_flags(lat)
 
 
 def test_zeta_one_dimensional_family():
@@ -776,36 +776,49 @@ def test_compute_dispatch():
     graphic(complete_graph(4)).direct_sum(uniform(1, 2)),
 ], ids=["U24+U13", "U23+U11+U12", "K4+U12"])
 def test_every_route_splits_a_sum_into_the_whole_lattice_value(m, built_lattices):
-    """Each row of both route tables, ``verify`` included, runs on each
-    component's lattice, and the product is the whole-lattice oracle's
-    value on the unsplit matroid, under the row's label."""
+    """Each row of both route tables, ``auto`` and ``verify`` included, runs
+    on each component's lattice, and the product is the whole-lattice
+    oracle's value on the unsplit matroid, under the row's label (the
+    ``auto`` row's for ``auto`` and ``verify``)."""
     parts = len(m.components())
     assert parts > 1
     whole = {compute_zeta: zeta_by_flags(m), compute_upsilon: upsilon_by_recurrence(m)}
     assert [lat.matroid.size for lat in built_lattices] == [m.size] * 2
-    for compute, choices, routes in (
-        (compute_zeta, ZETA_ALGORITHMS, zeta._ZETA_ROUTES),
-        (compute_upsilon, UPSILON_ALGORITHMS, zeta._UPSILON_ROUTES),
+    for compute, choices, routes, auto in (
+        (compute_zeta, ZETA_ALGORITHMS, zeta._ZETA_ROUTES, zeta._ZETA_AUTO),
+        (compute_upsilon, UPSILON_ALGORITHMS, zeta._UPSILON_ROUTES, zeta._UPSILON_AUTO),
     ):
         for algorithm in (*choices, "verify"):
             built_lattices.clear()
-            assert compute(m, algorithm) == (whole[compute], routes[algorithm][0]), algorithm
+            label = routes[auto if algorithm in ("auto", "verify") else algorithm][0]
+            assert compute(m, algorithm) == (whole[compute], label), algorithm
             assert len(built_lattices) == parts, algorithm
 
 
 def test_the_route_tables_hold_one_row_per_choice_and_verify():
+    """Each table holds one row per route and nothing else: ``auto`` names
+    a row and ``verify`` runs them all, and both carry that row's label."""
+    m = uniform(2, 3)
     labels = {
         "flags": "flag-sum", "recurrence": "recurrence", "y-sum": "y-sum", "auto": "y-sum",
         "verify": "y-sum",
     }
-    assert {a: label for a, (label, _) in zeta._ZETA_ROUTES.items()} == labels
-    assert sorted(zeta._ZETA_ROUTES) == sorted([*ZETA_ALGORITHMS, "verify"])
+    assert {a: label for a, (label, _) in zeta._ZETA_ROUTES.items()} == {
+        a: labels[a] for a in ("flags", "recurrence", "y-sum")
+    }
+    assert zeta._ZETA_ROUTES[zeta._ZETA_AUTO][0] == labels["auto"]
+    assert compute_zeta(m, "verify")[1] == labels["verify"]
+    assert ZETA_ALGORITHMS == (*zeta._ZETA_ROUTES, "auto")
     labels = {
         "mobius": "mobius-def", "recurrence": "recurrence", "flags": "flag-product",
         "auto": "recurrence", "verify": "recurrence",
     }
-    assert {a: label for a, (label, _) in zeta._UPSILON_ROUTES.items()} == labels
-    assert sorted(zeta._UPSILON_ROUTES) == sorted([*UPSILON_ALGORITHMS, "verify"])
+    assert {a: label for a, (label, _) in zeta._UPSILON_ROUTES.items()} == {
+        a: labels[a] for a in ("mobius", "recurrence", "flags")
+    }
+    assert zeta._UPSILON_ROUTES[zeta._UPSILON_AUTO][0] == labels["auto"]
+    assert compute_upsilon(m, "verify")[1] == labels["verify"]
+    assert UPSILON_ALGORITHMS == (*zeta._UPSILON_ROUTES, "auto")
 
 
 # ---------------------------------------------------------------------------
