@@ -11,8 +11,9 @@ formula.  The tables and Z are integer numerators over the lattice's level
 product (see ``zeta``), and a holds verdict builds no ``RationalFunction``:
 the Taylor prefixes expand a numerator over the product as it stands, and
 the k-derivative residual is tested for being a multiple of it.  The names
-``zeta_taylor_prefix``, ``upsilon_taylor_prefix`` and ``reduced_chi_sum``
-stay module-level so a test can plant a violation through them.
+``zeta_taylor_prefix``, ``upsilon_taylor_prefix``, ``reduced_chi_sum``,
+``stirling_second_rows`` and ``_rank_size_counts`` stay module-level so a
+test can plant a violation through them.
 """
 
 from __future__ import annotations
@@ -310,14 +311,16 @@ def check_counting_identities(
 ) -> CheckReport:
     """The four counting identities: rank-size partition of binomials, the
     surjection expansion of |E|^k, and the two flat sums over the reduced
-    lattice (counted sets, then |F|^k moments).
+    lattice (counted sets, then |F|^k moments).  Each is checked in full
+    before the next, and the first failure is reported; the flat sums are
+    built before the surjections are checked, so a raising chi-bar sum wins.
 
     A flat F enters the flat sums only through |F| and the (rank, size)
     counts of its subsets, which its restriction fixes, so chi-bar_[F, E] is
     first summed over each restriction class and the subsets are counted once
-    per class.  The Stirling sums read the nonzero counts(i, j) only, and
-    one walk of the Stirling rows cut to their columns j <= |E|; the right
-    side of the power sums is one scalar per rank and one prefix sum."""
+    per class.  The Stirling sums read the nonzero counts(i, j) only, and the
+    Stirling rows, read once, cut to their columns j <= |E|; the right side
+    of the power sums is one scalar per rank and one prefix sum."""
     m = entry.matroid
     if not m.is_loopless():
         return CheckReport(COUNTING_CHECK, entry.name, SKIPPED, "matroid has loops")
@@ -350,23 +353,22 @@ def check_counting_identities(
         for key, c in _rank_size_counts(m, f).items():
             flat_sums[key] = _iadd(flat_sums.get(key, []), [c * x for x in poly])
 
-    pending = None  # the first flat-sum failure, reported once every ground power holds
+    rows = stirling_second_rows(kmax, n + 1)
+    surjections = [[math.factorial(j) * x for j, x in enumerate(row)] for row in rows]  # j! S(k, j)
+    for k, surj in enumerate(surjections, start=1):
+        lhs = n**k
+        rhs = sum(surj[j] * by_size[j] for j in range(1, len(surj)))
+        if lhs != rhs:
+            return fail("ground-power-surjections", {"k": k}, lhs, rhs)
+
     for i, j in itertools.product(range(1, r + 1), range(1, n + 1)):
         c = counts.get((i, j), 0)
         lhs = flat_sums.get((i, j), [])
         rhs = [c] * (r - i) if c else []
         if lhs != rhs:
-            pending = fail("flat-sum-of-counts", {"i": i, "j": j}, lhs, rhs)
-            break
+            return fail("flat-sum-of-counts", {"i": i, "j": j}, lhs, rhs)
 
-    for k, row in enumerate(stirling_second_rows(kmax, n + 1), start=1):
-        surj = [math.factorial(j) * x for j, x in enumerate(row)]  # j! S(k, j)
-        lhs = n**k
-        rhs = sum(surj[j] * by_size[j] for j in range(1, len(surj)))
-        if lhs != rhs:
-            return fail("ground-power-surjections", {"k": k}, lhs, rhs)
-        if pending is not None:
-            continue
+    for k, surj in enumerate(surjections, start=1):
         lhs = []
         for f, poly in classes:
             lhs = _iadd(lhs, [f.bit_count() ** k * x for x in poly])
@@ -378,9 +380,8 @@ def check_counting_identities(
                 scalars[i] += surj[j] * c
         rhs = _itrim(list(itertools.accumulate(scalars[1:]))[::-1])
         if lhs != rhs:
-            pending = fail("flat-sum-of-powers", {"k": k}, lhs, rhs)
-
-    return pending or CheckReport(COUNTING_CHECK, entry.name, HOLDS)
+            return fail("flat-sum-of-powers", {"k": k}, lhs, rhs)
+    return CheckReport(COUNTING_CHECK, entry.name, HOLDS)
 
 
 def _rank_size_counts(m: Matroid, mask: int) -> dict[tuple[int, int], int]:
@@ -429,26 +430,22 @@ def check_conjecture_upsilon(
     entry: CatalogEntry, bundle: _Bundle | None = None
 ) -> CheckReport:
     """The Mobius inversion vanishes to order rank-1 and its first nonzero
-    coefficient is the signed basis count."""
+    coefficient is the signed basis count: one pass over the prefix against
+    [0] * r + [(-1)^r |bases|]."""
     m = entry.matroid
     if not m.is_loopless():
         return CheckReport(UPSILON_CONJECTURE, entry.name, SKIPPED, "matroid has loops")
     r = m.rank
     prefix = upsilon_taylor_prefix(bundle or _Bundle(m), r)
-    expected_top = Fraction((-1) ** r * len(m.bases))
-    for k in range(r):
-        if prefix[k] != 0:
+    expected = [0] * r + [(-1) ** r * len(m.bases)]
+    for k, (got, want) in enumerate(zip(prefix, expected, strict=True)):
+        if got != want:
+            top = "leading coefficient is not the signed basis count"
             return _fails(
-                UPSILON_CONJECTURE, entry, f"coefficient {k} is nonzero",
-                coefficient_index=k, lhs=str(prefix[k]), rhs="0",
+                UPSILON_CONJECTURE, entry, top if k == r else f"coefficient {k} is nonzero",
+                coefficient_index=k, lhs=str(got), rhs=str(want),
                 prefix=[str(c) for c in prefix],
             )
-    if prefix[r] != expected_top:
-        return _fails(
-            UPSILON_CONJECTURE, entry, "leading coefficient is not the signed basis count",
-            coefficient_index=r, lhs=str(prefix[r]), rhs=str(expected_top),
-            prefix=[str(c) for c in prefix],
-        )
     return CheckReport(UPSILON_CONJECTURE, entry.name, HOLDS)
 
 

@@ -160,7 +160,7 @@ def _emit(args, payload: dict, lines) -> None:
 
 def _cmd_value(args) -> int:
     """``zeta`` or ``upsilon``: the subparser binds the value's symbol and
-    its compute function, whose ``"verify"`` route runs ``--verify``."""
+    its compute function, to which ``--verify`` passes the mode ``"verify"``."""
     m = parse_matroid_spec(args.spec)
     symbol, compute = args.value
     value, label = compute(m, "verify" if args.verify else args.algorithm, max_flags=args.max_flags)

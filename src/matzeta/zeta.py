@@ -65,16 +65,8 @@ class _Table(NamedTuple):
     entries: list[tuple[int, ...]]
 
     def value(self, num: Sequence[int]) -> RationalFunction:
-        """num / D, canonical.  The primitive part of each level that
-        divides num is struck from both first, so the degrees
-        ``RationalFunction`` takes a gcd of are low."""
-        num, den = list(num), self.den
-        for a, b in self.levels:
-            g = math.gcd(a, b)
-            quo = _div_linear(num, a // g, b // g) if len(num) > 1 else None
-            if quo is not None:
-                num, den = quo, _div_linear(den, a // g, b // g)
-        return RationalFunction(num, den)
+        """num / D, canonical: ``RationalFunction`` takes the one gcd."""
+        return RationalFunction(num, self.den)
 
     def is_constant(self, num: Sequence[int]) -> bool:
         """num / D is a constant: num = c D, tested cross-multiplied."""

@@ -415,7 +415,7 @@ def _counting_failure(report):
     return w["identity"], w["params"], w["lhs"], w["rhs"]
 
 
-def test_planted_rank_size_count_fails_the_partition(monkeypatch):
+def _skew_rank_size_counts(monkeypatch):
     original = checks._rank_size_counts
 
     def skewed(m, mask):
@@ -425,11 +425,9 @@ def test_planted_rank_size_count_fails_the_partition(monkeypatch):
         return counts
 
     monkeypatch.setattr(checks, "_rank_size_counts", skewed)
-    report = check_counting_identities(_U23)
-    assert _counting_failure(report) == ("rank-size-partition", {"s": 1}, "3", "4")
 
 
-def test_planted_stirling_row_fails_the_ground_powers(monkeypatch):
+def _skew_stirling_entry(monkeypatch):
     original = checks.stirling_second_rows
 
     def skewed(nmax, width=None):
@@ -438,9 +436,61 @@ def test_planted_stirling_row_fails_the_ground_powers(monkeypatch):
             yield [x + 1 if (k, j) == (2, 2) else x for j, x in enumerate(row)]
 
     monkeypatch.setattr(checks, "stirling_second_rows", skewed)
+
+
+def _skew_stirling_powers_only(monkeypatch):
+    original = checks.stirling_second_rows
+
+    def skewed(nmax, width=None):
+        for k, row in enumerate(original(nmax, width), start=1):
+            # S(2, .) = [0, 1, 1] read as [0, 3, 0]: 1! 3 C(3, 1) = 1! 1 C(3, 1)
+            # + 2! 1 C(3, 2), so 3^2 still holds, but the flat sum moves
+            yield [0, 3, 0] if k == 2 else row
+
+    monkeypatch.setattr(checks, "stirling_second_rows", skewed)
+
+
+def _skew_flat_sums(monkeypatch):
+    monkeypatch.setattr(checks, "reduced_chi_sum", _skew_every_flat)
+
+
+def _raise_from_chi_sums(monkeypatch):
+    def boom(m, lows, high):
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(checks, "reduced_chi_sum", boom)
+
+
+def test_planted_rank_size_count_fails_the_partition(monkeypatch):
+    _skew_rank_size_counts(monkeypatch)
+    report = check_counting_identities(_U23)
+    assert _counting_failure(report) == ("rank-size-partition", {"s": 1}, "3", "4")
+
+
+def test_planted_stirling_row_fails_the_ground_powers(monkeypatch):
+    _skew_stirling_entry(monkeypatch)
     report = check_counting_identities(_U23)
     # 3^2 against 1! S(2, 1) 3 + 2! 2 3, over the three singletons and three pairs
     assert _counting_failure(report) == ("ground-power-surjections", {"k": 2}, "9", "15")
+
+
+@pytest.mark.parametrize("plants, reason", [
+    ((_skew_stirling_entry, _skew_flat_sums), "ground-power-surjections {'k': 2}"),
+    ((_skew_stirling_powers_only, _skew_flat_sums), "flat-sum-of-counts {'i': 1, 'j': 1}"),
+    ((_skew_rank_size_counts, _skew_stirling_entry), "rank-size-partition {'s': 1}"),
+    ((_raise_from_chi_sums, _skew_stirling_entry), "check raised an exception"),
+], ids=["surjections-over-counts", "counts-over-powers", "partition-over-surjections",
+        "raised-over-surjections"])
+def test_counting_identities_report_the_first_failing_identity(monkeypatch, plants, reason):
+    """With two faults planted at once, the report names the identity that
+    comes first: the rank-size partition, the ground-power surjections, the
+    flat sums of counts, then of powers.  The flat sums are built before the
+    surjections are checked, so a raising chi-bar sum wins over them."""
+    for plant in plants:
+        plant(monkeypatch)
+    reports = run_all_checks([_U23], suites=("theorems",))
+    (report,) = [r for r in reports if r.check == checks.COUNTING_CHECK]
+    assert (report.status, report.reason) == (FAILS, reason)
 
 
 def _planted_girth(monkeypatch):
@@ -456,20 +506,12 @@ def _planted_weight(monkeypatch):
 
 
 def _planted_flat_sum(monkeypatch):
-    monkeypatch.setattr(checks, "reduced_chi_sum", _skew_every_flat)
+    _skew_flat_sums(monkeypatch)
     return check_counting_identities(_U23)
 
 
 def _planted_powers(monkeypatch):
-    original = checks.stirling_second_rows
-
-    def skewed(nmax, width=None):
-        for k, row in enumerate(original(nmax, width), start=1):
-            # S(2, .) = [0, 1, 1] read as [0, 3, 0]: 1! 3 C(3, 1) = 1! 1 C(3, 1)
-            # + 2! 1 C(3, 2), so 3^2 still holds, but the flat sum moves
-            yield [0, 3, 0] if k == 2 else row
-
-    monkeypatch.setattr(checks, "stirling_second_rows", skewed)
+    _skew_stirling_powers_only(monkeypatch)
     return check_counting_identities(_U23)
 
 

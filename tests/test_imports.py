@@ -40,9 +40,14 @@ UNCALLED_BY_DESIGN = {
     "combinat.stirling_second": "Stirling numbers checked by criterion 8",
     "files.dump_bases": "bases-file writer documented in the README",
     "files.dump_graph": "graph-file writer documented in the README",
-    "lattice.minor_reduced_chi": "subset-expansion oracle; perfbench span lattice.minor_reduced_chi",
+    "lattice.minor_reduced_chi": (
+        "subset-expansion oracle of the tests; perfbench span lattice.minor_reduced_chi "
+        "reads 0 on working code, but perfbench/tracer.py looks up every traced name"
+    ),
     "lattice.LatticeOfFlats.mobius": (
-        "the row-based Mobius oracle of test_cli.py::test_plain_paths_build_no_pair_index"
+        "the row-based Mobius oracle of test_cli.py::test_plain_paths_build_no_pair_index; "
+        "perfbench span lattice.mobius reads 0 on working code, but perfbench/tracer.py "
+        "looks up every traced name"
     ),
     "algebra.RationalFunction.from_json": (
         "perfbench reference values and criterion 10's JSON round trip"
