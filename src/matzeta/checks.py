@@ -32,9 +32,9 @@ from .lattice import LatticeOfFlats, lattice_of, reduced_chi_sum
 from .matroid import Matroid, _between, _by_size, graphic, iter_bits, uniform
 from .zeta import (
     _combine,
+    _cover_table,
     _Table,
     _truncated_zeta,
-    _upsilon_table,
     _y_sum,
     upsilon_by_recurrence,
     zeta_by_recurrence,
@@ -152,9 +152,9 @@ def build_catalog(max_ground: int = 7) -> list[CatalogEntry]:
 
 
 class _Bundle:
-    """One matroid's lattice of flats, the Y table on that lattice, Z(M),
-    ``class_chibar`` and the bundle of its truncation, each built on first
-    use.  A check handed none builds its own."""
+    """One matroid's lattice of flats, the Y table folded over its covers,
+    Z(M), ``class_chibar`` and the bundle of its truncation, each built on
+    first use.  A check handed none builds its own."""
 
     def __init__(self, matroid: Matroid) -> None:
         self.matroid = matroid
@@ -165,7 +165,7 @@ class _Bundle:
 
     @cached_property
     def upsilon_table(self) -> _Table:
-        return _upsilon_table(self.lattice)
+        return _cover_table(self.lattice)
 
     @cached_property
     def truncation(self) -> _Bundle:
@@ -274,11 +274,11 @@ def check_k_derivative_lemma(
     Y(M|G), the weighted sum is that of K_e e over the Y entries e, K_e adding
     the W of each class above a flat with entry e, as ``_combine`` counts
     them; the G < F are the lower interval ``lat.classes`` keeps with the
-    class, which the Y table was folded over.  R is one integer numerator
-    over the table's level product, and a constant iff that numerator is a
-    rational multiple of the product, which ``_Table.is_constant`` tests
-    cross-multiplied.  Only a failing R is differentiated, for the order-1
-    witness.
+    class, of which the Y table read only the covers.  R is one integer
+    numerator over the table's level product, and a constant iff that
+    numerator is a rational multiple of the product, which
+    ``_Table.is_constant`` tests cross-multiplied.  Only a failing R is
+    differentiated, for the order-1 witness.
     """
     m = entry.matroid
     if m.is_trivial or not m.is_loopless():

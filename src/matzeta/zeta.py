@@ -1,14 +1,16 @@
 """Topological zeta functions of matroids and their Mobius inversions.
 
 Z and Y are each computed by independent routes, so they check each other
-exactly.  The routes share their plumbing (one flag sum, one lower-interval
-fold, one ``_combine``, one level product), never their math, and neither
-table reads a Mobius row, so the flag routes, which sweep their own, stay an
-independent check.  ``compute_zeta`` and ``compute_upsilon`` are the only
-dispatchers: each route is one row of a route table, a label and a body on
-one lattice, and one driver runs a row on each connected component and
-multiplies.  ``auto`` names the row a plain call takes, one that reads no
-interval index; ``verify`` runs every row of the table, in its order, on
+exactly.  The routes share their plumbing (one flag sum, one table fold, one
+``_combine``, one level product), never their math.  The table fold runs two
+Y recurrences, one over each flat's lower interval and one over its covers
+alone, and one Z recurrence; no table reads a Mobius row, so the flag
+routes, which sweep their own, stay an independent check.
+``compute_zeta`` and ``compute_upsilon`` are the only dispatchers: each
+route is one row of a route table, a label and a body on one lattice, and
+one driver runs a row on each connected component and multiplies.  ``auto``
+names the row a plain call takes, one that reads no interval index and
+folds the covers; ``verify`` runs every row of the table, in its order, on
 each component and requires each value to equal the ``auto`` row's.
 
 A chain of flats meets each level (|F|, rk F) at most once, as sizes
@@ -26,6 +28,7 @@ reduced once, by ``_Table.value``; public results are canonical
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from functools import reduce
 from itertools import repeat, zip_longest
 from operator import mul
@@ -188,12 +191,14 @@ def _flag_sum(
 
 
 def _flat_table(
-    lat: LatticeOfFlats, coefs: Callable[[int, list[int]], tuple[Iterable[int], int]]
+    lat: LatticeOfFlats,
+    coefs: Callable[[int, list[int]], tuple[Iterable[int], Iterable[int], Iterable[int]]],
 ) -> _Table:
-    """Fold over lower intervals in ascending rank into entries parallel to
+    """Fold over flats below in ascending rank into entries parallel to
     ``lat.flats`` over the level product D: T[0] = 1, and T[F] = sum over
-    G < F of (c_G + u s) T[G] over (|F| s + rk F), where
-    coefs(F, below) = (c, u), c parallel to below = lat.strict_subsets(F).
+    the G of (c0 + c1 s) T[G] over (|F| s + rk F), where
+    coefs(F, below) = (the G, their c0, their c1), the G taken from
+    below = lat.strict_subsets(F).
 
     T[F] depends only on the restriction to F, so the fold runs once per
     class of ``lat.classes``, on its first flat and the lower interval the
@@ -205,8 +210,8 @@ def _flat_table(
     entries = [table.den] * len(lat)
     intern: dict[tuple[int, ...], tuple[int, ...]] = {}
     for at, below in lat.classes:
-        c, u = coefs(at[0], below)
-        num = _combine(zip(map(entries.__getitem__, below), c, repeat(u)))
+        terms, c0, c1 = coefs(at[0], below)
+        num = _combine(zip(map(entries.__getitem__, terms), c0, c1))
         entry = _divide(num, lat.sizes[at[0]], lat.ranks[at[0]])
         entry = intern.setdefault(entry, entry)
         for i in at:
@@ -256,7 +261,7 @@ def _zeta_table(lat: LatticeOfFlats) -> _Table:
     weights are the lattice's column fold ``chibar1_below``, which pulls
     through the up-set index."""
     weights = lat.chibar1_below
-    return _flat_table(lat, lambda i, below: (weights(i, below), 0))
+    return _flat_table(lat, lambda i, below: (below, weights(i, below), repeat(0)))
 
 
 def zeta_by_recurrence(m: Matroid) -> RationalFunction:
@@ -276,13 +281,13 @@ def _zeta_by_recurrence(lat: LatticeOfFlats) -> RationalFunction:
 
 def zeta_by_ysum(m: Matroid) -> RationalFunction:
     """Zeta as the sum over all flats F of Y(M|F): the Mobius inversion of
-    Y(M) = sum over F of mu(F, E) Z(M|F), read off the Y table, so it takes
-    no Mobius value, no Z weight and no interval index."""
+    Y(M) = sum over F of mu(F, E) Z(M|F), read off the cover Y table, so it
+    takes no Mobius value, no Z weight and no interval index."""
     return _drive(m, True, "y-sum", split=False)[0]
 
 
 def _zeta_by_ysum(lat: LatticeOfFlats) -> RationalFunction:
-    table = _upsilon_table(lat)
+    table = _cover_table(lat)
     return table.value(_y_sum(table.entries))
 
 
@@ -313,10 +318,25 @@ def upsilon_by_recurrence(m: Matroid) -> RationalFunction:
 
 
 def _upsilon_table(lat: LatticeOfFlats) -> _Table:
-    """Y of every restriction-to-a-flat, by flat position, by the weights
-    -(|F| s + rk G), which read no interval index."""
+    """Y of every restriction-to-a-flat, by flat position, folded over each
+    lower interval by the weights -(|F| s + rk G), which read no interval
+    index: the oracle of the cover table."""
     rk, size = lat.ranks, lat.sizes
-    return _flat_table(lat, lambda i, below: ([-rk[j] for j in below], -size[i]))
+    return _flat_table(lat, lambda i, below: (below, [-rk[j] for j in below], repeat(-size[i])))
+
+
+def _cover_table(lat: LatticeOfFlats) -> _Table:
+    """Y of every restriction-to-a-flat, by flat position, over the covers:
+    (|G| s + rk G) Y_G = -s sum over F covered by G of (|G| - |F|) Y_F (see
+    the README for the proof).  The F are the tail of G's lower interval of
+    rank rk G - 1, found by bisection, as positions ascend with rank."""
+    rk, size = lat.ranks, lat.sizes
+
+    def coefs(i: int, below: list[int]) -> tuple[list[int], Iterable[int], list[int]]:
+        covered = below[bisect_left(below, bisect_left(rk, rk[i] - 1)) :]
+        return covered, repeat(0), [size[j] - size[i] for j in covered]
+
+    return _flat_table(lat, coefs)
 
 
 def _truncated_zeta(lat: LatticeOfFlats, table: _Table) -> tuple[_Table, tuple[int, ...]]:
@@ -334,6 +354,11 @@ def _truncated_zeta(lat: LatticeOfFlats, table: _Table) -> tuple[_Table, tuple[i
 
 def _upsilon_by_recurrence(lat: LatticeOfFlats) -> RationalFunction:
     table = _upsilon_table(lat)
+    return table.value(table.entries[-1])
+
+
+def _upsilon_by_covers(lat: LatticeOfFlats) -> RationalFunction:
+    table = _cover_table(lat)
     return table.value(table.entries[-1])
 
 
@@ -419,7 +444,7 @@ def _transfer_inputs(m: Matroid, name: str, min_rank: int) -> tuple[RationalFunc
         raise LoopsError(f"{name} transfer needs a loopless matroid")
     if m.rank < min_rank:
         raise ValueError(f"{name} transfer needs rank >= {min_rank}")
-    table = _upsilon_table(lattice_of(m))
+    table = _cover_table(lattice_of(m))
     return table.value(_y_sum(table.entries)), table.value(table.entries[-1])
 
 
@@ -452,8 +477,9 @@ _UPSILON_ROUTES = {
     "mobius": ("mobius-def", _upsilon_by_mobius),
     "recurrence": ("recurrence", _upsilon_by_recurrence),
     "flags": ("flag-product", _upsilon_by_flags),
+    "covers": ("covers", _upsilon_by_covers),
 }
-_ZETA_AUTO, _UPSILON_AUTO = "y-sum", "recurrence"  # the row "auto" names
+_ZETA_AUTO, _UPSILON_AUTO = "y-sum", "covers"  # the row "auto" names
 ZETA_ALGORITHMS = (*_ZETA_ROUTES, "auto")
 UPSILON_ALGORITHMS = (*_UPSILON_ROUTES, "auto")
 

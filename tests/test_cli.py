@@ -402,7 +402,7 @@ def test_plain_paths_build_no_pair_index(capsys, monkeypatch, catalog6, catalog7
 
     monkeypatch.setattr(LatticeOfFlats, "_supersets", property(refuse))
     for m, (z, y) in zip(matroids, expected):
-        assert (compute_zeta(m), compute_upsilon(m)) == ((z, "y-sum"), (y, "recurrence"))
+        assert (compute_zeta(m), compute_upsilon(m)) == ((z, "y-sum"), (y, "covers"))
     for lat, column in zip(lattices, mus):
         assert [lat.mobius_to_top(f) for f in lat.flats] == column
     for m, truncated, extended in transferred:
@@ -439,6 +439,7 @@ def test_plain_paths_build_no_pair_index(capsys, monkeypatch, catalog6, catalog7
     pytest.param("upsilon", "mobius", id="upsilon-upsilon_by_mobius"),
     pytest.param("upsilon", "recurrence", id="upsilon-upsilon_by_recurrence"),
     pytest.param("upsilon", "flags", id="upsilon-upsilon_by_flags"),
+    pytest.param("upsilon", "covers", id="upsilon-upsilon_by_covers"),
 ])
 def test_verify_disagreement_is_a_theorem_failure(capsys, monkeypatch, command, route):
     """--verify runs every row of the route table on the one lattice it
@@ -455,12 +456,36 @@ def test_verify_disagreement_is_a_theorem_failure(capsys, monkeypatch, command, 
     assert route in err.removeprefix("verification failed: ").split(), err
 
 
+@pytest.mark.parametrize("command, route", [("zeta", "y-sum"), ("upsilon", "covers")])
+def test_verify_catches_a_wrong_cover_weight(capsys, monkeypatch, command, route):
+    """A cover weight of |G| - |F| + 1 in place of |G| - |F| corrupts the
+    cover table, which the ``auto`` rows of both commands read: --verify
+    exits 4 naming that row."""
+    flat_table = zeta._flat_table
+
+    def planted(lat, coefs):
+        if not coefs.__qualname__.startswith("_cover_table."):
+            return flat_table(lat, coefs)
+
+        def wrong(i, below):
+            terms, c0, c1 = coefs(i, below)
+            return terms, c0, [c - 1 for c in c1]  # c1 = |F| - |G|
+
+        return flat_table(lat, wrong)
+
+    monkeypatch.setattr(zeta, "_flat_table", planted)
+    code, out, err = run_cli(capsys, command, "u:2,3", "--verify")
+    assert code == EXIT_THEOREM_FAILURE and out == ""
+    assert route in err.removeprefix("verification failed: ").split(), err
+
+
 @pytest.mark.parametrize("command", ["zeta", "upsilon"])
 def test_verify_runs_each_row_once_per_component(capsys, monkeypatch, command):
-    """Under --verify every row of the route table runs exactly once on each
-    component's lattice."""
+    """Under --verify every row of the route table, three for Z and four for
+    Y, runs exactly once on each component's lattice."""
     ran = Counter()  # (route, lattice) -> runs
     routes = _routes(command)
+    assert len(routes) == {"zeta": 3, "upsilon": 4}[command]
     for route, (label, body) in list(routes.items()):
         def counted(lat, route=route, body=body):
             ran[route, lat] += 1

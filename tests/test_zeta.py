@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from matzeta import lattice, zeta
+from matzeta.checks import build_catalog
 from matzeta.cli import main, parse_matroid_spec
 from matzeta.algebra import (
     RationalFunction,
@@ -32,6 +33,7 @@ from matzeta.zeta import (
     ZETA_ALGORITHMS,
     VerificationError,
     _combine,
+    _cover_table,
     _div_linear,
     _flag_sum,
     _Table,
@@ -642,8 +644,8 @@ def test_table_routes_read_no_mobius_row(monkeypatch):
 
     monkeypatch.setattr(LatticeOfFlats, "_mobius_rows", counting)
     for m in (uniform(3, 6), graphic(complete_graph(4))):
-        assert upsilon_by_mobius(m) == upsilon_by_recurrence(m)
-        zeta_by_recurrence(m)
+        assert upsilon_by_mobius(m) == upsilon_by_recurrence(m) == compute_upsilon(m, "covers")[0]
+        assert zeta_by_recurrence(m) == zeta_by_ysum(m)
         lat = lattice_of(m)
         mus = [lat.mobius_to_top(f) for f in lat.flats]
         assert rows == []
@@ -737,8 +739,9 @@ def test_table_rows_run_once_per_restriction_class(m, classes, monkeypatch):
     monkeypatch.setattr(zeta, "_flat_table", counting_rows)
     zeta_by_recurrence(m)
     upsilon_by_recurrence(m)
+    zeta_by_ysum(m)  # the cover table
     assert len(weights) == len(set(weights)) == len(distinct) + 1
-    assert len(rows) == 2 * len(weights)
+    assert len(rows) == 3 * len(weights)
     # one subset scan per class representative and the top, per table
     assert sorted(lowers) == sorted(rows)
 
@@ -811,10 +814,10 @@ def test_the_route_tables_hold_one_row_per_choice_and_verify():
     assert ZETA_ALGORITHMS == (*zeta._ZETA_ROUTES, "auto")
     labels = {
         "mobius": "mobius-def", "recurrence": "recurrence", "flags": "flag-product",
-        "auto": "recurrence", "verify": "recurrence",
+        "covers": "covers", "auto": "covers", "verify": "covers",
     }
     assert {a: label for a, (label, _) in zeta._UPSILON_ROUTES.items()} == {
-        a: labels[a] for a in ("mobius", "recurrence", "flags")
+        a: labels[a] for a in ("mobius", "recurrence", "flags", "covers")
     }
     assert zeta._UPSILON_ROUTES[zeta._UPSILON_AUTO][0] == labels["auto"]
     assert compute_upsilon(m, "verify")[1] == labels["verify"]
@@ -937,18 +940,23 @@ def test_zeta_table_entries_are_restriction_zetas(catalog5):
             assert tbl.value(num) == zeta_by_recurrence(m.restriction(f)), (entry.name, f)
 
 
-# loopless matroids of at most 8 elements and rank at most 4
 _edges8 = st.tuples(st.integers(0, 4), st.integers(0, 4)).filter(lambda e: e[0] != e[1])
-loopless_up_to_8 = st.one_of(
-    st.lists(_edges8, min_size=1, max_size=8).map(graphic),
-    st.integers(1, 8).flatmap(lambda n: st.integers(1, min(n, 4)).map(lambda r: uniform(r, n))),
-    st.tuples(st.integers(1, 4), st.integers(1, 3), st.lists(_edges8, min_size=1, max_size=4)).map(
-        lambda t: uniform(min(t[1], t[0]), t[0]).direct_sum(graphic(t[2]))
-    ),
-).flatmap(_derived).filter(lambda m: m.size <= 8)
 
 
-@given(loopless_up_to_8)
+def loopless_up_to(n):
+    """Loopless matroids of at most n elements: graphic on five vertices,
+    uniform of rank at most 4, their direct sums, and the free extensions
+    and truncations of each."""
+    return st.one_of(
+        st.lists(_edges8, min_size=1, max_size=n).map(graphic),
+        st.integers(1, n).flatmap(lambda k: st.integers(1, min(k, 4)).map(lambda r: uniform(r, k))),
+        st.tuples(
+            st.integers(1, 4), st.integers(1, 3), st.lists(_edges8, min_size=1, max_size=n - 4)
+        ).map(lambda t: uniform(min(t[1], t[0]), t[0]).direct_sum(graphic(t[2]))),
+    ).flatmap(_derived).filter(lambda m: m.size <= n)
+
+
+@given(loopless_up_to(8))
 def test_table_entries_are_integer_numerators_over_the_level_product(m):
     """D is the product of (a s + b) over the distinct levels (a, b) =
     (|F|, rk F) of the nonempty flats, the bottom entry of both tables is D,
@@ -968,6 +976,47 @@ def test_table_entries_are_integer_numerators_over_the_level_product(m):
         if sub not in flagged:
             flagged[sub] = (zeta_by_flags(sub), upsilon_by_flags(sub))
         assert (RationalFunction(z, ztbl.den), RationalFunction(y, ytbl.den)) == flagged[sub], f
+
+
+def _same_y_tables(lat):
+    """The cover table and the lower-interval Y table of ``lat``: the same
+    levels, the same level product and the same numerator at every flat."""
+    covers, interval = _cover_table(lat), _upsilon_table(lat)
+    assert (covers.levels, covers.den) == (interval.levels, interval.den)
+    return covers.entries == interval.entries
+
+
+def test_the_cover_table_is_the_interval_table_on_catalog9():
+    catalog = build_catalog(9)
+    assert len(catalog) == 475
+    for entry in catalog:
+        assert _same_y_tables(lattice_of(entry.matroid)), entry.name
+
+
+@given(loopless_up_to(9))
+def test_the_cover_table_is_the_interval_table(m):
+    assert _same_y_tables(lattice_of(m))
+
+
+@pytest.mark.parametrize(
+    "m",
+    [uniform(3, 6), graphic(complete_graph(5)), parse_matroid_spec("ext(u:2,4+u:2,3)")]
+    + PRUNED_SUMS,
+    ids=["U36", "K5", "ext(U24+U23)"] + PRUNED_IDS,
+)
+def test_the_cover_route_reads_no_pair_index_mobius_row_or_other_table(m, monkeypatch):
+    """The cover route and the y-sum on it read neither the up-set index, a
+    Mobius row nor a Z weight, and not the lower-interval Y table they are
+    checked against."""
+    expected = (upsilon_by_flags(m), zeta_by_flags(m))
+
+    def refuse(*args):
+        raise AssertionError("the cover route read another route's data")
+
+    for name in ("_supersets", "_mobius_rows", "chibar1_below"):
+        monkeypatch.setattr(LatticeOfFlats, name, property(refuse))
+    monkeypatch.setattr(zeta, "_upsilon_table", refuse)
+    assert (compute_upsilon(m, "covers")[0], zeta_by_ysum(m)) == expected
 
 
 def _lacking(levels, pair):
@@ -991,6 +1040,7 @@ def test_a_level_product_lacking_the_top_level_raises(monkeypatch, m):
     for route in (
         zeta._zeta_by_recurrence, zeta._zeta_by_ysum, zeta._upsilon_by_recurrence,
         zeta._upsilon_by_mobius, zeta._zeta_by_flags, zeta._upsilon_by_flags,
+        zeta._upsilon_by_covers,
     ):
         with pytest.raises(VerificationError, match="level"):
             route(lat)
@@ -1002,7 +1052,10 @@ def test_a_level_product_lacking_any_level_never_gives_a_wrong_value(monkeypatch
     latter only for a level that is no pole once the flats below are
     folded, as the top level of a direct sum (Z and Y multiply)."""
     levels = zeta._levels
-    routes = (zeta._zeta_by_recurrence, zeta._upsilon_by_recurrence, zeta._upsilon_by_mobius)
+    routes = (
+        zeta._zeta_by_recurrence, zeta._upsilon_by_recurrence, zeta._upsilon_by_mobius,
+        zeta._upsilon_by_covers,
+    )
     raised = kept = 0
     for entry in catalog5:
         m = entry.matroid
